@@ -15,8 +15,6 @@ from cobschub.ringcore import (
     TruncSeries,
     UsageError,
     coeff_specialize,
-    series_arith,
-    series_exact_divide,
     series_invert_unit,
     series_reverse,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "TruncSeries",
     "UsageError",
     "coeff_specialize",
-    "series_arith",
-    "series_exact_divide",
     "series_invert_unit",
     "series_reverse",
     "__version__",

@@ -112,10 +112,6 @@ def coeff_to_json(c: CoeffPoly) -> list:
     return out
 
 
-def coeff_to_text(c: CoeffPoly) -> str:
-    return str(c)
-
-
 def elem_terms_to_json(elem, spec) -> list:
     out = []
     for key in sorted(elem.terms):
@@ -127,6 +123,7 @@ def elem_terms_to_json(elem, spec) -> list:
 
 
 def elem_to_text(elem, spec, vars) -> str:
+    """Terms of a flag element or a series, by degree, as (coeff)*monomial."""
     parts = []
     for key in sorted(elem.terms, key=lambda k: (sum(k), k)):
         coeff = spec(elem.terms[key])
@@ -140,8 +137,9 @@ def elem_to_text(elem, spec, vars) -> str:
 
 def expansion_to_rows(expansion, spec) -> list:
     rows = []
-    for word in sorted(expansion.by_word(), key=lambda w: (len(w), w)):
-        coeff = spec(expansion.by_word()[word])
+    by_word = expansion.by_word()
+    for word in sorted(by_word, key=lambda w: (len(w), w)):
+        coeff = spec(by_word[word])
         if not coeff:
             continue
         rows.append((word, coeff))
@@ -149,14 +147,8 @@ def expansion_to_rows(expansion, spec) -> list:
 
 
 def series_to_json(series, spec) -> dict:
-    terms = []
-    for key in sorted(series.terms):
-        coeff = spec(series.terms[key])
-        if not coeff:
-            continue
-        terms.append({"x": list(key), "coeff": coeff_to_json(coeff)})
     return {"vars": list(series.vars), "degree_cap": series.cap,
-            "terms": terms}
+            "terms": elem_terms_to_json(series, spec)}
 
 
 def _emit_json(payload) -> None:
@@ -210,7 +202,7 @@ def cmd_product(ns) -> int:
             print("0")
         for word, coeff in rows:
             label = ",".join(map(str, word)) if word else "e"
-            print(f"Z_[{label}]: {coeff_to_text(coeff)}")
+            print(f"Z_[{label}]: {coeff}")
         if verified is not None:
             print(f"verify: {'ok' if verified else 'MISMATCH'}")
     if verified is False:
@@ -237,7 +229,7 @@ def cmd_chevalley(ns) -> int:
             print("0")
         for w, coeff in rows:
             label = ",".join(map(str, w)) if w else "e"
-            print(f"Z_[{label}]: {coeff_to_text(coeff)}")
+            print(f"Z_[{label}]: {coeff}")
     return 0
 
 
@@ -257,20 +249,9 @@ def cmd_fgl(ns) -> int:
             "chi": series_to_json(fgl.chi, spec),
             "q": series_to_json(fgl.q, spec)})
     else:
-        def render(series):
-            parts = []
-            for key in sorted(series.terms, key=lambda k: (sum(k), k)):
-                coeff = spec(series.terms[key])
-                if not coeff:
-                    continue
-                mono = "*".join(f"{v}^{e}" if e > 1 else v
-                                for v, e in zip(series.vars, key) if e)
-                parts.append(f"({coeff})*{mono}" if mono else f"({coeff})")
-            return " + ".join(parts) if parts else "0"
-
-        print(f"F(u,v) = {render(fgl.F)}")
-        print(f"chi(u) = {render(fgl.chi)}")
-        print(f"q(u,v) = {render(fgl.q)}")
+        for label, series in (("F(u,v)", fgl.F), ("chi(u)", fgl.chi),
+                              ("q(u,v)", fgl.q)):
+            print(f"{label} = {elem_to_text(series, spec, series.vars)}")
     return 0
 
 
@@ -297,8 +278,7 @@ def cmd_expand(ns) -> int:
             print("0")
         for w, coeff in rows:
             label = ",".join(map(str, reduced_word(w))) or "e"
-            print(f"Z_[{label}] (perm {list(w.images)}): "
-                  f"{coeff_to_text(coeff)}")
+            print(f"Z_[{label}] (perm {list(w.images)}): {coeff}")
     return 0
 
 

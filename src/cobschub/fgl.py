@@ -5,13 +5,15 @@ over the rationalized coefficient ring, which pins the standard coefficients
 a_11 = -b1 and a_12 = a_21 = b1^2 - b2.  The inverse chi and the series q
 with F(u, v) = u + v - u*v*q(u, v) come from exact compositional and linear
 divisions, never from formal fraction manipulation.
+
+The divided-difference operator (1 + swap)(1 / F(y1, chi(y2))) has one
+kernel: the law's two-variable pack (see ``FGLData.pair_pack``), which the
+flag-ring operators of every rank relabel into their own variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from cobschub.ringcore import (
@@ -26,17 +28,21 @@ from cobschub.ringcore import (
 )
 
 
+PAIR_VARS = ("y1", "y2")
+
+
 class FGLData:
     """Container for the universal formal group law at a fixed degree cap.
 
-    Immutable after construction.  ``F`` lives in variables (u, v), ``chi``
-    in u, ``log`` and ``exp`` in t.  ``q`` is determined by
-    F(u, v) = u + v - u*v*q(u, v); because it is produced by two exact
-    single-variable divisions its stored terms are exact through
-    degree_cap - 2.
+    ``F`` lives in variables (u, v), ``chi`` in u, ``log`` and ``exp`` in t.
+    ``q`` is determined by F(u, v) = u + v - u*v*q(u, v); because it is
+    produced by two exact single-variable divisions its stored terms are
+    exact through degree_cap - 2.  The law never changes after construction;
+    its one cache, the operator pack, is filled by the first ``pair_pack``
+    call and lives as long as the law.
     """
 
-    __slots__ = ("degree_cap", "log", "exp", "F", "chi", "q")
+    __slots__ = ("degree_cap", "log", "exp", "F", "chi", "q", "_pair_pack")
 
     def __init__(self, degree_cap, log, exp, F, chi, q):
         self.degree_cap = degree_cap
@@ -45,10 +51,36 @@ class FGLData:
         self.F = F
         self.chi = chi
         self.q = q
+        self._pair_pack = None
 
     def a(self, i: int, j: int) -> CoeffPoly:
         """Coefficient of u^i v^j in F."""
         return self.F.coefficient((i, j))
+
+    def pair_pack(self) -> tuple[TruncSeries, TruncSeries]:
+        """The factor y1 - y2 and the inverse unit U^-1 over (y1, y2), where
+        x_loc = F(y1, chi(y2)) = (y1 - y2) * U.
+
+        Built on first use.  U must have constant term 1, and swap(x_loc)
+        must equal chi(x_loc), because the antisymmetrization route rests on
+        it.  Relabeling into more variables keeps both identities, so they
+        hold for the operators of every rank.
+        """
+        if self._pair_pack is None:
+            cap = self.degree_cap
+            y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
+            y2 = TruncSeries.variable(PAIR_VARS, cap, "y2")
+            x_loc = compose(self.F, [y1, compose(self.chi, [y2])])
+            factor = y1 - y2
+            unit = divide_by_linear(x_loc, factor)
+            if unit.constant_coeff() != CoeffPoly.one():
+                raise InternalError(
+                    "x_loc / (y1 - y2) is not a unit with constant 1")
+            if x_loc.swap_vars(0, 1) != compose(self.chi, [x_loc]):
+                raise InternalError(
+                    "swap(x_loc) != chi(x_loc); inverse law violated")
+            self._pair_pack = (factor, series_invert_unit(unit))
+        return self._pair_pack
 
     def __repr__(self):
         return f"FGLData(degree_cap={self.degree_cap})"
@@ -84,57 +116,6 @@ def build_universal_fgl(D: int) -> FGLData:
     return FGLData(D, log, exp, F, chi, q)
 
 
-@lru_cache(maxsize=None)
-def n_series(fgl: FGLData, n: int) -> TruncSeries:
-    """The n-fold formal sum [n](u): [0] = 0, [n+1] = F([n], u), [-n] = chi([n])."""
-    u = TruncSeries.variable(("u",), fgl.degree_cap, "u")
-    if n == 0:
-        return TruncSeries.zero(("u",), fgl.degree_cap)
-    if n < 0:
-        return compose(fgl.chi, [n_series(fgl, -n)])
-    if n == 1:
-        return u
-    return compose(fgl.F, [n_series(fgl, n - 1), u])
-
-
-def formal_sum(fgl: FGLData, terms: Sequence[TruncSeries], *,
-               vars=None, cap=None) -> TruncSeries:
-    """Left fold of F over ``terms``; the formal sum of first Chern classes.
-
-    The empty sum is zero, in which case the variable space must be supplied.
-    """
-    if not terms:
-        if vars is None or cap is None:
-            raise UsageError("empty formal sum needs explicit variables and cap")
-        return TruncSeries.zero(vars, cap)
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = compose(fgl.F, [acc, term])
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _pair_pack(fgl: FGLData, vars: tuple[str, str]):
-    """Cached data for the divided difference in a two-variable space.
-
-    x_loc = F(y1, chi(y2)) factors as (y1 - y2) * U with U a unit; the swap
-    of x_loc equals chi(x_loc), which is asserted here because the whole
-    antisymmetrization route rests on it.
-    """
-    cap = fgl.degree_cap
-    y1 = TruncSeries.variable(vars, cap, vars[0])
-    y2 = TruncSeries.variable(vars, cap, vars[1])
-    x_loc = compose(fgl.F, [y1, compose(fgl.chi, [y2])])
-    factor = y1 - y2
-    unit = divide_by_linear(x_loc, factor)
-    if unit.constant_coeff() != CoeffPoly.one():
-        raise InternalError("x_loc / (y1 - y2) is not a unit with constant 1")
-    swapped = x_loc.swap_vars(0, 1)
-    if swapped != compose(fgl.chi, [x_loc]):
-        raise InternalError("swap(x_loc) != chi(x_loc); inverse law violated")
-    return x_loc, factor, unit, series_invert_unit(unit)
-
-
 def universal_divided_diff(fgl: FGLData, f: TruncSeries) -> TruncSeries:
     """The operator (1 + swap) (f / F(y1, chi(y2))) on two-variable series.
 
@@ -147,7 +128,7 @@ def universal_divided_diff(fgl: FGLData, f: TruncSeries) -> TruncSeries:
         raise UsageError("universal_divided_diff needs a two-variable series")
     if f.cap != fgl.degree_cap:
         raise UsageError("series cap must match the formal group law cap")
-    _, factor, _, unit_inv = _pair_pack(fgl, f.vars)
+    factor, unit_inv = (s.relabel(f.vars, (0, 1)) for s in fgl.pair_pack())
     h = f * unit_inv
     return divide_by_linear(h - h.swap_vars(0, 1), factor)
 
@@ -185,24 +166,6 @@ def to_chern_basis(s: TruncSeries) -> dict[tuple[int, int], CoeffPoly]:
     return table
 
 
-@dataclass
-class PushforwardInput:
-    """Input for the projective-line push-forward.
-
-    ``f_coeffs`` are the coefficients of the tautological class xi in the
-    fiberwise polynomial being pushed forward (index k for xi^k); the
-    projective bundle relation keeps the interesting case at degree < 2 but
-    higher powers are accepted.  ``c1`` and ``c2`` are the Chern classes of
-    the rank-two bundle in whatever host ring the caller works in; host
-    elements must support +, *, integer powers, and left-multiplication by
-    CoeffPoly.
-    """
-
-    f_coeffs: tuple
-    c1: object
-    c2: object
-
-
 def pushforward_table(fgl: FGLData,
                       f_coeffs: Sequence) -> dict[tuple[int, int], CoeffPoly]:
     """A(f(y1)) decomposed on monomials in the elementary symmetric classes.
@@ -210,27 +173,10 @@ def pushforward_table(fgl: FGLData,
     Only the degrees the truncated law determines are returned, i.e. the
     table covers Chern monomials of total weight up to degree_cap - 2.
     """
-    vars = ("y1", "y2")
     cap = fgl.degree_cap
-    y1 = TruncSeries.variable(vars, cap, "y1")
-    f_series = TruncSeries.zero(vars, cap)
+    y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
+    f_series = TruncSeries.zero(PAIR_VARS, cap)
     for k, coeff in enumerate(f_coeffs):
         f_series = f_series + y1**k * CoeffPoly.coerce(coeff)
     pushed = universal_divided_diff(fgl, f_series)
     return to_chern_basis(pushed.truncate(max(cap - 2, 0)))
-
-
-def pushforward_p1(fgl: FGLData, input: PushforwardInput):
-    """Push a fiberwise class down a projective-line bundle.
-
-    Computes the divided difference of f(y1), rewrites the symmetric result
-    in e1, e2, and substitutes the bundle's Chern classes.
-    """
-    table = pushforward_table(fgl, input.f_coeffs)
-    total = None
-    for (a, b), coeff in sorted(table.items()):
-        piece = coeff * (input.c1**a * input.c2**b)
-        total = piece if total is None else total + piece
-    if total is None:
-        total = CoeffPoly.zero() * (input.c1**0)
-    return total

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -102,7 +103,7 @@ class FlagContext:
         self.vars = tuple(f"x{i}" for i in range(1, n + 1))
         self.fgl = build_universal_fgl(self.work_cap)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
-        self._op_packs: dict[int, object] = {}
+        self._op_packs: dict[int, tuple[TruncSeries, TruncSeries]] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._chev_cache: dict = {}
@@ -181,7 +182,11 @@ class FlagElem:
         return self.terms.get(tuple(key), CoeffPoly.zero())
 
     def constant_term(self) -> CoeffPoly:
-        """Coefficient of the basis monomial 1."""
+        """Coefficient of the basis monomial 1.
+
+        This agrees with the invariant definition through the product with
+        the point class: a * [pt] = a.constant_term() * [pt].
+        """
         return self.terms.get((0,) * self.ctx.n, CoeffPoly.zero())
 
     def min_xdegree(self):
@@ -206,21 +211,9 @@ class FlagElem:
                 out[key] = CoeffPoly.rational(value)
         return FlagElem._raw(self.ctx, out)
 
-    def map_coefficients(self, func) -> "FlagElem":
-        out = {}
-        for key, coeff in self.terms.items():
-            new = func(coeff)
-            if new:
-                out[key] = new
-        return FlagElem._raw(self.ctx, out)
-
     def denominator_lcm(self) -> int:
-        lcm = 1
-        for coeff in self.terms.values():
-            piece = coeff.denominator_lcm()
-            g = _gcd(lcm, piece)
-            lcm = lcm // g * piece
-        return lcm
+        return math.lcm(*(coeff.denominator_lcm()
+                          for coeff in self.terms.values()))
 
     # -- ring structure ------------------------------------------------------
 
@@ -320,12 +313,6 @@ class FlagElem:
         return f"FlagElem(n={self.ctx.n}; {self})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
     """Rewrite a raw polynomial to the canonical staircase form.
 
@@ -386,20 +373,6 @@ def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
             else:
                 pending[new_key] = old - coeff
     return FlagElem._raw(ctx, done)
-
-
-def flag_mul(a: FlagElem, b: FlagElem) -> FlagElem:
-    """Product in the flag ring: polynomial product plus canonical reduction."""
-    return a * b
-
-
-def constant_term(a: FlagElem) -> CoeffPoly:
-    """The coefficient of 1 in the canonical form.
-
-    This agrees with the invariant definition through the product with the
-    point class: a * [pt] = constant_term(a) * [pt].
-    """
-    return a.constant_term()
 
 
 def point_class(ctx: FlagContext) -> FlagElem:

@@ -9,6 +9,7 @@ is exact below the cap and silently discards terms above it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -153,12 +154,7 @@ class CoeffPoly:
 
         Used to record where the computation leaves the integral subring.
         """
-        lcm = 1
-        for value in self.terms.values():
-            d = value.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        return lcm
+        return math.lcm(*(value.denominator for value in self.terms.values()))
 
     def __add__(self, other) -> "CoeffPoly":
         other = CoeffPoly.coerce(other)
@@ -263,12 +259,6 @@ class CoeffPoly:
 
     def __repr__(self) -> str:
         return f"CoeffPoly({self})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def coeff_specialize(c: CoeffPoly, assignment: Mapping[int, Fraction]) -> Fraction:
@@ -398,11 +388,6 @@ class TruncSeries:
             return None
         return min(sum(k) for k in self.terms)
 
-    def homogeneous_component(self, degree: int) -> "TruncSeries":
-        return TruncSeries._raw(
-            self.vars, self.cap,
-            {k: v for k, v in self.terms.items() if sum(k) == degree})
-
     def total_degrees(self) -> set[int]:
         """Degrees x-degree + coefficient-degree over all stored monomials."""
         out = set()
@@ -510,21 +495,28 @@ class TruncSeries:
 
     # -- variable plumbing --------------------------------------------------
 
-    def permute_vars(self, images: Sequence[int]) -> "TruncSeries":
-        """Relabel variables: position i goes to position images[i]."""
+    def relabel(self, vars: Sequence[str],
+                images: Sequence[int]) -> "TruncSeries":
+        """The same series over ``vars``: position i goes to position
+        images[i], which must be distinct.
+
+        Such a relabeling is an injective ring map that keeps total degree,
+        so it commutes with truncation, exact division and inversion.
+        """
+        width = len(vars)
         out: dict[XMonomial, CoeffPoly] = {}
         for key, value in self.terms.items():
-            new = [0] * len(key)
+            new = [0] * width
             for pos, e in enumerate(key):
                 new[images[pos]] = e
             out[tuple(new)] = value
-        return TruncSeries._raw(self.vars, self.cap, out)
+        return TruncSeries._raw(tuple(vars), self.cap, out)
 
     def swap_vars(self, i: int, j: int) -> "TruncSeries":
         """Exchange the variables at positions i and j."""
         images = list(range(len(self.vars)))
         images[i], images[j] = images[j], images[i]
-        return self.permute_vars(images)
+        return self.relabel(self.vars, images)
 
     def specialize(self, assignment: Mapping[int, Fraction]) -> "TruncSeries":
         """Apply a b-generator assignment to every coefficient."""
@@ -533,14 +525,6 @@ class TruncSeries:
             spec = coeff_specialize(value, assignment)
             if spec:
                 out[key] = CoeffPoly.rational(spec)
-        return TruncSeries._raw(self.vars, self.cap, out)
-
-    def map_coefficients(self, func) -> "TruncSeries":
-        out = {}
-        for key, value in self.terms.items():
-            new = func(value)
-            if new:
-                out[key] = new
         return TruncSeries._raw(self.vars, self.cap, out)
 
     def __str__(self) -> str:
@@ -566,17 +550,6 @@ class TruncSeries:
 
 # ---------------------------------------------------------------------------
 # Series-level operations
-
-
-def series_arith(a: TruncSeries, b: TruncSeries, op: str) -> TruncSeries:
-    """Exact truncated ring arithmetic: op is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise UsageError(f"unknown operation {op!r}")
 
 
 def series_invert_unit(s: TruncSeries) -> TruncSeries:
@@ -740,18 +713,3 @@ def divide_by_linear(num: TruncSeries, factor: TruncSeries) -> TruncSeries:
         raise DivisibilityError(
             f"division by {factor} leaves remainder {remainder}")
     return quotient * CoeffPoly.rational(Fraction(1) / c_p)
-
-
-def series_exact_divide(num: TruncSeries, den: TruncSeries,
-                        linear_factor: TruncSeries) -> TruncSeries:
-    """Divide ``num`` by ``den`` where den = linear_factor * unit.
-
-    Both divisions are exact: the linear one raises DivisibilityError on a
-    nonzero remainder, and the unit cofactor is inverted as a series.  The
-    result q satisfies q * den = num through the degree cap.
-    """
-    if num.vars != den.vars or num.cap != den.cap:
-        raise UsageError("numerator and denominator must share variables and cap")
-    unit = divide_by_linear(den, linear_factor)
-    quotient = divide_by_linear(num, linear_factor)
-    return quotient * series_invert_unit(unit)

@@ -72,14 +72,6 @@ class BSExpansion:
             total = total + coeff * bs_class(ctx, self.subword(kept))
         return total
 
-    def map_coefficients(self, func) -> "BSExpansion":
-        out = {}
-        for kept, coeff in self.terms.items():
-            new = func(coeff)
-            if new:
-                out[kept] = new
-        return BSExpansion(self.word, out)
-
 
 def bs_class(ctx: FlagContext, word) -> FlagElem:
     """The Bott-Samelson class of a word: operators folded over the point
@@ -326,16 +318,6 @@ def expand_in_bs_basis(ctx: FlagContext, a: FlagElem) -> dict[Permutation, Coeff
             raise InternalError("graded peeling did not lower the residual")
         residual = new_residual
     return {w: c for w, c in out.items() if c}
-
-
-def chow_schubert(ctx: FlagContext, w: Permutation) -> FlagElem:
-    """The additive-theory specialization of the basis class of w: the
-    classical Schubert polynomial in canonical form."""
-    cls = bs_class(ctx, reduced_word(w))
-    support = set()
-    for coeff in cls.terms.values():
-        support |= coeff.support_indices()
-    return cls.specialize({i: Fraction(0) for i in support})
 
 
 def pieri_exponents(ctx: FlagContext, word, lam: Weight):

@@ -4,7 +4,10 @@ Permutations act on weights by permuting coordinates; words are tuples of
 simple-root indices with no reducedness restriction.  The divided-difference
 operators are realized through the factorization
 F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U with U a unit, so every division
-in sight is an exact linear division with a checked zero remainder.
+in sight is an exact linear division with a checked zero remainder.  The
+factor and U^-1 are not rebuilt here: for each i they are the law's
+two-variable pack (``FGLData.pair_pack``, which also checks it) with y1
+renamed x_{i+1} and y2 renamed x_i.
 """
 
 from __future__ import annotations
@@ -12,15 +15,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce as _functools_reduce
 
-from cobschub.ringcore import (
-    CoeffPoly,
-    InternalError,
-    TruncSeries,
-    UsageError,
-    compose,
-    divide_by_linear,
-    series_invert_unit,
-)
+from cobschub.ringcore import TruncSeries, UsageError, divide_by_linear
 from cobschub.flagring import (
     FlagContext,
     FlagElem,
@@ -192,34 +187,17 @@ def beta_sequence(word: Word, n: int) -> list[Weight]:
 # Operators on the flag ring
 
 
-class _OperatorPack:
-    __slots__ = ("factor", "unit", "unit_inv")
-
-    def __init__(self, factor, unit, unit_inv):
-        self.factor = factor
-        self.unit = unit
-        self.unit_inv = unit_inv
-
-
-def _op_pack(ctx: FlagContext, i: int) -> _OperatorPack:
+def _op_pack(ctx: FlagContext, i: int) -> tuple[TruncSeries, TruncSeries]:
+    """The factor x_{i+1} - x_i and the inverse unit of F(x_{i+1}, chi(x_i)),
+    relabeled from the law's pack and kept in ``ctx._op_packs``."""
     if not 1 <= i <= ctx.n - 1:
         raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
     pack = ctx._op_packs.get(i)
-    if pack is not None:
-        return pack
-    x_i = ctx.var_series(i)
-    x_next = ctx.var_series(i + 1)
-    x_loc = compose(ctx.fgl.F, [x_next, compose(ctx.fgl.chi, [x_i])])
-    factor = x_next - x_i
-    unit = divide_by_linear(x_loc, factor)
-    if unit.constant_coeff() != CoeffPoly.one():
-        raise InternalError(
-            f"F(x_{i + 1}, chi(x_{i})) does not factor with unit cofactor")
-    # the antisymmetrization route rests on swap(x_loc) = chi(x_loc)
-    if x_loc.swap_vars(i - 1, i) != compose(ctx.fgl.chi, [x_loc]):
-        raise InternalError("swap of the localized class is not its inverse")
-    pack = _OperatorPack(factor, unit, series_invert_unit(unit))
-    ctx._op_packs[i] = pack
+    if pack is None:
+        # y1 -> x_{i+1} at position i, y2 -> x_i at position i - 1
+        pack = tuple(s.relabel(ctx.vars, (i, i - 1))
+                     for s in ctx.fgl.pair_pack())
+        ctx._op_packs[i] = pack
     return pack
 
 
@@ -242,10 +220,10 @@ def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     realization is representative-independent because the operator is linear
     over symmetric elements.
     """
-    pack = _op_pack(ctx, i)
-    h = a.as_series() * pack.unit_inv
+    factor, unit_inv = _op_pack(ctx, i)
+    h = a.as_series() * unit_inv
     anti = h - h.swap_vars(i - 1, i)
-    return reduce_canonical(ctx, divide_by_linear(anti, pack.factor))
+    return reduce_canonical(ctx, divide_by_linear(anti, factor))
 
 
 def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
@@ -254,8 +232,7 @@ def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     In the additive specialization it coincides with divided_diff; in general
     it differs and carries the Chevalley coefficients.
     """
-    pack = _op_pack(ctx, i)
+    factor, unit_inv = _op_pack(ctx, i)
     s = a.as_series()
     anti = s - s.swap_vars(i - 1, i)
-    quotient = divide_by_linear(anti, pack.factor)
-    return reduce_canonical(ctx, quotient * pack.unit_inv)
+    return reduce_canonical(ctx, divide_by_linear(anti, factor) * unit_inv)

@@ -2,8 +2,10 @@
 
 Each oracle recomputes a quantity along a different route than the library
 code under test: geometric series for unit inversion, the Lagrange formula
-for compositional inverses, plain polynomial divided differences for the
-additive theory, and dense Fraction linear algebra for ideal membership.
+for compositional inverses, folds of the group law for formal sums, the
+operator factorization built directly in n variables, plain polynomial
+divided differences for the additive theory, and dense Fraction linear
+algebra for ideal membership.
 """
 
 from __future__ import annotations
@@ -11,7 +13,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from cobschub.ringcore import CoeffPoly, TruncSeries, compose
+from cobschub.ringcore import (
+    CoeffPoly,
+    TruncSeries,
+    UsageError,
+    compose,
+    divide_by_linear,
+    series_invert_unit,
+)
 
 
 def geometric_inverse(s: TruncSeries) -> TruncSeries:
@@ -47,6 +56,48 @@ def lagrange_reverse(s: TruncSeries) -> TruncSeries:
         if coeff:
             out[(k,)] = coeff
     return TruncSeries(s.vars, cap, out)
+
+
+# ---------------------------------------------------------------------------
+# Folds of the formal group law
+
+
+def n_series(fgl, n: int) -> TruncSeries:
+    """The n-fold formal sum [n](u): [0] = 0, [n+1] = F([n], u), [-n] = chi([n])."""
+    u = TruncSeries.variable(("u",), fgl.degree_cap, "u")
+    acc = TruncSeries.zero(("u",), fgl.degree_cap)
+    for _ in range(abs(n)):
+        acc = compose(fgl.F, [acc, u])
+    return compose(fgl.chi, [acc]) if n < 0 else acc
+
+
+def formal_sum(fgl, terms, *, vars=None, cap=None) -> TruncSeries:
+    """Left fold of F over ``terms``; the formal sum of first Chern classes.
+
+    The empty sum is zero, in which case the variable space must be supplied.
+    """
+    if not terms:
+        if vars is None or cap is None:
+            raise UsageError("empty formal sum needs explicit variables and cap")
+        return TruncSeries.zero(vars, cap)
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = compose(fgl.F, [acc, term])
+    return acc
+
+
+def reference_op_pack(ctx, i: int):
+    """The factor x_{i+1} - x_i and the inverse unit U^-1 of
+    F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, built directly in the
+    context's n variables, with both checks made there."""
+    x_i = ctx.var_series(i)
+    x_next = ctx.var_series(i + 1)
+    x_loc = compose(ctx.fgl.F, [x_next, compose(ctx.fgl.chi, [x_i])])
+    factor = x_next - x_i
+    unit = divide_by_linear(x_loc, factor)
+    assert unit.constant_coeff() == CoeffPoly.one()
+    assert x_loc.swap_vars(i - 1, i) == compose(ctx.fgl.chi, [x_loc])
+    return factor, series_invert_unit(unit)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,16 @@ def test_selftest_rank2(capsys):
     assert "PASS law-axioms" in out
 
 
+@pytest.mark.parametrize("theory", ["cobordism", "chow", "ktheory"])
+def test_selftest_rank3(capsys, theory):
+    # rank 3 reaches the golden tables, the push-forward degenerations and
+    # the Schubert oracle, all of which run through the operator kernel
+    code, out, err = run(capsys, "selftest", "--n", "3", "--theory", theory)
+    assert code == 0
+    assert "FAIL" not in out
+    assert "PASS representative-independence" in out
+
+
 def test_exit_codes(capsys):
     code, out, err = run(capsys, "bsclass", "--n", "3", "--word", "7")
     assert code == 2 and not out and "out of range" in err

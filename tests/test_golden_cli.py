@@ -1,0 +1,59 @@
+"""The CLI's output bytes, pinned by one SHA-256.
+
+A fixed list of command lines runs in both output formats; the digest
+covers each command line, its exit code and its standard output.  A change
+that only restructures the engine must leave the digest as it is; a change
+that means to alter the output updates ``GOLDEN_SHA256`` and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from cobschub.cli import main
+
+THEORIES = (("--theory", "cobordism"), ("--theory", "chow"),
+            ("--theory", "ktheory", "--beta", "2/3"))
+
+RANK3 = (
+    ("bsclass", "--n", "3", "--word", "2,1,2"),
+    ("bsclass", "--n", "3", "--word", "1,2"),
+    ("bsclass", "--n", "3", "--word", ""),
+    ("product", "--n", "3", "--left", "1,2", "--right", "2,1", "--verify"),
+    ("product", "--n", "3", "--left", "2,1", "--right", "2,1"),
+    ("chevalley", "--n", "3", "--word", "2,1", "--weight", "1,0,0"),
+    ("chevalley", "--n", "3", "--word", "1,2,1", "--weight", "2,-1,0"),
+    ("fgl",),
+    ("expand", "--n", "3", "--word", "2,1,2"),
+    ("pieri", "--n", "3", "--word", "1,2,1", "--weight", "1,0,0"),
+    ("selftest", "--n", "3"),
+)
+
+EXTRA = (
+    ("fgl", "--max-degree", "8"),
+    ("product", "--n", "4", "--left", "1,2,1", "--right", "1,2,1,3",
+     "--verify"),
+    ("bsclass", "--n", "4", "--word", "1,2,1,3,2,1"),
+)
+
+COMMANDS = tuple(cmd + theory for cmd in RANK3 for theory in THEORIES) + EXTRA
+
+GOLDEN_SHA256 = (
+    "194bd65eaf32328c4103cb18771219056feb38b95a2dd532a1a57281824adce2")
+
+
+def cli_digest() -> str:
+    digest = hashlib.sha256()
+    for fmt in ("json", "text"):
+        for cmd in COMMANDS:
+            argv = list(cmd) + ["--format", fmt]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            digest.update(f"$ {' '.join(argv)}\n[exit {code}]\n".encode())
+            digest.update(out.getvalue().encode())
+    return digest.hexdigest()
+
+
+def test_cli_output_bytes_unchanged():
+    assert cli_digest() == GOLDEN_SHA256

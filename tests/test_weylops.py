@@ -26,9 +26,14 @@ from cobschub.weylops import (
     sigma_op,
     weyl_act,
     word_permutation,
+    _op_pack,
 )
 
-from oracles import classical_divided_difference, random_flag_elem
+from oracles import (
+    classical_divided_difference,
+    random_flag_elem,
+    reference_op_pack,
+)
 
 F = Fraction
 b1 = CoeffPoly.b(1)
@@ -195,6 +200,16 @@ def test_sigma_index_validation(ctx3):
 
 # ---------------------------------------------------------------------------
 # Divided differences
+
+
+def test_op_pack_is_the_relabeled_law_pack(ctx3, ctx4):
+    # the two-variable pack relabeled into n variables equals the factor
+    # and inverse unit built and checked directly in n variables
+    for ctx in (ctx3, ctx4):
+        for i in range(1, ctx.n):
+            assert _op_pack(ctx, i) == reference_op_pack(ctx, i), (ctx.n, i)
+        with pytest.raises(UsageError):
+            _op_pack(ctx, ctx.n)
 
 
 def test_divided_diff_golden_rank3(ctx3):
