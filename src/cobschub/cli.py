@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: bsclass, product, chevalley, fgl, expand, pieri, selftest.
-Exit codes: 0 success, 1 selftest failure, 2 usage error, 3 resource cap.
+Exit codes: 0 success, 1 selftest failure or stdout closed early, 2 usage
+error, 3 resource cap.
 JSON output is deterministic: terms are sorted, rationals are emitted as
 decimal num/den strings so arbitrary precision survives serialization.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -102,8 +104,7 @@ def _specializer(theory: str, beta: Fraction):
 
 def coeff_to_json(c: CoeffPoly) -> list:
     out = []
-    for key in sorted(c.terms):
-        value = c.terms[key]
+    for key, value in sorted(c.terms.items()):
         out.append({
             "b": [[i, e] for i, e in key],
             "num": str(value.numerator),
@@ -284,10 +285,9 @@ def cmd_expand(ns) -> int:
 
 def cmd_pieri(ns) -> int:
     n = _check_rank(ns.n)
-    ctx = _context(n)
     word = validate_word(_parse_word(ns.word), n)
     lam = _parse_weight(ns.weight, n)
-    rows = pieri_exponents(ctx, word, lam)
+    rows = pieri_exponents(n, word, lam)
     if ns.format == "json":
         _emit_json({
             "command": "pieri", "n": n, "word": list(word),
@@ -381,7 +381,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): drop the rest quietly,
+        # and keep the interpreter's final flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,9 +2,10 @@
 
 Coefficients live in the rationalized Lazard ring, presented as polynomials
 in generators b1, b2, ... where b_i is the class of i-dimensional projective
-space (graded degree -i).  Power series carry these coefficients and are
-truncated at a fixed total degree in the series variables; every operation
-is exact below the cap and silently discards terms above it.
+space (graded degree -i), and stored as integer numerators over one shared
+denominator.  Power series carry these coefficients and are truncated at a
+fixed total degree in the series variables; every operation is exact below
+the cap and silently discards terms above it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class InternalError(CobschubError):
 BMonomial = tuple[tuple[int, int], ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -71,11 +71,13 @@ def bmonomial_degree(key: BMonomial) -> int:
 class CoeffPoly:
     """A polynomial in b1, b2, ... with exact rational coefficients.
 
-    Instances are immutable value objects; zero coefficients are never
-    stored, so equality and hashing are structural.
+    Immutable and fraction-free: ``num`` maps b-monomials to nonzero integer
+    numerators over one denominator ``den`` > 0, with gcd(den, *num) == 1.
+    The form is canonical, so equality and hashing are structural and ``den``
+    is the lcm of the denominators; ``terms`` is the Fraction view.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, terms: Mapping[BMonomial, Fraction] | None = None):
         clean: dict[BMonomial, Fraction] = {}
@@ -87,36 +89,47 @@ class CoeffPoly:
                 if any(i < 1 or e < 1 for i, e in key):
                     raise UsageError(f"malformed b-monomial {key!r}")
                 clean[tuple(sorted(key))] = value
-        self.terms = clean
+        den = math.lcm(*(value.denominator for value in clean.values()))
+        self.num = {key: value.numerator * (den // value.denominator)
+                    for key, value in clean.items()}
+        self.den = den
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: dict[BMonomial, Fraction]) -> "CoeffPoly":
-        # internal fast path: terms are already normalized
+    def _raw(cls, num: dict[BMonomial, int], den: int) -> "CoeffPoly":
+        # internal fast path: num holds no zero and den > 0; divide out their
+        # common factor
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {key: value // g for key, value in num.items()}
+                den //= g
         self = object.__new__(cls)
-        self.terms = terms
+        self.num = num
+        self.den = den
         self._hash = None
         return self
 
     @classmethod
     def zero(cls) -> "CoeffPoly":
-        return cls._raw({})
+        return cls._raw({}, 1)
 
     @classmethod
     def one(cls) -> "CoeffPoly":
-        return cls._raw({(): _ONE})
+        return cls._raw({(): 1}, 1)
 
     @classmethod
     def rational(cls, value) -> "CoeffPoly":
         value = _as_fraction(value)
-        return cls._raw({(): value} if value else {})
+        return cls._raw({(): value.numerator} if value else {},
+                        value.denominator)
 
     @classmethod
     def b(cls, index: int, exponent: int = 1) -> "CoeffPoly":
         """The generator b_index (optionally raised to a power)."""
         if index < 1 or exponent < 1:
             raise UsageError("b-generators need index >= 1 and exponent >= 1")
-        return cls._raw({((index, exponent),): _ONE})
+        return cls._raw({((index, exponent),): 1}, 1)
 
     @classmethod
     def coerce(cls, value) -> "CoeffPoly":
@@ -124,18 +137,24 @@ class CoeffPoly:
             return value
         return cls.rational(value)
 
+    @property
+    def terms(self) -> dict[BMonomial, Fraction]:
+        """A new dict from each b-monomial to its Fraction coefficient."""
+        den = self.den
+        return {key: Fraction(value, den) for key, value in self.num.items()}
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.num or (len(self.num) == 1 and () in self.num)
 
     def constant(self) -> Fraction:
         """The b-free part."""
-        return self.terms.get((), _ZERO)
+        return Fraction(self.num.get((), 0), self.den)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -144,37 +163,44 @@ class CoeffPoly:
 
     def degrees(self) -> set[int]:
         """Set of graded degrees of the monomials present (all <= 0)."""
-        return {bmonomial_degree(key) for key in self.terms}
+        return {bmonomial_degree(key) for key in self.num}
 
     def support_indices(self) -> set[int]:
-        return {i for key in self.terms for i, _ in key}
+        return {i for key in self.num for i, _ in key}
 
     def denominator_lcm(self) -> int:
         """Least common multiple of all coefficient denominators (1 if empty).
 
         Used to record where the computation leaves the integral subring.
         """
-        return math.lcm(*(value.denominator for value in self.terms.values()))
+        return self.den
 
     def __add__(self, other) -> "CoeffPoly":
         other = CoeffPoly.coerce(other)
-        if not self.terms:
+        if not self.num:
             return other
-        if not other.terms:
+        if not other.num:
             return self
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            new = out.get(key, _ZERO) + value
+        den = self.den
+        if den == other.den:
+            out, right = dict(self.num), other.num
+        else:
+            den = math.lcm(den, other.den)
+            s1, s2 = den // self.den, den // other.den
+            out = {key: value * s1 for key, value in self.num.items()}
+            right = {key: value * s2 for key, value in other.num.items()}
+        for key, value in right.items():
+            new = out.get(key, 0) + value
             if new:
                 out[key] = new
             else:
-                out.pop(key, None)
-        return CoeffPoly._raw(out)
+                del out[key]
+        return CoeffPoly._raw(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoeffPoly":
-        return CoeffPoly._raw({k: -v for k, v in self.terms.items()})
+        return CoeffPoly._raw({k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "CoeffPoly":
         return self + (-CoeffPoly.coerce(other))
@@ -188,20 +214,24 @@ class CoeffPoly:
                 value = _as_fraction(other)
                 if not value:
                     return CoeffPoly.zero()
-                return CoeffPoly._raw({k: v * value for k, v in self.terms.items()})
+                scale = value.numerator
+                return CoeffPoly._raw(
+                    {k: v * scale for k, v in self.num.items()},
+                    self.den * value.denominator)
             return NotImplemented
-        if not self.terms or not other.terms:
+        if not self.num or not other.num:
             return CoeffPoly.zero()
-        out: dict[BMonomial, Fraction] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
+        out: dict[BMonomial, int] = {}
+        right = other.num.items()
+        for k1, v1 in self.num.items():
+            for k2, v2 in right:
                 key = _merge_bmonomials(k1, k2)
-                new = out.get(key, _ZERO) + v1 * v2
+                new = out.get(key, 0) + v1 * v2
                 if new:
                     out[key] = new
                 else:
-                    out.pop(key, None)
-        return CoeffPoly._raw(out)
+                    del out[key]
+        return CoeffPoly._raw(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -220,14 +250,14 @@ class CoeffPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CoeffPoly):
-            return self.terms == other.terms
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.constant() == other
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self.den, frozenset(self.num.items())))
         return self._hash
 
     def specialize(self, assignment: Mapping[int, Fraction]) -> Fraction:
@@ -235,11 +265,12 @@ class CoeffPoly:
         return coeff_specialize(self, assignment)
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for key in sorted(self.terms):
-            value = self.terms[key]
+        for key in sorted(terms):
+            value = terms[key]
             mono = "*".join(
                 f"b{i}" if e == 1 else f"b{i}^{e}" for i, e in key
             )
@@ -269,14 +300,14 @@ def coeff_specialize(c: CoeffPoly, assignment: Mapping[int, Fraction]) -> Fracti
     beta**i for a chosen rational beta.
     """
     total = _ZERO
-    for key, value in c.terms.items():
+    for key, value in c.num.items():
         factor = value
         for i, e in key:
             if i not in assignment:
                 raise UsageError(f"no assignment for generator b{i}")
             factor *= _as_fraction(assignment[i]) ** e
         total += factor
-    return total
+    return total / c.den
 
 
 def chow_assignment(c: CoeffPoly) -> dict[int, Fraction]:

@@ -320,11 +320,11 @@ def expand_in_bs_basis(ctx: FlagContext, a: FlagElem) -> dict[Permutation, Coeff
     return {w: c for w, c in out.items() if c}
 
 
-def pieri_exponents(ctx: FlagContext, word, lam: Weight):
-    """Exponent table of the pullback of L(lam): one row per position with
-    the word minus that position and the pairing (lam, beta_j)."""
-    word = validate_word(word, ctx.n)
-    betas = beta_sequence(word, ctx.n)
+def pieri_exponents(n: int, word, lam: Weight):
+    """Exponent table of the pullback of L(lam) at rank n: one row per
+    position with the word minus that position and the pairing (lam, beta_j)."""
+    word = validate_word(word, n)
+    betas = beta_sequence(word, n)
     out = []
     for j, beta in enumerate(betas):
         dropped = word[:j] + word[j + 1:]

@@ -404,8 +404,9 @@ def run_selftest(n: int, theory: str = "cobordism", beta: Fraction = F(1),
     for name, fn in build_checks(n, theory, beta):
         try:
             fn()
-            writer(f"PASS {name}")
         except Exception as exc:  # report and keep going
             ok = False
             writer(f"FAIL {name}: {exc}")
+        else:
+            writer(f"PASS {name}")
     return ok

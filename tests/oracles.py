@@ -4,8 +4,9 @@ Each oracle recomputes a quantity along a different route than the library
 code under test: geometric series for unit inversion, the Lagrange formula
 for compositional inverses, folds of the group law for formal sums, the
 operator factorization built directly in n variables, plain polynomial
-divided differences for the additive theory, and dense Fraction linear
-algebra for ideal membership.
+divided differences for the additive theory, dense Fraction linear
+algebra for ideal membership, and one Fraction per term for b-polynomial
+arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,59 @@ from cobschub.ringcore import (
     divide_by_linear,
     series_invert_unit,
 )
+
+
+class FractionPoly:
+    """A b-polynomial stored as one Fraction per b-monomial.
+
+    This is the per-term arithmetic that ``CoeffPoly`` replaced by integer
+    numerators over a shared denominator; powers are repeated products, not
+    squarings.  ``terms`` has the shape of ``CoeffPoly.terms``.
+    """
+
+    def __init__(self, terms):
+        self.terms = {key: Fraction(value)
+                      for key, value in terms.items() if value}
+
+    def __add__(self, other: "FractionPoly") -> "FractionPoly":
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            out[key] = out.get(key, 0) + value
+        return FractionPoly(out)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly({key: -value for key, value in self.terms.items()})
+
+    def __sub__(self, other: "FractionPoly") -> "FractionPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "FractionPoly":
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly({key: value * other
+                                 for key, value in self.terms.items()})
+        out: dict = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                merged = dict(k1)
+                for i, e in k2:
+                    merged[i] = merged.get(i, 0) + e
+                key = tuple(sorted(merged.items()))
+                out[key] = out.get(key, 0) + v1 * v2
+        return FractionPoly(out)
+
+    def __pow__(self, exponent: int) -> "FractionPoly":
+        result = FractionPoly({(): 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def specialize(self, assignment) -> Fraction:
+        total = Fraction(0)
+        for key, value in self.terms.items():
+            for i, e in key:
+                value *= Fraction(assignment[i]) ** e
+            total += value
+        return total
 
 
 def geometric_inverse(s: TruncSeries) -> TruncSeries:

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cobschub.cli import main
+from cobschub.selftest import run_selftest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -159,6 +166,34 @@ def test_selftest_rank3(capsys, theory):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS representative-independence" in out
+
+
+def test_selftest_write_error_is_not_a_check_failure():
+    lines = []
+
+    def writer(line):
+        lines.append(line)
+        raise BrokenPipeError
+
+    with pytest.raises(BrokenPipeError):
+        run_selftest(2, writer=writer)
+    assert len(lines) == 1 and lines[0].startswith("PASS ")
+
+
+def test_closed_stdout_ends_quietly():
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cobschub.cli", "selftest", "--n", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_exit_codes(capsys):
