@@ -88,10 +88,14 @@ class FlagContext:
     """Everything attached to a fixed rank n: the truncated formal group
     law, the rewrite system, and operator caches.
 
-    The law is built with two degrees of headroom above d = n(n-1)/2 because
-    each divided-difference application performs two exact linear divisions,
-    each of which consumes one degree of series precision; canonical
-    elements themselves never exceed degree d.
+    Canonical elements never exceed degree d = n(n-1)/2, and both operators
+    reduce to canonical form before and after their one exact linear
+    division, so they read the inverse unit U^-1 only through degree d.
+    U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is exact one degree below the
+    law's cap, so cap d + 1 is the least that serves the operators; the tests
+    check that caps d + 1, d + 3 and d + 4 give the results of d + 2.  The
+    law is built at d + 2 because the selftest reads its cubic coefficients
+    a_21 and a_12 from the context, which at rank 2 needs cap 3.
     """
 
     def __init__(self, n: int):
@@ -103,7 +107,7 @@ class FlagContext:
         self.vars = tuple(f"x{i}" for i in range(1, n + 1))
         self.fgl = build_universal_fgl(self.work_cap)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
-        self._op_packs: dict[int, tuple[TruncSeries, TruncSeries]] = {}
+        self._op_packs: dict[int, tuple[TruncSeries, "FlagElem"]] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._chev_cache: dict = {}

@@ -175,27 +175,34 @@ class CoeffPoly:
         """
         return self.den
 
-    def __add__(self, other) -> "CoeffPoly":
+    def _combine(self, other, sign: int) -> "CoeffPoly":
+        # self + sign * other in one merge; on mixed denominators the right
+        # side is scaled term by term inside the loop
         other = CoeffPoly.coerce(other)
-        if not self.num:
-            return other
         if not other.num:
             return self
+        if not self.num:
+            return other if sign > 0 else -other
         den = self.den
         if den == other.den:
-            out, right = dict(self.num), other.num
+            out = dict(self.num)
+            scale = sign
         else:
             den = math.lcm(den, other.den)
-            s1, s2 = den // self.den, den // other.den
-            out = {key: value * s1 for key, value in self.num.items()}
-            right = {key: value * s2 for key, value in other.num.items()}
-        for key, value in right.items():
-            new = out.get(key, 0) + value
+            s1 = den // self.den
+            out = ({key: value * s1 for key, value in self.num.items()}
+                   if s1 != 1 else dict(self.num))
+            scale = sign * (den // other.den)
+        for key, value in other.num.items():
+            new = out.get(key, 0) + value * scale
             if new:
                 out[key] = new
             else:
                 del out[key]
         return CoeffPoly._raw(out, den)
+
+    def __add__(self, other) -> "CoeffPoly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -203,10 +210,10 @@ class CoeffPoly:
         return CoeffPoly._raw({k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "CoeffPoly":
-        return self + (-CoeffPoly.coerce(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "CoeffPoly":
-        return CoeffPoly.coerce(other) + (-self)
+        return CoeffPoly.coerce(other)._combine(self, -1)
 
     def __mul__(self, other) -> "CoeffPoly":
         if not isinstance(other, CoeffPoly):
@@ -680,8 +687,8 @@ def compose(outer: TruncSeries, args: Sequence[TruncSeries]) -> TruncSeries:
 def _linear_form_parts(factor: TruncSeries):
     """Decompose a rational degree-1 form as c_p * (x_p - L).
 
-    Returns (pivot position, pivot coefficient, L) where L is a linear
-    series not involving the pivot variable.
+    Returns (pivot position, pivot coefficient, L) where L is a list of
+    (position, rational coefficient) pairs, none at the pivot.
     """
     if not factor.terms:
         raise UsageError("linear factor must be nonzero")
@@ -694,53 +701,59 @@ def _linear_form_parts(factor: TruncSeries):
         coeffs[key.index(1)] = value.as_fraction()
     pivot = min(coeffs)
     c_p = coeffs[pivot]
-    rest = {}
-    for pos, value in coeffs.items():
-        if pos == pivot:
-            continue
-        key = tuple(1 if i == pos else 0 for i in range(len(factor.vars)))
-        rest[key] = CoeffPoly.rational(-value / c_p)
-    return pivot, c_p, TruncSeries._raw(factor.vars, factor.cap, rest)
+    rest = [(pos, -value / c_p) for pos, value in sorted(coeffs.items())
+            if pos != pivot]
+    return pivot, c_p, rest
+
+
+def _add_term(out: dict, key: XMonomial, value: CoeffPoly) -> None:
+    old = out.get(key)
+    new = value if old is None else old + value
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
 
 
 def divide_by_linear(num: TruncSeries, factor: TruncSeries) -> TruncSeries:
-    """Exact division of ``num`` by a rational degree-1 form.
+    """Exact division of ``num`` by a rational degree-1 form c_p * (x_p - L).
 
-    Splits num = factor * q + r with r = num evaluated at the pivot variable
-    replaced by the rest of the form; a nonzero remainder raises
-    DivisibilityError.  The quotient is exact in every degree the numerator
-    determines (one degree fewer than the cap).
+    One pass of synthetic (Horner) division in the pivot variable: with
+    num = sum_a x_p^a C_a and every C_a free of x_p, the quotient digits are
+    Q_{a-1} = C_a + L * Q_a from the top down, and the remainder
+    C_0 + L * Q_0 (num with x_p replaced by L) must vanish, or
+    DivisibilityError is raised.  Each quotient term is one degree below a
+    numerator term, so nothing is truncated and the quotient is exact in
+    every degree the numerator determines (one degree fewer than the cap).
     """
     if num.vars != factor.vars or num.cap != factor.cap:
         raise UsageError("numerator and factor must share variables and cap")
     pivot, c_p, rest = _linear_form_parts(factor)
-    vars, cap = num.vars, num.cap
-    quotient = TruncSeries.zero(vars, cap)
-    remainder = TruncSeries.zero(vars, cap)
-    rest_powers: dict[int, TruncSeries] = {0: TruncSeries.one(vars, cap), 1: rest}
-
-    def rest_power(e: int) -> TruncSeries:
-        if e not in rest_powers:
-            rest_powers[e] = rest_power(e - 1) * rest
-        return rest_powers[e]
-
+    digits: dict[int, dict[XMonomial, CoeffPoly]] = {}
     for key, coeff in num.terms.items():
         a = key[pivot]
-        stripped = list(key)
-        stripped[pivot] = 0
-        base = TruncSeries.monomial(vars, cap, tuple(stripped), coeff)
-        if a == 0:
-            remainder = remainder + base
-            continue
-        # x^a - L^a = (x - L) * sum_t x^t L^(a-1-t); the L^a piece joins the
-        # remainder, which must vanish in total
-        remainder = remainder + base * rest_power(a)
-        for t in range(a):
-            shifted = [0] * len(vars)
-            shifted[pivot] = t
-            mono = TruncSeries.monomial(vars, cap, tuple(shifted), 1)
-            quotient = quotient + base * mono * rest_power(a - 1 - t)
-    if not remainder.is_zero():
+        if a:
+            key = key[:pivot] + (0,) + key[pivot + 1:]
+        digits.setdefault(a, {})[key] = coeff
+    inv_c = 1 / c_p
+    quotient: dict[XMonomial, CoeffPoly] = {}
+    carry: dict[XMonomial, CoeffPoly] = {}  # L * Q_a, zero above the top
+    for a in range(max(digits, default=0), 0, -1):
+        digit = carry  # becomes Q_{a-1} = C_a + L * Q_a
+        for key, coeff in digits.get(a, {}).items():
+            _add_term(digit, key, coeff)
+        carry = {}
+        for key, coeff in digit.items():
+            for pos, value in rest:
+                _add_term(carry, key[:pos] + (key[pos] + 1,) + key[pos + 1:],
+                          coeff if value == 1 else coeff * value)
+            key = key[:pivot] + (a - 1,) + key[pivot + 1:]
+            quotient[key] = coeff if inv_c == 1 else coeff * inv_c
+    remainder = carry
+    for key, coeff in digits.get(0, {}).items():
+        _add_term(remainder, key, coeff)
+    if remainder:
         raise DivisibilityError(
-            f"division by {factor} leaves remainder {remainder}")
-    return quotient * CoeffPoly.rational(Fraction(1) / c_p)
+            f"division by {factor} leaves remainder "
+            f"{TruncSeries._raw(num.vars, num.cap, remainder)}")
+    return TruncSeries._raw(num.vars, num.cap, quotient)

@@ -7,7 +7,11 @@ F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U with U a unit, so every division
 in sight is an exact linear division with a checked zero remainder.  The
 factor and U^-1 are not rebuilt here: for each i they are the law's
 two-variable pack (``FGLData.pair_pack``, which also checks it) with y1
-renamed x_{i+1} and y2 renamed x_i.
+renamed x_{i+1} and y2 renamed x_i, and U^-1 is kept in canonical form.
+Both operators are linear over symmetric elements, so they map the ideal
+of the presentation into itself; each step therefore works on canonical
+elements, and the product with U^-1 is a flag-ring product that never
+leaves degree d.
 """
 
 from __future__ import annotations
@@ -187,16 +191,18 @@ def beta_sequence(word: Word, n: int) -> list[Weight]:
 # Operators on the flag ring
 
 
-def _op_pack(ctx: FlagContext, i: int) -> tuple[TruncSeries, TruncSeries]:
-    """The factor x_{i+1} - x_i and the inverse unit of F(x_{i+1}, chi(x_i)),
-    relabeled from the law's pack and kept in ``ctx._op_packs``."""
+def _op_pack(ctx: FlagContext, i: int) -> tuple[TruncSeries, FlagElem]:
+    """The factor x_{i+1} - x_i and the canonical form of the inverse unit of
+    F(x_{i+1}, chi(x_i)), relabeled from the law's pack and kept in
+    ``ctx._op_packs``."""
     if not 1 <= i <= ctx.n - 1:
         raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
     pack = ctx._op_packs.get(i)
     if pack is None:
         # y1 -> x_{i+1} at position i, y2 -> x_i at position i - 1
-        pack = tuple(s.relabel(ctx.vars, (i, i - 1))
-                     for s in ctx.fgl.pair_pack())
+        factor, unit_inv = (s.relabel(ctx.vars, (i, i - 1))
+                            for s in ctx.fgl.pair_pack())
+        pack = (factor, reduce_canonical(ctx, unit_inv))
         ctx._op_packs[i] = pack
     return pack
 
@@ -212,27 +218,34 @@ def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     return reduce_canonical(ctx, a.as_series().swap_vars(i - 1, i))
 
 
+def _antisymmetrize(ctx: FlagContext, i: int, factor: TruncSeries,
+                    a: FlagElem) -> FlagElem:
+    """(a - sigma_i a) / (x_{i+1} - x_i) in canonical form."""
+    s = a.as_series()
+    return reduce_canonical(
+        ctx, divide_by_linear(s - s.swap_vars(i - 1, i), factor))
+
+
 def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """The degree-lowering operator (1 + sigma_i) (1 / F(x_{i+1}, chi(x_i))).
 
     Computed as the antisymmetrized quotient (h - sigma_i h) / (x_{i+1} - x_i)
-    with h = a / U where F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U.  The
-    realization is representative-independent because the operator is linear
-    over symmetric elements.
+    with h = a * U^-1 where F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U.  The
+    product h is taken in the flag ring, so it is reduced before the
+    division; that is exact because the antisymmetrized quotient is linear
+    over symmetric elements and so maps the ideal into itself.
     """
     factor, unit_inv = _op_pack(ctx, i)
-    h = a.as_series() * unit_inv
-    anti = h - h.swap_vars(i - 1, i)
-    return reduce_canonical(ctx, divide_by_linear(anti, factor))
+    return _antisymmetrize(ctx, i, factor, a * unit_inv)
 
 
 def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """The companion operator (1 / F(x_{i+1}, chi(x_i))) (1 - sigma_i).
 
-    In the additive specialization it coincides with divided_diff; in general
-    it differs and carries the Chevalley coefficients.
+    The antisymmetrized quotient (a - sigma_i a) / (x_{i+1} - x_i) is reduced
+    first and then multiplied by U^-1 in the flag ring.  In the additive
+    specialization the operator coincides with divided_diff; in general it
+    differs and carries the Chevalley coefficients.
     """
     factor, unit_inv = _op_pack(ctx, i)
-    s = a.as_series()
-    anti = s - s.swap_vars(i - 1, i)
-    return reduce_canonical(ctx, divide_by_linear(anti, factor) * unit_inv)
+    return _antisymmetrize(ctx, i, factor, a) * unit_inv

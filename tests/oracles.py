@@ -11,9 +11,11 @@ arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
+from cobschub.flagring import reduce_canonical
 from cobschub.ringcore import (
     CoeffPoly,
     TruncSeries,
@@ -140,10 +142,11 @@ def formal_sum(fgl, terms, *, vars=None, cap=None) -> TruncSeries:
     return acc
 
 
+@functools.lru_cache(maxsize=None)
 def reference_op_pack(ctx, i: int):
     """The factor x_{i+1} - x_i and the inverse unit U^-1 of
     F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, built directly in the
-    context's n variables, with both checks made there."""
+    context's n variables, with both checks made there; one per (ctx, i)."""
     x_i = ctx.var_series(i)
     x_next = ctx.var_series(i + 1)
     x_loc = compose(ctx.fgl.F, [x_next, compose(ctx.fgl.chi, [x_i])])
@@ -152,6 +155,26 @@ def reference_op_pack(ctx, i: int):
     assert unit.constant_coeff() == CoeffPoly.one()
     assert x_loc.swap_vars(i - 1, i) == compose(ctx.fgl.chi, [x_loc])
     return factor, series_invert_unit(unit)
+
+
+def series_divided_diff(ctx, i: int, a):
+    """(1 + sigma_i)(1 / F(x_{i+1}, chi(x_i))) along the series route:
+    h = a * U^-1 as a full-cap series, (h - sigma_i h) / (x_{i+1} - x_i),
+    and one reduction at the end."""
+    factor, unit_inv = reference_op_pack(ctx, i)
+    h = a.as_series() * unit_inv
+    return reduce_canonical(
+        ctx, divide_by_linear(h - h.swap_vars(i - 1, i), factor))
+
+
+def series_divided_diff_dual(ctx, i: int, a):
+    """(1 / F(x_{i+1}, chi(x_i)))(1 - sigma_i) along the series route: the
+    unreduced quotient (a - sigma_i a) / (x_{i+1} - x_i) times the full-cap
+    series U^-1, reduced once."""
+    factor, unit_inv = reference_op_pack(ctx, i)
+    s = a.as_series()
+    return reduce_canonical(
+        ctx, divide_by_linear(s - s.swap_vars(i - 1, i), factor) * unit_inv)
 
 
 # ---------------------------------------------------------------------------

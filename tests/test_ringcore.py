@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cobschub.ringcore import (
     CoeffPoly,
@@ -317,3 +318,59 @@ def test_divide_by_scaled_form():
     num = y1 * y1 * 4 - y2 * y2
     q = divide_by_linear(num, y1 * 2 - y2)
     assert q * (y1 * 2 - y2) == num
+
+
+# ---------------------------------------------------------------------------
+# Exactness of divide_by_linear on random series and forms
+
+DIV_VARS = ("y1", "y2", "y3")
+nonzero_rationals = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+small_coeffs = st.dictionaries(
+    st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2).map(
+        lambda d: tuple(sorted(d.items()))),
+    nonzero_rationals, min_size=1, max_size=3).map(CoeffPoly)
+exponents = st.tuples(*(st.integers(0, 3) for _ in DIV_VARS))
+series_terms = st.dictionaries(exponents, small_coeffs, max_size=6)
+# position -> rational coefficient of a linear form; the pivot is the
+# smallest position
+linear_forms = st.dictionaries(st.integers(0, len(DIV_VARS) - 1),
+                               nonzero_rationals, min_size=1)
+
+
+def linear_form(coeffs, cap):
+    return TruncSeries(DIV_VARS, cap, {
+        tuple(int(p == pos) for p in range(len(DIV_VARS))): value
+        for pos, value in coeffs.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_terms, linear_forms, st.integers(1, 5))
+@example({(1, 0, 2): b1, (0, 1, 0): CoeffPoly.one()},
+         {0: F(3, 2), 1: F(-2, 5), 2: F(1, 3)}, 4)
+def test_divide_by_linear_inverts_multiplication(terms, coeffs, cap):
+    q = TruncSeries(DIV_VARS, cap, terms)
+    form = linear_form(coeffs, cap)
+    quotient = divide_by_linear(q * form, form)
+    # q * form keeps every term of q below the cap
+    assert quotient.cap == cap
+    assert quotient.terms == {k: v for k, v in q.terms.items()
+                              if sum(k) < cap}
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_terms, linear_forms, st.integers(1, 5), exponents,
+       small_coeffs)
+@example({(1, 1, 0): b2}, {1: F(-4, 3), 2: F(5)}, 3, (2, 0, 1),
+         CoeffPoly.one())
+def test_divide_by_linear_rejects_pivot_free_term(terms, coeffs, cap, key,
+                                                  value):
+    form = linear_form(coeffs, cap)
+    pivot = min(coeffs)
+    key = tuple(0 if p == pivot else e for p, e in enumerate(key))
+    if sum(key) > cap:
+        key = (0,) * len(DIV_VARS)
+    num = TruncSeries(DIV_VARS, cap, terms) * form + TruncSeries.monomial(
+        DIV_VARS, cap, key, value)
+    with pytest.raises(DivisibilityError):
+        divide_by_linear(num, form)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cobschub.fgl import build_universal_fgl
 from cobschub.ringcore import CoeffPoly, UsageError
 from cobschub.flagring import (
     FlagContext,
@@ -347,6 +348,50 @@ def test_expand_round_trip_random(ctx3):
         for w, coeff in expansion.items():
             rebuilt = rebuilt + coeff * bs_class(ctx3, reduced_word(w))
         assert rebuilt == a
+
+
+def context_at_cap(n, cap):
+    # the same rank-n context with its law rebuilt at another degree cap
+    ctx = FlagContext(n)
+    ctx.work_cap = cap
+    ctx.fgl = build_universal_fgl(cap)
+    return ctx
+
+
+def headroom_results(ctx, length):
+    """Classes of every word up to length 3 and every reduced word, the
+    Chevalley expansions of omega_k over reduced words up to ``length``, the
+    basis expansions of some classes, a product and random elements, and
+    both operators on 1 and the random elements."""
+    n = ctx.n
+    words = list(words_up_to(n, 3)) + [
+        reduced_word(w) for w in all_permutations(n)]
+    classes = {word: bs_class(ctx, word) for word in words}
+    chevalley = {(k, word): c1_times_bs(ctx, fundamental_weight(k, n), word)
+                 for k in range(1, n) for word in words_up_to(n, length)
+                 if is_reduced(word, n)}
+    rng = random.Random(71)
+    randoms = [random_flag_elem(ctx, rng) for _ in range(3)]
+    elems = [classes[word] for word in words_up_to(n, 3)] + randoms
+    elems.append(classes[(1,)] * classes[(n - 1,)] * c1_weight(
+        ctx, rho_weight(n)))
+    expansions = [expand_in_bs_basis(ctx, a) for a in elems]
+    operators = [op(ctx, i, a)
+                 for op in (divided_diff, divided_diff_dual)
+                 for a in [ctx.one()] + randoms for i in range(1, n)]
+    return classes, chevalley, expansions, operators
+
+
+@pytest.mark.parametrize("n, length", [(3, 3), (4, 2)])
+def test_results_do_not_depend_on_headroom(n, length):
+    # canonical elements stay within degree d and every operator step is
+    # reduced, so the law's cap above d must not change any result; d + 1 is
+    # the least cap at which U^-1 is exact through degree d
+    d = n * (n - 1) // 2
+    expected = headroom_results(FlagContext(n), length)
+    for cap in (d + 1, d + 3, d + 4):
+        assert headroom_results(context_at_cap(n, cap), length) == expected, \
+            cap
 
 
 def test_basis_leading_blocks_unimodular(ctx3):

@@ -29,10 +29,15 @@ from cobschub.weylops import (
     _op_pack,
 )
 
+from cobschub import schubert
+from cobschub.schubert import bs_class, c1_times_bs
+
 from oracles import (
     classical_divided_difference,
     random_flag_elem,
     reference_op_pack,
+    series_divided_diff,
+    series_divided_diff_dual,
 )
 
 F = Fraction
@@ -204,12 +209,61 @@ def test_sigma_index_validation(ctx3):
 
 def test_op_pack_is_the_relabeled_law_pack(ctx3, ctx4):
     # the two-variable pack relabeled into n variables equals the factor
-    # and inverse unit built and checked directly in n variables
+    # and inverse unit built and checked directly in n variables; the unit
+    # is stored in canonical form
     for ctx in (ctx3, ctx4):
         for i in range(1, ctx.n):
-            assert _op_pack(ctx, i) == reference_op_pack(ctx, i), (ctx.n, i)
+            factor, unit_inv = _op_pack(ctx, i)
+            ref_factor, ref_unit_inv = reference_op_pack(ctx, i)
+            assert factor == ref_factor, (ctx.n, i)
+            assert unit_inv == reduce_canonical(ctx, ref_unit_inv), (ctx.n, i)
         with pytest.raises(UsageError):
             _op_pack(ctx, ctx.n)
+
+
+def test_operators_match_series_route_on_random_elements(ctx3, ctx4):
+    rng = random.Random(47)
+    for ctx in (ctx3, ctx4):
+        for _ in range(3):
+            a = random_flag_elem(ctx, rng)
+            for i in range(1, ctx.n):
+                assert divided_diff(ctx, i, a) == series_divided_diff(
+                    ctx, i, a)
+                assert divided_diff_dual(ctx, i, a) == \
+                    series_divided_diff_dual(ctx, i, a)
+
+
+def test_operators_match_series_route_on_engine_inputs(monkeypatch):
+    # every operator input reached by bs_class of every reduced word and by
+    # the Chevalley walks of omega_k over words of length <= 3 (all of rank
+    # 3, the chev_r4 set at rank 4), each on a fresh context, against the
+    # series route
+    calls = []
+
+    def recording(op, oracle):
+        def wrapper(ctx, i, a):
+            result = op(ctx, i, a)
+            calls.append((oracle, ctx, i, a, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(schubert, "divided_diff",
+                        recording(divided_diff, series_divided_diff))
+    monkeypatch.setattr(schubert, "divided_diff_dual",
+                        recording(divided_diff_dual, series_divided_diff_dual))
+    for n in (3, 4):
+        ctx = FlagContext(n)
+        words = [reduced_word(w) for w in all_permutations(n)]
+        for word in words:
+            bs_class(ctx, word)
+        for k in range(1, n):
+            for word in words:
+                if len(word) <= 3:
+                    c1_times_bs(ctx, fundamental_weight(k, n), word)
+    assert {op for op, *_ in calls} == {series_divided_diff,
+                                        series_divided_diff_dual}
+    for oracle, ctx, i, a, result in calls:
+        assert result == oracle(ctx, i, a), (ctx.n, i, a)
 
 
 def test_divided_diff_golden_rank3(ctx3):
