@@ -22,6 +22,7 @@ from cobschub.ringcore import (
     TruncSeries,
     UsageError,
     coeff_specialize,
+    combine_terms,
     compose,
 )
 from cobschub.fgl import build_universal_fgl
@@ -96,6 +97,12 @@ class FlagContext:
     check that caps d + 1, d + 3 and d + 4 give the results of d + 2.  The
     law is built at d + 2 because the selftest reads its cubic coefficients
     a_21 and a_12 from the context, which at rank 2 needs cap 3.
+
+    Caches, filled on first use and kept for the context's life: the
+    operator packs (``_op_packs``, by i), first Chern classes of weights
+    (``_c1_cache``), Bott-Samelson classes (``_bs_cache``), Chevalley
+    expansions (``_c1bs_cache``, by weight and word; single coefficients are
+    looked up there), and the basis blocks (``_basis_cache``).
     """
 
     def __init__(self, n: int):
@@ -110,7 +117,6 @@ class FlagContext:
         self._op_packs: dict[int, tuple[TruncSeries, "FlagElem"]] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
-        self._chev_cache: dict = {}
         self._c1bs_cache: dict = {}
         self._basis_cache = None
 
@@ -225,27 +231,21 @@ class FlagElem:
         if not self.ctx.compatible(other.ctx):
             raise UsageError("elements live over different flag contexts")
 
-    def __add__(self, other) -> "FlagElem":
+    def _combine(self, other, sign: int) -> "FlagElem":
         if not isinstance(other, FlagElem):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            new = out.get(key)
-            new = value if new is None else new + value
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return FlagElem._raw(self.ctx, out)
+        return FlagElem._raw(self.ctx,
+                             combine_terms(self.terms, other.terms, sign))
+
+    def __add__(self, other) -> "FlagElem":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "FlagElem":
         return FlagElem._raw(self.ctx, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "FlagElem":
-        if not isinstance(other, FlagElem):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other) -> "FlagElem":
         if isinstance(other, (CoeffPoly, int, Fraction)):

@@ -335,6 +335,23 @@ def ktheory_assignment(c: CoeffPoly, beta) -> dict[int, Fraction]:
 XMonomial = tuple[int, ...]
 
 
+def combine_terms(left: Mapping, right: Mapping, sign: int) -> dict:
+    """left + sign * right for maps from monomials to CoeffPoly, in one
+    merge over the right side; sums that cancel are dropped."""
+    out = dict(left)
+    for key, value in right.items():
+        old = out.get(key)
+        if old is None:
+            new = value if sign > 0 else -value
+        else:
+            new = old + value if sign > 0 else old - value
+        if new:
+            out[key] = new
+        else:
+            out.pop(key, None)
+    return out
+
+
 class TruncSeries:
     """A multivariate power series truncated at a fixed total degree.
 
@@ -449,28 +466,22 @@ class TruncSeries:
                 "series mismatch: "
                 f"{self.vars}@{self.cap} vs {other.vars}@{other.cap}")
 
-    def __add__(self, other) -> "TruncSeries":
+    def _combine(self, other, sign: int) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            new = out.get(key)
-            new = value if new is None else new + value
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return TruncSeries._raw(self.vars, self.cap, out)
+        return TruncSeries._raw(self.vars, self.cap,
+                                combine_terms(self.terms, other.terms, sign))
+
+    def __add__(self, other) -> "TruncSeries":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries._raw(self.vars, self.cap,
                                 {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, (CoeffPoly, int, Fraction)):

@@ -4,8 +4,12 @@ A word of simple-root indices names the class obtained by folding the
 divided-difference operators over the point class, first letter innermost.
 The product of a first Chern class with such a class expands over subwords
 with coefficients read off an operator string of dual divided differences
-and swaps; multiplying one Chern-class factor at a time decomposes any
-product of two classes into the subword classes of the right factor.
+and swaps.  All strings of one word are walked as a single depth-first tree
+that shares their common prefixes, and each string's last dual divided
+difference is replaced by a read of its input's degree-1 part, which holds
+the whole constant term because reduction keeps x-degree and U^-1 has
+constant term 1.  Multiplying one Chern-class factor at a time decomposes
+any product of two classes into the subword classes of the right factor.
 """
 
 from __future__ import annotations
@@ -88,13 +92,26 @@ def bs_class(ctx: FlagContext, word) -> FlagElem:
     return result
 
 
+def _dual_constant_term(i: int, a: FlagElem) -> CoeffPoly:
+    """The constant term of divided_diff_dual(ctx, i, a), read as
+    a[x_{i+1}] - a[x_i] from the degree-1 part of a.
+
+    Reduction keeps x-degree and U^-1 has constant term 1, so this is the
+    constant term of (a - sigma_i a) / (x_{i+1} - x_i); the numerator's
+    degree-1 part is (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i), and no other
+    part of it reaches degree 0.
+    """
+    n = a.ctx.n  # the exponent vector of x_j is the coordinates of e_j
+    return (a.coefficient(basis_weight(i + 1, n).coords)
+            - a.coefficient(basis_weight(i, n).coords))
+
+
 def chevalley_coeff(ctx: FlagContext, word, positions, lam: Weight) -> CoeffPoly:
     """Coefficient of Z_(word minus positions) in c1(L(lam)) * Z_word.
 
-    Walking the positions from the last letter down to the smallest removed
-    one: removed positions apply the dual divided difference for their
-    letter, the others apply the swap; the coefficient is the constant term
-    of the resulting class.  The empty removal set contributes zero.
+    A lookup into the expansion of ``c1_times_bs``, so the first call for a
+    weight and word costs the whole expansion.  The empty removal set
+    contributes zero.
     """
     word = validate_word(word, ctx.n)
     positions = tuple(sorted(set(positions)))
@@ -102,39 +119,42 @@ def chevalley_coeff(ctx: FlagContext, word, positions, lam: Weight) -> CoeffPoly
         raise UsageError(f"positions {positions!r} out of range for {word!r}")
     if not positions:
         return CoeffPoly.zero()
-    key = (word, positions, lam.coords)
-    cached = ctx._chev_cache.get(key)
-    if cached is not None:
-        return cached
-    removed = set(positions)
-    lowest = positions[0]
-    current = c1_weight(ctx, lam)
-    for pos in range(len(word) - 1, lowest - 1, -1):
-        letter = word[pos]
-        if pos in removed:
-            current = divided_diff_dual(ctx, letter, current)
-        else:
-            current = sigma_op(ctx, letter, current)
-    result = current.constant_term()
-    ctx._chev_cache[key] = result
-    return result
+    kept = tuple(p for p in range(len(word)) if p not in positions)
+    return c1_times_bs(ctx, lam, word).terms.get(kept, CoeffPoly.zero())
 
 
 def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
-    """Expand c1(L(lam)) * Z_word over the subwords of ``word``."""
+    """Expand c1(L(lam)) * Z_word over the subwords of ``word``.
+
+    The coefficient of a removal set is the constant term of an operator
+    string applied to c1(L(lam)), from the last letter down to the lowest
+    removed position: the dual divided difference at removed positions and
+    the swap at kept ones.  The strings are walked depth first as one binary
+    tree, so strings that agree on their higher positions share one state.
+    A node at position p reads the coefficient of the set whose lowest
+    removed position is p from its state's degree-1 part
+    (``_dual_constant_term``), so the last dual divided difference of a
+    string is never applied; a word of length l takes 2^(l-1) - 1 dual
+    divided differences and as many swaps.
+    """
     word = validate_word(word, ctx.n)
     key = (lam.coords, word)
     cached = ctx._c1bs_cache.get(key)
     if cached is not None:
         return cached
-    positions = range(len(word))
     terms: dict[tuple[int, ...], CoeffPoly] = {}
-    for mask in range(1, 1 << len(word)):
-        removed = tuple(p for p in positions if mask & (1 << p))
-        coeff = chevalley_coeff(ctx, word, removed, lam)
+
+    def walk(pos: int, state: FlagElem, kept_above: tuple[int, ...]):
+        letter = word[pos]
+        coeff = _dual_constant_term(letter, state)
         if coeff:
-            kept = tuple(p for p in positions if not mask & (1 << p))
-            terms[kept] = coeff
+            terms[tuple(range(pos)) + kept_above] = coeff
+        if pos:
+            walk(pos - 1, divided_diff_dual(ctx, letter, state), kept_above)
+            walk(pos - 1, sigma_op(ctx, letter, state), (pos,) + kept_above)
+
+    if word:
+        walk(len(word) - 1, c1_weight(ctx, lam), ())
     result = BSExpansion(word, terms)
     ctx._c1bs_cache[key] = result
     return result

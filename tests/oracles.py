@@ -4,8 +4,9 @@ Each oracle recomputes a quantity along a different route than the library
 code under test: geometric series for unit inversion, the Lagrange formula
 for compositional inverses, folds of the group law for formal sums, the
 operator factorization built directly in n variables, plain polynomial
-divided differences for the additive theory, dense Fraction linear
-algebra for ideal membership, and one Fraction per term for b-polynomial
+divided differences for the additive theory, one full operator string per
+removal set for the Chevalley coefficients, dense Fraction linear algebra
+for ideal membership, and one Fraction per term for b-polynomial
 arithmetic.
 """
 
@@ -15,7 +16,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from cobschub.flagring import reduce_canonical
+from cobschub.flagring import c1_weight, reduce_canonical
 from cobschub.ringcore import (
     CoeffPoly,
     TruncSeries,
@@ -24,6 +25,7 @@ from cobschub.ringcore import (
     divide_by_linear,
     series_invert_unit,
 )
+from cobschub.weylops import divided_diff_dual, sigma_op
 
 
 class FractionPoly:
@@ -175,6 +177,22 @@ def series_divided_diff_dual(ctx, i: int, a):
     s = a.as_series()
     return reduce_canonical(
         ctx, divide_by_linear(s - s.swap_vars(i - 1, i), factor) * unit_inv)
+
+
+def walk_chevalley_coeff(ctx, word, positions, lam):
+    """Coefficient of Z_(word minus positions) in c1(L(lam)) * Z_word along
+    one operator string per removal set: from the last letter down to the
+    lowest removed position, the dual divided difference at removed
+    positions and the swap at kept ones, every operator applied in full,
+    then the constant term.  The empty removal set gives zero."""
+    positions = set(positions)
+    if not positions:
+        return CoeffPoly.zero()
+    current = c1_weight(ctx, lam)
+    for pos in range(len(word) - 1, min(positions) - 1, -1):
+        op = divided_diff_dual if pos in positions else sigma_op
+        current = op(ctx, word[pos], current)
+    return current.constant_term()
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,18 @@ def test_reduce_is_ring_homomorphism(ctx3):
         assert direct == factored
 
 
+def test_flag_subtraction_is_addition_of_the_negative(ctx3, ctx4):
+    rng = random.Random(23)
+    for ctx in (ctx3, ctx4):
+        for _ in range(6):
+            a = random_flag_elem(ctx, rng)
+            b = random_flag_elem(ctx, rng) + a * CoeffPoly.b(1)
+            assert a - b == a + (-b)
+            assert b - a == -(a - b)
+            assert (a + b) - b == a
+            assert (a - a).terms == {}
+
+
 def test_elementary_symmetric_polynomials_die(ctx3, ctx4):
     rng = random.Random(14)
     for ctx in (ctx3, ctx4):

@@ -121,6 +121,22 @@ def test_series_arith_mismatch():
         a + a.truncate(2)
 
 
+def test_series_subtraction_is_addition_of_the_negative():
+    rng = random.Random(19)
+    vars = ("u", "v")
+    for _ in range(12):
+        a = random_series(rng, vars, 4)
+        b = random_series(rng, vars, 4)
+        # share some monomials so that the merge meets both cases
+        shared = TruncSeries(vars, 4, {key: random_coeff(rng)
+                                       for key in list(a.terms)[:2]})
+        b = b + shared
+        assert a - b == a + (-b)
+        assert b - a == -(a - b)
+        assert (a + b) - b == a
+        assert (a - a).terms == {}
+
+
 def test_truncation_contract():
     u = u_series(2)
     assert (u**2 * u).is_zero()

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,8 @@ from cobschub.schubert import (
     product_bs,
 )
 
-from oracles import bgg_schubert_poly, random_flag_elem
+from cobschub import schubert
+from oracles import bgg_schubert_poly, random_flag_elem, walk_chevalley_coeff
 
 F = Fraction
 b1 = CoeffPoly.b(1)
@@ -56,6 +58,12 @@ def ctx3():
 @pytest.fixture(scope="module")
 def ctx4():
     return FlagContext(4)
+
+
+def subsets(positions):
+    positions = tuple(positions)
+    for size in range(1, len(positions) + 1):
+        yield from itertools.combinations(positions, size)
 
 
 def words_up_to(n, length):
@@ -172,6 +180,54 @@ def test_chevalley_double_coefficient_closed_form(ctx3):
         expected = a11 * F(p1) * (F(p2) - F(p1 - 1, 2))
         got = chevalley_coeff(ctx3, (2, 1), (0, 1), lam)
         assert got == expected, lam
+
+
+def test_c1_times_bs_matches_per_mask_walk():
+    # the tree walk against one full operator string per removal set, on
+    # fresh contexts: rank 3 up to length 4 (non-reduced words included),
+    # rank 4 up to length 3; omega_k, rho and seeded random weights
+    rng = random.Random(41)
+    for n, length, randoms in ((3, 4, 2), (4, 3, 1)):
+        ctx = FlagContext(n)
+        weights = [fundamental_weight(k, n) for k in range(1, n)]
+        weights += [rho_weight(n)]
+        weights += [Weight(tuple(rng.randint(-2, 2) for _ in range(n)))
+                    for _ in range(randoms)]
+        for lam in weights:
+            for word in words_up_to(n, length):
+                expected = {}
+                for removed in subsets(range(len(word))):
+                    coeff = walk_chevalley_coeff(ctx, word, removed, lam)
+                    if coeff:
+                        kept = tuple(p for p in range(len(word))
+                                     if p not in removed)
+                        expected[kept] = coeff
+                assert c1_times_bs(ctx, lam, word).terms == expected, (
+                    n, lam, word)
+
+
+def test_c1_times_bs_operator_count(monkeypatch):
+    # a word of length l costs 2^(l-1) - 1 dual divided differences and as
+    # many swaps, not one string per removal set
+    counts = Counter()
+
+    def counting(name, op):
+        def wrapper(*args):
+            counts[name] += 1
+            return op(*args)
+        return wrapper
+
+    for name in ("divided_diff_dual", "sigma_op"):
+        monkeypatch.setattr(schubert, name,
+                            counting(name, getattr(schubert, name)))
+    ctx = FlagContext(3)
+    lam = rho_weight(3)
+    for word in [(1,), (2, 1), (1, 2, 1), (1, 2, 1, 2)]:
+        counts.clear()
+        c1_times_bs(ctx, lam, word)
+        expected = 2 ** (len(word) - 1) - 1
+        assert counts["divided_diff_dual"] == expected, word
+        assert counts["sigma_op"] == expected, word
 
 
 def test_c1_times_bs_golden(ctx3):

@@ -30,7 +30,7 @@ from cobschub.weylops import (
 )
 
 from cobschub import schubert
-from cobschub.schubert import bs_class, c1_times_bs
+from cobschub.schubert import _dual_constant_term, bs_class, c1_times_bs
 
 from oracles import (
     classical_divided_difference,
@@ -264,6 +264,27 @@ def test_operators_match_series_route_on_engine_inputs(monkeypatch):
                                         series_divided_diff_dual}
     for oracle, ctx, i, a, result in calls:
         assert result == oracle(ctx, i, a), (ctx.n, i, a)
+
+
+def test_dual_constant_term_is_the_degree_one_read(ctx3, ctx4):
+    # the constant term of the dual operator is a[x_{i+1}] - a[x_i], which
+    # c1_times_bs reads in place of a string's last dual divided difference
+    rng = random.Random(53)
+    nonzero = 0
+    for ctx in (ctx3, ctx4):
+        inputs = [random_flag_elem(ctx, rng) for _ in range(6)]
+        inputs += [c1_weight(ctx, fundamental_weight(k, ctx.n))
+                   for k in range(1, ctx.n)]
+        inputs += [c1_weight(ctx, Weight(tuple(
+            rng.randint(-2, 2) for _ in range(ctx.n)))) for _ in range(2)]
+        for a in inputs:
+            for i in range(1, ctx.n):
+                read = (a.coefficient(basis_weight(i + 1, ctx.n).coords)
+                        - a.coefficient(basis_weight(i, ctx.n).coords))
+                assert _dual_constant_term(i, a) == read
+                assert divided_diff_dual(ctx, i, a).constant_term() == read
+                nonzero += bool(read)
+    assert nonzero
 
 
 def test_divided_diff_golden_rank3(ctx3):
