@@ -2,7 +2,10 @@
 
 Subcommands: bsclass, product, chevalley, fgl, expand, pieri, selftest.
 Exit codes: 0 success, 1 selftest failure or stdout closed early, 2 usage
-error, 3 resource cap.
+error, 3 resource cap.  Every subcommand honours ``--format``; selftest
+prints one PASS/FAIL line per check as text, and one object listing the
+checks as JSON.  Ranks above ``MAX_RANK``, and selftest ranks above
+``MAX_SELFTEST_RANK``, exit 3 before any context is built.
 JSON output is deterministic: terms are sorted, rationals are emitted as
 decimal num/den strings so arbitrary precision survives serialization.
 """
@@ -13,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,7 +28,7 @@ from cobschub.ringcore import (
     ktheory_assignment,
 )
 from cobschub.fgl import build_universal_fgl
-from cobschub.flagring import FlagContext, Weight, c1_weight
+from cobschub.flagring import FlagContext, Weight
 from cobschub.weylops import reduced_word, validate_word
 from cobschub.schubert import (
     bs_class,
@@ -33,10 +37,13 @@ from cobschub.schubert import (
     pieri_exponents,
     product_bs,
 )
-from cobschub.selftest import run_selftest
+from cobschub.selftest import run_selftest, selftest_results
 
 MAX_RANK = 6
 MAX_FGL_DEGREE = 16
+# selftest takes 1-2 s per theory at rank 4 and about two minutes at rank 5
+# (Python 3.11 on one core of a shared Xeon), mostly in c1_weight at cap 12
+MAX_SELFTEST_RANK = 4
 
 
 class ResourceCapError(CobschubError):
@@ -48,12 +55,11 @@ def _context(n: int) -> FlagContext:
     return FlagContext(n)
 
 
-def _check_rank(n: int) -> int:
+def _check_rank(n: int, cap: int = MAX_RANK) -> int:
     if n < 2:
         raise UsageError("rank must be at least 2")
-    if n > MAX_RANK:
-        raise ResourceCapError(
-            f"rank {n} exceeds the configured cap {MAX_RANK}")
+    if n > cap:
+        raise ResourceCapError(f"rank {n} exceeds the configured cap {cap}")
     return n
 
 
@@ -136,6 +142,10 @@ def elem_to_text(elem, spec, vars) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _word_label(word) -> str:
+    return ",".join(map(str, word)) if word else "e"
+
+
 def expansion_to_rows(expansion, spec) -> list:
     rows = []
     by_word = expansion.by_word()
@@ -156,6 +166,17 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
+def _rows_to_json(rows) -> list:
+    return [{"subword": list(w), "coeff": coeff_to_json(c)} for w, c in rows]
+
+
+def _print_rows(rows) -> None:
+    if not rows:
+        print("0")
+    for word, coeff in rows:
+        print(f"Z_[{_word_label(word)}]: {coeff}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -172,8 +193,7 @@ def cmd_bsclass(ns) -> int:
             "theory": ns.theory,
             "terms": elem_terms_to_json(cls, spec)})
     else:
-        label = ",".join(map(str, word)) if word else "e"
-        print(f"Z_[{label}] = {elem_to_text(cls, spec, ctx.vars)}")
+        print(f"Z_[{_word_label(word)}] = {elem_to_text(cls, spec, ctx.vars)}")
     return 0
 
 
@@ -193,17 +213,12 @@ def cmd_product(ns) -> int:
         payload = {
             "command": "product", "n": n, "left": list(left),
             "right": list(right), "theory": ns.theory,
-            "terms": [{"subword": list(w), "coeff": coeff_to_json(c)}
-                      for w, c in rows]}
+            "terms": _rows_to_json(rows)}
         if verified is not None:
             payload["verified"] = verified
         _emit_json(payload)
     else:
-        if not rows:
-            print("0")
-        for word, coeff in rows:
-            label = ",".join(map(str, word)) if word else "e"
-            print(f"Z_[{label}]: {coeff}")
+        _print_rows(rows)
         if verified is not None:
             print(f"verify: {'ok' if verified else 'MISMATCH'}")
     if verified is False:
@@ -223,14 +238,9 @@ def cmd_chevalley(ns) -> int:
         _emit_json({
             "command": "chevalley", "n": n, "word": list(word),
             "weight": list(lam.coords), "theory": ns.theory,
-            "terms": [{"subword": list(w), "coeff": coeff_to_json(c)}
-                      for w, c in rows]})
+            "terms": _rows_to_json(rows)})
     else:
-        if not rows:
-            print("0")
-        for w, coeff in rows:
-            label = ",".join(map(str, w)) if w else "e"
-            print(f"Z_[{label}]: {coeff}")
+        _print_rows(rows)
     return 0
 
 
@@ -278,7 +288,7 @@ def cmd_expand(ns) -> int:
         if not rows:
             print("0")
         for w, coeff in rows:
-            label = ",".join(map(str, reduced_word(w))) or "e"
+            label = _word_label(reduced_word(w))
             print(f"Z_[{label}] (perm {list(w.images)}): {coeff}")
     return 0
 
@@ -297,15 +307,23 @@ def cmd_pieri(ns) -> int:
                      for j, (sub, exponent) in enumerate(rows)]})
     else:
         for j, (sub, exponent) in enumerate(rows):
-            label = ",".join(map(str, sub)) if sub else "e"
-            print(f"j={j + 1}: Z_[{label}] exponent {exponent}")
+            print(f"j={j + 1}: Z_[{_word_label(sub)}] exponent {exponent}")
     return 0
 
 
 def cmd_selftest(ns) -> int:
-    n = _check_rank(ns.n)
-    ok = run_selftest(n, ns.theory, ns.beta)
-    return 0 if ok else 1
+    n = _check_rank(ns.n, MAX_SELFTEST_RANK)
+    if ns.format == "text":
+        return 0 if run_selftest(n, ns.theory, ns.beta) else 1
+    checks = []
+    for name, error in selftest_results(n, ns.theory, ns.beta):
+        checks.append({"name": name, "ok": error is None})
+        if error is not None:
+            checks[-1]["error"] = "".join(
+                traceback.format_exception_only(error)).strip()
+    _emit_json({"command": "selftest", "n": n, "theory": ns.theory,
+                "checks": checks})
+    return 0 if all(check["ok"] for check in checks) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from cobschub.ringcore import (
     CoeffPoly,
@@ -24,6 +24,7 @@ from cobschub.ringcore import (
     coeff_specialize,
     combine_terms,
     compose,
+    terms_to_text,
 )
 from cobschub.fgl import build_universal_fgl
 
@@ -134,16 +135,10 @@ class FlagContext:
             out.append(key)
         return out
 
-    def zero_series(self) -> TruncSeries:
-        return TruncSeries.zero(self.vars, self.work_cap)
-
     def var_series(self, i: int) -> TruncSeries:
         if not 1 <= i <= self.n:
             raise UsageError(f"variable index {i} out of range")
         return TruncSeries.variable(self.vars, self.work_cap, f"x{i}")
-
-    def series(self, terms) -> TruncSeries:
-        return TruncSeries(self.vars, self.work_cap, terms)
 
     def one(self) -> "FlagElem":
         return FlagElem._raw(self, {(0,) * self.n: CoeffPoly.one()})
@@ -201,13 +196,6 @@ class FlagElem:
 
     def min_xdegree(self):
         return min((sum(k) for k in self.terms), default=None)
-
-    def total_degrees(self) -> set[int]:
-        out = set()
-        for key, coeff in self.terms.items():
-            x = sum(key)
-            out.update(x + b for b in coeff.degrees())
-        return out
 
     def as_series(self) -> TruncSeries:
         return TruncSeries._raw(self.ctx.vars, self.ctx.work_cap,
@@ -297,21 +285,7 @@ class FlagElem:
         return self._hash
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
-            coeff = self.terms[key]
-            mono = "*".join(
-                f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                for i, e in enumerate(key) if e)
-            if not mono:
-                parts.append(f"({coeff})")
-            elif coeff == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"({coeff})*{mono}")
-        return " + ".join(parts)
+        return terms_to_text(self.terms, self.ctx.vars)
 
     def __repr__(self) -> str:
         return f"FlagElem(n={self.ctx.n}; {self})"
@@ -383,19 +357,6 @@ def point_class(ctx: FlagContext) -> FlagElem:
     """The class of a point, the monomial x_n^(n-1) x_(n-1)^(n-2) ... x_2."""
     key = tuple(range(ctx.n))
     return FlagElem._raw(ctx, {key: CoeffPoly.one()})
-
-
-def delta_poly(ctx: FlagContext) -> TruncSeries:
-    """The Vandermonde representative of the point class:
-    (1/n!) * prod_{i > j} (x_i - x_j)."""
-    total = TruncSeries.one(ctx.vars, ctx.work_cap)
-    for i in range(2, ctx.n + 1):
-        for j in range(1, i):
-            total = total * (ctx.var_series(i) - ctx.var_series(j))
-    factorial = 1
-    for k in range(2, ctx.n + 1):
-        factorial *= k
-    return total * Fraction(1, factorial)
 
 
 def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:

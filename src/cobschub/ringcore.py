@@ -352,6 +352,25 @@ def combine_terms(left: Mapping, right: Mapping, sign: int) -> dict:
     return out
 
 
+def terms_to_text(terms: Mapping, vars: Sequence[str]) -> str:
+    """Terms of a series or a flag element by degree, as (coeff)*monomial,
+    with a unit coefficient left out."""
+    if not terms:
+        return "0"
+    parts = []
+    for key in sorted(terms, key=lambda k: (sum(k), k)):
+        coeff = terms[key]
+        mono = "*".join(f"{v}^{e}" if e > 1 else v
+                        for v, e in zip(vars, key) if e)
+        if not mono:
+            parts.append(f"({coeff})")
+        elif coeff == 1:
+            parts.append(mono)
+        else:
+            parts.append(f"({coeff})*{mono}")
+    return " + ".join(parts)
+
+
 class TruncSeries:
     """A multivariate power series truncated at a fixed total degree.
 
@@ -422,11 +441,6 @@ class TruncSeries:
         key = tuple(1 if v == name else 0 for v in vars)
         return cls._raw(vars, cap, {key: CoeffPoly.one()})
 
-    @classmethod
-    def monomial(cls, vars: Sequence[str], cap: int, key: XMonomial,
-                 value=1) -> "TruncSeries":
-        return cls(vars, cap, {tuple(key): value})
-
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, key: XMonomial) -> CoeffPoly:
@@ -442,14 +456,6 @@ class TruncSeries:
         if not self.terms:
             return None
         return min(sum(k) for k in self.terms)
-
-    def total_degrees(self) -> set[int]:
-        """Degrees x-degree + coefficient-degree over all stored monomials."""
-        out = set()
-        for key, coeff in self.terms.items():
-            x = sum(key)
-            out.update(x + b for b in coeff.degrees())
-        return out
 
     def truncate(self, cap: int) -> "TruncSeries":
         if cap >= self.cap:
@@ -577,21 +583,7 @@ class TruncSeries:
         return TruncSeries._raw(self.vars, self.cap, out)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
-            coeff = self.terms[key]
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.vars, key) if e)
-            if not mono:
-                parts.append(f"({coeff})")
-            elif coeff == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"({coeff})*{mono}")
-        return " + ".join(parts)
+        return terms_to_text(self.terms, self.vars)
 
     def __repr__(self) -> str:
         return f"TruncSeries[{','.join(self.vars)}; cap={self.cap}]({self})"

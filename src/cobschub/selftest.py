@@ -1,18 +1,31 @@
 """Built-in verification suite behind the ``selftest`` CLI command.
 
-Each check is independent and prints one PASS/FAIL line; the chow suite
-carries its own little classical divided-difference implementation so the
-comparison does not route through the engine's operators.
+``CHECKS`` is one ordered table.  Each entry gives a check's name, the
+theories and ranks it runs at, and a body that takes the rank's context and
+the K-theory parameter beta and raises when the check fails.
+``selftest_results`` runs the entries that a rank and theory admit, in table
+order, on one fresh context, and ``run_selftest`` prints one PASS/FAIL line
+for each.  The tier-1 suite parametrizes the same table over ranks 2-4 and
+every theory, so each check is written once and runs in both places.
+
+The schubert-oracle entry builds the Schubert polynomials of
+Bernstein-Gelfand-Gelfand with a classical divided difference on plain
+exponent dicts, so that comparison does not route through the engine's
+operators.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from cobschub.ringcore import (
     CoeffPoly,
     TruncSeries,
+    UsageError,
     chow_assignment,
     compose,
     ktheory_assignment,
@@ -22,7 +35,6 @@ from cobschub.flagring import (
     FlagContext,
     Weight,
     c1_weight,
-    delta_poly,
     fundamental_weight,
     point_class,
     reduce_canonical,
@@ -32,6 +44,7 @@ from cobschub.flagring import (
 from cobschub.weylops import (
     Permutation,
     all_permutations,
+    beta_sequence,
     coroot_pairing,
     divided_diff,
     divided_diff_dual,
@@ -49,21 +62,24 @@ from cobschub.schubert import (
 )
 
 F = Fraction
+THEORIES = ("cobordism", "chow", "ktheory")
 
 
 def _chow(coeff: CoeffPoly) -> Fraction:
     return coeff.specialize(chow_assignment(coeff))
 
 
-def _chow_elem(elem):
+def chow_elem(elem):
+    """The additive-theory image of a flag element: every b_i goes to 0."""
     support = set()
     for coeff in elem.terms.values():
         support |= coeff.support_indices()
     return elem.specialize({i: F(0) for i in support})
 
 
-def _classical_divided_difference(terms: dict, i: int) -> dict:
-    # additive-law operator on plain exponent dicts, 0-based variable pair
+def classical_divided_difference(terms: dict, i: int) -> dict:
+    """(f - swap_i f) / (x_{i+2} - x_{i+1}) on exponent dicts over Fraction,
+    0-based i; each monomial's quotient is a telescoping sum."""
     out: dict = {}
     for key, value in terms.items():
         a, b = key[i], key[i + 1]
@@ -84,6 +100,24 @@ def _classical_divided_difference(terms: dict, i: int) -> dict:
     return out
 
 
+def _delta_poly(ctx: FlagContext) -> TruncSeries:
+    """The Vandermonde representative of the point class:
+    (1/n!) * prod_{i > j} (x_i - x_j)."""
+    total = TruncSeries.one(ctx.vars, ctx.work_cap)
+    for i in range(2, ctx.n + 1):
+        for j in range(1, i):
+            total = total * (ctx.var_series(i) - ctx.var_series(j))
+    return total * Fraction(1, math.factorial(ctx.n))
+
+
+def _elementary(ctx: FlagContext, k: int) -> TruncSeries:
+    """e_k(x_1, .., x_n) as a series over the context's variables."""
+    e_k = {}
+    for combo in itertools.combinations(range(ctx.n), k):
+        e_k[tuple(1 if t in combo else 0 for t in range(ctx.n))] = F(1)
+    return TruncSeries(ctx.vars, ctx.work_cap, e_k)
+
+
 def _random_elem(ctx, rng):
     terms = {}
     for _ in range(rng.randint(1, 4)):
@@ -98,10 +132,10 @@ def _random_elem(ctx, rng):
 
 
 # ---------------------------------------------------------------------------
-# Check bodies
+# Check bodies: each takes the context and beta, and raises on failure
 
 
-def _check_law_coefficients(ctx):
+def _check_law_coefficients(ctx, _beta):
     b1, b2 = CoeffPoly.b(1), CoeffPoly.b(2)
     assert ctx.fgl.a(1, 1) == -b1
     assert ctx.fgl.a(2, 1) == b1**2 - b2
@@ -113,7 +147,7 @@ def _check_law_coefficients(ctx):
         assert chi.coefficient((3,)) == -(b1**2)
 
 
-def _check_law_axioms(ctx):
+def _check_law_axioms(ctx, _beta):
     fgl = ctx.fgl
     D = fgl.degree_cap
     pair = ("u", "v")
@@ -133,36 +167,30 @@ def _check_law_axioms(ctx):
     assert left == right
 
 
-def _check_point_class(ctx):
-    assert reduce_canonical(ctx, delta_poly(ctx)) == point_class(ctx)
+def _check_point_class(ctx, _beta):
+    assert reduce_canonical(ctx, _delta_poly(ctx)) == point_class(ctx)
 
 
-def _check_curve_classes(ctx):
+def _check_curve_classes(ctx, _beta):
     pt = point_class(ctx)
     for k in range(1, ctx.n):
         assert ctx.x_elem(k + 1) * divided_diff(ctx, k, pt) == pt
 
 
-def _check_determinant_weight(ctx):
+def _check_determinant_weight(ctx, _beta):
     assert c1_weight(ctx, Weight((1,) * ctx.n)).is_zero()
 
 
-def _check_reduction_properties(ctx):
-    import itertools
-
+def _check_reduction_properties(ctx, _beta):
     rng = random.Random(101)
     for _ in range(5):
         a = _random_elem(ctx, rng)
         assert reduce_canonical(ctx, dict(a.terms)) == a
-        k = rng.randint(1, ctx.n)
-        e_k = {}
-        for combo in itertools.combinations(range(ctx.n), k):
-            e_k[tuple(1 if t in combo else 0 for t in range(ctx.n))] = F(1)
-        es = TruncSeries(ctx.vars, ctx.work_cap, e_k)
+        es = _elementary(ctx, rng.randint(1, ctx.n))
         assert reduce_canonical(ctx, es * a.as_series()).is_zero()
 
 
-def _check_weyl_lemma(ctx):
+def _check_weyl_lemma(ctx, _beta):
     rng = random.Random(102)
     for _ in range(3):
         lam = Weight(tuple(rng.randint(-2, 2) for _ in range(ctx.n)))
@@ -172,7 +200,7 @@ def _check_weyl_lemma(ctx):
             assert left == right
 
 
-def _check_operator_properties(ctx):
+def _check_operator_properties(ctx, _beta):
     rng = random.Random(103)
     for _ in range(3):
         a = _random_elem(ctx, rng)
@@ -188,24 +216,18 @@ def _check_operator_properties(ctx):
             assert divided_diff_dual(ctx, i, g_sym).is_zero()
 
 
-def _check_representative_independence(ctx):
-    import itertools
-
+def _check_representative_independence(ctx, _beta):
     rng = random.Random(104)
     for _ in range(3):
         p = _random_elem(ctx, rng)
         q = _random_elem(ctx, rng)
-        k = rng.randint(1, ctx.n)
-        e_k = {}
-        for combo in itertools.combinations(range(ctx.n), k):
-            e_k[tuple(1 if t in combo else 0 for t in range(ctx.n))] = F(1)
-        es = TruncSeries(ctx.vars, ctx.work_cap, e_k)
+        es = _elementary(ctx, rng.randint(1, ctx.n))
         shifted = reduce_canonical(ctx, p.as_series() + es * q.as_series())
         for i in range(1, ctx.n):
             assert divided_diff(ctx, i, shifted) == divided_diff(ctx, i, p)
 
 
-def _check_golden_classes(ctx):
+def _check_golden_classes(ctx, _beta):
     b1, b2 = CoeffPoly.b(1), CoeffPoly.b(2)
     a12 = b1**2 - b2
     table = {
@@ -221,7 +243,7 @@ def _check_golden_classes(ctx):
         assert bs_class(ctx, word) == reduce_canonical(ctx, rep), word
 
 
-def _check_golden_products(ctx):
+def _check_golden_products(ctx, _beta):
     one = CoeffPoly.one()
     b1 = CoeffPoly.b(1)
     cases = [
@@ -239,11 +261,13 @@ def _check_golden_products(ctx):
         assert got.evaluate(ctx) == bs_class(ctx, left) * bs_class(ctx, right)
 
 
-def _check_golden_chevalley(ctx):
+def _check_golden_chevalley(ctx, _beta):
     one = CoeffPoly.one()
     b1 = CoeffPoly.b(1)
     exp = c1_times_bs(ctx, fundamental_weight(1, 3), (2, 1))
     assert exp.by_word() == {(1,): one, (2,): one, (): -b1}
+    # the full-removal coefficient of (2, 1) has the closed form
+    # a11 (lam, g1) [ (lam, s1 g2) - ((lam, g1) - 1) / 2 ] with a11 = -b1
     gamma1, gamma2 = simple_root(1, 3), simple_root(2, 3)
     s1 = Permutation.simple(1, 3)
     for lam in (fundamental_weight(1, 3), fundamental_weight(2, 3),
@@ -255,7 +279,7 @@ def _check_golden_chevalley(ctx):
         assert chevalley_coeff(ctx, (2, 1), (), lam).is_zero()
 
 
-def _check_basis_expansion(ctx):
+def _check_basis_expansion(ctx, _beta):
     rng = random.Random(105)
     for det in bs_basis_determinants(ctx).values():
         assert det in (F(1), F(-1))
@@ -268,18 +292,20 @@ def _check_basis_expansion(ctx):
         assert rebuilt == a
 
 
-def _check_chow_schubert_oracle(ctx):
+def _check_chow_schubert_oracle(ctx, _beta):
+    # the Bernstein-Gelfand-Gelfand Schubert polynomials: classical divided
+    # differences along the word, applied to the staircase monomial
     for w in all_permutations(ctx.n):
         word = reduced_word(w)
         oracle = {tuple(range(ctx.n)): F(1)}
         for letter in word:
-            oracle = _classical_divided_difference(oracle, letter - 1)
+            oracle = classical_divided_difference(oracle, letter - 1)
         oracle_elem = reduce_canonical(
             ctx, {k: CoeffPoly.rational(v) for k, v in oracle.items()})
-        assert _chow_elem(bs_class(ctx, word)) == oracle_elem, w
+        assert chow_elem(bs_class(ctx, word)) == oracle_elem, w
 
 
-def _check_chow_operators(ctx):
+def _check_chow_operators(ctx, _beta):
     rng = random.Random(106)
     chow_map = {i: F(0) for i in range(1, ctx.work_cap + 1)}
     for _ in range(3):
@@ -290,9 +316,7 @@ def _check_chow_operators(ctx):
             assert left == right
 
 
-def _check_chow_chevalley(ctx):
-    from cobschub.weylops import beta_sequence
-
+def _check_chow_chevalley(ctx, _beta):
     rng = random.Random(107)
     words = [(i,) for i in range(1, ctx.n)]
     words += [(1, 2), (2, 1)] if ctx.n >= 3 else []
@@ -308,14 +332,6 @@ def _check_chow_chevalley(ctx):
                 assert _chow(coeff) == 0
 
 
-def _check_pushforward_chow(ctx):
-    table_one = pushforward_table(ctx.fgl, (1,))
-    assert all(_chow(c) == 0 for c in table_one.values())
-    table_xi = pushforward_table(ctx.fgl, (0, 1))
-    for key, coeff in table_xi.items():
-        assert _chow(coeff) == (1 if key == (0, 0) else 0)
-
-
 def _check_pushforward_ktheory(ctx, beta):
     table_one = pushforward_table(ctx.fgl, (1,))
     for key, coeff in table_one.items():
@@ -327,7 +343,14 @@ def _check_pushforward_ktheory(ctx, beta):
         assert value == (1 if key == (0, 0) else 0)
 
 
+def _check_pushforward_chow(ctx, _beta):
+    # the additive theory is the multiplicative one at beta = 0
+    _check_pushforward_ktheory(ctx, F(0))
+
+
 def _check_multiplicative_law(ctx, beta):
+    # b_i -> beta^i gives F = u + v - beta u v, q = beta and
+    # chi(u) = -u / (1 - beta u)
     fgl = ctx.fgl
     D = fgl.degree_cap
     assign = {i: beta**i for i in range(1, D + 1)}
@@ -336,77 +359,90 @@ def _check_multiplicative_law(ctx, beta):
     v = TruncSeries.variable(pair, D, "v")
     assert fgl.F.specialize(assign) == u + v - beta * (u * v)
     assert fgl.q.specialize(assign) == TruncSeries.constant(pair, D, beta)
+    chi = TruncSeries(("u",), D, {(k + 1,): -beta**k for k in range(D)})
+    assert fgl.chi.specialize(assign) == chi
 
 
-def _check_additive_law(ctx):
-    fgl = ctx.fgl
-    D = fgl.degree_cap
-    assign = {i: F(0) for i in range(1, D + 1)}
-    pair = ("u", "v")
-    u = TruncSeries.variable(pair, D, "u")
-    v = TruncSeries.variable(pair, D, "v")
-    assert fgl.F.specialize(assign) == u + v
-    assert fgl.q.specialize(assign).is_zero()
-    assert fgl.chi.specialize(assign) == -TruncSeries.variable(("u",), D, "u")
+def _check_additive_law(ctx, _beta):
+    _check_multiplicative_law(ctx, F(0))
 
 
-def build_checks(n: int, theory: str = "cobordism",
-                 beta: Fraction = F(1)) -> list:
-    """Assemble the named checks for a rank and theory selection."""
+# ---------------------------------------------------------------------------
+# The table
+
+
+class Check(NamedTuple):
+    """One entry of the table; ``ranks`` None admits every rank."""
+
+    name: str
+    theories: tuple[str, ...]
+    ranks: range | None
+    body: Callable[[FlagContext, Fraction], None]
+
+    def admits(self, n: int, theory: str) -> bool:
+        return theory in self.theories and (
+            self.ranks is None or n in self.ranks)
+
+
+CHECKS = (
+    Check("law-coefficients", THEORIES, None, _check_law_coefficients),
+    Check("law-axioms", THEORIES, None, _check_law_axioms),
+    Check("point-class-vandermonde", THEORIES, None, _check_point_class),
+    Check("curve-classes-times-x", THEORIES, None, _check_curve_classes),
+    Check("determinant-weight-vanishes", THEORIES, None,
+          _check_determinant_weight),
+    Check("reduction-properties", THEORIES, None, _check_reduction_properties),
+    Check("weyl-lemma", THEORIES, None, _check_weyl_lemma),
+    Check("operator-properties", THEORIES, None, _check_operator_properties),
+    Check("representative-independence", THEORIES, None,
+          _check_representative_independence),
+    Check("golden-class-table", ("cobordism",), range(3, 4),
+          _check_golden_classes),
+    Check("golden-product-table", ("cobordism",), range(3, 4),
+          _check_golden_products),
+    Check("golden-chevalley", ("cobordism",), range(3, 4),
+          _check_golden_chevalley),
+    Check("basis-expansion", ("cobordism",), range(2, 4),
+          _check_basis_expansion),
+    Check("additive-law", ("chow",), None, _check_additive_law),
+    Check("pushforward-degenerations", ("chow",), None,
+          _check_pushforward_chow),
+    Check("chow-operators-coincide", ("chow",), None, _check_chow_operators),
+    Check("chow-chevalley-pairings", ("chow",), None, _check_chow_chevalley),
+    Check("schubert-oracle", ("chow",), range(2, 5),
+          _check_chow_schubert_oracle),
+    Check("multiplicative-law", ("ktheory",), None, _check_multiplicative_law),
+    Check("pushforward-degenerations", ("ktheory",), None,
+          _check_pushforward_ktheory),
+)
+
+
+def selftest_results(n: int, theory: str = "cobordism", beta: Fraction = F(1)):
+    """Run the checks the table admits at this rank and theory, in table
+    order, on one fresh context.  Yields (name, None) for a pass and
+    (name, exception) for a failure, and keeps going after a failure."""
+    if theory not in THEORIES:
+        raise UsageError(f"unknown theory {theory!r}")
     ctx = FlagContext(n)
-    checks = [
-        ("law-coefficients", lambda: _check_law_coefficients(ctx)),
-        ("law-axioms", lambda: _check_law_axioms(ctx)),
-        ("point-class-vandermonde", lambda: _check_point_class(ctx)),
-        ("curve-classes-times-x", lambda: _check_curve_classes(ctx)),
-        ("determinant-weight-vanishes", lambda: _check_determinant_weight(ctx)),
-        ("reduction-properties", lambda: _check_reduction_properties(ctx)),
-        ("weyl-lemma", lambda: _check_weyl_lemma(ctx)),
-        ("operator-properties", lambda: _check_operator_properties(ctx)),
-        ("representative-independence",
-         lambda: _check_representative_independence(ctx)),
-    ]
-    if theory == "cobordism":
-        if n == 3:
-            checks += [
-                ("golden-class-table", lambda: _check_golden_classes(ctx)),
-                ("golden-product-table", lambda: _check_golden_products(ctx)),
-                ("golden-chevalley", lambda: _check_golden_chevalley(ctx)),
-            ]
-        if n <= 3:
-            checks.append(
-                ("basis-expansion", lambda: _check_basis_expansion(ctx)))
-    elif theory == "chow":
-        checks += [
-            ("additive-law", lambda: _check_additive_law(ctx)),
-            ("pushforward-degenerations", lambda: _check_pushforward_chow(ctx)),
-            ("chow-operators-coincide", lambda: _check_chow_operators(ctx)),
-            ("chow-chevalley-pairings", lambda: _check_chow_chevalley(ctx)),
-        ]
-        if n <= 4:
-            checks.append(
-                ("schubert-oracle", lambda: _check_chow_schubert_oracle(ctx)))
-    elif theory == "ktheory":
-        checks += [
-            ("multiplicative-law", lambda: _check_multiplicative_law(ctx, beta)),
-            ("pushforward-degenerations",
-             lambda: _check_pushforward_ktheory(ctx, beta)),
-        ]
-    else:
-        raise ValueError(f"unknown theory {theory!r}")
-    return checks
+    for check in CHECKS:
+        if not check.admits(n, theory):
+            continue
+        try:
+            check.body(ctx, beta)
+        except Exception as exc:  # report and keep going
+            yield check.name, exc
+        else:
+            yield check.name, None
 
 
 def run_selftest(n: int, theory: str = "cobordism", beta: Fraction = F(1),
                  writer=print) -> bool:
     """Run the suite, emit one PASS/FAIL line per check, return overall."""
     ok = True
-    for name, fn in build_checks(n, theory, beta):
-        try:
-            fn()
-        except Exception as exc:  # report and keep going
-            ok = False
-            writer(f"FAIL {name}: {exc}")
-        else:
+    for name, error in selftest_results(n, theory, beta):
+        if error is None:
             writer(f"PASS {name}")
+        else:
+            ok = False
+            writer(f"FAIL {name}: {error}")
     return ok

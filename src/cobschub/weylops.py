@@ -17,7 +17,6 @@ leaves degree d.
 from __future__ import annotations
 
 import itertools
-from functools import reduce as _functools_reduce
 
 from cobschub.ringcore import TruncSeries, UsageError, divide_by_linear
 from cobschub.flagring import (
@@ -83,9 +82,6 @@ class Permutation:
                     count += 1
         return count
 
-    def is_identity(self) -> bool:
-        return all(self.images[k] == k + 1 for k in range(self.n))
-
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
@@ -135,21 +131,6 @@ def validate_word(word, n: int) -> Word:
             raise UsageError(
                 f"word letter {letter!r} out of range 1..{n - 1}")
     return word
-
-
-def word_permutation(word: Word, n: int) -> Permutation:
-    """The product s_{a_1} s_{a_2} ... s_{a_l} of the word's reflections."""
-    word = validate_word(word, n)
-    return _functools_reduce(
-        lambda acc, i: acc * Permutation.simple(i, n),
-        word, Permutation.identity(n))
-
-
-def is_reduced(word: Word, n: int) -> bool:
-    """A word is reduced when its length equals the inversion count of the
-    product permutation."""
-    word = validate_word(word, n)
-    return len(word) == word_permutation(word, n).inversions()
 
 
 def reduced_word(w: Permutation) -> Word:

@@ -3,11 +3,13 @@
 Each oracle recomputes a quantity along a different route than the library
 code under test: geometric series for unit inversion, the Lagrange formula
 for compositional inverses, folds of the group law for formal sums, the
-operator factorization built directly in n variables, plain polynomial
-divided differences for the additive theory, one full operator string per
-removal set for the Chevalley coefficients, dense Fraction linear algebra
-for ideal membership, and one Fraction per term for b-polynomial
-arithmetic.
+operator factorization built directly in n variables, one full operator
+string per removal set for the Chevalley coefficients, dense Fraction
+linear algebra for ideal membership, and one Fraction per term for
+b-polynomial arithmetic.  The classical divided difference of the additive
+theory is ``cobschub.selftest.classical_divided_difference``.  The module
+also keeps the helpers that only the tests call: the product and
+reducedness of a word, and total degrees.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ from cobschub.ringcore import (
     divide_by_linear,
     series_invert_unit,
 )
-from cobschub.weylops import divided_diff_dual, sigma_op
+from cobschub.weylops import (
+    Permutation,
+    divided_diff_dual,
+    sigma_op,
+    validate_word,
+)
 
 
 class FractionPoly:
@@ -196,78 +203,28 @@ def walk_chevalley_coeff(ctx, word, positions, lam):
 
 
 # ---------------------------------------------------------------------------
-# Plain multivariate polynomials over Fraction (additive-theory oracle)
+# Words and gradings
 
 
-def poly_swap(terms: dict, i: int) -> dict:
-    """Exchange variables at positions i and i+1 (0-based)."""
-    out = {}
-    for key, value in terms.items():
-        new = list(key)
-        new[i], new[i + 1] = new[i + 1], new[i]
-        out[tuple(new)] = out.get(tuple(new), Fraction(0)) + value
-    return {k: v for k, v in out.items() if v}
+def word_permutation(word, n: int) -> Permutation:
+    """The product s_{a_1} s_{a_2} ... s_{a_l} of the word's reflections."""
+    perm = Permutation.identity(n)
+    for i in validate_word(word, n):
+        perm = perm * Permutation.simple(i, n)
+    return perm
 
 
-def poly_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, value in b.items():
-        new = out.get(key, Fraction(0)) - value
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return out
+def is_reduced(word, n: int) -> bool:
+    """A word is reduced when its length equals the inversion count of the
+    product permutation."""
+    return len(word) == word_permutation(word, n).inversions()
 
 
-def poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            key = tuple(x + y for x, y in zip(k1, k2))
-            new = out.get(key, Fraction(0)) + v1 * v2
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
-def classical_divided_difference(terms: dict, i: int) -> dict:
-    """(f - swap_i f) / (x_{i+2} - x_{i+1}) on plain polynomials, 0-based i.
-
-    Summing (m - swap m) / (y - x) monomial by monomial gives the whole
-    quotient exactly; each piece is a telescoping sum.
-    """
-    out: dict = {}
-    for key, value in terms.items():
-        a, b = key[i], key[i + 1]
-        if a == b:
-            continue
-        base = list(key)
-        lo, hi = min(a, b), max(a, b)
-        sign = 1 if b > a else -1
-        for t in range(lo, hi):
-            k2 = list(base)
-            k2[i] = a + b - 1 - t
-            k2[i + 1] = t
-            key2 = tuple(k2)
-            new = out.get(key2, Fraction(0)) + sign * value
-            if new:
-                out[key2] = new
-            else:
-                out.pop(key2, None)
-    return out
-
-
-def bgg_schubert_poly(n: int, word: tuple[int, ...]) -> dict:
-    """Apply classical divided differences along ``word`` to the staircase
-    monomial x_n^(n-1) * ... * x_2, first letter first."""
-    start_key = tuple(range(n))  # exponent j-1 on x_j
-    terms = {start_key: Fraction(1)}
-    for letter in word:
-        terms = classical_divided_difference(terms, letter - 1)
-    return terms
+def total_degrees(elem) -> set[int]:
+    """x-degree plus coefficient degree over the stored terms of a series or
+    a flag element."""
+    return {sum(key) + b for key, coeff in elem.terms.items()
+            for b in coeff.degrees()}
 
 
 # ---------------------------------------------------------------------------

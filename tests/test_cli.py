@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from cobschub import selftest
 from cobschub.cli import main
-from cobschub.selftest import run_selftest
+from cobschub.selftest import CHECKS, run_selftest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -160,12 +161,42 @@ def test_selftest_rank2(capsys):
 
 @pytest.mark.parametrize("theory", ["cobordism", "chow", "ktheory"])
 def test_selftest_rank3(capsys, theory):
-    # rank 3 reaches the golden tables, the push-forward degenerations and
-    # the Schubert oracle, all of which run through the operator kernel
-    code, out, err = run(capsys, "selftest", "--n", "3", "--theory", theory)
-    assert code == 0
-    assert "FAIL" not in out
-    assert "PASS representative-independence" in out
+    # JSON mode prints one object that lists the table's checks in order
+    payload = run_json(capsys, "selftest", "--n", "3", "--theory", theory)
+    names = [check.name for check in CHECKS if check.admits(3, theory)]
+    assert payload == {"command": "selftest", "n": 3, "theory": theory,
+                       "checks": [{"name": name, "ok": True}
+                                  for name in names]}
+
+
+def test_selftest_reports_a_failing_check_and_keeps_going(capsys,
+                                                          monkeypatch):
+    def broken(ctx, beta):
+        raise AssertionError("broken on purpose")
+
+    monkeypatch.setattr(selftest, "CHECKS", tuple(
+        check._replace(body=broken) if check.name == "law-axioms" else check
+        for check in CHECKS))
+    names = [check.name for check in CHECKS if check.admits(2, "cobordism")]
+    code, out, err = run(capsys, "selftest", "--n", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL law-axioms: broken on purpose" if name == "law-axioms"
+        else f"PASS {name}" for name in names]
+    code, out, err = run(capsys, "selftest", "--n", "2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": name, "ok": False,
+         "error": "AssertionError: broken on purpose"}
+        if name == "law-axioms" else {"name": name, "ok": True}
+        for name in names]
+
+
+def test_selftest_refuses_ranks_above_its_cap(capsys, monkeypatch):
+    # refused before any context is built; other commands keep their cap
+    monkeypatch.setattr(selftest, "FlagContext", None)
+    code, out, err = run(capsys, "selftest", "--n", "5")
+    assert code == 3 and not out and err.startswith("error:")
 
 
 def test_selftest_write_error_is_not_a_check_failure():

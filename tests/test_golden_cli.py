@@ -39,7 +39,7 @@ EXTRA = (
 COMMANDS = tuple(cmd + theory for cmd in RANK3 for theory in THEORIES) + EXTRA
 
 GOLDEN_SHA256 = (
-    "194bd65eaf32328c4103cb18771219056feb38b95a2dd532a1a57281824adce2")
+    "34e7e5809e63fa00c0564d68352eeaf2aea59d6e995ab85775be9ba8c7082f6e")
 
 
 def cli_digest() -> str:

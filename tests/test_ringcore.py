@@ -17,7 +17,7 @@ from cobschub.ringcore import (
     series_reverse,
 )
 
-from oracles import geometric_inverse, lagrange_reverse
+from oracles import geometric_inverse, lagrange_reverse, total_degrees
 
 F = Fraction
 b1 = CoeffPoly.b(1)
@@ -160,9 +160,9 @@ def test_grading_preserved():
     # homogeneous of total degree 1: x-degree 2 with a degree -1 coefficient
     s = TruncSeries(("u", "v"), 4, {(1, 0): 1, (1, 1): b1})
     t = TruncSeries(("u", "v"), 4, {(0, 1): 1, (2, 0): b1})
-    assert s.total_degrees() == {1}
-    assert (s * t).total_degrees() == {2}
-    assert (s + t).total_degrees() == {1}
+    assert total_degrees(s) == {1}
+    assert total_degrees(s * t) == {2}
+    assert total_degrees(s + t) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ def test_divide_by_linear_rejects_pivot_free_term(terms, coeffs, cap, key,
     key = tuple(0 if p == pivot else e for p, e in enumerate(key))
     if sum(key) > cap:
         key = (0,) * len(DIV_VARS)
-    num = TruncSeries(DIV_VARS, cap, terms) * form + TruncSeries.monomial(
-        DIV_VARS, cap, key, value)
+    num = TruncSeries(DIV_VARS, cap, terms) * form + TruncSeries(
+        DIV_VARS, cap, {key: value})
     with pytest.raises(DivisibilityError):
         divide_by_linear(num, form)

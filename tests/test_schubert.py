@@ -14,7 +14,6 @@ from cobschub.flagring import (
     c1_weight,
     fundamental_weight,
     point_class,
-    reduce_canonical,
     rho_weight,
     simple_root,
 )
@@ -24,14 +23,11 @@ from cobschub.weylops import (
     coroot_pairing,
     divided_diff,
     divided_diff_dual,
-    is_reduced,
     reduced_word,
     weyl_act,
-    word_permutation,
 )
 from cobschub.schubert import (
     bs_class,
-    bs_basis_determinants,
     c1_times_bs,
     chevalley_coeff,
     expand_in_bs_basis,
@@ -41,7 +37,8 @@ from cobschub.schubert import (
 )
 
 from cobschub import schubert
-from oracles import bgg_schubert_poly, random_flag_elem, walk_chevalley_coeff
+from cobschub.selftest import chow_elem
+from oracles import is_reduced, random_flag_elem, walk_chevalley_coeff
 
 F = Fraction
 b1 = CoeffPoly.b(1)
@@ -72,30 +69,8 @@ def words_up_to(n, length):
         yield from itertools.product(letters, repeat=l)
 
 
-def chow_elem(elem):
-    support = set()
-    for coeff in elem.terms.values():
-        support |= coeff.support_indices()
-    return elem.specialize({i: F(0) for i in support})
-
-
 # ---------------------------------------------------------------------------
-# The rank-3 golden table
-
-
-def test_rank3_class_table(ctx3):
-    # classes and the representatives they reduce from, all over rank 3
-    table = {
-        (): {(2, 1, 0): -1},                      # -x1^2 x2
-        (1,): {(1, 1, 0): 1},                     # x1 x2
-        (2,): {(2, 0, 0): 1},                     # x1^2
-        (1, 2): {(1, 0, 0): -1, (2, 0, 0): -b1},  # -x1 - [P^1] x1^2
-        (2, 1): {(1, 0, 0): -1, (0, 1, 0): -1},   # -x1 - x2
-        (1, 2, 1): {(0, 0, 0): 1, (1, 1, 0): a12},
-        (2, 1, 2): {(0, 0, 0): 1, (2, 0, 0): a12},
-    }
-    for word, rep in table.items():
-        assert bs_class(ctx3, word) == reduce_canonical(ctx3, rep), word
+# Bott-Samelson classes
 
 
 def test_rank3_canonical_values(ctx3):
@@ -146,11 +121,6 @@ def test_reduced_words_of_longest_element_differ_in_cobordism(ctx3):
 # Chevalley coefficients
 
 
-def test_chevalley_empty_removal_is_zero(ctx3):
-    lam = rho_weight(3)
-    assert chevalley_coeff(ctx3, (2, 1), (), lam).is_zero()
-
-
 def test_chevalley_singleton_is_beta_pairing(ctx3, ctx4):
     from cobschub.weylops import beta_sequence
 
@@ -165,21 +135,6 @@ def test_chevalley_singleton_is_beta_pairing(ctx3, ctx4):
                                       word, (j,), lam)
                 assert got == CoeffPoly.rational(
                     coroot_pairing(lam, betas[j]))
-
-
-def test_chevalley_double_coefficient_closed_form(ctx3):
-    # for the word (2, 1) the full-removal coefficient is
-    # a11 (lam, g1) [ (lam, s1 g2) - ((lam, g1) - 1) / 2 ]
-    gamma1 = simple_root(1, 3)
-    gamma2 = simple_root(2, 3)
-    s1 = Permutation.simple(1, 3)
-    for lam in (fundamental_weight(1, 3), fundamental_weight(2, 3),
-                rho_weight(3)):
-        p1 = coroot_pairing(lam, gamma1)
-        p2 = coroot_pairing(lam, weyl_act(s1, gamma2))
-        expected = a11 * F(p1) * (F(p2) - F(p1 - 1, 2))
-        got = chevalley_coeff(ctx3, (2, 1), (0, 1), lam)
-        assert got == expected, lam
 
 
 def test_c1_times_bs_matches_per_mask_walk():
@@ -228,12 +183,6 @@ def test_c1_times_bs_operator_count(monkeypatch):
         expected = 2 ** (len(word) - 1) - 1
         assert counts["divided_diff_dual"] == expected, word
         assert counts["sigma_op"] == expected, word
-
-
-def test_c1_times_bs_golden(ctx3):
-    exp = c1_times_bs(ctx3, fundamental_weight(1, 3), (2, 1))
-    assert exp.by_word() == {
-        (1,): CoeffPoly.one(), (2,): CoeffPoly.one(), (): a11}
 
 
 def test_c1_times_bs_evaluates_to_product(ctx3):
@@ -311,22 +260,6 @@ def test_poly_times_bs_single_chern_factor_matches(ctx3):
             assert direct.terms == viapoly.terms
 
 
-def test_product_golden_table(ctx3):
-    one = CoeffPoly.one()
-    cases = [
-        ((1, 2), (2, 1), {(1,): one, (2,): one, (): -b1}),
-        ((1, 2), (1, 2), {(2,): one}),
-        ((2, 1), (2, 1), {(1,): one}),
-        ((1, 2), (1,), {(): one}),
-        ((2, 1), (2,), {(): one}),
-        ((1, 2), (2,), {}),
-        ((2, 1), (1,), {}),
-    ]
-    for left, right, expected in cases:
-        got = product_bs(ctx3, left, right).by_word()
-        assert got == expected, (left, right)
-
-
 def test_product_consistency_small(ctx3):
     for left in words_up_to(3, 2):
         for right in words_up_to(3, 2):
@@ -371,7 +304,7 @@ def test_algebraic_chevalley_pieri_identity(ctx3):
 
 
 # ---------------------------------------------------------------------------
-# Basis expansion and the additive-theory oracle
+# Basis expansion
 
 
 def test_expand_basis_indicator(ctx3):
@@ -448,22 +381,6 @@ def test_results_do_not_depend_on_headroom(n, length):
     for cap in (d + 1, d + 3, d + 4):
         assert headroom_results(context_at_cap(n, cap), length) == expected, \
             cap
-
-
-def test_basis_leading_blocks_unimodular(ctx3):
-    for det in bs_basis_determinants(ctx3).values():
-        assert det in (F(1), F(-1))
-
-
-def test_chow_schubert_matches_bgg_oracle(ctx3):
-    # every generator b_i of a rank-3 class has i <= d < work_cap
-    chow = {i: F(0) for i in range(1, ctx3.work_cap + 1)}
-    for w in all_permutations(3):
-        ours = bs_class(ctx3, reduced_word(w)).specialize(chow)
-        oracle = bgg_schubert_poly(3, reduced_word(w))
-        oracle_elem = reduce_canonical(
-            ctx3, {k: CoeffPoly.rational(v) for k, v in oracle.items()})
-        assert ours == oracle_elem, w
 
 
 # ---------------------------------------------------------------------------
