@@ -8,6 +8,11 @@ checks as JSON.  Ranks above ``MAX_RANK``, and selftest ranks above
 ``MAX_SELFTEST_RANK``, exit 3 before any context is built.
 JSON output is deterministic: terms are sorted, rationals are emitted as
 decimal num/den strings so arbitrary precision survives serialization.
+
+Each theory is computed over its own formal group law: cobordism over the
+universal law, chow over the additive law (beta = 0) and ktheory over the
+multiplicative law at ``--beta``.  The contexts are cached by ``_context``,
+whose one-argument form ``_context(n)`` is the cobordism context.
 """
 
 from __future__ import annotations
@@ -20,13 +25,7 @@ import traceback
 from fractions import Fraction
 from functools import lru_cache
 
-from cobschub.ringcore import (
-    CobschubError,
-    CoeffPoly,
-    UsageError,
-    chow_assignment,
-    ktheory_assignment,
-)
+from cobschub.ringcore import CobschubError, CoeffPoly, UsageError
 from cobschub.fgl import build_universal_fgl
 from cobschub.flagring import FlagContext, Weight
 from cobschub.weylops import reduced_word, validate_word
@@ -50,9 +49,17 @@ class ResourceCapError(CobschubError):
     """The request is beyond the configured size limits."""
 
 
+def _law(ns) -> tuple:
+    """The law arguments of the requested theory: beta 0 for chow, --beta
+    for ktheory, and none for cobordism, which keeps its contexts under the
+    key of ``_context(n)``."""
+    return {"cobordism": (), "chow": (Fraction(0),),
+            "ktheory": (ns.beta,)}[ns.theory]
+
+
 @lru_cache(maxsize=4)
-def _context(n: int) -> FlagContext:
-    return FlagContext(n)
+def _context(n: int, *law) -> FlagContext:
+    return FlagContext(n, *law)
 
 
 def _check_rank(n: int, cap: int = MAX_RANK) -> int:
@@ -93,17 +100,6 @@ def _parse_weight(text: str, n: int) -> Weight:
     return Weight(coords)
 
 
-def _specializer(theory: str, beta: Fraction):
-    if theory == "cobordism":
-        return lambda c: c
-    if theory == "chow":
-        return lambda c: CoeffPoly.rational(c.specialize(chow_assignment(c)))
-    if theory == "ktheory":
-        return lambda c: CoeffPoly.rational(
-            c.specialize(ktheory_assignment(c, beta)))
-    raise UsageError(f"unknown theory {theory!r}")
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -119,47 +115,25 @@ def coeff_to_json(c: CoeffPoly) -> list:
     return out
 
 
-def elem_terms_to_json(elem, spec) -> list:
-    out = []
-    for key in sorted(elem.terms):
-        coeff = spec(elem.terms[key])
-        if not coeff:
-            continue
-        out.append({"x": list(key), "coeff": coeff_to_json(coeff)})
-    return out
-
-
-def elem_to_text(elem, spec, vars) -> str:
-    """Terms of a flag element or a series, by degree, as (coeff)*monomial."""
-    parts = []
-    for key in sorted(elem.terms, key=lambda k: (sum(k), k)):
-        coeff = spec(elem.terms[key])
-        if not coeff:
-            continue
-        mono = "*".join(f"{v}^{e}" if e > 1 else v
-                        for v, e in zip(vars, key) if e)
-        parts.append(f"({coeff})*{mono}" if mono else f"({coeff})")
-    return " + ".join(parts) if parts else "0"
+def elem_terms_to_json(elem) -> list:
+    """Terms of a flag element or a series, sorted by exponent vector."""
+    return [{"x": list(key), "coeff": coeff_to_json(elem.terms[key])}
+            for key in sorted(elem.terms)]
 
 
 def _word_label(word) -> str:
     return ",".join(map(str, word)) if word else "e"
 
 
-def expansion_to_rows(expansion, spec) -> list:
-    rows = []
+def expansion_to_rows(expansion) -> list:
     by_word = expansion.by_word()
-    for word in sorted(by_word, key=lambda w: (len(w), w)):
-        coeff = spec(by_word[word])
-        if not coeff:
-            continue
-        rows.append((word, coeff))
-    return rows
+    return [(word, by_word[word])
+            for word in sorted(by_word, key=lambda w: (len(w), w))]
 
 
-def series_to_json(series, spec) -> dict:
+def series_to_json(series) -> dict:
     return {"vars": list(series.vars), "degree_cap": series.cap,
-            "terms": elem_terms_to_json(series, spec)}
+            "terms": elem_terms_to_json(series)}
 
 
 def _emit_json(payload) -> None:
@@ -183,32 +157,29 @@ def _print_rows(rows) -> None:
 
 def cmd_bsclass(ns) -> int:
     n = _check_rank(ns.n)
-    ctx = _context(n)
+    ctx = _context(n, *_law(ns))
     word = validate_word(_parse_word(ns.word), n)
-    spec = _specializer(ns.theory, ns.beta)
     cls = bs_class(ctx, word)
     if ns.format == "json":
         _emit_json({
             "command": "bsclass", "n": n, "word": list(word),
-            "theory": ns.theory,
-            "terms": elem_terms_to_json(cls, spec)})
+            "theory": ns.theory, "terms": elem_terms_to_json(cls)})
     else:
-        print(f"Z_[{_word_label(word)}] = {elem_to_text(cls, spec, ctx.vars)}")
+        print(f"Z_[{_word_label(word)}] = {cls}")
     return 0
 
 
 def cmd_product(ns) -> int:
     n = _check_rank(ns.n)
-    ctx = _context(n)
+    ctx = _context(n, *_law(ns))
     left = validate_word(_parse_word(ns.left), n)
     right = validate_word(_parse_word(ns.right), n)
-    spec = _specializer(ns.theory, ns.beta)
     expansion = product_bs(ctx, left, right)
     verified = None
     if ns.verify:
         verified = expansion.evaluate(ctx) == bs_class(ctx, left) * bs_class(
             ctx, right)
-    rows = expansion_to_rows(expansion, spec)
+    rows = expansion_to_rows(expansion)
     if ns.format == "json":
         payload = {
             "command": "product", "n": n, "left": list(left),
@@ -228,12 +199,11 @@ def cmd_product(ns) -> int:
 
 def cmd_chevalley(ns) -> int:
     n = _check_rank(ns.n)
-    ctx = _context(n)
+    ctx = _context(n, *_law(ns))
     word = validate_word(_parse_word(ns.word), n)
     lam = _parse_weight(ns.weight, n)
-    spec = _specializer(ns.theory, ns.beta)
     expansion = c1_times_bs(ctx, lam, word)
-    rows = expansion_to_rows(expansion, spec)
+    rows = expansion_to_rows(expansion)
     if ns.format == "json":
         _emit_json({
             "command": "chevalley", "n": n, "word": list(word),
@@ -251,32 +221,26 @@ def cmd_fgl(ns) -> int:
     if degree > MAX_FGL_DEGREE:
         raise ResourceCapError(
             f"degree {degree} exceeds the configured cap {MAX_FGL_DEGREE}")
-    spec = _specializer(ns.theory, ns.beta)
-    fgl = build_universal_fgl(degree)
+    fgl = build_universal_fgl(degree, *_law(ns))
     if ns.format == "json":
         _emit_json({
             "command": "fgl", "degree_cap": degree, "theory": ns.theory,
-            "F": series_to_json(fgl.F, spec),
-            "chi": series_to_json(fgl.chi, spec),
-            "q": series_to_json(fgl.q, spec)})
+            "F": series_to_json(fgl.F), "chi": series_to_json(fgl.chi),
+            "q": series_to_json(fgl.q)})
     else:
         for label, series in (("F(u,v)", fgl.F), ("chi(u)", fgl.chi),
                               ("q(u,v)", fgl.q)):
-            print(f"{label} = {elem_to_text(series, spec, series.vars)}")
+            print(f"{label} = {series}")
     return 0
 
 
 def cmd_expand(ns) -> int:
     n = _check_rank(ns.n)
-    ctx = _context(n)
+    ctx = _context(n, *_law(ns))
     word = validate_word(_parse_word(ns.word), n)
-    spec = _specializer(ns.theory, ns.beta)
     expansion = expand_in_bs_basis(ctx, bs_class(ctx, word))
-    rows = []
-    for w in sorted(expansion, key=lambda p: (p.inversions(), p.images)):
-        coeff = spec(expansion[w])
-        if coeff:
-            rows.append((w, coeff))
+    rows = [(w, expansion[w]) for w in
+            sorted(expansion, key=lambda p: (p.inversions(), p.images))]
     if ns.format == "json":
         _emit_json({
             "command": "expand", "n": n, "word": list(word),

@@ -2,7 +2,10 @@
 
 The law is built through the logarithm log(t) = t + sum b_i t^(i+1) / (i+1)
 over the rationalized coefficient ring, which pins the standard coefficients
-a_11 = -b1 and a_12 = a_21 = b1^2 - b2.  The inverse chi and the series q
+a_11 = -b1 and a_12 = a_21 = b1^2 - b2.  Its Chow and K-theory images, the
+additive law u + v and the multiplicative law u + v - beta u v, are the same
+construction with b_i replaced by beta^i (beta = 0 for Chow), so they are
+built with rational coefficients directly.  The inverse chi and the series q
 with F(u, v) = u + v - u*v*q(u, v) come from exact compositional and linear
 divisions, never from formal fraction manipulation.
 
@@ -86,17 +89,22 @@ class FGLData:
         return f"FGLData(degree_cap={self.degree_cap})"
 
 
-def build_universal_fgl(D: int) -> FGLData:
-    """Construct the universal formal group law truncated at total degree D.
+def build_universal_fgl(D: int, beta: Fraction | None = None) -> FGLData:
+    """Construct the formal group law truncated at total degree D.
 
-    log(t) = t + sum_{i>=1} (b_i / (i+1)) t^(i+1), exp is its compositional
-    inverse, F(u, v) = exp(log u + log v) and chi(u) = exp(-log u).
+    log(t) = t + sum_{i>=1} (c_i / (i+1)) t^(i+1), exp is its compositional
+    inverse, F(u, v) = exp(log u + log v) and chi(u) = exp(-log u).  With
+    ``beta`` None, c_i = b_i and the law is universal.  A rational ``beta``
+    gives c_i = beta^i, the image of the universal law under b_i -> beta^i:
+    the multiplicative law F = u + v - beta u v of K-theory, and at beta = 0
+    the additive law F = u + v of the Chow ring.
     """
     if D < 1:
         raise UsageError("the degree cap must be at least 1")
     log_terms = {(1,): CoeffPoly.one()}
     for i in range(1, D):
-        log_terms[(i + 1,)] = CoeffPoly.b(i) * Fraction(1, i + 1)
+        c = CoeffPoly.b(i) if beta is None else CoeffPoly.rational(beta**i)
+        log_terms[(i + 1,)] = c * Fraction(1, i + 1)
     log = TruncSeries(("t",), D, log_terms)
     exp = series_reverse(log)
 

@@ -87,8 +87,17 @@ def rho_weight(n: int) -> Weight:
 
 
 class FlagContext:
-    """Everything attached to a fixed rank n: the truncated formal group
-    law, the rewrite system, and operator caches.
+    """Everything attached to a fixed rank n and a formal group law: the
+    truncated law, the rewrite system, and operator caches.
+
+    ``beta`` None takes the universal law, whose coefficients are
+    polynomials in the b_i (cobordism).  A rational ``beta`` takes its image
+    under b_i -> beta^i (see ``build_universal_fgl``): beta = 0 computes in
+    the Chow ring and beta != 0 in K-theory, with rational coefficients
+    throughout.  Every engine step is linear over the coefficient ring, so
+    this gives the specialization of the cobordism result at the cost of the
+    smaller theory.  Elements of contexts with different (n, beta) never
+    mix.
 
     Canonical elements never exceed degree d = n(n-1)/2, and both operators
     reduce to canonical form before and after their one exact linear
@@ -106,14 +115,15 @@ class FlagContext:
     looked up there), and the basis blocks (``_basis_cache``).
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, beta: Fraction | None = None):
         if n < 2:
             raise UsageError("rank must be at least 2")
         self.n = n
+        self.beta = beta
         self.d = n * (n - 1) // 2
         self.work_cap = self.d + 2
         self.vars = tuple(f"x{i}" for i in range(1, n + 1))
-        self.fgl = build_universal_fgl(self.work_cap)
+        self.fgl = build_universal_fgl(self.work_cap, beta)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
         self._op_packs: dict[int, tuple[TruncSeries, "FlagElem"]] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
@@ -151,10 +161,10 @@ class FlagContext:
         return reduce_canonical(self, self.var_series(i))
 
     def compatible(self, other: "FlagContext") -> bool:
-        return self is other or self.n == other.n
+        return self is other or (self.n, self.beta) == (other.n, other.beta)
 
     def __repr__(self):
-        return f"FlagContext(n={self.n})"
+        return f"FlagContext(n={self.n}, beta={self.beta})"
 
 
 class FlagElem:
@@ -277,11 +287,12 @@ class FlagElem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagElem):
             return NotImplemented
-        return self.ctx.n == other.ctx.n and self.terms == other.terms
+        return self.ctx.compatible(other.ctx) and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ctx.n, frozenset(self.terms.items())))
+            self._hash = hash((self.ctx.n, self.ctx.beta,
+                               frozenset(self.terms.items())))
         return self._hash
 
     def __str__(self) -> str:
@@ -295,8 +306,9 @@ def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
     """Rewrite a raw polynomial to the canonical staircase form.
 
     Accepts a TruncSeries over the context variables or a raw mapping from
-    exponent vectors to coefficients.  Monomials are processed from the
-    lexicographically largest down (x_1 heaviest); every rewrite of x_j^j
+    exponent vectors to coefficients; a FlagElem of a compatible context is
+    already canonical and comes back as it is.  Monomials are processed from
+    the lexicographically largest down (x_1 heaviest); every rewrite of x_j^j
     produces strictly smaller monomials of the same degree, so a single
     descending sweep terminates with each monomial's coefficient complete
     when it is popped.  Monomials of degree above d are dropped: they lie in
@@ -307,6 +319,8 @@ def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
             raise UsageError("series variables do not match the context")
         raw = p.terms
     elif isinstance(p, FlagElem):
+        if not ctx.compatible(p.ctx):
+            raise UsageError("element lives over a different flag context")
         return p
     else:
         raw = p

@@ -353,22 +353,14 @@ def combine_terms(left: Mapping, right: Mapping, sign: int) -> dict:
 
 
 def terms_to_text(terms: Mapping, vars: Sequence[str]) -> str:
-    """Terms of a series or a flag element by degree, as (coeff)*monomial,
-    with a unit coefficient left out."""
-    if not terms:
-        return "0"
+    """Terms of a series or a flag element by degree, as (coeff)*monomial;
+    the CLI's text output."""
     parts = []
     for key in sorted(terms, key=lambda k: (sum(k), k)):
-        coeff = terms[key]
         mono = "*".join(f"{v}^{e}" if e > 1 else v
                         for v, e in zip(vars, key) if e)
-        if not mono:
-            parts.append(f"({coeff})")
-        elif coeff == 1:
-            parts.append(mono)
-        else:
-            parts.append(f"({coeff})*{mono}")
-    return " + ".join(parts)
+        parts.append(f"({terms[key]})*{mono}" if mono else f"({terms[key]})")
+    return " + ".join(parts) if parts else "0"
 
 
 class TruncSeries:

@@ -4,9 +4,12 @@
 theories and ranks it runs at, and a body that takes the rank's context and
 the K-theory parameter beta and raises when the check fails.
 ``selftest_results`` runs the entries that a rank and theory admit, in table
-order, on one fresh context, and ``run_selftest`` prints one PASS/FAIL line
-for each.  The tier-1 suite parametrizes the same table over ranks 2-4 and
-every theory, so each check is written once and runs in both places.
+order, on one fresh context over the universal law, and ``run_selftest``
+prints one PASS/FAIL line for each.  So the chow and ktheory checks
+specialize cobordism results, a route independent of the CLI, which
+computes each theory over its own law.  The tier-1 suite parametrizes the
+same table over ranks 2-4 and every theory, so each check is written once
+and runs in both places.
 
 The schubert-oracle entry builds the Schubert polynomials of
 Bernstein-Gelfand-Gelfand with a classical divided difference on plain

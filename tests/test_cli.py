@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cobschub import selftest
+from cobschub import cli, selftest
 from cobschub.cli import main
 from cobschub.selftest import CHECKS, run_selftest
 
@@ -50,6 +50,33 @@ def test_bsclass_rank2_chow_curve(capsys):
                        "--theory", "chow")
     assert payload["terms"] == [
         {"x": [0, 0], "coeff": [{"b": [], "num": "1", "den": "1"}]}]
+
+
+@pytest.mark.parametrize("theory", [("chow",), ("ktheory", "--beta", "2/3")])
+def test_rank6_longest_word_is_the_unit_class(capsys, theory):
+    # computed over the theory's own law, not specialized from the ~90 s
+    # cobordism class
+    w0 = "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1"
+    payload = run_json(capsys, "bsclass", "--n", "6", "--word", w0,
+                       "--theory", *theory)
+    assert payload["terms"] == [
+        {"x": [0] * 6, "coeff": [{"b": [], "num": "1", "den": "1"}]}]
+
+
+def test_cobordism_commands_use_the_one_argument_context(capsys):
+    # the benchmark builds cli._context(n) in set-up and times the commands
+    # on it, so a cobordism request must find that cache entry
+    cli._context.cache_clear()
+    cli._context(3)
+    misses = cli._context.cache_info().misses
+    parser = cli.build_parser()
+    ns = parser.parse_args(["bsclass", "--n", "3", "--word", "1,2,1"])
+    assert cli.cmd_bsclass(ns) == 0
+    ns = parser.parse_args(["chevalley", "--n", "3", "--word", "2,1",
+                            "--weight", "1,0,0"])
+    assert cli.cmd_chevalley(ns) == 0
+    capsys.readouterr()
+    assert cli._context.cache_info().misses == misses
 
 
 def test_product_golden(capsys):

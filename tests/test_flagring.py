@@ -170,6 +170,21 @@ def test_flag_mul_same_rank_distinct_contexts(ctx3):
     assert ctx3.one() * other.one() == ctx3.one()
 
 
+def test_contexts_over_different_laws_never_mix(ctx3):
+    chow = FlagContext(3, F(0))
+    ktheory = FlagContext(3, F(2, 3))
+    with pytest.raises(UsageError):
+        chow.x_elem(1) * ctx3.x_elem(1)
+    with pytest.raises(UsageError):
+        reduce_canonical(chow, ctx3.x_elem(1))
+    # x_1 = -x_2 - x_3 over every law: equal terms, different rings
+    assert chow.x_elem(1).terms == ctx3.x_elem(1).terms
+    assert chow.x_elem(1) != ctx3.x_elem(1)
+    assert chow.x_elem(1) != ktheory.x_elem(1)
+    assert len({chow.one(), ktheory.one(), ctx3.one()}) == 3
+    assert FlagContext(3, F(0)).x_elem(1) == chow.x_elem(1)
+
+
 # ---------------------------------------------------------------------------
 # Distinguished classes
 
@@ -180,11 +195,11 @@ def test_point_class_values():
 
 
 def test_text_rendering(ctx3):
-    # elements and series share one renderer: by degree, unit coefficients
-    # left out
+    # elements and series share one renderer, the CLI's: by degree, every
+    # coefficient in parentheses
     a = FlagElem(ctx3, {(0, 0, 0): 2, (0, 1, 0): 1, (0, 1, 2): -3 * b1,
                         (0, 0, 1): CoeffPoly.b(2) - b1**2})
-    text = "(2) + (-b1^2 + b2)*x3 + x2 + (-3*b1)*x2*x3^2"
+    text = "(2) + (-b1^2 + b2)*x3 + (1)*x2 + (-3*b1)*x2*x3^2"
     assert str(a) == str(a.as_series()) == text
     assert str(ctx3.zero()) == str(ctx3.zero().as_series()) == "0"
 
