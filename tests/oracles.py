@@ -214,6 +214,13 @@ def word_permutation(word, n: int) -> Permutation:
     return perm
 
 
+def words_up_to(n: int, length: int):
+    """Every word over the rank's simple reflections up to ``length``,
+    shortest first."""
+    for size in range(length + 1):
+        yield from itertools.product(range(1, n), repeat=size)
+
+
 def is_reduced(word, n: int) -> bool:
     """A word is reduced when its length equals the inversion count of the
     product permutation."""

@@ -38,7 +38,12 @@ from cobschub.schubert import (
 
 from cobschub import schubert
 from cobschub.selftest import chow_elem
-from oracles import is_reduced, random_flag_elem, walk_chevalley_coeff
+from oracles import (
+    is_reduced,
+    random_flag_elem,
+    walk_chevalley_coeff,
+    words_up_to,
+)
 
 F = Fraction
 b1 = CoeffPoly.b(1)
@@ -61,12 +66,6 @@ def subsets(positions):
     positions = tuple(positions)
     for size in range(1, len(positions) + 1):
         yield from itertools.combinations(positions, size)
-
-
-def words_up_to(n, length):
-    letters = range(1, n)
-    for l in range(length + 1):
-        yield from itertools.product(letters, repeat=l)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ the law's series, Bott-Samelson classes, Chevalley expansions, products and
 basis expansions.  beta = 0 is the Chow case.
 """
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,7 +24,7 @@ from cobschub.schubert import (
     product_bs,
 )
 
-from oracles import is_reduced
+from oracles import is_reduced, words_up_to
 
 BETAS = (Fraction(0), Fraction(2, 3), Fraction(-1, 2))
 RANKS = (3, 4)
@@ -47,11 +46,6 @@ def specialized(terms, beta):
         if value:
             out[key] = CoeffPoly.rational(value)
     return out
-
-
-def words_up_to(n, length):
-    for size in range(length + 1):
-        yield from itertools.product(range(1, n), repeat=size)
 
 
 @pytest.mark.parametrize("beta", BETAS)
