@@ -13,6 +13,11 @@ Each theory is computed over its own formal group law: cobordism over the
 universal law, chow over the additive law (beta = 0) and ktheory over the
 multiplicative law at ``--beta``.  The contexts are cached by ``_context``,
 whose one-argument form ``_context(n)`` is the cobordism context.
+
+A value that starts with a minus sign may follow its option as a separate
+argument (``--beta -1/2``, ``--weight -1,0,0``): ``main`` joins the two into
+``--option=value`` before parsing, since argparse would read the value as an
+option of its own.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -43,6 +49,13 @@ MAX_FGL_DEGREE = 16
 # selftest takes 1-2 s per theory at rank 4 and about two minutes at rank 5
 # (Python 3.11 on one core of a shared Xeon), mostly in c1_weight at cap 12
 MAX_SELFTEST_RANK = 4
+
+
+# the options that take a value; one that starts with "-" and a digit or a
+# point is joined to its option by main
+_VALUE_OPTIONS = frozenset({"--n", "--beta", "--word", "--left", "--right",
+                            "--weight", "--max-degree"})
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 
 class ResourceCapError(CobschubError):
@@ -359,9 +372,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in _VALUE_OPTIONS
+                and _NEGATIVE_VALUE.match(arg)):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = parser.parse_args(_join_negative_values(argv))
     try:
         code = ns.func(ns)
         sys.stdout.flush()

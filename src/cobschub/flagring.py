@@ -10,9 +10,9 @@ d = n(n-1)/2 reduces to zero.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -27,6 +27,11 @@ from cobschub.ringcore import (
     terms_to_text,
 )
 from cobschub.fgl import build_universal_fgl
+
+
+# the canonical form of one monomial: (staircase exponent vector, integer)
+# pairs
+NormalForm = tuple[tuple[tuple[int, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,8 @@ class FlagContext:
     a_21 and a_12 from the context, which at rank 2 needs cap 3.
 
     Caches, filled on first use and kept for the context's life: the
-    operator packs (``_op_packs``, by i), first Chern classes of weights
+    normal forms of raw monomials (``_normal_forms``, see ``normal_form``),
+    the operator packs (``_op_packs``, by i), first Chern classes of weights
     (``_c1_cache``), Bott-Samelson classes (``_bs_cache``), Chevalley
     expansions (``_c1bs_cache``, by weight and word; single coefficients are
     looked up there), and the basis blocks (``_basis_cache``).
@@ -125,6 +131,7 @@ class FlagContext:
         self.vars = tuple(f"x{i}" for i in range(1, n + 1))
         self.fgl = build_universal_fgl(self.work_cap, beta)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
+        self._normal_forms: dict[tuple[int, ...], NormalForm] = {}
         self._op_packs: dict[int, tuple[TruncSeries, "FlagElem"]] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
@@ -144,6 +151,60 @@ class FlagContext:
                 continue
             out.append(key)
         return out
+
+    def normal_form(self, key) -> NormalForm:
+        """The canonical form of the monomial x^key as (staircase key, int)
+        pairs; () for a monomial of degree above d.
+
+        The rewrite rules have integer coefficients and no b-terms, so the
+        form does not depend on the law.  A staircase monomial is its own
+        form.  Any other monomial has a first j with x_j-exponent at least
+        j, and rewriting that x_j^j by the rule of h_j(x_j, .., x_n) gives
+        strictly smaller monomials (lexicographically, x_1 heaviest) of the
+        same degree; the form is minus the sum of theirs.  So every form is
+        built once, after those of the smaller monomials it needs, and each
+        of them is kept in the table too.
+        """
+        forms = self._normal_forms
+        form = forms.get(key)
+        if form is not None:
+            return form
+        start = tuple(key)
+        if len(start) != self.n:
+            raise UsageError(f"exponent vector {start!r} has wrong length")
+        if sum(start) > self.d:
+            forms[key] = ()
+            return ()
+        stack = [start]
+        while stack:
+            mono = stack[-1]
+            if mono in forms:
+                stack.pop()
+                continue
+            j = next((j for j in range(1, self.n + 1)
+                      if mono[j - 1] >= j), None)
+            if j is None:
+                forms[mono] = ((mono, 1),)
+                stack.pop()
+                continue
+            base = list(mono)
+            base[j - 1] -= j
+            smaller = [tuple(map(operator.add, base, repl))
+                       for repl in self._rewrite[j]]
+            missing = [m for m in smaller if m not in forms]
+            if missing:
+                stack.extend(missing)
+                continue
+            total: dict[tuple[int, ...], int] = {}
+            for m in smaller:
+                for skey, value in forms[m]:
+                    total[skey] = total.get(skey, 0) - value
+            forms[mono] = tuple((skey, value)
+                                for skey, value in total.items() if value)
+            stack.pop()
+        form = forms[start]
+        forms[key] = form
+        return form
 
     def var_series(self, i: int) -> TruncSeries:
         if not 1 <= i <= self.n:
@@ -259,12 +320,13 @@ class FlagElem:
         self._check(other)
         d = self.ctx.d
         raw: dict[tuple[int, ...], CoeffPoly] = {}
+        right = [(k2, sum(k2), v2) for k2, v2 in other.terms.items()]
         for k1, v1 in self.terms.items():
-            d1 = sum(k1)
-            for k2, v2 in other.terms.items():
-                if d1 + sum(k2) > d:
+            room = d - sum(k1)
+            for k2, d2, v2 in right:
+                if d2 > room:
                     continue  # monomials above degree d lie in the ideal
-                key = tuple(a + b for a, b in zip(k1, k2))
+                key = tuple(map(operator.add, k1, k2))
                 prod = v1 * v2
                 old = raw.get(key)
                 new = prod if old is None else old + prod
@@ -307,12 +369,11 @@ def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
 
     Accepts a TruncSeries over the context variables or a raw mapping from
     exponent vectors to coefficients; a FlagElem of a compatible context is
-    already canonical and comes back as it is.  Monomials are processed from
-    the lexicographically largest down (x_1 heaviest); every rewrite of x_j^j
-    produces strictly smaller monomials of the same degree, so a single
-    descending sweep terminates with each monomial's coefficient complete
-    when it is popped.  Monomials of degree above d are dropped: they lie in
-    the ideal.
+    already canonical and comes back as it is.  Each raw monomial is looked
+    up in the context's table of integer normal forms (``normal_form``), and
+    the coefficients that land on one staircase monomial are summed in one
+    merge.  Monomials of degree above d have the empty form: they lie in the
+    ideal.
     """
     if isinstance(p, TruncSeries):
         if p.vars != ctx.vars:
@@ -324,46 +385,22 @@ def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
         return p
     else:
         raw = p
-    pending: dict[tuple[int, ...], CoeffPoly] = {}
-    heap: list[tuple[int, ...]] = []
+    forms = ctx._normal_forms
+    parts: dict[tuple[int, ...], list] = {}
     for key, value in raw.items():
-        key = tuple(key)
-        if len(key) != ctx.n:
-            raise UsageError(f"exponent vector {key!r} has wrong length")
+        form = forms.get(key)
+        if form is None:
+            form = ctx.normal_form(key)
         coeff = CoeffPoly.coerce(value)
-        if not coeff or sum(key) > ctx.d:
+        if not form or not coeff:
             continue
-        if key in pending:
-            pending[key] = pending[key] + coeff
-        else:
-            pending[key] = coeff
-            heapq.heappush(heap, tuple(-e for e in key))
-    done: dict[tuple[int, ...], CoeffPoly] = {}
-    n = ctx.n
-    while heap:
-        key = tuple(-e for e in heapq.heappop(heap))
-        coeff = pending.pop(key, None)
-        if coeff is None or not coeff:
-            continue
-        violation = None
-        for j in range(1, n + 1):
-            if key[j - 1] >= j:
-                violation = j
-                break
-        if violation is None:
-            done[key] = coeff
-            continue
-        j = violation
-        base = list(key)
-        base[j - 1] -= j
-        for repl in ctx._rewrite[j]:
-            new_key = tuple(b + r for b, r in zip(base, repl))
-            old = pending.get(new_key)
-            if old is None:
-                pending[new_key] = -coeff
-                heapq.heappush(heap, tuple(-e for e in new_key))
-            else:
-                pending[new_key] = old - coeff
+        for skey, c in form:
+            parts.setdefault(skey, []).append((coeff, c))
+    done = {}
+    for skey, group in parts.items():
+        total = CoeffPoly.combination(group)
+        if total:
+            done[skey] = total
     return FlagElem._raw(ctx, done)
 
 

@@ -3,9 +3,13 @@
 Coefficients live in the rationalized Lazard ring, presented as polynomials
 in generators b1, b2, ... where b_i is the class of i-dimensional projective
 space (graded degree -i), and stored as integer numerators over one shared
-denominator.  Power series carry these coefficients and are truncated at a
-fixed total degree in the series variables; every operation is exact below
-the cap and silently discards terms above it.
+denominator.  Each b-monomial is packed into one int with a fixed-width field
+per generator, so multiplying two monomials is one int addition; a guard bit
+at the top of every field catches an exponent that outgrows its field, which
+raises UsageError instead of carrying into the next generator.  Power series
+carry these coefficients and are truncated at a fixed total degree in the
+series variables; every operation is exact below the cap and silently
+discards terms above it.
 """
 
 from __future__ import annotations
@@ -37,9 +41,22 @@ class InternalError(CobschubError):
     """An internal consistency check failed."""
 
 
-# A monomial in the generators b_i is a sorted tuple of (index, exponent)
-# pairs with index >= 1 and exponent >= 1; () is the constant monomial.
+# A monomial in the generators b_i, as ``terms`` shows it: a sorted tuple of
+# (index, exponent) pairs with index >= 1 and exponent >= 1; () is the
+# constant monomial.
 BMonomial = tuple[tuple[int, int], ...]
+
+# Inside CoeffPoly the exponent of b_i is the field of FIELD_BITS bits that
+# starts at bit FIELD_BITS * (i - 1); 0 is the constant monomial.  A field
+# holds exponents up to MAX_EXPONENT, and its top bit is a guard: the sum of
+# two fields in range stays below 2 * (MAX_EXPONENT + 1), so it never
+# carries into the next field, and it sets the guard exactly when the
+# exponent leaves the range.
+FIELD_BITS = 6
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+MAX_INDEX = 64
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_GUARD = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(MAX_INDEX))
 
 _ZERO = Fraction(0)
 
@@ -52,15 +69,30 @@ def _as_fraction(value) -> Fraction:
     raise UsageError(f"expected an integer or Fraction, got {value!r}")
 
 
-def _merge_bmonomials(left: BMonomial, right: BMonomial) -> BMonomial:
-    if not left:
-        return right
-    if not right:
-        return left
-    merged: dict[int, int] = dict(left)
-    for idx, exp in right:
-        merged[idx] = merged.get(idx, 0) + exp
-    return tuple(sorted(merged.items()))
+def _pack(key: BMonomial) -> int:
+    packed = 0
+    for i, e in key:
+        # an index may occur once: b1 * b1^2 is written b1^3
+        if i < 1 or e < 1 or packed >> (FIELD_BITS * (i - 1)) & _FIELD_MASK:
+            raise UsageError(f"malformed b-monomial {key!r}")
+        if i > MAX_INDEX or e > MAX_EXPONENT:
+            raise UsageError(
+                f"b-monomial {key!r} is outside the packed range: index at "
+                f"most {MAX_INDEX}, exponent at most {MAX_EXPONENT}")
+        packed |= e << (FIELD_BITS * (i - 1))
+    return packed
+
+
+def _unpack(packed: int) -> BMonomial:
+    out = []
+    i = 1
+    while packed:
+        e = packed & _FIELD_MASK
+        if e:
+            out.append((i, e))
+        packed >>= FIELD_BITS
+        i += 1
+    return tuple(out)
 
 
 def bmonomial_degree(key: BMonomial) -> int:
@@ -71,24 +103,27 @@ def bmonomial_degree(key: BMonomial) -> int:
 class CoeffPoly:
     """A polynomial in b1, b2, ... with exact rational coefficients.
 
-    Immutable and fraction-free: ``num`` maps b-monomials to nonzero integer
-    numerators over one denominator ``den`` > 0, with gcd(den, *num) == 1.
-    The form is canonical, so equality and hashing are structural and ``den``
-    is the lcm of the denominators; ``terms`` is the Fraction view.
+    Immutable and fraction-free: ``num`` maps packed b-monomials to nonzero
+    integer numerators over one denominator ``den`` > 0, with
+    gcd(den, *num) == 1.  A packed monomial is an int whose field of
+    FIELD_BITS bits at bit FIELD_BITS * (i - 1) holds the exponent of b_i,
+    for i up to MAX_INDEX; exponents go up to MAX_EXPONENT, and a product
+    that leaves that range raises UsageError, never a different monomial.
+    The form is canonical, so equality and hashing are structural and
+    ``den`` is the lcm of the denominators; ``terms`` is the Fraction view,
+    keyed by the sorted (index, exponent) tuples of ``BMonomial``.
     """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, terms: Mapping[BMonomial, Fraction] | None = None):
-        clean: dict[BMonomial, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
             for key, value in terms.items():
                 value = _as_fraction(value)
                 if value == 0:
                     continue
-                if any(i < 1 or e < 1 for i, e in key):
-                    raise UsageError(f"malformed b-monomial {key!r}")
-                clean[tuple(sorted(key))] = value
+                clean[_pack(key)] = value
         den = math.lcm(*(value.denominator for value in clean.values()))
         self.num = {key: value.numerator * (den // value.denominator)
                     for key, value in clean.items()}
@@ -96,7 +131,7 @@ class CoeffPoly:
         self._hash = None
 
     @classmethod
-    def _raw(cls, num: dict[BMonomial, int], den: int) -> "CoeffPoly":
+    def _raw(cls, num: dict[int, int], den: int) -> "CoeffPoly":
         # internal fast path: num holds no zero and den > 0; divide out their
         # common factor
         if den != 1:
@@ -116,12 +151,12 @@ class CoeffPoly:
 
     @classmethod
     def one(cls) -> "CoeffPoly":
-        return cls._raw({(): 1}, 1)
+        return cls._raw({0: 1}, 1)
 
     @classmethod
     def rational(cls, value) -> "CoeffPoly":
         value = _as_fraction(value)
-        return cls._raw({(): value.numerator} if value else {},
+        return cls._raw({0: value.numerator} if value else {},
                         value.denominator)
 
     @classmethod
@@ -129,7 +164,26 @@ class CoeffPoly:
         """The generator b_index (optionally raised to a power)."""
         if index < 1 or exponent < 1:
             raise UsageError("b-generators need index >= 1 and exponent >= 1")
-        return cls._raw({((index, exponent),): 1}, 1)
+        return cls._raw({_pack(((index, exponent),)): 1}, 1)
+
+    @classmethod
+    def combination(cls, parts) -> "CoeffPoly":
+        """sum(c * p for p, c in parts), for CoeffPoly p and nonzero int c,
+        in one merge over the lcm of the denominators."""
+        if len(parts) == 1:
+            p, c = parts[0]
+            if c == 1:
+                return p
+            return cls._raw({k: v * c for k, v in p.num.items()}, p.den)
+        den = math.lcm(*(p.den for p, _ in parts))
+        out: dict[int, int] = {}
+        get = out.get
+        for p, c in parts:
+            if p.den != den:
+                c *= den // p.den
+            for key, value in p.num.items():
+                out[key] = get(key, 0) + value * c
+        return cls._raw({k: v for k, v in out.items() if v}, den)
 
     @classmethod
     def coerce(cls, value) -> "CoeffPoly":
@@ -141,7 +195,8 @@ class CoeffPoly:
     def terms(self) -> dict[BMonomial, Fraction]:
         """A new dict from each b-monomial to its Fraction coefficient."""
         den = self.den
-        return {key: Fraction(value, den) for key, value in self.num.items()}
+        return {_unpack(key): Fraction(value, den)
+                for key, value in self.num.items()}
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -150,11 +205,11 @@ class CoeffPoly:
         return not self.num
 
     def is_rational(self) -> bool:
-        return not self.num or (len(self.num) == 1 and () in self.num)
+        return not self.num or (len(self.num) == 1 and 0 in self.num)
 
     def constant(self) -> Fraction:
         """The b-free part."""
-        return Fraction(self.num.get((), 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -163,10 +218,10 @@ class CoeffPoly:
 
     def degrees(self) -> set[int]:
         """Set of graded degrees of the monomials present (all <= 0)."""
-        return {bmonomial_degree(key) for key in self.num}
+        return {bmonomial_degree(_unpack(key)) for key in self.num}
 
     def support_indices(self) -> set[int]:
-        return {i for key in self.num for i, _ in key}
+        return {i for key in self.num for i, _ in _unpack(key)}
 
     def denominator_lcm(self) -> int:
         """Least common multiple of all coefficient denominators (1 if empty).
@@ -228,16 +283,22 @@ class CoeffPoly:
             return NotImplemented
         if not self.num or not other.num:
             return CoeffPoly.zero()
-        out: dict[BMonomial, int] = {}
+        out: dict[int, int] = {}
+        get = out.get
         right = other.num.items()
         for k1, v1 in self.num.items():
             for k2, v2 in right:
-                key = _merge_bmonomials(k1, k2)
-                new = out.get(key, 0) + v1 * v2
+                key = k1 + k2
+                new = get(key, 0) + v1 * v2
                 if new:
                     out[key] = new
                 else:
                     del out[key]
+        # keys in range add without a carry, so a key that left the range is
+        # a distinct int with its guard bit set, and one check suffices
+        if any(map(_GUARD.__and__, out)):
+            raise UsageError(
+                f"a b-exponent exceeds {MAX_EXPONENT}, the packed field limit")
         return CoeffPoly._raw(out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -251,8 +312,9 @@ class CoeffPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # square only when needed, so no square leaves the range
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -309,7 +371,7 @@ def coeff_specialize(c: CoeffPoly, assignment: Mapping[int, Fraction]) -> Fracti
     total = _ZERO
     for key, value in c.num.items():
         factor = value
-        for i, e in key:
+        for i, e in _unpack(key):
             if i not in assignment:
                 raise UsageError(f"no assignment for generator b{i}")
             factor *= _as_fraction(assignment[i]) ** e

@@ -14,6 +14,7 @@ any product of two classes into the subword classes of the right factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -219,27 +220,56 @@ def product_bs(ctx: FlagContext, left, right) -> BSExpansion:
 
 
 def _invert_exact(matrix: list[list[Fraction]]):
-    """Gauss-Jordan inverse plus determinant over the rationals."""
+    """Inverse plus determinant over the rationals, by fraction-free
+    Gauss-Jordan elimination (Bareiss 1968) on [M | I] in integers.
+
+    M is first scaled to an integer matrix.  Each step replaces every other
+    row r by (p * r - f * pivot row) / p_prev, where p is the pivot, f the
+    row's entry in the pivot column and p_prev the previous pivot; the
+    division is exact, since every entry stays a minor of the augmented
+    matrix.  Swapping two rows or negating the pivot row keeps that true and
+    only flips the sign of the determinant; the pivot row is negated when
+    p = -p_prev, so that the step reduces to r - (f / p_prev) * pivot row on
+    the pivot row's nonzero entries.  After the last column the left block
+    is D * I and the right block D * M^-1, with D the determinant up to
+    sign.  The leading blocks of the basis are unimodular, so D is 1 there
+    and the inverse is integer.
+    """
     size = len(matrix)
-    work = [list(map(Fraction, row)) + [Fraction(int(i == j))
-                                        for j in range(size)]
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    work = [[v.numerator * (scale // v.denominator) for v in row]
+            + [int(i == j) for j in range(size)]
             for i, row in enumerate(matrix)]
-    det = Fraction(1)
+    prev, sign = 1, 1
     for col in range(size):
         pivot = next((r for r in range(col, size) if work[r][col]), None)
         if pivot is None:
             raise InternalError("leading transition matrix is singular")
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return [row[size:] for row in work], det
+            sign = -sign
+        top = work[col]
+        p = top[col]
+        if p == -prev:
+            top = work[col] = [-v for v in top]
+            p, sign = prev, -sign
+        support = [(j, b) for j, b in enumerate(top) if b]
+        for r, row in enumerate(work):
+            f = row[col]
+            if r == col or (not f and p == prev):
+                continue
+            if p == prev:
+                for j, b in support:
+                    row[j] -= f * b // prev
+            else:
+                work[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+    if scale == 1 and prev == 1:
+        inverse = [row[size:] for row in work]
+    else:
+        inverse = [[Fraction(v * scale, prev) for v in row[size:]]
+                   for row in work]
+    return inverse, Fraction(sign * prev, scale**size)
 
 
 def _chow_leading(ctx: FlagContext, elem: FlagElem, xdeg: int) -> dict:

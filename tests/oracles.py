@@ -4,8 +4,10 @@ Each oracle recomputes a quantity along a different route than the library
 code under test: geometric series for unit inversion, the Lagrange formula
 for compositional inverses, folds of the group law for formal sums, the
 operator factorization built directly in n variables, one full operator
-string per removal set for the Chevalley coefficients, dense Fraction
-linear algebra for ideal membership, and one Fraction per term for
+string per removal set for the Chevalley coefficients, the rewrite sweep
+on CoeffPoly coefficients for canonical reduction, sparse Fraction
+elimination on the elementary symmetric generators for ideal membership,
+Fraction Gauss-Jordan for matrix inverses, and one Fraction per term for
 b-polynomial arithmetic.  The classical divided difference of the additive
 theory is ``cobschub.selftest.classical_divided_difference``.  The module
 also keeps the helpers that only the tests call: the product and
@@ -15,10 +17,11 @@ reducedness of a word, and total degrees.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from fractions import Fraction
 
-from cobschub.flagring import c1_weight, reduce_canonical
+from cobschub.flagring import FlagElem, c1_weight, reduce_canonical
 from cobschub.ringcore import (
     CoeffPoly,
     TruncSeries,
@@ -86,6 +89,51 @@ class FractionPoly:
                 value *= Fraction(assignment[i]) ** e
             total += value
         return total
+
+
+def heap_reduce(ctx, raw) -> FlagElem:
+    """Canonical form of a raw mapping from exponent vectors to coefficients
+    by one descending rewrite sweep with CoeffPoly coefficients.
+
+    Monomials are popped from the lexicographically largest down (x_1
+    heaviest); every rewrite of x_j^j by h_j(x_j, .., x_n) produces strictly
+    smaller monomials of the same degree, so a popped coefficient is
+    complete.  Monomials of degree above d are dropped.  This is the
+    reduction that the context's table of integer normal forms replaced.
+    """
+    pending: dict[tuple[int, ...], CoeffPoly] = {}
+    heap: list[tuple[int, ...]] = []
+    for key, value in raw.items():
+        key = tuple(key)
+        coeff = CoeffPoly.coerce(value)
+        if not coeff or sum(key) > ctx.d:
+            continue
+        if key in pending:
+            pending[key] = pending[key] + coeff
+        else:
+            pending[key] = coeff
+            heapq.heappush(heap, tuple(-e for e in key))
+    done: dict[tuple[int, ...], CoeffPoly] = {}
+    while heap:
+        key = tuple(-e for e in heapq.heappop(heap))
+        coeff = pending.pop(key)
+        if not coeff:
+            continue
+        j = next((j for j in range(1, ctx.n + 1) if key[j - 1] >= j), None)
+        if j is None:
+            done[key] = coeff
+            continue
+        base = list(key)
+        base[j - 1] -= j
+        for repl in ctx._rewrite[j]:
+            new_key = tuple(b + r for b, r in zip(base, repl))
+            old = pending.get(new_key)
+            if old is None:
+                pending[new_key] = -coeff
+                heapq.heappush(heap, tuple(-e for e in new_key))
+            else:
+                pending[new_key] = old - coeff
+    return FlagElem._raw(ctx, done)
 
 
 def geometric_inverse(s: TruncSeries) -> TruncSeries:
@@ -238,71 +286,6 @@ def total_degrees(elem) -> set[int]:
 # Exact linear algebra over Fraction
 
 
-def solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve M x = rhs over the rationals; returns a solution or None."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(map(Fraction, matrix[r])) + [Fraction(rhs[r])]
-           for r in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    solution = [Fraction(0)] * cols
-    for row, c in enumerate(pivots):
-        solution[c] = aug[row][cols]
-    return solution
-
-
-def nullspace_exact(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the kernel of M over the rationals."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    work = [list(map(Fraction, row)) for row in matrix]
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [v - factor * w for v, w in zip(work[i], work[r])]
-        pivots[c] = r
-        r += 1
-        if r == rows:
-            break
-    basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for c, row in pivots.items():
-            vec[c] = -work[row][f]
-        basis.append(vec)
-    return basis
-
-
 class LazardLattice:
     """Membership oracle for the integral span of monomials in the group
     law's coefficients, degree by degree, via Hermite normal forms.
@@ -436,43 +419,87 @@ def in_symmetric_ideal(terms: dict, n: int) -> bool:
     """Membership of a homogeneous rational polynomial in the ideal generated
     by the elementary symmetric polynomials e_1..e_n of x_1..x_n.
 
-    Solves p = sum_k q_k e_k by linear algebra on the unknown coefficients of
-    the q_k, one total degree at a time.
+    The ideal's part of degree D is spanned by the products e_k * m for
+    every monomial m of degree D - k; the polynomial is in it exactly when
+    its leading monomials cancel, one after another, against an echelon
+    basis of that span (``_ideal_echelon``).
     """
     if not terms:
         return True
     degrees = {sum(k) for k in terms}
     assert len(degrees) == 1, "oracle needs homogeneous input"
-    deg = degrees.pop()
+    return not _reduce_by(terms, _ideal_echelon(n, degrees.pop()))
 
-    def elementary(k: int) -> dict:
-        out = {}
-        for combo in itertools.combinations(range(n), k):
-            key = tuple(1 if i in combo else 0 for i in range(n))
-            out[key] = Fraction(1)
-        return out
 
-    def monomials(total: int):
-        def rec(pos, remaining):
-            if pos == n - 1:
-                yield (remaining,)
-                return
-            for e in range(remaining + 1):
-                for tail in rec(pos + 1, remaining - e):
-                    yield (e,) + tail
-        return list(rec(0, total))
+def _reduce_by(row: dict, pivots: dict) -> dict:
+    """Cancel leading monomials (lexicographically largest) of ``row``
+    against pivot rows with leading coefficient 1 until the leading monomial
+    has no pivot; the remainder, empty when the row is in the span."""
+    row = {key: Fraction(value) for key, value in row.items() if value}
+    while row:
+        lead = max(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            break
+        scale = row[lead]
+        for key, value in pivot.items():
+            new = row.get(key, 0) - scale * value
+            if new:
+                row[key] = new
+            else:
+                row.pop(key, None)
+    return row
 
-    unknowns = []           # (k, monomial) per unknown coefficient of q_k
-    for k in range(1, min(n, deg) + 1):
-        for mono in monomials(deg - k):
-            unknowns.append((k, mono))
-    targets = monomials(deg)
-    index = {m: i for i, m in enumerate(targets)}
-    matrix = [[Fraction(0)] * len(unknowns) for _ in targets]
-    es = {k: elementary(k) for k in range(1, min(n, deg) + 1)}
-    for col, (k, mono) in enumerate(unknowns):
-        for ekey, evalue in es[k].items():
-            key = tuple(a + b for a, b in zip(mono, ekey))
-            matrix[index[key]][col] += evalue
-    rhs = [terms.get(m, Fraction(0)) for m in targets]
-    return solve_exact(matrix, rhs) is not None
+
+@functools.lru_cache(maxsize=None)
+def _ideal_echelon(n: int, degree: int) -> dict:
+    """Echelon basis of the degree part of the ideal of e_1..e_n: one row per
+    leading monomial, scaled to leading coefficient 1, built from the sparse
+    products e_k * m by elimination over the rationals."""
+    def monomials(total, width):
+        if width == 1:
+            yield (total,)
+            return
+        for e in range(total + 1):
+            for tail in monomials(total - e, width - 1):
+                yield (e,) + tail
+
+    pivots: dict = {}
+    for k in range(1, min(n, degree) + 1):
+        elementary = [tuple(int(i in combo) for i in range(n))
+                      for combo in itertools.combinations(range(n), k)]
+        for mono in monomials(degree - k, n):
+            row = {tuple(a + b for a, b in zip(mono, e)): 1
+                   for e in elementary}
+            row = _reduce_by(row, pivots)
+            if row:
+                lead = max(row)
+                scale = row[lead]
+                pivots[lead] = {key: value / scale
+                                for key, value in row.items()}
+    return pivots
+
+
+def fraction_inverse(matrix: list[list[Fraction]]):
+    """Gauss-Jordan inverse plus determinant over the rationals, one Fraction
+    per entry; the reference for the fraction-free ``_invert_exact``."""
+    size = len(matrix)
+    work = [list(map(Fraction, row)) + [Fraction(int(i == j))
+                                        for j in range(size)]
+            for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if work[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        inv = Fraction(1) / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for r in range(size):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
+    return [row[size:] for row in work], det

@@ -266,6 +266,8 @@ def test_exit_codes(capsys):
     assert code == 2
     code, out, err = run(capsys, "bsclass", "--n", "1", "--word", "")
     assert code == 2
+    code, out, err = run(capsys, "bsclass", "--n", "-3", "--word", "1")
+    assert code == 2 and not out and "rank must be at least 2" in err
 
 
 def test_json_output_is_deterministic(capsys):
@@ -285,3 +287,16 @@ def test_ktheory_beta_parsing(capsys):
     assert (2, 1) not in F_terms
     code, out, err = run(capsys, "fgl", "--beta", "x")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["bsclass", "--n", "3", "--word", "1", "--theory", "ktheory"],
+     "--beta", "-1/2"),
+    (["chevalley", "--n", "3", "--word", "1"], "--weight", "-1,0,0"),
+    (["fgl", "--max-degree", "3", "--theory", "ktheory"], "--beta", "-.5"),
+])
+def test_negative_value_as_a_separate_argument(capsys, argv, option, value):
+    joined = run(capsys, *argv, f"{option}={value}", "--format", "json")
+    separate = run(capsys, *argv, option, value, "--format", "json")
+    assert joined[0] == 0, joined[2]
+    assert separate == joined

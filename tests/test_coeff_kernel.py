@@ -1,23 +1,42 @@
 """The fraction-free coefficient kernel: ``CoeffPoly`` against a per-term
-Fraction model on random inputs, and its canonical form on engine data."""
+Fraction model on random inputs, its packed b-monomials at the edges of
+their fields, and its canonical form on engine data."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobschub.flagring import FlagContext
-from cobschub.ringcore import CoeffPoly
+from cobschub.ringcore import (
+    MAX_EXPONENT,
+    MAX_INDEX,
+    CoeffPoly,
+    UsageError,
+)
 from cobschub.schubert import bs_class
 from cobschub.weylops import Permutation, reduced_word
 
 from oracles import FractionPoly
 
-bmonomials = st.dictionaries(st.integers(1, 4), st.integers(1, 3),
-                             max_size=3).map(
-                                 lambda d: tuple(sorted(d.items())))
+# b_16 is the highest generator of the rank-6 law (cap 17); exponents reach
+# the field limit, so products and powers also leave it
+INDICES = st.integers(1, 16)
+EXPONENTS = st.one_of(st.integers(1, 3), st.integers(1, MAX_EXPONENT),
+                      st.integers(MAX_EXPONENT - 2, MAX_EXPONENT))
+
+
+def bmonomials(exponents=EXPONENTS):
+    return st.dictionaries(INDICES, exponents, max_size=3).map(
+        lambda d: tuple(sorted(d.items())))
+
+
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
-term_maps = st.dictionaries(bmonomials, rationals, max_size=5)
+term_maps = st.dictionaries(bmonomials(), rationals, max_size=5)
+# two monomials of these multiply without leaving the field
+half_term_maps = st.dictionaries(
+    bmonomials(st.integers(1, MAX_EXPONENT // 2)), rationals, max_size=5)
 scalars = st.one_of(st.integers(-6, 6), rationals)
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -35,6 +54,22 @@ def assert_matches(p: CoeffPoly, model: FractionPoly) -> None:
     assert p.terms == model.terms
 
 
+def top_exponent(model: FractionPoly) -> int:
+    return max((e for key in model.terms for _, e in key), default=0)
+
+
+def product_or_overflow(compute, model: FractionPoly):
+    """compute() matches the model while every exponent fits its field, and
+    raises UsageError when one does not."""
+    if top_exponent(model) > MAX_EXPONENT:
+        with pytest.raises(UsageError):
+            compute()
+        return None
+    result = compute()
+    assert_matches(result, model)
+    return result
+
+
 @SETTINGS
 @given(term_maps, term_maps, term_maps, scalars, st.integers(0, 3))
 def test_arithmetic_matches_fraction_model(ta, tb, tc, scalar, exponent):
@@ -45,25 +80,28 @@ def test_arithmetic_matches_fraction_model(ta, tb, tc, scalar, exponent):
     assert_matches(a + b, ma + mb)
     assert_matches(a - b, ma - mb)
     assert_matches(-a, -ma)
-    assert_matches(a * b, ma * mb)
-    assert_matches((a + b) * c - a * c, mb * mc)
+    product_or_overflow(lambda: a * b, ma * mb)
+    left = product_or_overflow(lambda: (a + b) * c, (ma + mb) * mc)
+    right = product_or_overflow(lambda: a * c, ma * mc)
+    if left is not None and right is not None:
+        assert_matches(left - right, mb * mc)
     assert_matches(a * scalar, ma * scalar)
     assert_matches(scalar * a, ma * scalar)
     assert_matches(a + scalar, ma + FractionPoly({(): scalar}))
-    assert_matches(a**exponent, ma**exponent)
+    product_or_overflow(lambda: a**exponent, ma**exponent)
     assert_matches(CoeffPoly.rational(scalar), FractionPoly({(): scalar}))
 
 
 @SETTINGS
-@given(term_maps, st.dictionaries(st.integers(1, 4), rationals,
-                                  min_size=4, max_size=4))
+@given(term_maps, st.fixed_dictionaries(
+    {i: rationals for i in range(1, 17)}))
 def test_specialize_matches_fraction_model(ta, values):
     expected = FractionPoly(ta).specialize(values)
     assert CoeffPoly(ta).specialize(values) == expected
 
 
 @SETTINGS
-@given(term_maps, term_maps, term_maps)
+@given(half_term_maps, half_term_maps, half_term_maps)
 def test_equal_values_from_different_routes_hash_equal(tx, ty, tz):
     x, y, z = CoeffPoly(tx), CoeffPoly(ty), CoeffPoly(tz)
     routes = [
@@ -77,6 +115,55 @@ def test_equal_values_from_different_routes_hash_equal(tx, ty, tz):
     for left, right in routes:
         assert left == right
         assert hash(left) == hash(right)
+
+
+def test_exponents_beyond_the_field_raise():
+    limit = MAX_EXPONENT
+    for bad in ({((1, limit + 1),): 1}, {((2, 1), (3, limit + 1)): 1},
+                {((MAX_INDEX + 1, 1),): 1}):
+        with pytest.raises(UsageError):
+            CoeffPoly(bad)
+    with pytest.raises(UsageError):
+        CoeffPoly.b(2, limit + 1)
+    top = CoeffPoly.b(3, limit)
+    # a field that wrapped would carry into b_4 and return b_4 (or b_3 b_4
+    # for the square): never a different monomial, always an error
+    for overflowing in (lambda: top * CoeffPoly.b(3),
+                        lambda: (top + 1) * (CoeffPoly.b(3) - 1),
+                        lambda: CoeffPoly.b(3, limit // 2 + 1) ** 2,
+                        lambda: (CoeffPoly.b(1) * top) * CoeffPoly.b(3, 2)):
+        with pytest.raises(UsageError, match="field limit"):
+            overflowing()
+    # the edge of the field and its neighbours stay exact
+    assert (top * CoeffPoly.b(2) * CoeffPoly.b(4)).terms == {
+        ((2, 1), (3, limit), (4, 1)): 1}
+    assert CoeffPoly.b(3, limit // 2) ** 2 * CoeffPoly.b(3, limit % 2) == top
+    assert (CoeffPoly.b(MAX_INDEX, limit)).terms == {((MAX_INDEX, limit),): 1}
+
+
+def test_repeated_index_is_rejected():
+    # a b-monomial names each generator once; b1 * b1^2 is written b1^3
+    with pytest.raises(UsageError, match="malformed b-monomial"):
+        CoeffPoly({((1, 1), (1, 2)): 1})
+    with pytest.raises(UsageError, match="malformed b-monomial"):
+        CoeffPoly({((2, 1), (1, 1), (2, 1)): 3})
+    assert CoeffPoly({((1, 3),): 1}) == CoeffPoly.b(1, 3)
+
+
+def test_terms_keys_are_sorted_tuples():
+    p = CoeffPoly({((5, 2), (1, 3)): 1, (): Fraction(2, 3),
+                   ((16, 1), (2, 4)): -1})
+    assert p.terms == {((1, 3), (5, 2)): 1, (): Fraction(2, 3),
+                       ((2, 4), (16, 1)): -1}
+    for key in (p * p).terms:
+        assert isinstance(key, tuple)
+        assert all(isinstance(pair, tuple) and len(pair) == 2
+                   for pair in key)
+        assert list(key) == sorted(key)
+        assert len({i for i, _ in key}) == len(key)
+    assert p.degrees() == {-13, 0, -24}
+    assert p.support_indices() == {1, 2, 5, 16}
+    assert str(p) == "2/3 + b1^3*b5^2 - b2^4*b16"
 
 
 def test_engine_coefficients_are_canonical():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cobschub.fgl import build_universal_fgl
-from cobschub.ringcore import CoeffPoly, UsageError
+from cobschub.ringcore import CoeffPoly, InternalError, UsageError
 from cobschub.flagring import (
     FlagContext,
     Weight,
@@ -39,6 +39,7 @@ from cobschub.schubert import (
 from cobschub import schubert
 from cobschub.selftest import chow_elem
 from oracles import (
+    fraction_inverse,
     is_reduced,
     random_flag_elem,
     walk_chevalley_coeff,
@@ -384,6 +385,65 @@ def test_results_do_not_depend_on_headroom(n, length):
 
 # ---------------------------------------------------------------------------
 # Geometric exponents
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_invert_exact_matches_fraction_reference_on_basis_blocks(
+        n, monkeypatch):
+    # the blocks are the Chow leading parts, so the Chow context builds them
+    calls = []
+    invert = schubert._invert_exact
+
+    def recording(matrix):
+        result = invert(matrix)
+        calls.append((matrix, result))
+        return result
+
+    monkeypatch.setattr(schubert, "_invert_exact", recording)
+    blocks = schubert._basis_data(FlagContext(n, Fraction(0)))
+    assert len(calls) == len(blocks) == n * (n - 1) // 2 + 1
+    for matrix, result in calls:
+        assert result == fraction_inverse(matrix)
+        assert result[1] in (1, -1)
+
+
+def random_unimodular(rng, size):
+    """A random integer matrix of determinant +-1: row additions with small
+    multiples, then a row permutation and sign changes."""
+    matrix = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(3 * size):
+        r, t = rng.sample(range(size), 2) if size > 1 else (0, 0)
+        if r == t:
+            continue
+        factor = rng.randint(-3, 3)
+        matrix[r] = [a + factor * b for a, b in zip(matrix[r], matrix[t])]
+    rng.shuffle(matrix)
+    return [[-v for v in row] if rng.random() < 0.5 else row
+            for row in matrix]
+
+
+def test_invert_exact_matches_fraction_reference_on_random_matrices():
+    rng = random.Random(20)
+    for size in range(1, 13):
+        for _ in range(6):
+            matrix = random_unimodular(rng, size)
+            inverse, det = schubert._invert_exact(matrix)
+            assert (inverse, det) == fraction_inverse(matrix)
+            assert det in (1, -1)
+            assert all(v.denominator == 1 for row in inverse for v in row)
+    # rational entries and determinants other than +-1 take the same route
+    for size in range(1, 8):
+        matrix = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                   for _ in range(size)] for _ in range(size)]
+        try:
+            expected = fraction_inverse(matrix)
+        except ValueError:
+            with pytest.raises(InternalError):
+                schubert._invert_exact(matrix)
+            continue
+        assert schubert._invert_exact(matrix) == expected
+    with pytest.raises(InternalError):
+        schubert._invert_exact([[1, 2], [2, 4]])
 
 
 def test_pieri_exponents_generic():
