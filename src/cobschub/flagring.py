@@ -118,7 +118,8 @@ class FlagContext:
     the operator packs (``_op_packs``, by i), first Chern classes of weights
     (``_c1_cache``), Bott-Samelson classes (``_bs_cache``), Chevalley
     expansions (``_c1bs_cache``, by weight and word; single coefficients are
-    looked up there), and the basis blocks (``_basis_cache``).
+    looked up there), and the basis classes by leading monomial
+    (``_basis_cache``, see ``schubert.expand_in_bs_basis``).
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
@@ -281,8 +282,7 @@ class FlagElem:
         return FlagElem._raw(self.ctx, out)
 
     def denominator_lcm(self) -> int:
-        return math.lcm(*(coeff.denominator_lcm()
-                          for coeff in self.terms.values()))
+        return math.lcm(*(coeff.den for coeff in self.terms.values()))
 
     # -- ring structure ------------------------------------------------------
 

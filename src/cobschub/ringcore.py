@@ -223,13 +223,6 @@ class CoeffPoly:
     def support_indices(self) -> set[int]:
         return {i for key in self.num for i, _ in _unpack(key)}
 
-    def denominator_lcm(self) -> int:
-        """Least common multiple of all coefficient denominators (1 if empty).
-
-        Used to record where the computation leaves the integral subring.
-        """
-        return self.den
-
     def _combine(self, other, sign: int) -> "CoeffPoly":
         # self + sign * other in one merge; on mixed denominators the right
         # side is scaled term by term inside the loop
@@ -586,8 +579,9 @@ class TruncSeries:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

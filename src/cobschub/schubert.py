@@ -10,15 +10,19 @@ difference is replaced by a read of its input's degree-1 part, which holds
 the whole constant term because reduction keeps x-degree and U^-1 has
 constant term 1.  Multiplying one Chern-class factor at a time decomposes
 any product of two classes into the subword classes of the right factor.
+
+The classes of the lexicographically smallest reduced words, one per
+permutation, form a basis.  Each one's lowest x-degree part is a Schubert
+polynomial, whose lexicographically largest monomial has coefficient 1 and
+leads no other class, so an element expands over the basis by peeling off
+one class per leading monomial, with no matrix to invert.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from cobschub.ringcore import CoeffPoly, InternalError, UsageError
+from cobschub.ringcore import CoeffPoly, InternalError, UsageError, _add_term
 from cobschub.flagring import (
     FlagContext,
     FlagElem,
@@ -62,13 +66,7 @@ class BSExpansion:
     def by_word(self) -> dict[Word, CoeffPoly]:
         out: dict[Word, CoeffPoly] = {}
         for kept, coeff in self.terms.items():
-            key = self.subword(kept)
-            total = out.get(key)
-            total = coeff if total is None else total + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
+            _add_term(out, self.subword(kept), coeff)
         return out
 
     def evaluate(self, ctx: FlagContext) -> FlagElem:
@@ -184,22 +182,11 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
                 for kept, value in running.items():
                     sub = c1_times_bs(ctx, lam, tuple(word[p] for p in kept))
                     for sub_kept, sub_coeff in sub.terms.items():
-                        abs_kept = tuple(kept[p] for p in sub_kept)
-                        total = stepped.get(abs_kept)
-                        piece = value * sub_coeff
-                        total = piece if total is None else total + piece
-                        if total:
-                            stepped[abs_kept] = total
-                        else:
-                            stepped.pop(abs_kept, None)
+                        _add_term(stepped, tuple(kept[p] for p in sub_kept),
+                                  value * sub_coeff)
                 running = stepped
         for kept, value in running.items():
-            total = acc.get(kept)
-            total = value if total is None else total + value
-            if total:
-                acc[kept] = total
-            else:
-                acc.pop(kept, None)
+            _add_term(acc, kept, value)
     return BSExpansion(word, acc)
 
 
@@ -219,155 +206,68 @@ def product_bs(ctx: FlagContext, left, right) -> BSExpansion:
 # Basis expansion
 
 
-def _invert_exact(matrix: list[list[Fraction]]):
-    """Inverse plus determinant over the rationals, by fraction-free
-    Gauss-Jordan elimination (Bareiss 1968) on [M | I] in integers.
+def _leading_monomial(elem: FlagElem) -> tuple[int, ...]:
+    """The lexicographically largest monomial (x_1 heaviest) of the lowest
+    x-degree part of a nonzero element."""
+    return max(elem.terms, key=lambda key: (-sum(key), key))
 
-    M is first scaled to an integer matrix.  Each step replaces every other
-    row r by (p * r - f * pivot row) / p_prev, where p is the pivot, f the
-    row's entry in the pivot column and p_prev the previous pivot; the
-    division is exact, since every entry stays a minor of the augmented
-    matrix.  Swapping two rows or negating the pivot row keeps that true and
-    only flips the sign of the determinant; the pivot row is negated when
-    p = -p_prev, so that the step reduces to r - (f / p_prev) * pivot row on
-    the pivot row's nonzero entries.  After the last column the left block
-    is D * I and the right block D * M^-1, with D the determinant up to
-    sign.  The leading blocks of the basis are unimodular, so D is 1 there
-    and the inverse is integer.
+
+def _leading_table(ctx: FlagContext) -> dict:
+    """The basis classes by leading monomial: each monomial maps to (w, Z_w),
+    where Z_w is the class of the lexicographically smallest reduced word of
+    w and has coefficient 1 at the monomial.
+
+    The lowest x-degree part of Z_w is the Schubert polynomial of w, whose
+    leading monomial has coefficient 1 and leads no other class
+    (Lascoux-Schutzenberger 1982); both are checked here.
     """
-    size = len(matrix)
-    scale = math.lcm(*(v.denominator for row in matrix for v in row))
-    work = [[v.numerator * (scale // v.denominator) for v in row]
-            + [int(i == j) for j in range(size)]
-            for i, row in enumerate(matrix)]
-    prev, sign = 1, 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot is None:
-            raise InternalError("leading transition matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        top = work[col]
-        p = top[col]
-        if p == -prev:
-            top = work[col] = [-v for v in top]
-            p, sign = prev, -sign
-        support = [(j, b) for j, b in enumerate(top) if b]
-        for r, row in enumerate(work):
-            f = row[col]
-            if r == col or (not f and p == prev):
-                continue
-            if p == prev:
-                for j, b in support:
-                    row[j] -= f * b // prev
-            else:
-                work[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
-    if scale == 1 and prev == 1:
-        inverse = [row[size:] for row in work]
-    else:
-        inverse = [[Fraction(v * scale, prev) for v in row[size:]]
-                   for row in work]
-    return inverse, Fraction(sign * prev, scale**size)
-
-
-def _chow_leading(ctx: FlagContext, elem: FlagElem, xdeg: int) -> dict:
-    out = {}
-    for key, coeff in elem.terms.items():
-        if sum(key) != xdeg:
-            continue
-        value = coeff.constant()  # degree-0 part of the coefficient
-        if value:
-            out[key] = value
-    return out
-
-
-def _basis_data(ctx: FlagContext):
-    """Per-degree blocks for the basis of lexicographically smallest reduced
-    words: member permutations, canonical monomials, and the inverse of the
-    integer matrix of leading parts."""
-    if ctx._basis_cache is not None:
-        return ctx._basis_cache
-    perms = sorted(all_permutations(ctx.n), key=lambda w: w.images)
-    strata: dict[int, list[Permutation]] = {}
-    for w in perms:
-        xdeg = ctx.d - w.inversions()
-        strata.setdefault(xdeg, []).append(w)
-
-    def monomials(total):
-        keys = []
-
-        def rec(pos, remaining, prefix):
-            if pos == ctx.n:
-                if remaining == 0:
-                    keys.append(tuple(prefix))
-                return
-            for e in range(min(pos, remaining) + 1):
-                rec(pos + 1, remaining - e, prefix + [e])
-        rec(0, total, [])
-        return sorted(keys)
-
-    blocks = {}
-    for xdeg, members in sorted(strata.items()):
-        monos = monomials(xdeg)
-        if len(monos) != len(members):
-            raise InternalError(
-                f"stratum size mismatch at degree {xdeg}: "
-                f"{len(monos)} monomials vs {len(members)} classes")
-        index = {m: i for i, m in enumerate(monos)}
-        matrix = [[Fraction(0)] * len(members) for _ in monos]
-        for col, w in enumerate(members):
+    table = ctx._basis_cache
+    if table is None:
+        table = {}
+        for w in all_permutations(ctx.n):
             cls = bs_class(ctx, reduced_word(w))
-            leading = _chow_leading(ctx, cls, xdeg)
-            for key, value in leading.items():
-                matrix[index[key]][col] = value
-        inverse, det = _invert_exact(matrix)
-        blocks[xdeg] = (members, monos, inverse, det)
-    ctx._basis_cache = blocks
-    return blocks
-
-
-def bs_basis_determinants(ctx: FlagContext) -> dict[int, Fraction]:
-    """Determinants of the per-degree leading transition blocks; the basis
-    property demands each to be a unit of the integers."""
-    return {xdeg: det for xdeg, (_, _, _, det) in _basis_data(ctx).items()}
+            lead = _leading_monomial(cls)
+            if cls.terms[lead] != 1:
+                raise InternalError(f"basis class of {w} leads with "
+                                    f"coefficient {cls.terms[lead]}")
+            if lead in table:
+                raise InternalError(
+                    f"basis classes of {table[lead][0]} and {w} share the "
+                    f"leading monomial {lead}")
+            table[lead] = (w, cls)
+        ctx._basis_cache = table
+    return table
 
 
 def expand_in_bs_basis(ctx: FlagContext, a: FlagElem) -> dict[Permutation, CoeffPoly]:
-    """Write ``a`` over the basis classes of the chosen reduced words.
+    """Write ``a`` over the basis classes of the lexicographically smallest
+    reduced words.
 
-    Graded peeling: the lowest x-degree component of the residual is matched
-    against the integer leading parts of the degree's basis classes, the
-    full classes are subtracted, and the residual's minimum degree strictly
-    climbs until nothing is left.
+    Unitriangular peeling: the leading monomial of the residual (the
+    lexicographically largest of its lowest x-degree part) leads exactly one
+    basis class, with coefficient 1, so the residual's coefficient there is
+    that class's, and the class is subtracted with it.  The class's other
+    monomials of that degree are smaller and the rest of it lies in higher
+    degrees, so the leading monomial strictly falls, and no class is used
+    twice.
     """
     if not ctx.compatible(a.ctx):
         raise UsageError("element context does not match")
-    blocks = _basis_data(ctx)
+    table = _leading_table(ctx)
     out: dict[Permutation, CoeffPoly] = {}
     residual = a
     while not residual.is_zero():
-        k = residual.min_xdegree()
-        if k not in blocks:
-            raise InternalError(f"residual stuck at degree {k}")
-        members, monos, inverse, _ = blocks[k]
-        vector = [residual.terms.get(m, CoeffPoly.zero()) for m in monos]
-        subtract = ctx.zero()
-        for col, w in enumerate(members):
-            coeff = CoeffPoly.zero()
-            for row, value in enumerate(vector):
-                if value and inverse[col][row]:
-                    coeff = coeff + value * inverse[col][row]
-            if coeff:
-                out[w] = out.get(w, CoeffPoly.zero()) + coeff
-                subtract = subtract + coeff * bs_class(ctx, reduced_word(w))
-        new_residual = residual - subtract
-        new_min = new_residual.min_xdegree()
-        if new_min is not None and new_min <= k:
-            raise InternalError("graded peeling did not lower the residual")
-        residual = new_residual
-    return {w: c for w, c in out.items() if c}
+        lead = _leading_monomial(residual)
+        entry = table.get(lead)
+        if entry is None:
+            raise InternalError(f"no basis class leads with monomial {lead}")
+        w, cls = entry
+        coeff = out[w] = residual.terms[lead]
+        residual = residual - coeff * cls
+        if lead in residual.terms:
+            raise InternalError(
+                f"subtracting the class of {w} left its leading monomial")
+    return out
 
 
 def pieri_exponents(n: int, word, lam: Weight):

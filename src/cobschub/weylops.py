@@ -136,23 +136,23 @@ def validate_word(word, n: int) -> Word:
 def reduced_word(w: Permutation) -> Word:
     """The lexicographically smallest reduced word for w.
 
-    Greedy: the set of possible first letters is the left descent set, and
-    taking the smallest descent first is lexicographically optimal.
+    Greedy: the set of possible first letters is the left descent set, the
+    i with w^-1(i) > w^-1(i+1), and taking the smallest descent first is
+    lexicographically optimal.  Left multiplication by s_i exchanges entries
+    i and i+1 of the inverse images, which leaves the pairs before i - 1 as
+    they were, so the scan for the next descent resumes at i - 1.
     """
+    inv = list(w.inverse().images)
     word = []
-    current = w
-    inv = current.inverse()
-    while True:
-        descent = None
-        for i in range(1, w.n):
-            if inv(i) > inv(i + 1):
-                descent = i
-                break
-        if descent is None:
-            return tuple(word)
-        word.append(descent)
-        current = Permutation.simple(descent, w.n) * current
-        inv = current.inverse()
+    i = 1
+    while i < len(inv):
+        if inv[i - 1] > inv[i]:
+            inv[i - 1], inv[i] = inv[i], inv[i - 1]
+            word.append(i)
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(word)
 
 
 def beta_sequence(word: Word, n: int) -> list[Weight]:

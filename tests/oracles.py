@@ -478,28 +478,3 @@ def _ideal_echelon(n: int, degree: int) -> dict:
                 pivots[lead] = {key: value / scale
                                 for key, value in row.items()}
     return pivots
-
-
-def fraction_inverse(matrix: list[list[Fraction]]):
-    """Gauss-Jordan inverse plus determinant over the rationals, one Fraction
-    per entry; the reference for the fraction-free ``_invert_exact``."""
-    size = len(matrix)
-    work = [list(map(Fraction, row)) + [Fraction(int(i == j))
-                                        for j in range(size)]
-            for i, row in enumerate(matrix)]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return [row[size:] for row in work], det

@@ -45,7 +45,7 @@ def assert_canonical(p: CoeffPoly) -> None:
     assert isinstance(p.den, int) and p.den > 0
     assert all(isinstance(v, int) and v for v in p.num.values())
     assert math.gcd(p.den, *p.num.values()) == 1
-    assert p.denominator_lcm() == math.lcm(
+    assert p.den == math.lcm(
         *(value.denominator for value in p.terms.values()))
 
 

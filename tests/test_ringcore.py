@@ -94,8 +94,8 @@ def test_coeff_specialize_examples():
 
 
 def test_coeffpoly_denominator_recording():
-    assert (b1 * F(1, 6) + b2 * F(1, 4)).denominator_lcm() == 12
-    assert (b1 - b2).denominator_lcm() == 1
+    assert (b1 * F(1, 6) + b2 * F(1, 4)).den == 12
+    assert (b1 - b2).den == 1
 
 
 # ---------------------------------------------------------------------------

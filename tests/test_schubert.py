@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cobschub.fgl import build_universal_fgl
-from cobschub.ringcore import CoeffPoly, InternalError, UsageError
+from cobschub.ringcore import CoeffPoly, UsageError
 from cobschub.flagring import (
     FlagContext,
     Weight,
@@ -39,7 +40,6 @@ from cobschub.schubert import (
 from cobschub import schubert
 from cobschub.selftest import chow_elem
 from oracles import (
-    fraction_inverse,
     is_reduced,
     random_flag_elem,
     walk_chevalley_coeff,
@@ -329,14 +329,33 @@ def test_expand_nonbasis_word(ctx3):
 
 
 def test_expand_round_trip_random(ctx3):
+    # rank 3 and 4 cobordism, and ranks 4 and 5 in Chow and K-theory
     rng = random.Random(55)
-    for _ in range(10):
-        a = random_flag_elem(ctx3, rng)
-        expansion = expand_in_bs_basis(ctx3, a)
-        rebuilt = ctx3.zero()
-        for w, coeff in expansion.items():
-            rebuilt = rebuilt + coeff * bs_class(ctx3, reduced_word(w))
-        assert rebuilt == a
+    cases = [(ctx3, 10), (FlagContext(4), 3)] + [
+        (FlagContext(n, beta), 3)
+        for n in (4, 5) for beta in (Fraction(0), Fraction(2, 3))]
+    for ctx, count in cases:
+        for _ in range(count):
+            a = random_flag_elem(ctx, rng, max_terms=8)
+            expansion = expand_in_bs_basis(ctx, a)
+            rebuilt = ctx.zero()
+            for w, coeff in expansion.items():
+                rebuilt = rebuilt + coeff * bs_class(ctx, reduced_word(w))
+            assert rebuilt == a, ctx
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_basis_leading_monomials_are_distinct_with_coefficient_one(n):
+    # the Schubert-polynomial leading-term property that the peeling in
+    # expand_in_bs_basis rests on
+    ctx = FlagContext(n, Fraction(0))
+    table = schubert._leading_table(ctx)
+    assert len(table) == math.factorial(n)
+    assert {w for w, _ in table.values()} == set(all_permutations(n))
+    for lead, (w, cls) in table.items():
+        assert sum(lead) == ctx.d - w.inversions()
+        assert cls.terms[lead] == 1
+        assert expand_in_bs_basis(ctx, cls) == {w: CoeffPoly.one()}
 
 
 def context_at_cap(n, cap):
@@ -385,65 +404,6 @@ def test_results_do_not_depend_on_headroom(n, length):
 
 # ---------------------------------------------------------------------------
 # Geometric exponents
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_invert_exact_matches_fraction_reference_on_basis_blocks(
-        n, monkeypatch):
-    # the blocks are the Chow leading parts, so the Chow context builds them
-    calls = []
-    invert = schubert._invert_exact
-
-    def recording(matrix):
-        result = invert(matrix)
-        calls.append((matrix, result))
-        return result
-
-    monkeypatch.setattr(schubert, "_invert_exact", recording)
-    blocks = schubert._basis_data(FlagContext(n, Fraction(0)))
-    assert len(calls) == len(blocks) == n * (n - 1) // 2 + 1
-    for matrix, result in calls:
-        assert result == fraction_inverse(matrix)
-        assert result[1] in (1, -1)
-
-
-def random_unimodular(rng, size):
-    """A random integer matrix of determinant +-1: row additions with small
-    multiples, then a row permutation and sign changes."""
-    matrix = [[int(i == j) for j in range(size)] for i in range(size)]
-    for _ in range(3 * size):
-        r, t = rng.sample(range(size), 2) if size > 1 else (0, 0)
-        if r == t:
-            continue
-        factor = rng.randint(-3, 3)
-        matrix[r] = [a + factor * b for a, b in zip(matrix[r], matrix[t])]
-    rng.shuffle(matrix)
-    return [[-v for v in row] if rng.random() < 0.5 else row
-            for row in matrix]
-
-
-def test_invert_exact_matches_fraction_reference_on_random_matrices():
-    rng = random.Random(20)
-    for size in range(1, 13):
-        for _ in range(6):
-            matrix = random_unimodular(rng, size)
-            inverse, det = schubert._invert_exact(matrix)
-            assert (inverse, det) == fraction_inverse(matrix)
-            assert det in (1, -1)
-            assert all(v.denominator == 1 for row in inverse for v in row)
-    # rational entries and determinants other than +-1 take the same route
-    for size in range(1, 8):
-        matrix = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                   for _ in range(size)] for _ in range(size)]
-        try:
-            expected = fraction_inverse(matrix)
-        except ValueError:
-            with pytest.raises(InternalError):
-                schubert._invert_exact(matrix)
-            continue
-        assert schubert._invert_exact(matrix) == expected
-    with pytest.raises(InternalError):
-        schubert._invert_exact([[1, 2], [2, 4]])
 
 
 def test_pieri_exponents_generic():

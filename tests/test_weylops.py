@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -145,17 +146,18 @@ def test_reduced_word_longest_element():
 
 
 def test_reduced_word_round_trip_s4():
-    for w in all_permutations(4):
-        word = reduced_word(w)
-        assert word_permutation(word, 4) == w
-        assert len(word) == w.inversions()
-        # lexicographic minimality against brute force for short words
-        if w.inversions() <= 3:
-            import itertools as it
-            candidates = [c for c in it.product(range(1, 4),
-                                               repeat=w.inversions())
-                          if word_permutation(c, 4) == w]
-            assert word == min(candidates)
+    # in S_4 and S_5
+    for n in (4, 5):
+        for w in all_permutations(n):
+            word = reduced_word(w)
+            assert word_permutation(word, n) == w
+            assert len(word) == w.inversions()
+            # lexicographic minimality against brute force for short words
+            if w.inversions() <= 3:
+                candidates = [c for c in itertools.product(
+                                  range(1, n), repeat=w.inversions())
+                              if word_permutation(c, n) == w]
+                assert word == min(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +323,6 @@ def test_divided_diff_image_is_symmetric(ctx3, ctx4):
 
 
 def test_divided_diff_representative_independence(ctx3):
-    import itertools
     from cobschub.ringcore import TruncSeries
 
     rng = random.Random(19)
