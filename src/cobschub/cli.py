@@ -46,7 +46,7 @@ from cobschub.selftest import run_selftest, selftest_results
 
 MAX_RANK = 6
 MAX_FGL_DEGREE = 16
-# selftest takes 1-2 s per theory at rank 4 and about two minutes at rank 5
+# selftest takes about 0.5 s per theory at rank 4 and 20-25 s at rank 5
 # (Python 3.11 on one core of a shared Xeon), mostly in c1_weight at cap 12
 MAX_SELFTEST_RANK = 4
 

@@ -24,7 +24,9 @@ from cobschub.ringcore import (
     coeff_specialize,
     combine_terms,
     compose,
+    sum_of_products,
     terms_to_text,
+    truncated_product,
 )
 from cobschub.fgl import build_universal_fgl
 
@@ -318,23 +320,9 @@ class FlagElem:
         if not isinstance(other, FlagElem):
             return NotImplemented
         self._check(other)
-        d = self.ctx.d
-        raw: dict[tuple[int, ...], CoeffPoly] = {}
-        right = [(k2, sum(k2), v2) for k2, v2 in other.terms.items()]
-        for k1, v1 in self.terms.items():
-            room = d - sum(k1)
-            for k2, d2, v2 in right:
-                if d2 > room:
-                    continue  # monomials above degree d lie in the ideal
-                key = tuple(map(operator.add, k1, k2))
-                prod = v1 * v2
-                old = raw.get(key)
-                new = prod if old is None else old + prod
-                if new:
-                    raw[key] = new
-                else:
-                    raw.pop(key, None)
-        return reduce_canonical(self.ctx, raw)
+        # monomials above degree d lie in the ideal
+        return reduce_canonical(
+            self.ctx, truncated_product(self.terms, other.terms, self.ctx.d))
 
     __rmul__ = __mul__
 
@@ -372,8 +360,8 @@ def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
     already canonical and comes back as it is.  Each raw monomial is looked
     up in the context's table of integer normal forms (``normal_form``), and
     the coefficients that land on one staircase monomial are summed in one
-    merge.  Monomials of degree above d have the empty form: they lie in the
-    ideal.
+    merge of the shared kernel ``sum_of_products``.  Monomials of degree
+    above d have the empty form: they lie in the ideal.
     """
     if isinstance(p, TruncSeries):
         if p.vars != ctx.vars:
@@ -386,21 +374,11 @@ def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
     else:
         raw = p
     forms = ctx._normal_forms
-    parts: dict[tuple[int, ...], list] = {}
-    for key, value in raw.items():
-        form = forms.get(key)
-        if form is None:
-            form = ctx.normal_form(key)
-        coeff = CoeffPoly.coerce(value)
-        if not form or not coeff:
-            continue
-        for skey, c in form:
-            parts.setdefault(skey, []).append((coeff, c))
-    done = {}
-    for skey, group in parts.items():
-        total = CoeffPoly.combination(group)
-        if total:
-            done[skey] = total
+    coeffs = {key: CoeffPoly.coerce(value) for key, value in raw.items()}
+    done = sum_of_products(
+        ((skey, coeff, c) for key, coeff in coeffs.items()
+         for skey, c in forms.get(key) or ctx.normal_form(key)),
+        coeffs.values())
     return FlagElem._raw(ctx, done)
 
 

@@ -9,12 +9,18 @@ at the top of every field catches an exponent that outgrows its field, which
 raises UsageError instead of carrying into the next generator.  Power series
 carry these coefficients and are truncated at a fixed total degree in the
 series variables; every operation is exact below the cap and silently
-discards terms above it.
+discards terms above it.  Products of series and of flag elements,
+composition, inversion and canonical reduction share one multiply-accumulate
+kernel, ``sum_of_products``: each output coefficient is one integer merge
+over a denominator fixed in advance, and the field guard is checked before
+sums that cancel are dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -167,25 +173,6 @@ class CoeffPoly:
         return cls._raw({_pack(((index, exponent),)): 1}, 1)
 
     @classmethod
-    def combination(cls, parts) -> "CoeffPoly":
-        """sum(c * p for p, c in parts), for CoeffPoly p and nonzero int c,
-        in one merge over the lcm of the denominators."""
-        if len(parts) == 1:
-            p, c = parts[0]
-            if c == 1:
-                return p
-            return cls._raw({k: v * c for k, v in p.num.items()}, p.den)
-        den = math.lcm(*(p.den for p, _ in parts))
-        out: dict[int, int] = {}
-        get = out.get
-        for p, c in parts:
-            if p.den != den:
-                c *= den // p.den
-            for key, value in p.num.items():
-                out[key] = get(key, 0) + value * c
-        return cls._raw({k: v for k, v in out.items() if v}, den)
-
-    @classmethod
     def coerce(cls, value) -> "CoeffPoly":
         if isinstance(value, CoeffPoly):
             return value
@@ -274,25 +261,8 @@ class CoeffPoly:
                     {k: v * scale for k, v in self.num.items()},
                     self.den * value.denominator)
             return NotImplemented
-        if not self.num or not other.num:
-            return CoeffPoly.zero()
-        out: dict[int, int] = {}
-        get = out.get
-        right = other.num.items()
-        for k1, v1 in self.num.items():
-            for k2, v2 in right:
-                key = k1 + k2
-                new = get(key, 0) + v1 * v2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        # keys in range add without a carry, so a key that left the range is
-        # a distinct int with its guard bit set, and one check suffices
-        if any(map(_GUARD.__and__, out)):
-            raise UsageError(
-                f"a b-exponent exceeds {MAX_EXPONENT}, the packed field limit")
-        return CoeffPoly._raw(out, self.den * other.den)
+        return (sum_of_products(((0, self, other),), (self,), (other,)).get(0)
+                or CoeffPoly.zero())
 
     __rmul__ = __mul__
 
@@ -383,6 +353,75 @@ def ktheory_assignment(c: CoeffPoly, beta) -> dict[int, Fraction]:
     return {i: beta**i for i in c.support_indices()}
 
 
+def _multiply_into(acc: dict, p: CoeffPoly, q, lden: int, rden: int) -> dict:
+    # acc += p * q over the denominator lden * rden, on packed monomials;
+    # q is a CoeffPoly or an int
+    get = acc.get
+    scale = lden // p.den * rden
+    if type(q) is int:
+        scale *= q
+        for m, v in p.num.items():
+            acc[m] = get(m, 0) + v * scale
+        return acc
+    scale //= q.den
+    right = q.num.items()
+    for m1, v1 in p.num.items():
+        v1 *= scale
+        for m2, v2 in right:
+            m = m1 + m2
+            acc[m] = get(m, 0) + v1 * v2
+    return acc
+
+
+def sum_of_products(terms, lefts, rights=()) -> dict:
+    """{key: the sum of p * q over the (key, p, q) in ``terms``}, zeros left
+    out; p is a CoeffPoly and q a CoeffPoly or an int.
+
+    The one multiply-accumulate kernel of the package: series, flag and
+    composition products and canonical reduction go through it.  Each output
+    coefficient is one integer dict, and every pair that lands on its key
+    adds its monomial products straight into it, over one denominator fixed
+    before the loop: lcm of the p denominators times lcm of the q ones.  So
+    ``lefts`` must hold every p and ``rights`` every CoeffPoly q, and no
+    CoeffPoly is built per pair; ``_raw`` divides out the common factor at
+    the end.  A key's first pair waits until a second one arrives, so a key
+    whose one pair is (p, 1) keeps p itself.  The packed-field guard is
+    checked over every monomial a merge touched before zero sums are
+    dropped, so a monomial product that leaves its field raises UsageError
+    even when it cancels in the sum.
+    """
+    lden = math.lcm(*(p.den for p in lefts))
+    rden = math.lcm(*(q.den for q in rights))
+    sums: dict = {}
+    for key, p, q in terms:
+        acc = sums.get(key)
+        if acc is None:
+            sums[key] = (p, q)
+        elif type(acc) is tuple:
+            sums[key] = _multiply_into(
+                _multiply_into({}, *acc, lden, rden), p, q, lden, rden)
+        else:
+            _multiply_into(acc, p, q, lden, rden)
+    den = lden * rden
+    for key, acc in sums.items():
+        if type(acc) is tuple:
+            p, q = acc
+            if type(q) is int and q == 1:
+                sums[key] = p or None
+                continue
+            acc = _multiply_into({}, p, q, lden, rden)
+        # in-range fields add without a carry, so a monomial that left the
+        # range is a distinct int with its guard bit set
+        if any(map(_GUARD.__and__, acc)):
+            raise UsageError(
+                f"a b-exponent exceeds {MAX_EXPONENT}, the packed field limit")
+        if not all(acc.values()):
+            acc = {m: v for m, v in acc.items() if v}
+        # replace each sum as it is done, so no two copies of it are alive
+        sums[key] = CoeffPoly._raw(acc, den) if acc else None
+    return {key: value for key, value in sums.items() if value is not None}
+
+
 # ---------------------------------------------------------------------------
 # Truncated power series
 
@@ -405,6 +444,21 @@ def combine_terms(left: Mapping, right: Mapping, sign: int) -> dict:
         else:
             out.pop(key, None)
     return out
+
+
+def truncated_product(left: Mapping, right: Mapping, cap: int) -> dict:
+    """The product of two maps from monomials to CoeffPoly through total
+    degree ``cap``, with one kernel merge per output monomial."""
+    rows = [(key, sum(key), value) for key, value in right.items()]
+
+    def pairs():
+        for k1, v1 in left.items():
+            room = cap - sum(k1)
+            for k2, d2, v2 in rows:
+                if d2 <= room:
+                    yield tuple(map(operator.add, k1, k2)), v1, v2
+
+    return sum_of_products(pairs(), left.values(), right.values())
 
 
 def terms_to_text(terms: Mapping, vars: Sequence[str]) -> str:
@@ -550,23 +604,9 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_compatible(other)
-        cap = self.cap
-        out: dict[XMonomial, CoeffPoly] = {}
-        right = [(key, sum(key), value) for key, value in other.terms.items()]
-        for k1, v1 in self.terms.items():
-            d1 = sum(k1)
-            for k2, d2, v2 in right:
-                if d1 + d2 > cap:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                prod = v1 * v2
-                new = out.get(key)
-                new = prod if new is None else new + prod
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return TruncSeries._raw(self.vars, self.cap, out)
+        return TruncSeries._raw(
+            self.vars, self.cap,
+            truncated_product(self.terms, other.terms, self.cap))
 
     __rmul__ = __mul__
 
@@ -651,27 +691,26 @@ def series_invert_unit(s: TruncSeries) -> TruncSeries:
     c0 = s.constant_coeff()
     if not c0.is_rational() or c0.is_zero():
         raise NotAUnitError(f"constant term {c0} is not a nonzero rational")
-    inv0 = CoeffPoly.rational(1 / c0.as_fraction())
-    components: dict[int, dict[XMonomial, CoeffPoly]] = {}
+    # r_m = -(1/c0) * sum_{j >= 1} s_j r_{m-j}: scale s once, then one kernel
+    # merge per degree m
+    scale = -1 / c0.as_fraction()
+    higher: dict[int, list] = {}
     for key, value in s.terms.items():
         d = sum(key)
-        if d == 0:
-            continue
-        components.setdefault(d, {})[key] = value
-    higher = {d: TruncSeries._raw(s.vars, s.cap, t)
-              for d, t in components.items()}
-    result: dict[int, TruncSeries] = {
-        0: TruncSeries.constant(s.vars, s.cap, inv0)}
+        if d:
+            higher.setdefault(d, []).append((key, value * scale))
+    lefts = [value for part in higher.values() for _, value in part]
+    result = {0: {(0,) * len(s.vars): CoeffPoly.rational(-scale)}}
     for m in range(1, s.cap + 1):
-        acc = TruncSeries.zero(s.vars, s.cap)
-        for j, comp in higher.items():
-            if j <= m:
-                acc = acc + comp * result[m - j]
-        result[m] = acc * (-inv0)
-    total = TruncSeries.zero(s.vars, s.cap)
-    for part in result.values():
-        total = total + part
-    return total
+        pairs = ((tuple(map(operator.add, k1, k2)), v1, v2)
+                 for j, part in higher.items() if j <= m
+                 for k1, v1 in part for k2, v2 in result[m - j].items())
+        rights = [value for part in result.values()
+                  for value in part.values()]
+        result[m] = sum_of_products(pairs, lefts, rights)
+    return TruncSeries._raw(s.vars, s.cap, {
+        key: value for part in result.values()
+        for key, value in part.items()})
 
 
 def series_reverse(s: TruncSeries) -> TruncSeries:
@@ -725,14 +764,20 @@ def compose(outer: TruncSeries, args: Sequence[TruncSeries]) -> TruncSeries:
             cache[e] = power(i, e - 1) * cache[1]
         return cache[e]
 
-    total = TruncSeries.zero(vars, cap)
-    for key, coeff in outer.terms.items():
-        factor = TruncSeries.constant(vars, cap, coeff)
-        for i, e in enumerate(key):
-            if e:
-                factor = factor * power(i, e)
-        total = total + factor
-    return total
+    # x^key becomes the product of argument powers; then every outer term
+    # goes into one kernel merge per output monomial
+    factors = {}
+    for key in outer.terms:
+        parts = [power(i, e) for i, e in enumerate(key) if e]
+        factors[key] = (functools.reduce(operator.mul, parts) if parts
+                        else powers[0][0])
+    terms = sum_of_products(
+        ((xkey, coeff, value) for key, coeff in outer.terms.items()
+         for xkey, value in factors[key].terms.items()),
+        outer.terms.values(),
+        [value for factor in factors.values()
+         for value in factor.terms.values()])
+    return TruncSeries._raw(vars, cap, terms)
 
 
 def _linear_form_parts(factor: TruncSeries):

@@ -1,16 +1,17 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes a quantity along a different route than the library
-code under test: geometric series for unit inversion, the Lagrange formula
-for compositional inverses, folds of the group law for formal sums, the
-operator factorization built directly in n variables, one full operator
-string per removal set for the Chevalley coefficients, the rewrite sweep
-on CoeffPoly coefficients for canonical reduction, sparse Fraction
-elimination on the elementary symmetric generators for ideal membership,
-Fraction Gauss-Jordan for matrix inverses, and one Fraction per term for
-b-polynomial arithmetic.  The classical divided difference of the additive
-theory is ``cobschub.selftest.classical_divided_difference``.  The module
-also keeps the helpers that only the tests call: the product and
+code under test: products one pair of terms at a time for the shared
+multiply-accumulate kernel, geometric series for unit inversion, the
+Lagrange formula for compositional inverses, folds of the group law for
+formal sums, the operator factorization built directly in n variables, one
+full operator string per removal set for the Chevalley coefficients, the
+rewrite sweep on CoeffPoly coefficients for canonical reduction, sparse
+Fraction elimination on the elementary symmetric generators for ideal
+membership, Fraction Gauss-Jordan for matrix inverses, and one Fraction per
+term for b-polynomial arithmetic.  The classical divided difference of the
+additive theory is ``cobschub.selftest.classical_divided_difference``.  The
+module also keeps the helpers that only the tests call: the product and
 reducedness of a word, and total degrees.
 """
 
@@ -26,6 +27,7 @@ from cobschub.ringcore import (
     CoeffPoly,
     TruncSeries,
     UsageError,
+    _add_term,
     compose,
     divide_by_linear,
     series_invert_unit,
@@ -169,6 +171,48 @@ def lagrange_reverse(s: TruncSeries) -> TruncSeries:
         if coeff:
             out[(k,)] = coeff
     return TruncSeries(s.vars, cap, out)
+
+
+# ---------------------------------------------------------------------------
+# Products one pair at a time
+
+
+def pairwise_series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a * b with one CoeffPoly product per pair of terms, each added to its
+    output coefficient as it comes; the route the shared multiply-accumulate
+    kernel replaced."""
+    assert a.vars == b.vars and a.cap == b.cap
+    out: dict = {}
+    for k1, v1 in a.terms.items():
+        for k2, v2 in b.terms.items():
+            if sum(k1) + sum(k2) <= a.cap:
+                _add_term(out, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
+    return TruncSeries(a.vars, a.cap, out)
+
+
+def pairwise_flag_mul(a: FlagElem, b: FlagElem) -> FlagElem:
+    """a * b in the flag ring: one CoeffPoly product per pair of terms up to
+    degree d, summed as they come, then one canonical reduction."""
+    raw: dict = {}
+    for k1, v1 in a.terms.items():
+        for k2, v2 in b.terms.items():
+            if sum(k1) + sum(k2) <= a.ctx.d:
+                _add_term(raw, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
+    return reduce_canonical(a.ctx, raw)
+
+
+def termwise_compose(outer: TruncSeries, args) -> TruncSeries:
+    """outer(args) as a sum of series, one outer term at a time: each term's
+    coefficient times the product of its argument powers."""
+    vars, cap = args[0].vars, args[0].cap
+    total = TruncSeries.zero(vars, cap)
+    for key, coeff in outer.terms.items():
+        term = TruncSeries.constant(vars, cap, coeff)
+        for arg, e in zip(args, key):
+            for _ in range(e):
+                term = pairwise_series_mul(term, arg)
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,34 @@
 """The fraction-free coefficient kernel: ``CoeffPoly`` against a per-term
 Fraction model on random inputs, its packed b-monomials at the edges of
-their fields, and its canonical form on engine data."""
+their fields, its canonical form on engine data, and the shared
+multiply-accumulate kernel against products taken one pair at a time."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobschub.flagring import FlagContext
+from cobschub.flagring import FlagContext, FlagElem
 from cobschub.ringcore import (
     MAX_EXPONENT,
     MAX_INDEX,
     CoeffPoly,
+    TruncSeries,
     UsageError,
+    compose,
+    sum_of_products,
 )
 from cobschub.schubert import bs_class
 from cobschub.weylops import Permutation, reduced_word
 
-from oracles import FractionPoly
+from oracles import (
+    FractionPoly,
+    pairwise_flag_mul,
+    pairwise_series_mul,
+    termwise_compose,
+)
 
 # b_16 is the highest generator of the rank-6 law (cap 17); exponents reach
 # the field limit, so products and powers also leave it
@@ -58,10 +68,11 @@ def top_exponent(model: FractionPoly) -> int:
     return max((e for key in model.terms for _, e in key), default=0)
 
 
-def product_or_overflow(compute, model: FractionPoly):
-    """compute() matches the model while every exponent fits its field, and
-    raises UsageError when one does not."""
-    if top_exponent(model) > MAX_EXPONENT:
+def product_or_overflow(compute, model: FractionPoly, parts=()):
+    """compute() matches the model while every exponent of the model and of
+    its partial products ``parts`` fits its field, and raises UsageError when
+    one does not."""
+    if max(map(top_exponent, (model, *parts))) > MAX_EXPONENT:
         with pytest.raises(UsageError):
             compute()
         return None
@@ -89,6 +100,14 @@ def test_arithmetic_matches_fraction_model(ta, tb, tc, scalar, exponent):
     assert_matches(scalar * a, ma * scalar)
     assert_matches(a + scalar, ma + FractionPoly({(): scalar}))
     product_or_overflow(lambda: a**exponent, ma**exponent)
+    # the kernel with CoeffPoly and integer factors on one key; a product
+    # that leaves the field raises even when the sum cancels it
+    factor = scalar if isinstance(scalar, int) else CoeffPoly.rational(scalar)
+    rights = (b, c) if isinstance(scalar, int) else (b, c, factor)
+    product_or_overflow(
+        lambda: sum_of_products([(0, a, b), (0, b, c), (0, c, factor)],
+                                (a, b, c), rights).get(0, CoeffPoly.zero()),
+        ma * mb + mb * mc + mc * scalar, (ma * mb, mb * mc))
     assert_matches(CoeffPoly.rational(scalar), FractionPoly({(): scalar}))
 
 
@@ -132,6 +151,28 @@ def test_exponents_beyond_the_field_raise():
                         lambda: (top + 1) * (CoeffPoly.b(3) - 1),
                         lambda: CoeffPoly.b(3, limit // 2 + 1) ** 2,
                         lambda: (CoeffPoly.b(1) * top) * CoeffPoly.b(3, 2)):
+        with pytest.raises(UsageError, match="field limit"):
+            overflowing()
+    # the same in series, flag and composition products, whose kernel merges
+    # many pairs; in the first series and flag products, b3^16 * (-b3^16) +
+    # b3^31 * b3 leaves the field and cancels on one monomial, and every
+    # other product fits or lies above the cap
+    half = CoeffPoly.b(3, 16)
+    t = ("t",)
+    series = TruncSeries(t, 2, {(0,): half, (2,): top})
+    other = TruncSeries(t, 2, {(0,): CoeffPoly.b(3), (2,): -half})
+    ctx = FlagContext(2)
+    elem = FlagElem(ctx, {(0, 0): half, (0, 1): top})
+    elem_other = FlagElem(ctx, {(0, 0): CoeffPoly.b(3), (0, 1): -half})
+    outer = TruncSeries(t, 3, {(1,): top})
+    for overflowing in (
+            lambda: series * other,
+            lambda: series * TruncSeries(t, 2, {(0,): CoeffPoly.b(3)}),
+            lambda: elem * elem_other,
+            lambda: elem * FlagElem(ctx, {(0, 0): CoeffPoly.b(3)}),
+            lambda: compose(outer, [TruncSeries(t, 3, {(1,): CoeffPoly.b(3)})]),
+            lambda: compose(outer * TruncSeries.variable(t, 3, "t"),
+                            [TruncSeries(t, 3, {(1,): 1, (2,): top})])):
         with pytest.raises(UsageError, match="field limit"):
             overflowing()
     # the edge of the field and its neighbours stay exact
@@ -179,3 +220,83 @@ def test_engine_coefficients_are_canonical():
     # the lcm of the rank-4 longest word's class, recorded before the kernel
     # went fraction-free
     assert w0.denominator_lcm() == 2
+
+
+# ---------------------------------------------------------------------------
+# The multiply-accumulate kernel against products one pair at a time
+
+
+def random_coeff(rng) -> CoeffPoly:
+    """One to three b-monomials with rational coefficients over mixed
+    denominators."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        key = tuple(sorted({rng.randint(1, 4): rng.randint(1, 2)
+                            for _ in range(rng.randint(0, 2))}.items()))
+        terms[key] = Fraction(rng.choice((-5, -2, -1, 1, 3, 4)),
+                              rng.choice((1, 2, 3, 4, 6)))
+    return CoeffPoly(terms)
+
+
+def random_terms(rng, n: int, top: int, low: int = 0, size: int = 6) -> dict:
+    terms = {}
+    while len(terms) < size:
+        key = tuple(rng.randint(0, top) for _ in range(n))
+        if low <= sum(key) <= top:
+            terms[key] = random_coeff(rng)
+    return terms
+
+
+def cancellations(a_terms, b_terms, cap: int, result_terms) -> int:
+    """How many output monomials that some pair of terms reaches sum to zero."""
+    reached = {tuple(map(sum, zip(k1, k2)))
+               for k1 in a_terms for k2 in b_terms
+               if sum(k1) + sum(k2) <= cap}
+    return len(reached - result_terms.keys())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_series_and_flag_products_match_pairwise_routes(n):
+    rng = random.Random(100 + n)
+    ctx = FlagContext(n)
+    cancelled = 0
+    for cap in range(5, 9):
+        # (f (x1 - x2)) (f (x1 + x2)) has cross terms that cancel
+        x1, x2 = (TruncSeries.variable(ctx.vars, cap, v) for v in ("x1", "x2"))
+        for _ in range(3):
+            f = TruncSeries(ctx.vars, cap, random_terms(rng, n, cap))
+            g = TruncSeries(ctx.vars, cap, random_terms(rng, n, cap))
+            for a, b in ((f, g), (f * (x1 - x2), f * (x1 + x2))):
+                expected = pairwise_series_mul(a, b)
+                assert a * b == expected
+                cancelled += cancellations(a.terms, b.terms, cap,
+                                           expected.terms)
+    x1, x2 = ctx.x_elem(1), ctx.x_elem(2)
+    for _ in range(4):
+        f = FlagElem(ctx, random_terms(rng, n, ctx.d))
+        g = FlagElem(ctx, random_terms(rng, n, ctx.d))
+        for a, b in ((f, g), (f * (x1 - x2), f * (x1 + x2))):
+            expected = pairwise_flag_mul(a, b)
+            assert a * b == expected
+    assert cancelled > 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_compose_matches_the_termwise_route(n):
+    rng = random.Random(200 + n)
+    ctx = FlagContext(n)
+    for cap in range(5, 9):
+        for outer_vars in (("t",), ("u", "v")):
+            outer = TruncSeries(outer_vars, cap,
+                                random_terms(rng, len(outer_vars), cap))
+            args = [TruncSeries(ctx.vars, cap,
+                                random_terms(rng, n, 2, low=1, size=3))
+                    for _ in outer_vars]
+            assert compose(outer, args) == termwise_compose(outer, args)
+    # the law's own F, whose coefficients are b-polynomials
+    law = ctx.fgl
+    args = [TruncSeries(ctx.vars, law.degree_cap,
+                        random_terms(rng, n, 1, low=1, size=2))
+            for _ in range(2)]
+    args[1] = args[1] - args[0]
+    assert compose(law.F, args) == termwise_compose(law.F, args)

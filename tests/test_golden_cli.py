@@ -42,10 +42,10 @@ GOLDEN_SHA256 = (
     "34e7e5809e63fa00c0564d68352eeaf2aea59d6e995ab85775be9ba8c7082f6e")
 
 
-def cli_digest() -> str:
+def cli_digest(commands=COMMANDS, formats=("json", "text")) -> str:
     digest = hashlib.sha256()
-    for fmt in ("json", "text"):
-        for cmd in COMMANDS:
+    for fmt in formats:
+        for cmd in commands:
             argv = list(cmd) + ["--format", fmt]
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
