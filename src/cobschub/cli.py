@@ -46,8 +46,9 @@ from cobschub.selftest import run_selftest, selftest_results
 
 MAX_RANK = 6
 MAX_FGL_DEGREE = 16
-# selftest takes about 0.5 s per theory at rank 4 and 20-25 s at rank 5
-# (Python 3.11 on one core of a shared Xeon), mostly in c1_weight at cap 12
+# selftest takes at most 0.5 s per theory at rank 4; at rank 5 it takes
+# 15-20 s in cobordism and 8 s in ktheory, mostly in c1_weight at cap 12,
+# and 0.05 s in chow (Python 3.11 on one core of a shared Xeon)
 MAX_SELFTEST_RANK = 4
 
 

@@ -11,7 +11,6 @@ d = n(n-1)/2 reduces to zero.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,8 +119,7 @@ class FlagContext:
     the operator packs (``_op_packs``, by i), first Chern classes of weights
     (``_c1_cache``), Bott-Samelson classes (``_bs_cache``), Chevalley
     expansions (``_c1bs_cache``, by weight and word; single coefficients are
-    looked up there), and the basis classes by leading monomial
-    (``_basis_cache``, see ``schubert.expand_in_bs_basis``).
+    looked up there).
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
@@ -139,7 +137,6 @@ class FlagContext:
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._c1bs_cache: dict = {}
-        self._basis_cache = None
 
     def _rewrite_rule(self, j: int) -> list[tuple[int, ...]]:
         # monomials of h_j(x_j, .., x_n) other than the eliminated x_j^j
@@ -268,9 +265,6 @@ class FlagElem:
         """
         return self.terms.get((0,) * self.ctx.n, CoeffPoly.zero())
 
-    def min_xdegree(self):
-        return min((sum(k) for k in self.terms), default=None)
-
     def as_series(self) -> TruncSeries:
         return TruncSeries._raw(self.ctx.vars, self.ctx.work_cap,
                                 dict(self.terms))
@@ -282,9 +276,6 @@ class FlagElem:
             if value:
                 out[key] = CoeffPoly.rational(value)
         return FlagElem._raw(self.ctx, out)
-
-    def denominator_lcm(self) -> int:
-        return math.lcm(*(coeff.den for coeff in self.terms.values()))
 
     # -- ring structure ------------------------------------------------------
 

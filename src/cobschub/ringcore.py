@@ -342,17 +342,6 @@ def coeff_specialize(c: CoeffPoly, assignment: Mapping[int, Fraction]) -> Fracti
     return total / c.den
 
 
-def chow_assignment(c: CoeffPoly) -> dict[int, Fraction]:
-    """Assignment sending every generator of ``c`` to zero."""
-    return {i: _ZERO for i in c.support_indices()}
-
-
-def ktheory_assignment(c: CoeffPoly, beta) -> dict[int, Fraction]:
-    """Assignment sending b_i to beta**i for every generator of ``c``."""
-    beta = _as_fraction(beta)
-    return {i: beta**i for i in c.support_indices()}
-
-
 def _multiply_into(acc: dict, p: CoeffPoly, q, lden: int, rden: int) -> dict:
     # acc += p * q over the denominator lden * rden, on packed monomials;
     # q is a CoeffPoly or an int
@@ -552,11 +541,6 @@ class TruncSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def min_xdegree(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(sum(k) for k in self.terms)
 
     def truncate(self, cap: int) -> "TruncSeries":
         if cap >= self.cap:

@@ -14,8 +14,9 @@ any product of two classes into the subword classes of the right factor.
 The classes of the lexicographically smallest reduced words, one per
 permutation, form a basis.  Each one's lowest x-degree part is a Schubert
 polynomial, whose lexicographically largest monomial has coefficient 1 and
-leads no other class, so an element expands over the basis by peeling off
-one class per leading monomial, with no matrix to invert.
+names its permutation, so an element expands over the basis by peeling off
+one class per leading monomial, with no matrix to invert, and builds only
+the classes it peels.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from cobschub.flagring import (
 from cobschub.weylops import (
     Permutation,
     Word,
-    all_permutations,
     beta_sequence,
     coroot_pairing,
     divided_diff,
@@ -212,31 +212,17 @@ def _leading_monomial(elem: FlagElem) -> tuple[int, ...]:
     return max(elem.terms, key=lambda key: (-sum(key), key))
 
 
-def _leading_table(ctx: FlagContext) -> dict:
-    """The basis classes by leading monomial: each monomial maps to (w, Z_w),
-    where Z_w is the class of the lexicographically smallest reduced word of
-    w and has coefficient 1 at the monomial.
+def _basis_permutation(lead: tuple[int, ...]) -> Permutation:
+    """The w whose basis class leads with the staircase monomial ``lead``.
 
-    The lowest x-degree part of Z_w is the Schubert polynomial of w, whose
-    leading monomial has coefficient 1 and leads no other class
-    (Lascoux-Schutzenberger 1982); both are checked here.
+    Read backwards, the monomial is the Lehmer code of w * w0, the leading
+    exponent of the Schubert polynomial of w (Lascoux-Schutzenberger 1982).
+    Decoding takes the code's entries as positions among the values not yet
+    used, and multiplying by w0 on the right reverses the one-line images.
     """
-    table = ctx._basis_cache
-    if table is None:
-        table = {}
-        for w in all_permutations(ctx.n):
-            cls = bs_class(ctx, reduced_word(w))
-            lead = _leading_monomial(cls)
-            if cls.terms[lead] != 1:
-                raise InternalError(f"basis class of {w} leads with "
-                                    f"coefficient {cls.terms[lead]}")
-            if lead in table:
-                raise InternalError(
-                    f"basis classes of {table[lead][0]} and {w} share the "
-                    f"leading monomial {lead}")
-            table[lead] = (w, cls)
-        ctx._basis_cache = table
-    return table
+    unused = list(range(1, len(lead) + 1))
+    images = [unused.pop(c) for c in reversed(lead)]
+    return Permutation(reversed(images))
 
 
 def expand_in_bs_basis(ctx: FlagContext, a: FlagElem) -> dict[Permutation, CoeffPoly]:
@@ -244,24 +230,25 @@ def expand_in_bs_basis(ctx: FlagContext, a: FlagElem) -> dict[Permutation, Coeff
     reduced words.
 
     Unitriangular peeling: the leading monomial of the residual (the
-    lexicographically largest of its lowest x-degree part) leads exactly one
-    basis class, with coefficient 1, so the residual's coefficient there is
-    that class's, and the class is subtracted with it.  The class's other
-    monomials of that degree are smaller and the rest of it lies in higher
-    degrees, so the leading monomial strictly falls, and no class is used
-    twice.
+    lexicographically largest of its lowest x-degree part) names the one
+    basis class it leads (``_basis_permutation``), with coefficient 1, so
+    the residual's coefficient there is that class's, and the class is
+    subtracted with it.  The class's other monomials of that degree are
+    smaller and the rest of it lies in higher degrees, so the leading
+    monomial strictly falls, no class is used twice, and only the peeled
+    classes are built.
     """
     if not ctx.compatible(a.ctx):
         raise UsageError("element context does not match")
-    table = _leading_table(ctx)
     out: dict[Permutation, CoeffPoly] = {}
     residual = a
     while not residual.is_zero():
         lead = _leading_monomial(residual)
-        entry = table.get(lead)
-        if entry is None:
-            raise InternalError(f"no basis class leads with monomial {lead}")
-        w, cls = entry
+        w = _basis_permutation(lead)
+        cls = bs_class(ctx, reduced_word(w))
+        if cls.coefficient(lead) != 1:
+            raise InternalError(f"basis class of {w} has coefficient "
+                                f"{cls.coefficient(lead)} at {lead}, not 1")
         coeff = out[w] = residual.terms[lead]
         residual = residual - coeff * cls
         if lead in residual.terms:

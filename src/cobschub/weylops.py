@@ -42,10 +42,6 @@ class Permutation:
         self.images = images
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
     def simple(cls, i: int, n: int) -> "Permutation":
         """The adjacent transposition (i, i+1)."""
         if not 1 <= i <= n - 1:

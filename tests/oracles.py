@@ -6,13 +6,15 @@ multiply-accumulate kernel, geometric series for unit inversion, the
 Lagrange formula for compositional inverses, folds of the group law for
 formal sums, the operator factorization built directly in n variables, one
 full operator string per removal set for the Chevalley coefficients, the
-rewrite sweep on CoeffPoly coefficients for canonical reduction, sparse
+rewrite sweep on CoeffPoly coefficients for canonical reduction, a table of
+all n! basis classes by leading monomial for the basis expansion, sparse
 Fraction elimination on the elementary symmetric generators for ideal
 membership, Fraction Gauss-Jordan for matrix inverses, and one Fraction per
 term for b-polynomial arithmetic.  The classical divided difference of the
 additive theory is ``cobschub.selftest.classical_divided_difference``.  The
 module also keeps the helpers that only the tests call: the product and
-reducedness of a word, and total degrees.
+reducedness of a word, total degrees, the additive-theory image of an
+element and the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from fractions import Fraction
 
 from cobschub.flagring import FlagElem, c1_weight, reduce_canonical
@@ -32,9 +35,12 @@ from cobschub.ringcore import (
     divide_by_linear,
     series_invert_unit,
 )
+from cobschub.schubert import bs_class
 from cobschub.weylops import (
     Permutation,
+    all_permutations,
     divided_diff_dual,
+    reduced_word,
     sigma_op,
     validate_word,
 )
@@ -294,13 +300,44 @@ def walk_chevalley_coeff(ctx, word, positions, lam):
     return current.constant_term()
 
 
+def table_expand_in_bs_basis(ctx, a) -> dict:
+    """Write ``a`` over the basis classes of the lexicographically smallest
+    reduced words by unitriangular peeling against a table of all n! classes.
+
+    The table maps each class's leading monomial (the lexicographically
+    largest of its lowest x-degree part) to the permutation and the class,
+    after checking that the class has coefficient 1 there and that no two
+    classes share it.  This is the route that reading the permutation off
+    the monomial replaced; it builds every class before the first peel.
+    """
+    def leading(elem):
+        return max(elem.terms, key=lambda key: (-sum(key), key))
+
+    table = {}
+    for w in all_permutations(ctx.n):
+        cls = bs_class(ctx, reduced_word(w))
+        lead = leading(cls)
+        assert cls.terms[lead] == 1, w
+        assert lead not in table, (table[lead][0], w)
+        table[lead] = (w, cls)
+    out = {}
+    residual = a
+    while not residual.is_zero():
+        lead = leading(residual)
+        w, cls = table[lead]
+        coeff = out[w] = residual.terms[lead]
+        residual = residual - coeff * cls
+        assert lead not in residual.terms, w
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Words and gradings
 
 
 def word_permutation(word, n: int) -> Permutation:
     """The product s_{a_1} s_{a_2} ... s_{a_l} of the word's reflections."""
-    perm = Permutation.identity(n)
+    perm = Permutation(range(1, n + 1))
     for i in validate_word(word, n):
         perm = perm * Permutation.simple(i, n)
     return perm
@@ -324,6 +361,19 @@ def total_degrees(elem) -> set[int]:
     a flag element."""
     return {sum(key) + b for key, coeff in elem.terms.items()
             for b in coeff.degrees()}
+
+
+def chow_elem(elem):
+    """The additive-theory image of a flag element: every b_i goes to 0."""
+    support = set()
+    for coeff in elem.terms.values():
+        support |= coeff.support_indices()
+    return elem.specialize({i: Fraction(0) for i in support})
+
+
+def denominator_lcm(elem) -> int:
+    """The lcm of the denominators of a flag element's coefficients."""
+    return math.lcm(*(coeff.den for coeff in elem.terms.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +437,6 @@ class LazardLattice:
         return sorted(keys)
 
     def contains(self, coeff) -> bool:
-        import math
-
         from sympy import Matrix
         from sympy.matrices.normalforms import hermite_normal_form
 

@@ -25,6 +25,7 @@ from cobschub.weylops import Permutation, reduced_word
 
 from oracles import (
     FractionPoly,
+    denominator_lcm,
     pairwise_flag_mul,
     pairwise_series_mul,
     termwise_compose,
@@ -219,7 +220,7 @@ def test_engine_coefficients_are_canonical():
         assert_canonical(coeff)
     # the lcm of the rank-4 longest word's class, recorded before the kernel
     # went fraction-free
-    assert w0.denominator_lcm() == 2
+    assert denominator_lcm(w0) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,14 @@ b1 = CoeffPoly.b(1)
 b2 = CoeffPoly.b(2)
 
 
-def chow(table_or_coeff):
-    from cobschub.ringcore import chow_assignment
-    c = table_or_coeff
-    return c.specialize(chow_assignment(c))
+def chow(c):
+    # every b_i goes to 0
+    return c.specialize({i: F(0) for i in c.support_indices()})
 
 
 def ktheory(c, beta):
-    from cobschub.ringcore import ktheory_assignment
-    return c.specialize(ktheory_assignment(c, beta))
+    # b_i goes to beta^i
+    return c.specialize({i: F(beta)**i for i in c.support_indices()})
 
 
 # ---------------------------------------------------------------------------

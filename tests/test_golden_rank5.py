@@ -8,9 +8,14 @@ terms and mixed denominators, so a change to the coefficient arithmetic that
 keeps the small outputs but alters a large one shows.  The digest was
 recorded before the shared multiply-accumulate kernel replaced the products
 one pair at a time.
+
+``EXPAND_SHA256`` pins the rank-5 basis expansions of two classes in every
+theory.  It was recorded while the expansion still built the whole table of
+basis classes, before it read each class off the residual's leading
+monomial.
 """
 
-from test_golden_cli import cli_digest
+from test_golden_cli import THEORIES, cli_digest
 
 W0 = "1,2,1,3,2,1,4,3,2,1"
 
@@ -21,9 +26,20 @@ COMMANDS = (
     ("fgl", "--max-degree", "12"),
 )
 
+EXPAND_COMMANDS = tuple(
+    ("expand", "--n", "5", "--word", word) + theory
+    for word in ("3,2,3,1,2,1", "4,3,2,1,4,3,2,4,3,4") for theory in THEORIES)
+
 RANK5_SHA256 = (
     "947cc5dbe80046f7df6de30e77a9af30a234802ed93ec12b04b4efc0ada5e4ec")
+
+EXPAND_SHA256 = (
+    "eeba1193a14ba912726f3105cbc0aaef61f53322ee4fd0f4ed2c116dd473687d")
 
 
 def test_rank5_output_bytes_unchanged():
     assert cli_digest(COMMANDS, ("json",)) == RANK5_SHA256
+
+
+def test_rank5_expand_bytes_unchanged():
+    assert cli_digest(EXPAND_COMMANDS, ("json",)) == EXPAND_SHA256

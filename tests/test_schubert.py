@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cobschub.fgl import build_universal_fgl
-from cobschub.ringcore import CoeffPoly, UsageError
+from cobschub.ringcore import CoeffPoly, InternalError, UsageError
 from cobschub.flagring import (
     FlagContext,
     Weight,
@@ -38,10 +38,12 @@ from cobschub.schubert import (
 )
 
 from cobschub import schubert
-from cobschub.selftest import chow_elem
 from oracles import (
+    chow_elem,
+    denominator_lcm,
     is_reduced,
     random_flag_elem,
+    table_expand_in_bs_basis,
     walk_chevalley_coeff,
     words_up_to,
 )
@@ -87,7 +89,7 @@ def test_bs_classes_are_integral(ctx3, ctx4):
 
     # at rank 3 every class is integral even in the b-coordinates
     for word in words_up_to(3, 3):
-        assert bs_class(ctx3, word).denominator_lcm() == 1
+        assert denominator_lcm(bs_class(ctx3, word)) == 1
     # at rank 4 b-denominators of 2 do occur (the b_i span the integral
     # coefficient ring only up to finite index), but the classes stay in
     # the lattice generated by the law's coefficients
@@ -96,7 +98,7 @@ def test_bs_classes_are_integral(ctx3, ctx4):
     for word in [(1, 2, 3), (3, 2, 1), (2, 1, 3, 2), (1, 2, 1, 3),
                  (1, 2, 1, 3, 2, 1)]:
         cls = bs_class(ctx4, word)
-        seen_denominators.add(cls.denominator_lcm())
+        seen_denominators.add(denominator_lcm(cls))
         assert all(lattice.contains(c) for c in cls.terms.values()), word
     assert seen_denominators <= {1, 2}
     # the oracle itself rejects genuinely fractional vectors
@@ -315,7 +317,7 @@ def test_expand_basis_indicator(ctx3):
 
 def test_expand_point_class(ctx3):
     got = expand_in_bs_basis(ctx3, point_class(ctx3))
-    assert got == {Permutation.identity(3): CoeffPoly.one()}
+    assert got == {Permutation(range(1, 4)): CoeffPoly.one()}
 
 
 def test_expand_nonbasis_word(ctx3):
@@ -344,18 +346,71 @@ def test_expand_round_trip_random(ctx3):
             assert rebuilt == a, ctx
 
 
+def lehmer_code(v: Permutation) -> tuple[int, ...]:
+    """c_i = the number of j > i with v(j) < v(i)."""
+    images = v.images
+    return tuple(sum(later < image for later in images[i + 1:])
+                 for i, image in enumerate(images))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_basis_leading_monomials_are_distinct_with_coefficient_one(n):
     # the Schubert-polynomial leading-term property that the peeling in
-    # expand_in_bs_basis rests on
+    # expand_in_bs_basis rests on: the class of w leads, with coefficient 1,
+    # with the reversed Lehmer code of w * w0, which differs for every w
     ctx = FlagContext(n, Fraction(0))
-    table = schubert._leading_table(ctx)
-    assert len(table) == math.factorial(n)
-    assert {w for w, _ in table.values()} == set(all_permutations(n))
-    for lead, (w, cls) in table.items():
-        assert sum(lead) == ctx.d - w.inversions()
-        assert cls.terms[lead] == 1
+    w0 = Permutation(range(n, 0, -1))
+    leads = set()
+    for w in all_permutations(n):
+        cls = bs_class(ctx, reduced_word(w))
+        lead = tuple(reversed(lehmer_code(w * w0)))
+        assert cls.terms[lead] == 1, w
+        assert max(cls.terms, key=lambda key: (-sum(key), key)) == lead, w
         assert expand_in_bs_basis(ctx, cls) == {w: CoeffPoly.one()}
+        leads.add(lead)
+    assert len(leads) == math.factorial(n)
+
+
+THEORY_LAWS = {"cobordism": None, "chow": Fraction(0),
+               "ktheory": Fraction(2, 3)}
+
+
+@pytest.mark.parametrize("theory", THEORY_LAWS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_expand_matches_the_table_route(n, theory):
+    ctx = FlagContext(n, THEORY_LAWS[theory])
+    elems = [bs_class(ctx, reduced_word(w)) for w in all_permutations(n)]
+    rng = random.Random(3 * n)
+    elems += [random_flag_elem(ctx, rng, max_terms=8) for _ in range(5)]
+    # a reduced word of w0 that is not the basis word, and a word that is
+    # not reduced
+    w0 = Permutation(range(n, 0, -1))
+    elems.append(bs_class(ctx, reduced_word(w0)[::-1]))
+    elems.append(bs_class(ctx, (1, 1, n - 1)))
+    for a in elems:
+        assert expand_in_bs_basis(ctx, a) == table_expand_in_bs_basis(ctx, a)
+
+
+def test_expand_builds_only_the_prefixes_of_its_word():
+    ctx = FlagContext(5)
+    w0 = Permutation((5, 4, 3, 2, 1))
+    word = reduced_word(w0)
+    got = expand_in_bs_basis(ctx, bs_class(ctx, word))
+    assert got == {w0: CoeffPoly.one()}
+    assert set(ctx._bs_cache) == {word[:k] for k in range(len(word) + 1)}
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda right: right * 2,
+    lambda right: right.ctx.zero(),
+], ids=["twice", "zero"])
+def test_expand_rejects_a_wrong_basis_class(monkeypatch, ctx3, wrong):
+    a = bs_class(ctx3, (2, 1, 2))
+    right_class = schubert.bs_class
+    monkeypatch.setattr(schubert, "bs_class",
+                        lambda ctx, word: wrong(right_class(ctx, word)))
+    with pytest.raises(InternalError):
+        expand_in_bs_basis(ctx3, a)
 
 
 def context_at_cap(n, cap):

@@ -1,5 +1,6 @@
 """Every selftest check at every rank 2-4 and theory that its table entry
-admits, with beta = 2/3 for K-theory.  The ids carry the theory, because
+admits, with beta = 2/3 for K-theory, on the context of the theory's own law
+that ``selftest_results`` builds.  The ids carry the theory, because
 ``pushforward-degenerations`` names one check per theory."""
 
 from fractions import Fraction
@@ -7,15 +8,17 @@ from functools import lru_cache
 
 import pytest
 
+from cobschub import selftest
 from cobschub.flagring import FlagContext
-from cobschub.selftest import CHECKS, THEORIES
+from cobschub.selftest import CHECKS, THEORIES, selftest_results
 
 BETA = {"ktheory": Fraction(2, 3)}
+LAW = {"cobordism": None, "chow": Fraction(0), "ktheory": BETA["ktheory"]}
 
 
 @lru_cache(maxsize=None)
-def context(n):
-    return FlagContext(n)
+def context(n, theory):
+    return FlagContext(n, LAW[theory])
 
 
 @pytest.mark.parametrize("check, n, theory", [
@@ -23,4 +26,19 @@ def context(n):
     for check in CHECKS for theory in THEORIES for n in (2, 3, 4)
     if check.admits(n, theory)])
 def test_selftest_check(check, n, theory):
-    check.body(context(n), BETA.get(theory, Fraction(1)))
+    check.body(context(n, theory), BETA.get(theory, Fraction(1)))
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_selftest_runs_each_theory_over_its_own_law(monkeypatch, theory):
+    built = []
+
+    def record(n, beta=None):
+        built.append((n, beta))
+        return context(n, theory)
+
+    monkeypatch.setattr(selftest, "FlagContext", record)
+    beta = BETA.get(theory, Fraction(1))
+    assert all(error is None
+               for _, error in selftest_results(2, theory, beta))
+    assert built == [(2, LAW[theory])]
