@@ -5,13 +5,15 @@ over the rationalized coefficient ring, which pins the standard coefficients
 a_11 = -b1 and a_12 = a_21 = b1^2 - b2.  Its Chow and K-theory images, the
 additive law u + v and the multiplicative law u + v - beta u v, are the same
 construction with b_i replaced by beta^i (beta = 0 for Chow), so they are
-built with rational coefficients directly.  The inverse chi and the series q
-with F(u, v) = u + v - u*v*q(u, v) come from exact compositional and linear
-divisions, never from formal fraction manipulation.
+built with rational coefficients directly.  The inverse chi is an exact
+compositional inverse, and the series q with F(u, v) = u + v - u*v*q(u, v)
+is read off the coefficients of F, never from formal fraction manipulation.
 
-The divided-difference operator (1 + swap)(1 / F(y1, chi(y2))) has one
-kernel: the law's two-variable pack (see ``FGLData.pair_pack``), which the
-flag-ring operators of every rank relabel into their own variables.
+The divided-difference operator (1 + swap)(1 / F(y1, chi(y2))) is linear
+over symmetric series, so its only law-dependent part is the inverse unit
+U^-1 of F(y1, chi(y2)) = (y1 - y2) * U (see ``FGLData.pair_pack``), which
+the flag-ring operators of every rank relabel into their own variables; the
+rest is the classical divided difference of ``ringcore``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from cobschub.ringcore import (
     UsageError,
     compose,
     divide_by_linear,
+    divided_difference_terms,
     series_invert_unit,
     series_reverse,
+    sum_of_products,
 )
 
 
@@ -38,11 +42,10 @@ class FGLData:
     """Container for the universal formal group law at a fixed degree cap.
 
     ``F`` lives in variables (u, v), ``chi`` in u, ``log`` and ``exp`` in t.
-    ``q`` is determined by F(u, v) = u + v - u*v*q(u, v); because it is
-    produced by two exact single-variable divisions its stored terms are
-    exact through degree_cap - 2.  The law never changes after construction;
-    its one cache, the operator pack, is filled by the first ``pair_pack``
-    call and lives as long as the law.
+    ``q`` is determined by F(u, v) = u + v - u*v*q(u, v), so its stored
+    terms are exact through degree_cap - 2.  The law never changes after
+    construction; its one cache, the operator pack, is filled by the first
+    ``pair_pack`` call and lives as long as the law.
     """
 
     __slots__ = ("degree_cap", "log", "exp", "F", "chi", "q", "_pair_pack")
@@ -60,8 +63,8 @@ class FGLData:
         """Coefficient of u^i v^j in F."""
         return self.F.coefficient((i, j))
 
-    def pair_pack(self) -> tuple[TruncSeries, TruncSeries]:
-        """The factor y1 - y2 and the inverse unit U^-1 over (y1, y2), where
+    def pair_pack(self) -> TruncSeries:
+        """The inverse unit U^-1 over (y1, y2), where
         x_loc = F(y1, chi(y2)) = (y1 - y2) * U.
 
         Built on first use.  U must have constant term 1, and swap(x_loc)
@@ -74,15 +77,14 @@ class FGLData:
             y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
             y2 = TruncSeries.variable(PAIR_VARS, cap, "y2")
             x_loc = compose(self.F, [y1, compose(self.chi, [y2])])
-            factor = y1 - y2
-            unit = divide_by_linear(x_loc, factor)
+            unit = divide_by_linear(x_loc, 0, 1)
             if unit.constant_coeff() != CoeffPoly.one():
                 raise InternalError(
                     "x_loc / (y1 - y2) is not a unit with constant 1")
             if x_loc.swap_vars(0, 1) != compose(self.chi, [x_loc]):
                 raise InternalError(
                     "swap(x_loc) != chi(x_loc); inverse law violated")
-            self._pair_pack = (factor, series_invert_unit(unit))
+            self._pair_pack = series_invert_unit(unit)
         return self._pair_pack
 
     def __repr__(self):
@@ -118,9 +120,13 @@ def build_universal_fgl(D: int, beta: Fraction | None = None) -> FGLData:
     u1 = TruncSeries.variable(("u",), D, "u")
     chi = compose(exp, [-compose(log, [u1])])
 
-    # u + v - F has every term divisible by u*v, so q is two exact
-    # single-variable divisions away
-    q = divide_by_linear(divide_by_linear(u + v - F, u), v)
+    # u + v - F = u*v*q, so q_{i-1,j-1} = -a_ij
+    q_terms = {}
+    for (i, j), coeff in (u + v - F).terms.items():
+        if not (i and j):
+            raise InternalError(f"u*v does not divide the term u^{i} v^{j}")
+        q_terms[(i - 1, j - 1)] = coeff
+    q = TruncSeries._raw(pair, D, q_terms)
     return FGLData(D, log, exp, F, chi, q)
 
 
@@ -136,9 +142,9 @@ def universal_divided_diff(fgl: FGLData, f: TruncSeries) -> TruncSeries:
         raise UsageError("universal_divided_diff needs a two-variable series")
     if f.cap != fgl.degree_cap:
         raise UsageError("series cap must match the formal group law cap")
-    factor, unit_inv = (s.relabel(f.vars, (0, 1)) for s in fgl.pair_pack())
-    h = f * unit_inv
-    return divide_by_linear(h - h.swap_vars(0, 1), factor)
+    h = f * fgl.pair_pack().relabel(f.vars, (0, 1))
+    return TruncSeries._raw(f.vars, f.cap, sum_of_products(
+        divided_difference_terms(h.terms, 0, 1), h.terms.values()))
 
 
 def to_chern_basis(s: TruncSeries) -> dict[tuple[int, int], CoeffPoly]:

@@ -105,21 +105,22 @@ class FlagContext:
     smaller theory.  Elements of contexts with different (n, beta) never
     mix.
 
-    Canonical elements never exceed degree d = n(n-1)/2, and both operators
-    reduce to canonical form before and after their one exact linear
-    division, so they read the inverse unit U^-1 only through degree d.
-    U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is exact one degree below the
-    law's cap, so cap d + 1 is the least that serves the operators; the tests
-    check that caps d + 1, d + 3 and d + 4 give the results of d + 2.  The
-    law is built at d + 2 because the selftest reads its cubic coefficients
-    a_21 and a_12 from the context, which at rank 2 needs cap 3.
+    Canonical elements never exceed degree d = n(n-1)/2, and each operator
+    is a classical divided difference through the integer normal forms and
+    one flag-ring product with the inverse unit U^-1, so it reads U^-1 only
+    through degree d.  U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is exact
+    one degree below the law's cap, so cap d + 1 is the least that serves
+    the operators; the tests check that caps d + 1, d + 3 and d + 4 give the
+    results of d + 2.  The law is built at d + 2 because the selftest reads
+    its cubic coefficients a_21 and a_12 from the context, which at rank 2
+    needs cap 3.
 
     Caches, filled on first use and kept for the context's life: the
     normal forms of raw monomials (``_normal_forms``, see ``normal_form``),
-    the operator packs (``_op_packs``, by i), first Chern classes of weights
-    (``_c1_cache``), Bott-Samelson classes (``_bs_cache``), Chevalley
-    expansions (``_c1bs_cache``, by weight and word; single coefficients are
-    looked up there).
+    the operators' canonical U^-1 (``_op_packs``, by i), first Chern classes
+    of weights (``_c1_cache``), Bott-Samelson classes (``_bs_cache``),
+    Chevalley expansions (``_c1bs_cache``, by weight and word; single
+    coefficients are looked up there).
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
@@ -133,7 +134,7 @@ class FlagContext:
         self.fgl = build_universal_fgl(self.work_cap, beta)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
         self._normal_forms: dict[tuple[int, ...], NormalForm] = {}
-        self._op_packs: dict[int, tuple[TruncSeries, "FlagElem"]] = {}
+        self._op_packs: dict[int, "FlagElem"] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._c1bs_cache: dict = {}
@@ -170,8 +171,8 @@ class FlagContext:
         if form is not None:
             return form
         start = tuple(key)
-        if len(start) != self.n:
-            raise UsageError(f"exponent vector {start!r} has wrong length")
+        if len(start) != self.n or min(start) < 0:
+            raise UsageError(f"malformed exponent vector {start!r}")
         if sum(start) > self.d:
             forms[key] = ()
             return ()
@@ -316,14 +317,6 @@ class FlagElem:
             self.ctx, truncated_product(self.terms, other.terms, self.ctx.d))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "FlagElem":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise UsageError("powers must be non-negative integers")
-        result = self.ctx.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagElem):

@@ -10,7 +10,8 @@ raises UsageError instead of carrying into the next generator.  Power series
 carry these coefficients and are truncated at a fixed total degree in the
 series variables; every operation is exact below the cap and silently
 discards terms above it.  Products of series and of flag elements,
-composition, inversion and canonical reduction share one multiply-accumulate
+composition, inversion, canonical reduction, the classical divided
+difference and exact division by x_p - x_q share one multiply-accumulate
 kernel, ``sum_of_products``: each output coefficient is one integer merge
 over a denominator fixed in advance, and the field guard is checked before
 sums that cancel are dropped.
@@ -99,11 +100,6 @@ def _unpack(packed: int) -> BMonomial:
         packed >>= FIELD_BITS
         i += 1
     return tuple(out)
-
-
-def bmonomial_degree(key: BMonomial) -> int:
-    """Graded degree of a b-monomial: prod b_i^{e_i} sits in degree -sum(i*e_i)."""
-    return -sum(i * e for i, e in key)
 
 
 class CoeffPoly:
@@ -202,13 +198,6 @@ class CoeffPoly:
         if not self.is_rational():
             raise UsageError(f"{self} is not a rational constant")
         return self.constant()
-
-    def degrees(self) -> set[int]:
-        """Set of graded degrees of the monomials present (all <= 0)."""
-        return {bmonomial_degree(_unpack(key)) for key in self.num}
-
-    def support_indices(self) -> set[int]:
-        return {i for key in self.num for i, _ in _unpack(key)}
 
     def _combine(self, other, sign: int) -> "CoeffPoly":
         # self + sign * other in one merge; on mixed denominators the right
@@ -764,28 +753,6 @@ def compose(outer: TruncSeries, args: Sequence[TruncSeries]) -> TruncSeries:
     return TruncSeries._raw(vars, cap, terms)
 
 
-def _linear_form_parts(factor: TruncSeries):
-    """Decompose a rational degree-1 form as c_p * (x_p - L).
-
-    Returns (pivot position, pivot coefficient, L) where L is a list of
-    (position, rational coefficient) pairs, none at the pivot.
-    """
-    if not factor.terms:
-        raise UsageError("linear factor must be nonzero")
-    coeffs: dict[int, Fraction] = {}
-    for key, value in factor.terms.items():
-        if sum(key) != 1:
-            raise UsageError("linear factor must be homogeneous of degree 1")
-        if not value.is_rational():
-            raise UsageError("linear factor must have rational coefficients")
-        coeffs[key.index(1)] = value.as_fraction()
-    pivot = min(coeffs)
-    c_p = coeffs[pivot]
-    rest = [(pos, -value / c_p) for pos, value in sorted(coeffs.items())
-            if pos != pivot]
-    return pivot, c_p, rest
-
-
 def _add_term(out: dict, key: XMonomial, value: CoeffPoly) -> None:
     old = out.get(key)
     new = value if old is None else old + value
@@ -795,45 +762,64 @@ def _add_term(out: dict, key: XMonomial, value: CoeffPoly) -> None:
         out.pop(key, None)
 
 
-def divide_by_linear(num: TruncSeries, factor: TruncSeries) -> TruncSeries:
-    """Exact division of ``num`` by a rational degree-1 form c_p * (x_p - L).
+def _telescope(key: XMonomial, p: int, q: int, steps: int):
+    # x^key / x_p times (x_q / x_p)^t for t in range(steps): the quotient of
+    # x_p^steps by x_p - x_q spread over x^key, one monomial per step
+    k = list(key)
+    k[p] -= 1
+    for _ in range(steps):
+        yield tuple(k)
+        k[p] -= 1
+        k[q] += 1
 
-    One pass of synthetic (Horner) division in the pivot variable: with
-    num = sum_a x_p^a C_a and every C_a free of x_p, the quotient digits are
-    Q_{a-1} = C_a + L * Q_a from the top down, and the remainder
-    C_0 + L * Q_0 (num with x_p replaced by L) must vanish, or
-    DivisibilityError is raised.  Each quotient term is one degree below a
-    numerator term, so nothing is truncated and the quotient is exact in
-    every degree the numerator determines (one degree fewer than the cap).
+
+def divided_difference_terms(terms: Mapping, p: int, q: int):
+    """The classical divided difference (f - s_pq f) / (x_p - x_q), as
+    (key, coeff, sign) triples for ``sum_of_products``.
+
+    A monomial x_p^a x_q^b x^r gives x^r (x_p^a x_q^b - x_p^b x_q^a) /
+    (x_p - x_q), a telescoping sum of |a - b| monomials with sign +1 when
+    a > b and -1 when a < b; no exponent goes negative.
     """
-    if num.vars != factor.vars or num.cap != factor.cap:
-        raise UsageError("numerator and factor must share variables and cap")
-    pivot, c_p, rest = _linear_form_parts(factor)
-    digits: dict[int, dict[XMonomial, CoeffPoly]] = {}
-    for key, coeff in num.terms.items():
-        a = key[pivot]
-        if a:
-            key = key[:pivot] + (0,) + key[pivot + 1:]
-        digits.setdefault(a, {})[key] = coeff
-    inv_c = 1 / c_p
-    quotient: dict[XMonomial, CoeffPoly] = {}
-    carry: dict[XMonomial, CoeffPoly] = {}  # L * Q_a, zero above the top
-    for a in range(max(digits, default=0), 0, -1):
-        digit = carry  # becomes Q_{a-1} = C_a + L * Q_a
-        for key, coeff in digits.get(a, {}).items():
-            _add_term(digit, key, coeff)
-        carry = {}
-        for key, coeff in digit.items():
-            for pos, value in rest:
-                _add_term(carry, key[:pos] + (key[pos] + 1,) + key[pos + 1:],
-                          coeff if value == 1 else coeff * value)
-            key = key[:pivot] + (a - 1,) + key[pivot + 1:]
-            quotient[key] = coeff if inv_c == 1 else coeff * inv_c
-    remainder = carry
-    for key, coeff in digits.get(0, {}).items():
-        _add_term(remainder, key, coeff)
+    for key, coeff in terms.items():
+        a, b = key[p], key[q]
+        if a > b:
+            for k in _telescope(key, p, q, a - b):
+                yield k, coeff, 1
+        elif a < b:
+            swapped = list(key)
+            swapped[p], swapped[q] = b, a
+            for k in _telescope(swapped, p, q, b - a):
+                yield k, coeff, -1
+
+
+def divide_by_linear(num: TruncSeries, p: int, q: int) -> TruncSeries:
+    """Exact division of ``num`` by x_p - x_q, variables at positions p != q.
+
+    x_p^a = (x_p - x_q) * sum_t x_p^(a-1-t) x_q^t + x_q^a, so each term
+    gives a telescoping quotient and the remainder is ``num`` at x_p = x_q,
+    which must vanish, or DivisibilityError is raised.  Each quotient term
+    is one degree below a numerator term, so nothing is truncated and the
+    quotient is exact in every degree the numerator determines (one degree
+    fewer than the cap).
+    """
+    if p == q:
+        raise UsageError("x_p - x_q needs two distinct positions")
+    terms = num.terms
+
+    def at_diagonal(key):
+        k = list(key)
+        k[p], k[q] = 0, key[p] + key[q]
+        return tuple(k)
+
+    remainder = sum_of_products(
+        ((at_diagonal(key), coeff, 1) for key, coeff in terms.items()),
+        terms.values())
     if remainder:
         raise DivisibilityError(
-            f"division by {factor} leaves remainder "
+            f"division by {num.vars[p]} - {num.vars[q]} leaves remainder "
             f"{TruncSeries._raw(num.vars, num.cap, remainder)}")
-    return TruncSeries._raw(num.vars, num.cap, quotient)
+    return TruncSeries._raw(num.vars, num.cap, sum_of_products(
+        ((k, coeff, 1) for key, coeff in terms.items()
+         for k in _telescope(key, p, q, key[p])),
+        terms.values()))

@@ -2,23 +2,26 @@
 
 Permutations act on weights by permuting coordinates; words are tuples of
 simple-root indices with no reducedness restriction.  The divided-difference
-operators are realized through the factorization
-F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U with U a unit, so every division
-in sight is an exact linear division with a checked zero remainder.  The
-factor and U^-1 are not rebuilt here: for each i they are the law's
-two-variable pack (``FGLData.pair_pack``, which also checks it) with y1
-renamed x_{i+1} and y2 renamed x_i, and U^-1 is kept in canonical form.
-Both operators are linear over symmetric elements, so they map the ideal
-of the presentation into itself; each step therefore works on canonical
-elements, and the product with U^-1 is a flag-ring product that never
-leaves degree d.
+operators rest on the factorization F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U
+with U a unit.  Both operators are linear over symmetric elements, so they
+map the ideal of the presentation into itself and work on canonical
+elements: the only law-dependent part is U^-1, the law's two-variable pack
+(``FGLData.pair_pack``, which also checks it) with y1 renamed x_{i+1} and y2
+renamed x_i, kept in canonical form.  The rest is the classical divided
+difference (a - sigma_i a) / (x_{i+1} - x_i), whose telescoping integer
+terms go through the context's normal forms in one kernel merge, and a
+flag-ring product with U^-1 that never leaves degree d.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from cobschub.ringcore import TruncSeries, UsageError, divide_by_linear
+from cobschub.ringcore import (
+    UsageError,
+    divided_difference_terms,
+    sum_of_products,
+)
 from cobschub.flagring import (
     FlagContext,
     FlagElem,
@@ -168,20 +171,17 @@ def beta_sequence(word: Word, n: int) -> list[Weight]:
 # Operators on the flag ring
 
 
-def _op_pack(ctx: FlagContext, i: int) -> tuple[TruncSeries, FlagElem]:
-    """The factor x_{i+1} - x_i and the canonical form of the inverse unit of
-    F(x_{i+1}, chi(x_i)), relabeled from the law's pack and kept in
-    ``ctx._op_packs``."""
+def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
+    """The canonical form of the inverse unit U^-1 of F(x_{i+1}, chi(x_i)),
+    relabeled from the law's pack and kept in ``ctx._op_packs``."""
     if not 1 <= i <= ctx.n - 1:
         raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
-    pack = ctx._op_packs.get(i)
-    if pack is None:
+    unit_inv = ctx._op_packs.get(i)
+    if unit_inv is None:
         # y1 -> x_{i+1} at position i, y2 -> x_i at position i - 1
-        factor, unit_inv = (s.relabel(ctx.vars, (i, i - 1))
-                            for s in ctx.fgl.pair_pack())
-        pack = (factor, reduce_canonical(ctx, unit_inv))
-        ctx._op_packs[i] = pack
-    return pack
+        unit_inv = ctx._op_packs[i] = reduce_canonical(
+            ctx, ctx.fgl.pair_pack().relabel(ctx.vars, (i, i - 1)))
+    return unit_inv
 
 
 def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
@@ -192,15 +192,21 @@ def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """
     if not 1 <= i <= ctx.n - 1:
         raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
-    return reduce_canonical(ctx, a.as_series().swap_vars(i - 1, i))
+    return reduce_canonical(ctx, {
+        key[:i - 1] + (key[i], key[i - 1]) + key[i + 1:]: coeff
+        for key, coeff in a.terms.items()})
 
 
-def _antisymmetrize(ctx: FlagContext, i: int, factor: TruncSeries,
-                    a: FlagElem) -> FlagElem:
-    """(a - sigma_i a) / (x_{i+1} - x_i) in canonical form."""
-    s = a.as_series()
-    return reduce_canonical(
-        ctx, divide_by_linear(s - s.swap_vars(i - 1, i), factor))
+def _antisymmetrize(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
+    """(a - sigma_i a) / (x_{i+1} - x_i) in canonical form: the classical
+    divided difference of the canonical representative, each telescoped
+    monomial replaced by its integer normal form, in one kernel merge."""
+    forms = ctx._normal_forms
+    return FlagElem._raw(ctx, sum_of_products(
+        ((skey, coeff, sign * c)
+         for key, coeff, sign in divided_difference_terms(a.terms, i, i - 1)
+         for skey, c in forms.get(key) or ctx.normal_form(key)),
+        a.terms.values()))
 
 
 def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
@@ -209,11 +215,10 @@ def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     Computed as the antisymmetrized quotient (h - sigma_i h) / (x_{i+1} - x_i)
     with h = a * U^-1 where F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U.  The
     product h is taken in the flag ring, so it is reduced before the
-    division; that is exact because the antisymmetrized quotient is linear
+    quotient; that is exact because the antisymmetrized quotient is linear
     over symmetric elements and so maps the ideal into itself.
     """
-    factor, unit_inv = _op_pack(ctx, i)
-    return _antisymmetrize(ctx, i, factor, a * unit_inv)
+    return _antisymmetrize(ctx, i, a * _op_pack(ctx, i))
 
 
 def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
@@ -224,5 +229,5 @@ def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     specialization the operator coincides with divided_diff; in general it
     differs and carries the Chevalley coefficients.
     """
-    factor, unit_inv = _op_pack(ctx, i)
-    return _antisymmetrize(ctx, i, factor, a) * unit_inv
+    unit_inv = _op_pack(ctx, i)  # checks i before the kernel reads it
+    return _antisymmetrize(ctx, i, a) * unit_inv

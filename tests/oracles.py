@@ -9,12 +9,15 @@ full operator string per removal set for the Chevalley coefficients, the
 rewrite sweep on CoeffPoly coefficients for canonical reduction, a table of
 all n! basis classes by leading monomial for the basis expansion, sparse
 Fraction elimination on the elementary symmetric generators for ideal
-membership, Fraction Gauss-Jordan for matrix inverses, and one Fraction per
-term for b-polynomial arithmetic.  The classical divided difference of the
-additive theory is ``cobschub.selftest.classical_divided_difference``.  The
-module also keeps the helpers that only the tests call: the product and
-reducedness of a word, total degrees, the additive-theory image of an
-element and the lcm of its denominators.
+membership, Fraction Gauss-Jordan for matrix inverses, one Fraction per
+term for b-polynomial arithmetic, and Horner division by a general linear
+form for the exact divisions of the operators.  The classical divided
+difference of the additive theory is
+``cobschub.selftest.classical_divided_difference``.  The module also keeps
+the helpers that only the tests call: the product and reducedness of a
+word, total degrees, the graded degrees and generator support of a
+coefficient, the additive-theory image of an element and the lcm of its
+denominators.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from fractions import Fraction
 from cobschub.flagring import FlagElem, c1_weight, reduce_canonical
 from cobschub.ringcore import (
     CoeffPoly,
+    DivisibilityError,
     TruncSeries,
     UsageError,
     _add_term,
     compose,
-    divide_by_linear,
     series_invert_unit,
 )
 from cobschub.schubert import bs_class
@@ -222,6 +225,72 @@ def termwise_compose(outer: TruncSeries, args) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
+# Exact division by a general linear form
+
+
+def _linear_form_parts(factor: TruncSeries):
+    """Decompose a rational degree-1 form as c_p * (x_p - L).
+
+    Returns (pivot position, pivot coefficient, L) where L is a list of
+    (position, rational coefficient) pairs, none at the pivot.
+    """
+    if not factor.terms:
+        raise UsageError("linear factor must be nonzero")
+    coeffs: dict[int, Fraction] = {}
+    for key, value in factor.terms.items():
+        if sum(key) != 1:
+            raise UsageError("linear factor must be homogeneous of degree 1")
+        if not value.is_rational():
+            raise UsageError("linear factor must have rational coefficients")
+        coeffs[key.index(1)] = value.as_fraction()
+    pivot = min(coeffs)
+    c_p = coeffs[pivot]
+    rest = [(pos, -value / c_p) for pos, value in sorted(coeffs.items())
+            if pos != pivot]
+    return pivot, c_p, rest
+
+
+def horner_divide(num: TruncSeries, factor: TruncSeries) -> TruncSeries:
+    """Exact division of ``num`` by a rational degree-1 form c_p * (x_p - L).
+
+    One pass of synthetic (Horner) division in the pivot variable: with
+    num = sum_a x_p^a C_a and every C_a free of x_p, the quotient digits are
+    Q_{a-1} = C_a + L * Q_a from the top down, and the remainder
+    C_0 + L * Q_0 (num with x_p replaced by L) must vanish, or
+    DivisibilityError is raised.  This is the general division that the
+    engine's telescoping division by x_p - x_q replaced.
+    """
+    assert num.vars == factor.vars and num.cap == factor.cap
+    pivot, c_p, rest = _linear_form_parts(factor)
+    digits: dict = {}
+    for key, coeff in num.terms.items():
+        a = key[pivot]
+        if a:
+            key = key[:pivot] + (0,) + key[pivot + 1:]
+        digits.setdefault(a, {})[key] = coeff
+    inv_c = 1 / c_p
+    quotient: dict = {}
+    carry: dict = {}  # L * Q_a, zero above the top
+    for a in range(max(digits, default=0), 0, -1):
+        digit = carry  # becomes Q_{a-1} = C_a + L * Q_a
+        for key, coeff in digits.get(a, {}).items():
+            _add_term(digit, key, coeff)
+        carry = {}
+        for key, coeff in digit.items():
+            for pos, value in rest:
+                _add_term(carry, key[:pos] + (key[pos] + 1,) + key[pos + 1:],
+                          coeff * value)
+            key = key[:pivot] + (a - 1,) + key[pivot + 1:]
+            quotient[key] = coeff * inv_c
+    remainder = carry
+    for key, coeff in digits.get(0, {}).items():
+        _add_term(remainder, key, coeff)
+    if remainder:
+        raise DivisibilityError(f"division by {factor} leaves a remainder")
+    return TruncSeries._raw(num.vars, num.cap, quotient)
+
+
+# ---------------------------------------------------------------------------
 # Folds of the formal group law
 
 
@@ -253,12 +322,13 @@ def formal_sum(fgl, terms, *, vars=None, cap=None) -> TruncSeries:
 def reference_op_pack(ctx, i: int):
     """The factor x_{i+1} - x_i and the inverse unit U^-1 of
     F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, built directly in the
-    context's n variables, with both checks made there; one per (ctx, i)."""
+    context's n variables by Horner division, with both checks made there;
+    one per (ctx, i)."""
     x_i = ctx.var_series(i)
     x_next = ctx.var_series(i + 1)
     x_loc = compose(ctx.fgl.F, [x_next, compose(ctx.fgl.chi, [x_i])])
     factor = x_next - x_i
-    unit = divide_by_linear(x_loc, factor)
+    unit = horner_divide(x_loc, factor)
     assert unit.constant_coeff() == CoeffPoly.one()
     assert x_loc.swap_vars(i - 1, i) == compose(ctx.fgl.chi, [x_loc])
     return factor, series_invert_unit(unit)
@@ -266,22 +336,22 @@ def reference_op_pack(ctx, i: int):
 
 def series_divided_diff(ctx, i: int, a):
     """(1 + sigma_i)(1 / F(x_{i+1}, chi(x_i))) along the series route:
-    h = a * U^-1 as a full-cap series, (h - sigma_i h) / (x_{i+1} - x_i),
-    and one reduction at the end."""
+    h = a * U^-1 as a full-cap series, (h - sigma_i h) / (x_{i+1} - x_i) by
+    Horner division, and one reduction at the end."""
     factor, unit_inv = reference_op_pack(ctx, i)
     h = a.as_series() * unit_inv
     return reduce_canonical(
-        ctx, divide_by_linear(h - h.swap_vars(i - 1, i), factor))
+        ctx, horner_divide(h - h.swap_vars(i - 1, i), factor))
 
 
 def series_divided_diff_dual(ctx, i: int, a):
     """(1 / F(x_{i+1}, chi(x_i)))(1 - sigma_i) along the series route: the
-    unreduced quotient (a - sigma_i a) / (x_{i+1} - x_i) times the full-cap
-    series U^-1, reduced once."""
+    unreduced Horner quotient (a - sigma_i a) / (x_{i+1} - x_i) times the
+    full-cap series U^-1, reduced once."""
     factor, unit_inv = reference_op_pack(ctx, i)
     s = a.as_series()
     return reduce_canonical(
-        ctx, divide_by_linear(s - s.swap_vars(i - 1, i), factor) * unit_inv)
+        ctx, horner_divide(s - s.swap_vars(i - 1, i), factor) * unit_inv)
 
 
 def walk_chevalley_coeff(ctx, word, positions, lam):
@@ -356,18 +426,33 @@ def is_reduced(word, n: int) -> bool:
     return len(word) == word_permutation(word, n).inversions()
 
 
+def bmonomial_degree(key) -> int:
+    """Graded degree of a b-monomial: prod b_i^{e_i} sits in degree -sum(i*e_i)."""
+    return -sum(i * e for i, e in key)
+
+
+def coeff_degrees(coeff) -> set[int]:
+    """Set of graded degrees of the b-monomials of a CoeffPoly (all <= 0)."""
+    return {bmonomial_degree(key) for key in coeff.terms}
+
+
+def support_indices(coeff) -> set[int]:
+    """The indices i of the generators b_i that occur in a CoeffPoly."""
+    return {i for key in coeff.terms for i, _ in key}
+
+
 def total_degrees(elem) -> set[int]:
     """x-degree plus coefficient degree over the stored terms of a series or
     a flag element."""
     return {sum(key) + b for key, coeff in elem.terms.items()
-            for b in coeff.degrees()}
+            for b in coeff_degrees(coeff)}
 
 
 def chow_elem(elem):
     """The additive-theory image of a flag element: every b_i goes to 0."""
     support = set()
     for coeff in elem.terms.values():
-        support |= coeff.support_indices()
+        support |= support_indices(coeff)
     return elem.specialize({i: Fraction(0) for i in support})
 
 
@@ -439,8 +524,6 @@ class LazardLattice:
     def contains(self, coeff) -> bool:
         from sympy import Matrix
         from sympy.matrices.normalforms import hermite_normal_form
-
-        from cobschub.ringcore import bmonomial_degree
 
         by_deg: dict = {}
         for key, val in coeff.terms.items():

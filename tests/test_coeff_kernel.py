@@ -25,9 +25,11 @@ from cobschub.weylops import Permutation, reduced_word
 
 from oracles import (
     FractionPoly,
+    coeff_degrees,
     denominator_lcm,
     pairwise_flag_mul,
     pairwise_series_mul,
+    support_indices,
     termwise_compose,
 )
 
@@ -203,15 +205,15 @@ def test_terms_keys_are_sorted_tuples():
                    for pair in key)
         assert list(key) == sorted(key)
         assert len({i for i, _ in key}) == len(key)
-    assert p.degrees() == {-13, 0, -24}
-    assert p.support_indices() == {1, 2, 5, 16}
+    assert coeff_degrees(p) == {-13, 0, -24}
+    assert support_indices(p) == {1, 2, 5, 16}
     assert str(p) == "2/3 + b1^3*b5^2 - b2^4*b16"
 
 
 def test_engine_coefficients_are_canonical():
     ctx = FlagContext(4)
     law = ctx.fgl
-    series = [law.log, law.exp, law.F, law.chi, law.q, *law.pair_pack()]
+    series = [law.log, law.exp, law.F, law.chi, law.q, law.pair_pack()]
     for s in series:
         for coeff in s.terms.values():
             assert_canonical(coeff)

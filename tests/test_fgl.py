@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from cobschub import fgl as fgl_module
 from cobschub.ringcore import (
     CoeffPoly,
+    InternalError,
     TruncSeries,
     UsageError,
     compose,
@@ -18,7 +20,7 @@ from cobschub.fgl import (
     universal_divided_diff,
 )
 
-from oracles import formal_sum, n_series
+from oracles import formal_sum, n_series, support_indices
 
 F = Fraction
 b1 = CoeffPoly.b(1)
@@ -27,12 +29,12 @@ b2 = CoeffPoly.b(2)
 
 def chow(c):
     # every b_i goes to 0
-    return c.specialize({i: F(0) for i in c.support_indices()})
+    return c.specialize({i: F(0) for i in support_indices(c)})
 
 
 def ktheory(c, beta):
     # b_i goes to beta^i
-    return c.specialize({i: F(beta)**i for i in c.support_indices()})
+    return c.specialize({i: F(beta)**i for i in support_indices(c)})
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +46,19 @@ def test_known_low_degree_coefficients(fgl_factory):
     assert fgl.a(1, 1) == -b1
     assert fgl.a(2, 1) == b1**2 - b2
     assert fgl.a(1, 2) == b1**2 - b2
+
+
+def test_law_with_a_term_uv_does_not_divide_is_refused(monkeypatch):
+    # every two-variable composition gains a u^2 term, so F does too
+    def skewed(outer, args):
+        out = compose(outer, args)
+        if out.vars == ("u", "v"):
+            out = out + TruncSeries(out.vars, out.cap, {(2, 0): 1})
+        return out
+
+    monkeypatch.setattr(fgl_module, "compose", skewed)
+    with pytest.raises(InternalError, match="u\\*v does not divide"):
+        build_universal_fgl(4)
 
 
 def test_chi_through_degree_three(fgl_factory):
@@ -189,8 +204,8 @@ def test_divided_diff_of_y1(fgl_factory):
     one = TruncSeries.one(pair, 6)
     a1 = universal_divided_diff(fgl, one)
     x_loc = compose(fgl.F, [y1, compose(fgl.chi, [y2])])
-    unit = divide_by_linear(x_loc, y1 - y2)
-    frac = divide_by_linear(compose(fgl.F, [x_loc, y2]) - y2, y1 - y2)
+    unit = divide_by_linear(x_loc, 0, 1)
+    frac = divide_by_linear(compose(fgl.F, [x_loc, y2]) - y2, 0, 1)
     frac = frac * series_invert_unit(unit)
     assert ay1.truncate(4) == (y2 * a1 + frac).truncate(4)
 
@@ -252,6 +267,5 @@ def test_to_chern_basis_round_trip(fgl_factory):
     for (a, b), coeff in table.items():
         rebuilt = rebuilt + coeff * (e1**a * e2**b)
     assert rebuilt == s
-    from cobschub.ringcore import InternalError
     with pytest.raises(InternalError):
         to_chern_basis(y2)  # not symmetric

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cobschub.flagring import FlagContext, reduce_canonical
-from cobschub.ringcore import CoeffPoly, TruncSeries
+from cobschub.ringcore import CoeffPoly, TruncSeries, UsageError
 
 from oracles import heap_reduce, in_symmetric_ideal
 
@@ -76,3 +76,16 @@ def test_reduce_canonical_matches_the_rewrite_sweep(n, seed):
         assert reduce_canonical(FlagContext(n), raw).terms == expected.terms
         series = TruncSeries(warm.vars, warm.work_cap, raw)
         assert reduce_canonical(warm, series) == expected
+
+
+@pytest.mark.parametrize("key", [(-1, 2, 0), (0, -1, 2), (-1, 5, 0),
+                                 (0, 0, -4), (1, 1)])
+def test_malformed_exponent_vectors_are_refused(key):
+    # a negative exponent once gave non-canonical terms, and one of degree
+    # above d the empty form; the check runs only on a table miss
+    ctx = FlagContext(3)
+    with pytest.raises(UsageError):
+        ctx.normal_form(key)
+    with pytest.raises(UsageError):
+        reduce_canonical(ctx, {key: 1})
+    assert key not in ctx._normal_forms

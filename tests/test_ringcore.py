@@ -13,11 +13,20 @@ from cobschub.ringcore import (
     coeff_specialize,
     compose,
     divide_by_linear,
+    divided_difference_terms,
     series_invert_unit,
     series_reverse,
+    sum_of_products,
 )
+from cobschub.selftest import classical_divided_difference
 
-from oracles import geometric_inverse, lagrange_reverse, total_degrees
+from oracles import (
+    coeff_degrees,
+    geometric_inverse,
+    horner_divide,
+    lagrange_reverse,
+    total_degrees,
+)
 
 F = Fraction
 b1 = CoeffPoly.b(1)
@@ -68,11 +77,11 @@ def test_coeffpoly_basic_arithmetic():
 
 
 def test_coeffpoly_grading():
-    assert b1.degrees() == {-1}
-    assert (b1**2).degrees() == {-2}
-    assert (b1**2 - b2).degrees() == {-2}
-    assert (b1 + b2).degrees() == {-1, -2}
-    assert CoeffPoly.rational(5).degrees() == {0}
+    assert coeff_degrees(b1) == {-1}
+    assert coeff_degrees(b1**2) == {-2}
+    assert coeff_degrees(b1**2 - b2) == {-2}
+    assert coeff_degrees(b1 + b2) == {-1, -2}
+    assert coeff_degrees(CoeffPoly.rational(5)) == {0}
 
 
 def test_coeffpoly_hash_and_eq():
@@ -272,23 +281,23 @@ def _y_vars(cap):
     return y1, y2
 
 
-def exact_divide(num, den, linear_factor):
-    """num / den for den = linear_factor * unit: two exact linear divisions
-    and one unit inversion, the route the operator kernel takes."""
-    unit = divide_by_linear(den, linear_factor)
-    return divide_by_linear(num, linear_factor) * series_invert_unit(unit)
+def exact_divide(num, den):
+    """num / den for den = (y1 - y2) * unit: two exact linear divisions and
+    one unit inversion, the route the operator pack takes."""
+    unit = divide_by_linear(den, 0, 1)
+    return divide_by_linear(num, 0, 1) * series_invert_unit(unit)
 
 
 def test_exact_divide_difference_of_squares():
     y1, y2 = _y_vars(4)
-    q = exact_divide(y1 * y1 - y2 * y2, y1 - y2, y1 - y2)
+    q = exact_divide(y1 * y1 - y2 * y2, y1 - y2)
     assert q == y1 + y2
 
 
 def test_exact_divide_zero_numerator():
     y1, y2 = _y_vars(4)
     zero = TruncSeries.zero(("y1", "y2"), 4)
-    assert exact_divide(zero, y1 - y2, y1 - y2).is_zero()
+    assert exact_divide(zero, y1 - y2).is_zero()
 
 
 def test_exact_divide_unit_cofactor_round_trip():
@@ -297,7 +306,7 @@ def test_exact_divide_unit_cofactor_round_trip():
     one = TruncSeries.one(("y1", "y2"), 5)
     den = (y1 - y2) * (one + y2 + b1 * y1 * y2)
     g = one + b1 * y1
-    q = exact_divide(den * g, den, y1 - y2)
+    q = exact_divide(den * g, den)
     assert q == g
     assert q * den == den * g
 
@@ -311,33 +320,20 @@ def test_exact_divide_random_round_trip():
         den = (y1 - y2) * unit
         g = random_series(rng, ("y1", "y2"), 5)
         num = g * den
-        q = exact_divide(num, den, y1 - y2)
+        q = exact_divide(num, den)
         assert q * den == num
 
 
 def test_divide_by_linear_detects_nonzero_remainder():
     y1, y2 = _y_vars(3)
     with pytest.raises(DivisibilityError):
-        divide_by_linear(y1 * y1, y1 - y2)
-
-
-def test_divide_by_single_variable():
-    y1, y2 = _y_vars(4)
-    num = y1 * y2 + y1 * y1 * y2
-    assert divide_by_linear(num, y1) == y2 + y1 * y2
-    with pytest.raises(DivisibilityError):
-        divide_by_linear(y2, y1)
-
-
-def test_divide_by_scaled_form():
-    y1, y2 = _y_vars(4)
-    num = y1 * y1 * 4 - y2 * y2
-    q = divide_by_linear(num, y1 * 2 - y2)
-    assert q * (y1 * 2 - y2) == num
+        divide_by_linear(y1 * y1, 0, 1)
+    with pytest.raises(UsageError):
+        divide_by_linear(y1 * y1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
-# Exactness of divide_by_linear on random series and forms
+# Exactness of divide_by_linear on random series and x_p - x_q
 
 DIV_VARS = ("y1", "y2", "y3")
 nonzero_rationals = st.builds(
@@ -348,26 +344,22 @@ small_coeffs = st.dictionaries(
     nonzero_rationals, min_size=1, max_size=3).map(CoeffPoly)
 exponents = st.tuples(*(st.integers(0, 3) for _ in DIV_VARS))
 series_terms = st.dictionaries(exponents, small_coeffs, max_size=6)
-# position -> rational coefficient of a linear form; the pivot is the
-# smallest position
-linear_forms = st.dictionaries(st.integers(0, len(DIV_VARS) - 1),
-                               nonzero_rationals, min_size=1)
+# two distinct positions (p, q) of the form x_p - x_q
+position_pairs = st.lists(st.integers(0, len(DIV_VARS) - 1), min_size=2,
+                          max_size=2, unique=True)
 
 
-def linear_form(coeffs, cap):
-    return TruncSeries(DIV_VARS, cap, {
-        tuple(int(p == pos) for p in range(len(DIV_VARS))): value
-        for pos, value in coeffs.items()})
+def difference_form(p, q, cap):
+    x = [TruncSeries.variable(DIV_VARS, cap, v) for v in DIV_VARS]
+    return x[p] - x[q]
 
 
 @settings(max_examples=150, deadline=None)
-@given(series_terms, linear_forms, st.integers(1, 5))
-@example({(1, 0, 2): b1, (0, 1, 0): CoeffPoly.one()},
-         {0: F(3, 2), 1: F(-2, 5), 2: F(1, 3)}, 4)
-def test_divide_by_linear_inverts_multiplication(terms, coeffs, cap):
+@given(series_terms, position_pairs, st.integers(1, 5))
+@example({(1, 0, 2): b1, (0, 1, 0): CoeffPoly.one()}, [2, 0], 4)
+def test_divide_by_linear_inverts_multiplication(terms, pq, cap):
     q = TruncSeries(DIV_VARS, cap, terms)
-    form = linear_form(coeffs, cap)
-    quotient = divide_by_linear(q * form, form)
+    quotient = divide_by_linear(q * difference_form(*pq, cap), *pq)
     # q * form keeps every term of q below the cap
     assert quotient.cap == cap
     assert quotient.terms == {k: v for k, v in q.terms.items()
@@ -375,18 +367,70 @@ def test_divide_by_linear_inverts_multiplication(terms, coeffs, cap):
 
 
 @settings(max_examples=150, deadline=None)
-@given(series_terms, linear_forms, st.integers(1, 5), exponents,
+@given(series_terms, position_pairs, st.integers(1, 5), exponents,
        small_coeffs)
-@example({(1, 1, 0): b2}, {1: F(-4, 3), 2: F(5)}, 3, (2, 0, 1),
-         CoeffPoly.one())
-def test_divide_by_linear_rejects_pivot_free_term(terms, coeffs, cap, key,
+@example({(1, 1, 0): b2}, [1, 2], 3, (2, 0, 1), CoeffPoly.one())
+def test_divide_by_linear_rejects_pivot_free_term(terms, pq, cap, key,
                                                   value):
-    form = linear_form(coeffs, cap)
-    pivot = min(coeffs)
-    key = tuple(0 if p == pivot else e for p, e in enumerate(key))
+    # no single monomial vanishes at x_p = x_q, so adding one to a multiple
+    # of x_p - x_q leaves a remainder
     if sum(key) > cap:
         key = (0,) * len(DIV_VARS)
-    num = TruncSeries(DIV_VARS, cap, terms) * form + TruncSeries(
-        DIV_VARS, cap, {key: value})
+    num = TruncSeries(DIV_VARS, cap, terms) * difference_form(*pq, cap) + \
+        TruncSeries(DIV_VARS, cap, {key: value})
     with pytest.raises(DivisibilityError):
-        divide_by_linear(num, form)
+        divide_by_linear(num, *pq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_terms, st.dictionaries(exponents, small_coeffs, max_size=2),
+       position_pairs, st.integers(1, 5))
+@example({(2, 0, 0): b1}, {(1, 1, 0): CoeffPoly.one(),
+                          (0, 2, 0): -CoeffPoly.one()}, [0, 1], 3)
+def test_divide_by_linear_matches_horner_division(terms, extra, pq, cap):
+    # a multiple of x_p - x_q plus a few terms, often but not always
+    # divisible; the engine raises exactly when the reference does
+    form = difference_form(*pq, cap)
+    num = TruncSeries(DIV_VARS, cap, terms) * form + TruncSeries(
+        DIV_VARS, cap, extra)
+    try:
+        expected = horner_divide(num, form)
+    except DivisibilityError:
+        with pytest.raises(DivisibilityError):
+            divide_by_linear(num, *pq)
+    else:
+        assert divide_by_linear(num, *pq) == expected
+
+
+# ---------------------------------------------------------------------------
+# The classical divided-difference kernel
+
+fraction_terms = st.dictionaries(
+    st.tuples(*(st.integers(0, 4) for _ in range(4))),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)), max_size=8)
+
+
+def kernel_sum(terms, p, q):
+    coeffs = {key: CoeffPoly.rational(value) for key, value in terms.items()}
+    return sum_of_products(divided_difference_terms(coeffs, p, q),
+                           coeffs.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_terms, st.integers(0, 2))
+@example({(0, 3, 1, 0): Fraction(2), (0, 1, 3, 0): Fraction(-1, 2),
+          (1, 2, 2, 0): Fraction(5)}, 1)
+def test_divided_difference_kernel_matches_classical(terms, i):
+    # classical_divided_difference divides by x_{i+2} - x_{i+1}: positions
+    # i + 1 and i
+    expected = {key: CoeffPoly.rational(value) for key, value in
+                classical_divided_difference(terms, i).items()}
+    assert kernel_sum(terms, i + 1, i) == expected
+    assert kernel_sum(terms, i, i + 1) == {
+        key: -value for key, value in expected.items()}
+    # and it is the exact quotient of f - s f by x_{i+2} - x_{i+1}
+    cap = 16
+    vars = ("a", "b", "c", "d")
+    f = TruncSeries(vars, cap, terms)
+    swap = f.swap_vars(i, i + 1)
+    assert divide_by_linear(f - swap, i + 1, i).terms == expected

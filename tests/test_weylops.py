@@ -1,12 +1,15 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cobschub.ringcore import CoeffPoly, UsageError
+from cobschub import ringcore
+from cobschub.ringcore import CoeffPoly, TruncSeries, UsageError
 from cobschub.flagring import (
     FlagContext,
+    FlagElem,
     Weight,
     basis_weight,
     c1_weight,
@@ -208,17 +211,53 @@ def test_sigma_index_validation(ctx3):
 
 
 def test_op_pack_is_the_relabeled_law_pack(ctx3, ctx4):
-    # the two-variable pack relabeled into n variables equals the factor
-    # and inverse unit built and checked directly in n variables; the unit
-    # is stored in canonical form
+    # the two-variable U^-1 relabeled into n variables equals the inverse
+    # unit built and checked directly in n variables, in canonical form
     for ctx in (ctx3, ctx4):
         for i in range(1, ctx.n):
-            factor, unit_inv = _op_pack(ctx, i)
-            ref_factor, ref_unit_inv = reference_op_pack(ctx, i)
-            assert factor == ref_factor, (ctx.n, i)
-            assert unit_inv == reduce_canonical(ctx, ref_unit_inv), (ctx.n, i)
+            _, ref_unit_inv = reference_op_pack(ctx, i)
+            assert _op_pack(ctx, i) == reduce_canonical(
+                ctx, ref_unit_inv), (ctx.n, i)
         with pytest.raises(UsageError):
             _op_pack(ctx, ctx.n)
+
+
+@pytest.mark.parametrize("op", [divided_diff, divided_diff_dual])
+def test_operator_index_validation(ctx3, op):
+    for i in (0, 3):
+        with pytest.raises(UsageError):
+            op(ctx3, i, ctx3.x_elem(1))
+
+
+def test_operators_take_no_series_route(monkeypatch):
+    # once the packs are built, bs_class of w0 and the Chevalley walks of
+    # the chev_r4 set never swap series variables, read a flag element as a
+    # series or divide by a linear form
+    n = 4
+    words = [reduced_word(w) for w in all_permutations(n)]
+    w0 = max(words, key=len)
+    walks = [(fundamental_weight(k, n), word) for k in range(1, n)
+             for word in words if len(word) <= 3]
+    expected = FlagContext(n)
+    ctx = FlagContext(n)
+    for i in range(1, n):
+        _op_pack(ctx, i)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the operators left the integer kernel")
+
+    monkeypatch.setattr(TruncSeries, "swap_vars", refuse)
+    monkeypatch.setattr(FlagElem, "as_series", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cobschub" and getattr(
+                module, "divide_by_linear", None) is ringcore.divide_by_linear:
+            monkeypatch.setattr(module, "divide_by_linear", refuse)
+    got_w0 = bs_class(ctx, w0)
+    got_walks = [c1_times_bs(ctx, lam, word) for lam, word in walks]
+    monkeypatch.undo()
+    assert got_w0 == bs_class(expected, w0)
+    assert got_walks == [c1_times_bs(expected, lam, word)
+                         for lam, word in walks]
 
 
 def test_operators_match_series_route_on_random_elements(ctx3, ctx4):
@@ -322,8 +361,6 @@ def test_divided_diff_image_is_symmetric(ctx3, ctx4):
 
 
 def test_divided_diff_representative_independence(ctx3):
-    from cobschub.ringcore import TruncSeries
-
     rng = random.Random(19)
     for _ in range(4):
         p = random_flag_elem(ctx3, rng)
