@@ -14,7 +14,6 @@ from cobschub.ringcore import (
     NotAUnitError,
     TruncSeries,
     UsageError,
-    coeff_specialize,
     series_invert_unit,
     series_reverse,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "NotAUnitError",
     "TruncSeries",
     "UsageError",
-    "coeff_specialize",
     "series_invert_unit",
     "series_reverse",
     "__version__",

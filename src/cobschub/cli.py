@@ -46,9 +46,10 @@ from cobschub.selftest import run_selftest, selftest_results
 
 MAX_RANK = 6
 MAX_FGL_DEGREE = 16
-# selftest takes at most 0.5 s per theory at rank 4; at rank 5 it takes
-# 15-20 s in cobordism and 8 s in ktheory, mostly in c1_weight at cap 12,
-# and 0.05 s in chow (Python 3.11 on one core of a shared Xeon)
+# selftest takes at most 0.12 s per theory at rank 4; at rank 5 it takes
+# 1.8-2.0 s in cobordism and 0.65-0.75 s in ktheory, mostly in c1_weight of
+# the weyl-lemma weights, and 0.02-0.04 s in chow (Python 3.11 on one core
+# of a shared Xeon)
 MAX_SELFTEST_RANK = 4
 
 

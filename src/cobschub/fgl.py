@@ -11,9 +11,10 @@ is read off the coefficients of F, never from formal fraction manipulation.
 
 The divided-difference operator (1 + swap)(1 / F(y1, chi(y2))) is linear
 over symmetric series, so its only law-dependent part is the inverse unit
-U^-1 of F(y1, chi(y2)) = (y1 - y2) * U (see ``FGLData.pair_pack``), which
-the flag-ring operators of every rank relabel into their own variables; the
-rest is the classical divided difference of ``ringcore``.
+U^-1 of F(y1, chi(y2)) = (y1 - y2) * U (see ``FGLData.pair_pack``), whose
+exponent pairs the flag-ring operators of every rank read as exponents of
+x_{i+1} and x_i; the rest is the classical divided difference of
+``ringcore``.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class FGLData:
 
         Built on first use.  U must have constant term 1, and swap(x_loc)
         must equal chi(x_loc), because the antisymmetrization route rests on
-        it.  Relabeling into more variables keeps both identities, so they
-        hold for the operators of every rank.
+        it.  Renaming y1, y2 to two of more variables keeps both identities,
+        so they hold for the operators of every rank.
         """
         if self._pair_pack is None:
             cap = self.degree_cap
@@ -142,7 +143,7 @@ def universal_divided_diff(fgl: FGLData, f: TruncSeries) -> TruncSeries:
         raise UsageError("universal_divided_diff needs a two-variable series")
     if f.cap != fgl.degree_cap:
         raise UsageError("series cap must match the formal group law cap")
-    h = f * fgl.pair_pack().relabel(f.vars, (0, 1))
+    h = f * TruncSeries._raw(f.vars, f.cap, fgl.pair_pack().terms)
     return TruncSeries._raw(f.vars, f.cap, sum_of_products(
         divided_difference_terms(h.terms, 0, 1), h.terms.values()))
 

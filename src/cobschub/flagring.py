@@ -5,7 +5,10 @@ ideal of positive-degree symmetric polynomials.  The canonical normal form
 keeps exponent vectors with x_j-exponent at most j-1: the presentation's
 ideal is generated by the complete homogeneous relations h_j(x_j, .., x_n),
 each oriented to eliminate x_j^j, and every monomial of degree above
-d = n(n-1)/2 reduces to zero.
+d = n(n-1)/2 reduces to zero.  So every x_i is nilpotent, and the ring has
+one element type, ``FlagElem``: first Chern classes of weights evaluate the
+law's one-variable log and exp at flag elements, and no series in the n
+variables is ever built.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ from typing import Mapping
 
 from cobschub.ringcore import (
     CoeffPoly,
-    TruncSeries,
     UsageError,
-    coeff_specialize,
     combine_terms,
-    compose,
     sum_of_products,
     terms_to_text,
     truncated_product,
@@ -108,12 +108,14 @@ class FlagContext:
     Canonical elements never exceed degree d = n(n-1)/2, and each operator
     is a classical divided difference through the integer normal forms and
     one flag-ring product with the inverse unit U^-1, so it reads U^-1 only
-    through degree d.  U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is exact
-    one degree below the law's cap, so cap d + 1 is the least that serves
-    the operators; the tests check that caps d + 1, d + 3 and d + 4 give the
-    results of d + 2.  The law is built at d + 2 because the selftest reads
-    its cubic coefficients a_21 and a_12 from the context, which at rank 2
-    needs cap 3.
+    through degree d; ``c1_weight`` evaluates the law's log and exp at flag
+    elements, so it too reads the law only through degree d.
+    U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is exact one degree below the
+    law's cap, so cap d + 1 is the least that serves the operators; the
+    tests check that caps d + 1, d + 3 and d + 4 give the results of d + 2.
+    The law is built at d + 2 because the selftest reads its cubic
+    coefficients a_21 and a_12 from the context, which at rank 2 needs
+    cap 3.
 
     Caches, filled on first use and kept for the context's life: the
     normal forms of raw monomials (``_normal_forms``, see ``normal_form``),
@@ -207,11 +209,6 @@ class FlagContext:
         forms[key] = form
         return form
 
-    def var_series(self, i: int) -> TruncSeries:
-        if not 1 <= i <= self.n:
-            raise UsageError(f"variable index {i} out of range")
-        return TruncSeries.variable(self.vars, self.work_cap, f"x{i}")
-
     def one(self) -> "FlagElem":
         return FlagElem._raw(self, {(0,) * self.n: CoeffPoly.one()})
 
@@ -220,7 +217,10 @@ class FlagContext:
 
     def x_elem(self, i: int) -> "FlagElem":
         """The class x_i = c_1(L_i) in canonical form."""
-        return reduce_canonical(self, self.var_series(i))
+        if not 1 <= i <= self.n:
+            raise UsageError(f"variable index {i} out of range")
+        key = tuple(int(k == i) for k in range(1, self.n + 1))
+        return reduce_canonical(self, {key: CoeffPoly.one()})
 
     def compatible(self, other: "FlagContext") -> bool:
         return self is other or (self.n, self.beta) == (other.n, other.beta)
@@ -265,18 +265,6 @@ class FlagElem:
         the point class: a * [pt] = a.constant_term() * [pt].
         """
         return self.terms.get((0,) * self.ctx.n, CoeffPoly.zero())
-
-    def as_series(self) -> TruncSeries:
-        return TruncSeries._raw(self.ctx.vars, self.ctx.work_cap,
-                                dict(self.terms))
-
-    def specialize(self, assignment) -> "FlagElem":
-        out = {}
-        for key, coeff in self.terms.items():
-            value = coeff_specialize(coeff, assignment)
-            if value:
-                out[key] = CoeffPoly.rational(value)
-        return FlagElem._raw(self.ctx, out)
 
     # -- ring structure ------------------------------------------------------
 
@@ -339,26 +327,20 @@ class FlagElem:
 def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
     """Rewrite a raw polynomial to the canonical staircase form.
 
-    Accepts a TruncSeries over the context variables or a raw mapping from
-    exponent vectors to coefficients; a FlagElem of a compatible context is
-    already canonical and comes back as it is.  Each raw monomial is looked
-    up in the context's table of integer normal forms (``normal_form``), and
-    the coefficients that land on one staircase monomial are summed in one
-    merge of the shared kernel ``sum_of_products``.  Monomials of degree
+    Accepts a raw mapping from exponent vectors to coefficients; a FlagElem
+    of a compatible context is already canonical and comes back as it is.
+    Each raw monomial is looked up in the context's table of integer normal
+    forms (``normal_form``), and the coefficients that land on one staircase
+    monomial are summed in one merge of the shared kernel
+    ``sum_of_products``.  Monomials of degree
     above d have the empty form: they lie in the ideal.
     """
-    if isinstance(p, TruncSeries):
-        if p.vars != ctx.vars:
-            raise UsageError("series variables do not match the context")
-        raw = p.terms
-    elif isinstance(p, FlagElem):
+    if isinstance(p, FlagElem):
         if not ctx.compatible(p.ctx):
             raise UsageError("element lives over a different flag context")
         return p
-    else:
-        raw = p
     forms = ctx._normal_forms
-    coeffs = {key: CoeffPoly.coerce(value) for key, value in raw.items()}
+    coeffs = {key: CoeffPoly.coerce(value) for key, value in p.items()}
     done = sum_of_products(
         ((skey, coeff, c) for key, coeff in coeffs.items()
          for skey, c in forms.get(key) or ctx.normal_form(key)),
@@ -372,26 +354,42 @@ def point_class(ctx: FlagContext) -> FlagElem:
     return FlagElem._raw(ctx, {key: CoeffPoly.one()})
 
 
+def _evaluate(ctx: FlagContext, series, y: FlagElem) -> FlagElem:
+    """A one-variable series of the law without constant term (its log or
+    exp) at a flag element y without constant term, by Horner's rule
+    through degree d: y^k vanishes for k > d, so the rest of the series
+    never counts."""
+    acc = ctx.zero()
+    for k in range(ctx.d, 0, -1):
+        coeff = series.coefficient((k,))
+        if coeff:
+            acc = acc + ctx.one() * coeff
+        # k - 1 more factors y follow, each raising the degree, so the
+        # product counts only through degree d - k + 1
+        acc = reduce_canonical(
+            ctx, truncated_product(acc.terms, y.terms, ctx.d - k + 1))
+    return acc
+
+
 def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
     """First Chern class of the line bundle attached to a weight.
 
     L(lambda) for lambda = sum c_i e_i is the tensor product of the
     tautological quotient lines L_i = L(-e_i) with exponents -c_i, so its
-    first Chern class is the formal sum over i of [-c_i](x_i).
+    first Chern class is the formal sum over i of [-c_i](x_i), which is
+    exp(sum -c_i log(x_i)).  Every x_i is nilpotent in the flag ring, so
+    each log and the exp are evaluated there (``_evaluate``) with flag-ring
+    products, and the law is read only through degree d.
     """
     if lam.n != ctx.n:
         raise UsageError("weight length does not match the context rank")
     cached = ctx._c1_cache.get(lam.coords)
     if cached is not None:
         return cached
-    # the formal sum of the [-c_i](x_i) equals exp(sum -c_i log(x_i)); one
-    # composition instead of a fold of F, with identical truncations
-    log_sum = TruncSeries.zero(ctx.vars, ctx.work_cap)
+    log_sum = ctx.zero()
     for i, c in enumerate(lam.coords, start=1):
-        if c == 0:
-            continue
-        log_sum = log_sum + compose(ctx.fgl.log, [ctx.var_series(i)]) * (-c)
-    total = compose(ctx.fgl.exp, [log_sum])
-    result = reduce_canonical(ctx, total)
-    ctx._c1_cache[lam.coords] = result
+        if c:
+            log_sum = log_sum + _evaluate(ctx, ctx.fgl.log,
+                                          ctx.x_elem(i)) * (-c)
+    result = ctx._c1_cache[lam.coords] = _evaluate(ctx, ctx.fgl.exp, log_sum)
     return result

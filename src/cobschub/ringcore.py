@@ -50,7 +50,7 @@ class InternalError(CobschubError):
 
 # A monomial in the generators b_i, as ``terms`` shows it: a sorted tuple of
 # (index, exponent) pairs with index >= 1 and exponent >= 1; () is the
-# constant monomial.
+# constant monomial.  The constructor takes the pairs in any order.
 BMonomial = tuple[tuple[int, int], ...]
 
 # Inside CoeffPoly the exponent of b_i is the field of FIELD_BITS bits that
@@ -64,8 +64,6 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 MAX_INDEX = 64
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 _GUARD = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(MAX_INDEX))
-
-_ZERO = Fraction(0)
 
 
 def _as_fraction(value) -> Fraction:
@@ -120,12 +118,12 @@ class CoeffPoly:
 
     def __init__(self, terms: Mapping[BMonomial, Fraction] | None = None):
         clean: dict[int, Fraction] = {}
-        if terms:
-            for key, value in terms.items():
-                value = _as_fraction(value)
-                if value == 0:
-                    continue
-                clean[_pack(key)] = value
+        for key, value in (terms or {}).items():
+            # the pairs may come in any order, so two spellings of one
+            # monomial (b2*b1 and b1*b2) pack alike and add up
+            packed = _pack(key)
+            clean[packed] = clean.get(packed, 0) + _as_fraction(value)
+        clean = {key: value for key, value in clean.items() if value}
         den = math.lcm(*(value.denominator for value in clean.values()))
         self.num = {key: value.numerator * (den // value.denominator)
                     for key, value in clean.items()}
@@ -277,13 +275,11 @@ class CoeffPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational constant equals its Fraction, so it hashes as one
         if self._hash is None:
-            self._hash = hash((self.den, frozenset(self.num.items())))
+            self._hash = hash(self.constant() if self.is_rational()
+                              else (self.den, frozenset(self.num.items())))
         return self._hash
-
-    def specialize(self, assignment: Mapping[int, Fraction]) -> Fraction:
-        """Exact evaluation at b_i = assignment[i]; see coeff_specialize."""
-        return coeff_specialize(self, assignment)
 
     def __str__(self) -> str:
         terms = self.terms
@@ -311,24 +307,6 @@ class CoeffPoly:
 
     def __repr__(self) -> str:
         return f"CoeffPoly({self})"
-
-
-def coeff_specialize(c: CoeffPoly, assignment: Mapping[int, Fraction]) -> Fraction:
-    """Evaluate a coefficient polynomial at b_i = assignment[i].
-
-    The assignment must cover every generator occurring in ``c``.  The Chow
-    specialization sends every b_i to 0; the K-theory one sends b_i to
-    beta**i for a chosen rational beta.
-    """
-    total = _ZERO
-    for key, value in c.num.items():
-        factor = value
-        for i, e in _unpack(key):
-            if i not in assignment:
-                raise UsageError(f"no assignment for generator b{i}")
-            factor *= _as_fraction(assignment[i]) ** e
-        total += factor
-    return total / c.den
 
 
 def _multiply_into(acc: dict, p: CoeffPoly, q, lden: int, rden: int) -> dict:
@@ -611,36 +589,17 @@ class TruncSeries:
 
     # -- variable plumbing --------------------------------------------------
 
-    def relabel(self, vars: Sequence[str],
-                images: Sequence[int]) -> "TruncSeries":
-        """The same series over ``vars``: position i goes to position
-        images[i], which must be distinct.
+    def swap_vars(self, i: int, j: int) -> "TruncSeries":
+        """Exchange the variables at positions i and j.
 
-        Such a relabeling is an injective ring map that keeps total degree,
-        so it commutes with truncation, exact division and inversion.
+        The swap is a ring map that keeps total degree, so it commutes with
+        truncation, exact division and inversion.
         """
-        width = len(vars)
         out: dict[XMonomial, CoeffPoly] = {}
         for key, value in self.terms.items():
-            new = [0] * width
-            for pos, e in enumerate(key):
-                new[images[pos]] = e
+            new = list(key)
+            new[i], new[j] = key[j], key[i]
             out[tuple(new)] = value
-        return TruncSeries._raw(tuple(vars), self.cap, out)
-
-    def swap_vars(self, i: int, j: int) -> "TruncSeries":
-        """Exchange the variables at positions i and j."""
-        images = list(range(len(self.vars)))
-        images[i], images[j] = images[j], images[i]
-        return self.relabel(self.vars, images)
-
-    def specialize(self, assignment: Mapping[int, Fraction]) -> "TruncSeries":
-        """Apply a b-generator assignment to every coefficient."""
-        out = {}
-        for key, value in self.terms.items():
-            spec = coeff_specialize(value, assignment)
-            if spec:
-                out[key] = CoeffPoly.rational(spec)
         return TruncSeries._raw(self.vars, self.cap, out)
 
     def __str__(self) -> str:

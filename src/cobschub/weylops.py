@@ -6,8 +6,8 @@ operators rest on the factorization F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U
 with U a unit.  Both operators are linear over symmetric elements, so they
 map the ideal of the presentation into itself and work on canonical
 elements: the only law-dependent part is U^-1, the law's two-variable pack
-(``FGLData.pair_pack``, which also checks it) with y1 renamed x_{i+1} and y2
-renamed x_i, kept in canonical form.  The rest is the classical divided
+(``FGLData.pair_pack``, which also checks it) with y1 read as x_{i+1} and y2
+as x_i, kept in canonical form.  The rest is the classical divided
 difference (a - sigma_i a) / (x_{i+1} - x_i), whose telescoping integer
 terms go through the context's normal forms in one kernel merge, and a
 flag-ring product with U^-1 that never leaves degree d.
@@ -173,14 +173,16 @@ def beta_sequence(word: Word, n: int) -> list[Weight]:
 
 def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
     """The canonical form of the inverse unit U^-1 of F(x_{i+1}, chi(x_i)),
-    relabeled from the law's pack and kept in ``ctx._op_packs``."""
+    kept in ``ctx._op_packs``: the law's pack over (y1, y2) with each term
+    y1^a y2^b read as x_i^b x_{i+1}^a and reduced."""
     if not 1 <= i <= ctx.n - 1:
         raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
     unit_inv = ctx._op_packs.get(i)
     if unit_inv is None:
-        # y1 -> x_{i+1} at position i, y2 -> x_i at position i - 1
-        unit_inv = ctx._op_packs[i] = reduce_canonical(
-            ctx, ctx.fgl.pair_pack().relabel(ctx.vars, (i, i - 1)))
+        head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
+        unit_inv = ctx._op_packs[i] = reduce_canonical(ctx, {
+            head + (b, a) + tail: coeff
+            for (a, b), coeff in ctx.fgl.pair_pack().terms.items()})
     return unit_inv
 
 

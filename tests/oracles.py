@@ -4,7 +4,8 @@ Each oracle recomputes a quantity along a different route than the library
 code under test: products one pair of terms at a time for the shared
 multiply-accumulate kernel, geometric series for unit inversion, the
 Lagrange formula for compositional inverses, folds of the group law for
-formal sums, the operator factorization built directly in n variables, one
+formal sums, composition of exp with an n-variable log sum for first Chern
+classes, the operator factorization built directly in n variables, one
 full operator string per removal set for the Chevalley coefficients, the
 rewrite sweep on CoeffPoly coefficients for canonical reduction, a table of
 all n! basis classes by leading monomial for the basis expansion, sparse
@@ -14,7 +15,9 @@ term for b-polynomial arithmetic, and Horner division by a general linear
 form for the exact divisions of the operators.  The classical divided
 difference of the additive theory is
 ``cobschub.selftest.classical_divided_difference``.  The module also keeps
-the helpers that only the tests call: the product and reducedness of a
+the helpers that only the tests call: the specialization of coefficients,
+series and elements at values of the b_i, flag elements and variables read
+as series over the context's n variables, the product and reducedness of a
 word, total degrees, the graded degrees and generator support of a
 coefficient, the additive-theory image of an element and the lcm of its
 denominators.
@@ -291,6 +294,46 @@ def horner_divide(num: TruncSeries, factor: TruncSeries) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
+# Specialization and the series view of the flag ring
+
+
+def specialize(x, assignment):
+    """``x`` at b_i = assignment[i], exactly; the assignment must cover every
+    generator that occurs.  A CoeffPoly gives a Fraction, and a TruncSeries
+    or a FlagElem the same kind of object with rational coefficients.  The
+    Chow specialization sends every b_i to 0, the K-theory one b_i to
+    beta**i."""
+    if isinstance(x, CoeffPoly):
+        total = Fraction(0)
+        for key, value in x.terms.items():
+            for i, e in key:
+                if i not in assignment:
+                    raise UsageError(f"no assignment for generator b{i}")
+                value *= Fraction(assignment[i]) ** e
+            total += value
+        return total
+    terms = {}
+    for key, coeff in x.terms.items():
+        value = specialize(coeff, assignment)
+        if value:
+            terms[key] = CoeffPoly.rational(value)
+    if isinstance(x, FlagElem):
+        return FlagElem._raw(x.ctx, terms)
+    return TruncSeries._raw(x.vars, x.cap, terms)
+
+
+def var_series(ctx, i: int) -> TruncSeries:
+    """x_i as a series over the context's variables at its working cap."""
+    return TruncSeries.variable(ctx.vars, ctx.work_cap, f"x{i}")
+
+
+def as_series(a) -> TruncSeries:
+    """The canonical representative of a flag element as a series over its
+    context's variables at the working cap."""
+    return TruncSeries._raw(a.ctx.vars, a.ctx.work_cap, dict(a.terms))
+
+
+# ---------------------------------------------------------------------------
 # Folds of the formal group law
 
 
@@ -318,14 +361,28 @@ def formal_sum(fgl, terms, *, vars=None, cap=None) -> TruncSeries:
     return acc
 
 
+def compose_c1(ctx, lam) -> FlagElem:
+    """c1(L(lam)) = exp(sum -c_i log(x_i)) along the series route: the law's
+    log composed with each variable, summed as a series in the context's n
+    variables at the working cap, composed into exp and reduced once.  This
+    is the route that evaluating log and exp inside the flag ring replaced;
+    it is uncached."""
+    log_sum = TruncSeries.zero(ctx.vars, ctx.work_cap)
+    for i, c in enumerate(lam.coords, start=1):
+        if c:
+            log_sum = log_sum + compose(ctx.fgl.log,
+                                        [var_series(ctx, i)]) * (-c)
+    return reduce_canonical(ctx, compose(ctx.fgl.exp, [log_sum]).terms)
+
+
 @functools.lru_cache(maxsize=None)
 def reference_op_pack(ctx, i: int):
     """The factor x_{i+1} - x_i and the inverse unit U^-1 of
     F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, built directly in the
     context's n variables by Horner division, with both checks made there;
     one per (ctx, i)."""
-    x_i = ctx.var_series(i)
-    x_next = ctx.var_series(i + 1)
+    x_i = var_series(ctx, i)
+    x_next = var_series(ctx, i + 1)
     x_loc = compose(ctx.fgl.F, [x_next, compose(ctx.fgl.chi, [x_i])])
     factor = x_next - x_i
     unit = horner_divide(x_loc, factor)
@@ -339,9 +396,9 @@ def series_divided_diff(ctx, i: int, a):
     h = a * U^-1 as a full-cap series, (h - sigma_i h) / (x_{i+1} - x_i) by
     Horner division, and one reduction at the end."""
     factor, unit_inv = reference_op_pack(ctx, i)
-    h = a.as_series() * unit_inv
+    h = as_series(a) * unit_inv
     return reduce_canonical(
-        ctx, horner_divide(h - h.swap_vars(i - 1, i), factor))
+        ctx, horner_divide(h - h.swap_vars(i - 1, i), factor).terms)
 
 
 def series_divided_diff_dual(ctx, i: int, a):
@@ -349,9 +406,10 @@ def series_divided_diff_dual(ctx, i: int, a):
     unreduced Horner quotient (a - sigma_i a) / (x_{i+1} - x_i) times the
     full-cap series U^-1, reduced once."""
     factor, unit_inv = reference_op_pack(ctx, i)
-    s = a.as_series()
+    s = as_series(a)
     return reduce_canonical(
-        ctx, horner_divide(s - s.swap_vars(i - 1, i), factor) * unit_inv)
+        ctx, (horner_divide(s - s.swap_vars(i - 1, i), factor)
+              * unit_inv).terms)
 
 
 def walk_chevalley_coeff(ctx, word, positions, lam):
@@ -453,7 +511,7 @@ def chow_elem(elem):
     support = set()
     for coeff in elem.terms.values():
         support |= support_indices(coeff)
-    return elem.specialize({i: Fraction(0) for i in support})
+    return specialize(elem, {i: Fraction(0) for i in support})
 
 
 def denominator_lcm(elem) -> int:

@@ -29,6 +29,7 @@ from oracles import (
     denominator_lcm,
     pairwise_flag_mul,
     pairwise_series_mul,
+    specialize,
     support_indices,
     termwise_compose,
 )
@@ -119,7 +120,7 @@ def test_arithmetic_matches_fraction_model(ta, tb, tc, scalar, exponent):
     {i: rationals for i in range(1, 17)}))
 def test_specialize_matches_fraction_model(ta, values):
     expected = FractionPoly(ta).specialize(values)
-    assert CoeffPoly(ta).specialize(values) == expected
+    assert specialize(CoeffPoly(ta), values) == expected
 
 
 @SETTINGS
@@ -133,10 +134,29 @@ def test_equal_values_from_different_routes_hash_equal(tx, ty, tz):
         (x - x, CoeffPoly.zero()),
         (x * 2 * Fraction(1, 2), x),
         (CoeffPoly((x * z).terms), x * z),
+        # a rational constant equals, and so hashes as, its int or Fraction
+        (CoeffPoly.one(), 1),
+        (x - x, 0),
+        (CoeffPoly.rational(Fraction(1, 2)), Fraction(1, 2)),
+        ((x - x) + Fraction(-3, 4), Fraction(-3, 4)),
     ]
     for left, right in routes:
         assert left == right
         assert hash(left) == hash(right)
+
+
+def test_two_spellings_of_one_b_monomial_add_up():
+    # the constructor takes the (index, exponent) pairs in any order; two
+    # spellings of one monomial pack to one int, and it once kept only the
+    # last of their values
+    b1b2 = CoeffPoly.b(1) * CoeffPoly.b(2)
+    assert CoeffPoly({((1, 1), (2, 1)): 1, ((2, 1), (1, 1)): 1}) == 2 * b1b2
+    assert CoeffPoly({((1, 1), (2, 1)): 1, ((2, 1), (1, 1)): -1}).is_zero()
+    assert CoeffPoly({((2, 1), (1, 1)): Fraction(1, 2), (): 1,
+                      ((1, 1), (2, 1)): Fraction(1, 3)}) == (
+        1 + b1b2 * Fraction(5, 6))
+    with pytest.raises(UsageError):
+        CoeffPoly({((1, 1), (1, 2)): 1})
 
 
 def test_exponents_beyond_the_field_raise():

@@ -20,11 +20,14 @@ from cobschub.flagring import (
 from cobschub.ringcore import compose
 
 from oracles import (
+    as_series,
+    compose_c1,
     flag_poly_in_ideal,
     formal_sum,
     n_series,
     random_flag_elem,
     total_degrees,
+    var_series,
 )
 
 F = Fraction
@@ -97,8 +100,9 @@ def test_reduce_is_ring_homomorphism(ctx3):
              for _ in range(3)}
         ps = TruncSeries(vars, cap, p)
         qs = TruncSeries(vars, cap, q)
-        direct = reduce_canonical(ctx3, ps * qs)
-        factored = reduce_canonical(ctx3, ps) * reduce_canonical(ctx3, qs)
+        direct = reduce_canonical(ctx3, (ps * qs).terms)
+        factored = (reduce_canonical(ctx3, ps.terms)
+                    * reduce_canonical(ctx3, qs.terms))
         assert direct == factored
 
 
@@ -127,7 +131,7 @@ def test_elementary_symmetric_polynomials_die(ctx3, ctx4):
             # e_k times anything also dies
             p = random_flag_elem(ctx, rng)
             es = TruncSeries(ctx.vars, ctx.work_cap, e_k)
-            assert reduce_canonical(ctx, es * p.as_series()).is_zero()
+            assert reduce_canonical(ctx, (es * as_series(p)).terms).is_zero()
 
 
 def test_high_degree_integral_polynomials_die(ctx3, ctx4):
@@ -200,8 +204,8 @@ def test_text_rendering(ctx3):
     a = FlagElem(ctx3, {(0, 0, 0): 2, (0, 1, 0): 1, (0, 1, 2): -3 * b1,
                         (0, 0, 1): CoeffPoly.b(2) - b1**2})
     text = "(2) + (-b1^2 + b2)*x3 + (1)*x2 + (-3*b1)*x2*x3^2"
-    assert str(a) == str(a.as_series()) == text
-    assert str(ctx3.zero()) == str(ctx3.zero().as_series()) == "0"
+    assert str(a) == str(as_series(a)) == text
+    assert str(ctx3.zero()) == str(as_series(ctx3.zero())) == "0"
 
 
 def test_constant_term(ctx3):
@@ -236,9 +240,9 @@ def test_c1_of_simple_roots_matches_formal_sum(ctx3, ctx4):
     for ctx in (ctx3, ctx4):
         for i in range(1, ctx.n - 1 + 1):
             lam = simple_root(i, ctx.n)
-            chi_xi = compose(ctx.fgl.chi, [ctx.var_series(i)])
-            direct = compose(ctx.fgl.F, [chi_xi, ctx.var_series(i + 1)])
-            assert c1_weight(ctx, lam) == reduce_canonical(ctx, direct)
+            chi_xi = compose(ctx.fgl.chi, [var_series(ctx, i)])
+            direct = compose(ctx.fgl.F, [chi_xi, var_series(ctx, i + 1)])
+            assert c1_weight(ctx, lam) == reduce_canonical(ctx, direct.terms)
 
 
 def test_c1_matches_n_series_fold(ctx3):
@@ -247,11 +251,38 @@ def test_c1_matches_n_series_fold(ctx3):
     rng = random.Random(41)
     for _ in range(4):
         lam = Weight(tuple(rng.randint(-2, 2) for _ in range(3)))
-        pieces = [compose(n_series(ctx3.fgl, -c), [ctx3.var_series(i)])
+        pieces = [compose(n_series(ctx3.fgl, -c), [var_series(ctx3, i)])
                   for i, c in enumerate(lam.coords, start=1) if c]
         folded = formal_sum(ctx3.fgl, pieces, vars=ctx3.vars,
                             cap=ctx3.work_cap)
-        assert c1_weight(ctx3, lam) == reduce_canonical(ctx3, folded)
+        assert c1_weight(ctx3, lam) == reduce_canonical(ctx3, folded.terms)
+
+
+THEORY_BETAS = [None, F(0), F(2, 3), F(-1, 2)]
+THEORY_IDS = ["cobordism", "chow", "ktheory-2/3", "ktheory--1/2"]
+
+
+@pytest.mark.parametrize("beta", THEORY_BETAS, ids=THEORY_IDS)
+def test_c1_matches_the_compose_route(beta):
+    # log and exp evaluated inside the flag ring against the series route:
+    # exp composed with the n-variable log sum at the working cap
+    rng = random.Random(53)
+    for n in (2, 3, 4):
+        ctx = FlagContext(n, beta)
+        for _ in range(5):
+            coords = [rng.randint(-3, 3) for _ in range(n)]
+            zero, negative = rng.sample(range(n), 2)
+            coords[zero], coords[negative] = 0, -rng.randint(1, 3)
+            lam = Weight(tuple(coords))
+            assert c1_weight(ctx, lam) == compose_c1(ctx, lam), (n, lam)
+
+
+@pytest.mark.parametrize("beta", THEORY_BETAS, ids=THEORY_IDS)
+def test_c1_matches_the_compose_route_at_rank_5(beta):
+    ctx = FlagContext(5, beta)
+    for lam in [fundamental_weight(k, 5) for k in range(1, 5)] + [
+            rho_weight(5)]:
+        assert c1_weight(ctx, lam) == compose_c1(ctx, lam), lam
 
 
 def test_c1_lift_independence(ctx3, ctx4):

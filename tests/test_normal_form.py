@@ -75,7 +75,7 @@ def test_reduce_canonical_matches_the_rewrite_sweep(n, seed):
         assert reduce_canonical(warm, raw) == expected
         assert reduce_canonical(FlagContext(n), raw).terms == expected.terms
         series = TruncSeries(warm.vars, warm.work_cap, raw)
-        assert reduce_canonical(warm, series) == expected
+        assert reduce_canonical(warm, series.terms) == expected
 
 
 @pytest.mark.parametrize("key", [(-1, 2, 0), (0, -1, 2), (-1, 5, 0),

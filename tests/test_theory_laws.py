@@ -24,7 +24,7 @@ from cobschub.schubert import (
     product_bs,
 )
 
-from oracles import is_reduced, words_up_to
+from oracles import is_reduced, specialize, words_up_to
 
 BETAS = (Fraction(0), Fraction(2, 3), Fraction(-1, 2))
 RANKS = (3, 4)
@@ -42,7 +42,7 @@ def specialized(terms, beta):
     assignment = {i: beta**i for i in range(1, 20)}
     out = {}
     for key, coeff in terms.items():
-        value = coeff.specialize(assignment)
+        value = specialize(coeff, assignment)
         if value:
             out[key] = CoeffPoly.rational(value)
     return out
