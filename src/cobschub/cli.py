@@ -9,10 +9,11 @@ checks as JSON.  Ranks above ``MAX_RANK``, and selftest ranks above
 JSON output is deterministic: terms are sorted, rationals are emitted as
 decimal num/den strings so arbitrary precision survives serialization.
 
-Each theory is computed over its own formal group law: cobordism over the
-universal law, chow over the additive law (beta = 0) and ktheory over the
-multiplicative law at ``--beta``.  The contexts are cached by ``_context``,
-whose one-argument form ``_context(n)`` is the cobordism context.
+Each theory is computed over its own formal group law
+(``flagring.theory_law``): cobordism over the universal law, chow over the
+additive law (beta = 0) and ktheory over the multiplicative law at
+``--beta``.  The contexts are cached by ``_context``, whose one-argument
+form ``_context(n)`` is the cobordism context.
 
 A value that starts with a minus sign may follow its option as a separate
 argument (``--beta -1/2``, ``--weight -1,0,0``): ``main`` joins the two into
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 from cobschub.ringcore import CobschubError, CoeffPoly, UsageError
 from cobschub.fgl import build_universal_fgl
-from cobschub.flagring import FlagContext, Weight
+from cobschub.flagring import THEORIES, FlagContext, Weight, theory_law
 from cobschub.weylops import reduced_word, validate_word
 from cobschub.schubert import (
     bs_class,
@@ -62,14 +63,6 @@ _NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 class ResourceCapError(CobschubError):
     """The request is beyond the configured size limits."""
-
-
-def _law(ns) -> tuple:
-    """The law arguments of the requested theory: beta 0 for chow, --beta
-    for ktheory, and none for cobordism, which keeps its contexts under the
-    key of ``_context(n)``."""
-    return {"cobordism": (), "chow": (Fraction(0),),
-            "ktheory": (ns.beta,)}[ns.theory]
 
 
 @lru_cache(maxsize=4)
@@ -172,7 +165,7 @@ def _print_rows(rows) -> None:
 
 def cmd_bsclass(ns) -> int:
     n = _check_rank(ns.n)
-    ctx = _context(n, *_law(ns))
+    ctx = _context(n, *theory_law(ns.theory, ns.beta))
     word = validate_word(_parse_word(ns.word), n)
     cls = bs_class(ctx, word)
     if ns.format == "json":
@@ -186,7 +179,7 @@ def cmd_bsclass(ns) -> int:
 
 def cmd_product(ns) -> int:
     n = _check_rank(ns.n)
-    ctx = _context(n, *_law(ns))
+    ctx = _context(n, *theory_law(ns.theory, ns.beta))
     left = validate_word(_parse_word(ns.left), n)
     right = validate_word(_parse_word(ns.right), n)
     expansion = product_bs(ctx, left, right)
@@ -214,7 +207,7 @@ def cmd_product(ns) -> int:
 
 def cmd_chevalley(ns) -> int:
     n = _check_rank(ns.n)
-    ctx = _context(n, *_law(ns))
+    ctx = _context(n, *theory_law(ns.theory, ns.beta))
     word = validate_word(_parse_word(ns.word), n)
     lam = _parse_weight(ns.weight, n)
     expansion = c1_times_bs(ctx, lam, word)
@@ -236,7 +229,7 @@ def cmd_fgl(ns) -> int:
     if degree > MAX_FGL_DEGREE:
         raise ResourceCapError(
             f"degree {degree} exceeds the configured cap {MAX_FGL_DEGREE}")
-    fgl = build_universal_fgl(degree, *_law(ns))
+    fgl = build_universal_fgl(degree, *theory_law(ns.theory, ns.beta))
     if ns.format == "json":
         _emit_json({
             "command": "fgl", "degree_cap": degree, "theory": ns.theory,
@@ -251,7 +244,7 @@ def cmd_fgl(ns) -> int:
 
 def cmd_expand(ns) -> int:
     n = _check_rank(ns.n)
-    ctx = _context(n, *_law(ns))
+    ctx = _context(n, *theory_law(ns.theory, ns.beta))
     word = validate_word(_parse_word(ns.word), n)
     expansion = expand_in_bs_basis(ctx, bs_class(ctx, word))
     rows = [(w, expansion[w]) for w in
@@ -313,8 +306,7 @@ def _add_common(parser, *, rank=True):
     if rank:
         parser.add_argument("--n", type=int, required=True,
                             help="rank of the flag variety (>= 2)")
-    parser.add_argument("--theory", choices=("cobordism", "chow", "ktheory"),
-                        default="cobordism")
+    parser.add_argument("--theory", choices=THEORIES, default="cobordism")
     parser.add_argument("--beta", type=_parse_rational, default=Fraction(1),
                         help="rational parameter for the ktheory theory")
     parser.add_argument("--format", choices=("json", "text"), default="text")

@@ -17,14 +17,12 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from cobschub.ringcore import (
     CoeffPoly,
+    TermMap,
     UsageError,
-    combine_terms,
     sum_of_products,
-    terms_to_text,
     truncated_product,
 )
 from cobschub.fgl import build_universal_fgl
@@ -229,20 +227,31 @@ class FlagContext:
         return f"FlagContext(n={self.n}, beta={self.beta})"
 
 
-class FlagElem:
+THEORIES = ("cobordism", "chow", "ktheory")
+
+
+def theory_law(theory: str, beta: Fraction) -> tuple:
+    """The law arguments after n of ``FlagContext(n, *law)`` for a theory:
+    none for cobordism, whose context is ``FlagContext(n)`` over the
+    universal law, beta 0 for chow and ``beta`` for ktheory."""
+    laws = dict(zip(THEORIES, ((), (Fraction(0),), (beta,))))
+    if theory not in laws:
+        raise UsageError(f"unknown theory {theory!r}")
+    return laws[theory]
+
+
+class FlagElem(TermMap):
     """An element of the flag ring in canonical normal form.
 
     Immutable; the exponent vectors all satisfy the staircase bound and stay
-    within total degree d, and no zero coefficients are stored.
+    within total degree d, and no zero coefficients are stored.  Elements
+    mix only within contexts of the same (n, beta); ``reduce_canonical``
+    builds them from raw polynomials.  The constant term agrees with the
+    invariant definition through the product with the point class:
+    a * [pt] = a.constant_term() * [pt].
     """
 
     __slots__ = ("ctx", "terms", "_hash")
-
-    def __init__(self, ctx: FlagContext, terms: Mapping[tuple[int, ...], object]):
-        elem = reduce_canonical(ctx, dict(terms))
-        self.ctx = ctx
-        self.terms = elem.terms
-        self._hash = None
 
     @classmethod
     def _raw(cls, ctx: FlagContext, terms: dict) -> "FlagElem":
@@ -252,76 +261,25 @@ class FlagElem:
         self._hash = None
         return self
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, terms: dict) -> "FlagElem":
+        return FlagElem._raw(self.ctx, terms)
 
-    def coefficient(self, key) -> CoeffPoly:
-        return self.terms.get(tuple(key), CoeffPoly.zero())
+    def _kind(self) -> tuple:
+        return self.ctx.n, self.ctx.beta
 
-    def constant_term(self) -> CoeffPoly:
-        """Coefficient of the basis monomial 1.
-
-        This agrees with the invariant definition through the product with
-        the point class: a * [pt] = a.constant_term() * [pt].
-        """
-        return self.terms.get((0,) * self.ctx.n, CoeffPoly.zero())
-
-    # -- ring structure ------------------------------------------------------
-
-    def _check(self, other: "FlagElem"):
-        if not self.ctx.compatible(other.ctx):
-            raise UsageError("elements live over different flag contexts")
-
-    def _combine(self, other, sign: int) -> "FlagElem":
-        if not isinstance(other, FlagElem):
-            return NotImplemented
-        self._check(other)
-        return FlagElem._raw(self.ctx,
-                             combine_terms(self.terms, other.terms, sign))
-
-    def __add__(self, other) -> "FlagElem":
-        return self._combine(other, 1)
-
-    def __neg__(self) -> "FlagElem":
-        return FlagElem._raw(self.ctx, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other) -> "FlagElem":
-        return self._combine(other, -1)
+    @property
+    def vars(self) -> tuple[str, ...]:
+        return self.ctx.vars
 
     def __mul__(self, other) -> "FlagElem":
-        if isinstance(other, (CoeffPoly, int, Fraction)):
-            coeff = CoeffPoly.coerce(other)
-            out = {}
-            for key, value in self.terms.items():
-                new = value * coeff
-                if new:
-                    out[key] = new
-            return FlagElem._raw(self.ctx, out)
         if not isinstance(other, FlagElem):
-            return NotImplemented
+            return self._scale(other)
         self._check(other)
         # monomials above degree d lie in the ideal
         return reduce_canonical(
             self.ctx, truncated_product(self.terms, other.terms, self.ctx.d))
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlagElem):
-            return NotImplemented
-        return self.ctx.compatible(other.ctx) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ctx.n, self.ctx.beta,
-                               frozenset(self.terms.items())))
-        return self._hash
-
-    def __str__(self) -> str:
-        return terms_to_text(self.terms, self.ctx.vars)
-
-    def __repr__(self) -> str:
-        return f"FlagElem(n={self.ctx.n}; {self})"
 
 
 def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
@@ -340,12 +298,10 @@ def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
             raise UsageError("element lives over a different flag context")
         return p
     forms = ctx._normal_forms
-    coeffs = {key: CoeffPoly.coerce(value) for key, value in p.items()}
-    done = sum_of_products(
-        ((skey, coeff, c) for key, coeff in coeffs.items()
-         for skey, c in forms.get(key) or ctx.normal_form(key)),
-        coeffs.values())
-    return FlagElem._raw(ctx, done)
+    return FlagElem._raw(ctx, sum_of_products(
+        (skey, coeff, c) for key, value in p.items()
+        for coeff in (CoeffPoly.coerce(value),)
+        for skey, c in forms.get(key) or ctx.normal_form(key)))
 
 
 def point_class(ctx: FlagContext) -> FlagElem:

@@ -9,12 +9,17 @@ at the top of every field catches an exponent that outgrows its field, which
 raises UsageError instead of carrying into the next generator.  Power series
 carry these coefficients and are truncated at a fixed total degree in the
 series variables; every operation is exact below the cap and silently
-discards terms above it.  Products of series and of flag elements,
-composition, inversion, canonical reduction, the classical divided
+discards terms above it.
+
+This module is the one arithmetic core.  Products of series and of flag
+elements, composition, inversion, canonical reduction, the classical divided
 difference and exact division by x_p - x_q share one multiply-accumulate
-kernel, ``sum_of_products``: each output coefficient is one integer merge
-over a denominator fixed in advance, and the field guard is checked before
-sums that cancel are dropped.
+kernel, ``sum_of_products``, which takes only its (key, p, q) terms: each
+output coefficient is one integer merge over the lcm of the denominators of
+the pairs on its key, and the field guard is checked before sums that cancel
+are dropped.  Series and flag elements share one implementation of their
+module operations (``TermMap``), maps to coefficients share one add-or-drop
+merge (``add_term``), and powers one square-and-multiply.
 """
 
 from __future__ import annotations
@@ -248,24 +253,12 @@ class CoeffPoly:
                     {k: v * scale for k, v in self.num.items()},
                     self.den * value.denominator)
             return NotImplemented
-        return (sum_of_products(((0, self, other),), (self,), (other,)).get(0)
-                or CoeffPoly.zero())
+        return sum_of_products(((0, self, other),)).get(0) or CoeffPoly.zero()
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CoeffPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise UsageError("CoeffPoly powers must be non-negative integers")
-        result = CoeffPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:  # square only when needed, so no square leaves the range
-                base = base * base
-        return result
+        return _power(self, exponent, CoeffPoly.one())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CoeffPoly):
@@ -309,63 +302,57 @@ class CoeffPoly:
         return f"CoeffPoly({self})"
 
 
-def _multiply_into(acc: dict, p: CoeffPoly, q, lden: int, rden: int) -> dict:
-    # acc += p * q over the denominator lden * rden, on packed monomials;
-    # q is a CoeffPoly or an int
+def _multiply_into(acc: dict, p: CoeffPoly, q, scale: int) -> None:
+    # acc += scale * p * q on packed monomials; q is a CoeffPoly or an int
     get = acc.get
-    scale = lden // p.den * rden
     if type(q) is int:
         scale *= q
         for m, v in p.num.items():
             acc[m] = get(m, 0) + v * scale
-        return acc
-    scale //= q.den
+        return
     right = q.num.items()
     for m1, v1 in p.num.items():
         v1 *= scale
         for m2, v2 in right:
             m = m1 + m2
             acc[m] = get(m, 0) + v1 * v2
-    return acc
 
 
-def sum_of_products(terms, lefts, rights=()) -> dict:
+def sum_of_products(terms) -> dict:
     """{key: the sum of p * q over the (key, p, q) in ``terms``}, zeros left
     out; p is a CoeffPoly and q a CoeffPoly or an int.
 
     The one multiply-accumulate kernel of the package: series, flag and
-    composition products and canonical reduction go through it.  Each output
-    coefficient is one integer dict, and every pair that lands on its key
-    adds its monomial products straight into it, over one denominator fixed
-    before the loop: lcm of the p denominators times lcm of the q ones.  So
-    ``lefts`` must hold every p and ``rights`` every CoeffPoly q, and no
-    CoeffPoly is built per pair; ``_raw`` divides out the common factor at
-    the end.  A key's first pair waits until a second one arrives, so a key
-    whose one pair is (p, 1) keeps p itself.  The packed-field guard is
-    checked over every monomial a merge touched before zero sums are
-    dropped, so a monomial product that leaves its field raises UsageError
-    even when it cancels in the sum.
+    composition products and canonical reduction go through it, and they
+    pass only their terms, in one pass of any iterable.  Each output
+    coefficient is one integer dict over its own denominator, the lcm of
+    p.den * q.den over the pairs on its key (q.den is 1 for an int q).
+    Every pair adds its monomial products straight into its key's dict, and
+    no CoeffPoly is built per pair; a pair whose denominator does not divide
+    the key's so far raises it to their lcm and rescales the dict once, and
+    ``_raw`` divides out the common factor at the end.  The packed-field
+    guard is checked over every monomial a merge touched before zero sums
+    are dropped, so a monomial product that leaves its field raises
+    UsageError even when it cancels in the sum.
     """
-    lden = math.lcm(*(p.den for p in lefts))
-    rden = math.lcm(*(q.den for q in rights))
     sums: dict = {}
+    dens: dict = {}
     for key, p, q in terms:
+        pq_den = p.den if type(q) is int else p.den * q.den
         acc = sums.get(key)
         if acc is None:
-            sums[key] = (p, q)
-        elif type(acc) is tuple:
-            sums[key] = _multiply_into(
-                _multiply_into({}, *acc, lden, rden), p, q, lden, rden)
+            acc = sums[key] = {}
+            den = dens[key] = pq_den
         else:
-            _multiply_into(acc, p, q, lden, rden)
-    den = lden * rden
+            den = dens[key]
+            if den % pq_den:
+                grown = math.lcm(den, pq_den)
+                factor = grown // den
+                for m in acc:
+                    acc[m] *= factor
+                den = dens[key] = grown
+        _multiply_into(acc, p, q, den // pq_den)
     for key, acc in sums.items():
-        if type(acc) is tuple:
-            p, q = acc
-            if type(q) is int and q == 1:
-                sums[key] = p or None
-                continue
-            acc = _multiply_into({}, p, q, lden, rden)
         # in-range fields add without a carry, so a monomial that left the
         # range is a distinct int with its guard bit set
         if any(map(_GUARD.__and__, acc)):
@@ -374,15 +361,44 @@ def sum_of_products(terms, lefts, rights=()) -> dict:
         if not all(acc.values()):
             acc = {m: v for m, v in acc.items() if v}
         # replace each sum as it is done, so no two copies of it are alive
-        sums[key] = CoeffPoly._raw(acc, den) if acc else None
+        sums[key] = CoeffPoly._raw(acc, dens[key]) if acc else None
     return {key: value for key, value in sums.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
-# Truncated power series
+# Maps from monomials to coefficients
 
 
 XMonomial = tuple[int, ...]
+
+
+def _power(base, exponent: int, one):
+    """base ** exponent by square-and-multiply from ``one``; the powers of
+    CoeffPoly and of TruncSeries."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise UsageError("powers must be non-negative integers")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:  # square only when needed, so no square leaves the range
+            base = base * base
+    return result
+
+
+def add_term(out: dict, key, value: CoeffPoly, sign: int = 1) -> None:
+    """out[key] += sign * value in place, dropping a sum that cancels: the
+    one add-or-drop merge of maps from keys to CoeffPoly."""
+    old = out.get(key)
+    if old is None:
+        new = value if sign > 0 else -value
+    else:
+        new = old + value if sign > 0 else old - value
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
 
 
 def combine_terms(left: Mapping, right: Mapping, sign: int) -> dict:
@@ -390,15 +406,7 @@ def combine_terms(left: Mapping, right: Mapping, sign: int) -> dict:
     merge over the right side; sums that cancel are dropped."""
     out = dict(left)
     for key, value in right.items():
-        old = out.get(key)
-        if old is None:
-            new = value if sign > 0 else -value
-        else:
-            new = old + value if sign > 0 else old - value
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
+        add_term(out, key, value, sign)
     return out
 
 
@@ -406,35 +414,99 @@ def truncated_product(left: Mapping, right: Mapping, cap: int) -> dict:
     """The product of two maps from monomials to CoeffPoly through total
     degree ``cap``, with one kernel merge per output monomial."""
     rows = [(key, sum(key), value) for key, value in right.items()]
-
-    def pairs():
-        for k1, v1 in left.items():
-            room = cap - sum(k1)
-            for k2, d2, v2 in rows:
-                if d2 <= room:
-                    yield tuple(map(operator.add, k1, k2)), v1, v2
-
-    return sum_of_products(pairs(), left.values(), right.values())
+    return sum_of_products(
+        (tuple(map(operator.add, k1, k2)), v1, v2)
+        for k1, v1 in left.items() for room in (cap - sum(k1),)
+        for k2, d2, v2 in rows if d2 <= room)
 
 
-def terms_to_text(terms: Mapping, vars: Sequence[str]) -> str:
-    """Terms of a series or a flag element by degree, as (coeff)*monomial;
-    the CLI's text output."""
-    parts = []
-    for key in sorted(terms, key=lambda k: (sum(k), k)):
-        mono = "*".join(f"{v}^{e}" if e > 1 else v
-                        for v, e in zip(vars, key) if e)
-        parts.append(f"({terms[key]})*{mono}" if mono else f"({terms[key]})")
-    return " + ".join(parts) if parts else "0"
+class TermMap:
+    """The module operations that series and flag elements share.
+
+    ``terms`` maps exponent vectors to nonzero CoeffPoly coefficients and
+    ``vars`` names the variables.  A subclass supplies ``_like(terms)``, a
+    new element of its own kind (same variables and cap, or same context)
+    over the given terms, and ``_kind()``, what two elements must share to
+    mix: a sum, difference or product of two elements raises UsageError
+    when their kinds differ, and equality and hashing include it.
+    """
+
+    __slots__ = ()
+
+    def coefficient(self, key) -> CoeffPoly:
+        return self.terms.get(tuple(key), CoeffPoly.zero())
+
+    def constant_term(self) -> CoeffPoly:
+        """The coefficient of the monomial 1."""
+        return self.terms.get((0,) * len(self.vars), CoeffPoly.zero())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other: "TermMap") -> None:
+        if self._kind() != other._kind():
+            raise UsageError(f"{type(self).__name__} mismatch: "
+                             f"{self._kind()} vs {other._kind()}")
+
+    def _combine(self, other, sign: int):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._like(combine_terms(self.terms, other.terms, sign))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like({key: -value for key, value in self.terms.items()})
+
+    def _scale(self, other):
+        """The product with a coefficient, or NotImplemented for any other
+        factor; the scalar half of each subclass's ``__mul__``."""
+        if not isinstance(other, (CoeffPoly, int, Fraction)):
+            return NotImplemented
+        out = {}
+        for key, value in self.terms.items():
+            new = value * other
+            if new:
+                out[key] = new
+        return self._like(out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._kind() == other._kind() and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._kind(), frozenset(self.terms.items())))
+        return self._hash
+
+    def __str__(self) -> str:
+        """Terms by degree, as (coeff)*monomial; the CLI's text output."""
+        parts = []
+        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
+            mono = "*".join(f"{v}^{e}" if e > 1 else v
+                            for v, e in zip(self.vars, key) if e)
+            coeff = self.terms[key]
+            parts.append(f"({coeff})*{mono}" if mono else f"({coeff})")
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._kind()}({self})"
 
 
-class TruncSeries:
+class TruncSeries(TermMap):
     """A multivariate power series truncated at a fixed total degree.
 
     ``terms`` maps exponent tuples (one entry per variable) to CoeffPoly
     coefficients.  Terms of total degree above ``cap`` are discarded on
     construction and in every arithmetic operation, so two series agree as
-    objects exactly when they agree through degree ``cap``.
+    objects exactly when they agree through degree ``cap``; series mix only
+    with series of the same variables and cap.
     """
 
     __slots__ = ("vars", "cap", "terms", "_hash")
@@ -470,6 +542,12 @@ class TruncSeries:
         self._hash = None
         return self
 
+    def _like(self, terms: dict) -> "TruncSeries":
+        return TruncSeries._raw(self.vars, self.cap, terms)
+
+    def _kind(self) -> tuple:
+        return self.vars, self.cap
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -498,16 +576,7 @@ class TruncSeries:
         key = tuple(1 if v == name else 0 for v in vars)
         return cls._raw(vars, cap, {key: CoeffPoly.one()})
 
-    # -- inspection --------------------------------------------------------
-
-    def coefficient(self, key: XMonomial) -> CoeffPoly:
-        return self.terms.get(tuple(key), CoeffPoly.zero())
-
-    def constant_coeff(self) -> CoeffPoly:
-        return self.terms.get((0,) * len(self.vars), CoeffPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    # -- arithmetic beyond the shared module operations ----------------------
 
     def truncate(self, cap: int) -> "TruncSeries":
         if cap >= self.cap:
@@ -516,78 +585,16 @@ class TruncSeries:
             self.vars, cap,
             {k: v for k, v in self.terms.items() if sum(k) <= cap})
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_compatible(self, other: "TruncSeries"):
-        if self.vars != other.vars or self.cap != other.cap:
-            raise UsageError(
-                "series mismatch: "
-                f"{self.vars}@{self.cap} vs {other.vars}@{other.cap}")
-
-    def _combine(self, other, sign: int) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncSeries._raw(self.vars, self.cap,
-                                combine_terms(self.terms, other.terms, sign))
-
-    def __add__(self, other) -> "TruncSeries":
-        return self._combine(other, 1)
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries._raw(self.vars, self.cap,
-                                {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other) -> "TruncSeries":
-        return self._combine(other, -1)
-
     def __mul__(self, other) -> "TruncSeries":
-        if isinstance(other, (CoeffPoly, int, Fraction)):
-            coeff = CoeffPoly.coerce(other)
-            if not coeff:
-                return TruncSeries._raw(self.vars, self.cap, {})
-            out = {}
-            for key, value in self.terms.items():
-                new = value * coeff
-                if new:
-                    out[key] = new
-            return TruncSeries._raw(self.vars, self.cap, out)
         if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncSeries._raw(
-            self.vars, self.cap,
-            truncated_product(self.terms, other.terms, self.cap))
+            return self._scale(other)
+        self._check(other)
+        return self._like(truncated_product(self.terms, other.terms, self.cap))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise UsageError("series powers must be non-negative integers")
-        result = TruncSeries.one(self.vars, self.cap)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (self.vars == other.vars and self.cap == other.cap
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.vars, self.cap,
-                               frozenset(self.terms.items())))
-        return self._hash
-
-    # -- variable plumbing --------------------------------------------------
+        return _power(self, exponent, TruncSeries.one(self.vars, self.cap))
 
     def swap_vars(self, i: int, j: int) -> "TruncSeries":
         """Exchange the variables at positions i and j.
@@ -600,13 +607,7 @@ class TruncSeries:
             new = list(key)
             new[i], new[j] = key[j], key[i]
             out[tuple(new)] = value
-        return TruncSeries._raw(self.vars, self.cap, out)
-
-    def __str__(self) -> str:
-        return terms_to_text(self.terms, self.vars)
-
-    def __repr__(self) -> str:
-        return f"TruncSeries[{','.join(self.vars)}; cap={self.cap}]({self})"
+        return self._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +621,7 @@ def series_invert_unit(s: TruncSeries) -> TruncSeries:
     Solved degree by degree from the convolution identity, so the result is
     independent of how the geometric-series expansion would be organized.
     """
-    c0 = s.constant_coeff()
+    c0 = s.constant_term()
     if not c0.is_rational() or c0.is_zero():
         raise NotAUnitError(f"constant term {c0} is not a nonzero rational")
     # r_m = -(1/c0) * sum_{j >= 1} s_j r_{m-j}: scale s once, then one kernel
@@ -631,18 +632,14 @@ def series_invert_unit(s: TruncSeries) -> TruncSeries:
         d = sum(key)
         if d:
             higher.setdefault(d, []).append((key, value * scale))
-    lefts = [value for part in higher.values() for _, value in part]
     result = {0: {(0,) * len(s.vars): CoeffPoly.rational(-scale)}}
     for m in range(1, s.cap + 1):
-        pairs = ((tuple(map(operator.add, k1, k2)), v1, v2)
-                 for j, part in higher.items() if j <= m
-                 for k1, v1 in part for k2, v2 in result[m - j].items())
-        rights = [value for part in result.values()
-                  for value in part.values()]
-        result[m] = sum_of_products(pairs, lefts, rights)
-    return TruncSeries._raw(s.vars, s.cap, {
-        key: value for part in result.values()
-        for key, value in part.items()})
+        result[m] = sum_of_products(
+            (tuple(map(operator.add, k1, k2)), v1, v2)
+            for j, part in higher.items() if j <= m
+            for k1, v1 in part for k2, v2 in result[m - j].items())
+    return s._like({key: value for part in result.values()
+                    for key, value in part.items()})
 
 
 def series_reverse(s: TruncSeries) -> TruncSeries:
@@ -652,21 +649,20 @@ def series_reverse(s: TruncSeries) -> TruncSeries:
     """
     if len(s.vars) != 1:
         raise UsageError("series_reverse needs a single-variable series")
-    if not s.constant_coeff().is_zero():
+    if s.constant_term():
         raise UsageError("series_reverse needs a zero constant term")
     if s.coefficient((1,)) != CoeffPoly.one():
         raise UsageError("series_reverse needs linear coefficient 1")
     cap = s.cap
     rev_terms: dict[XMonomial, CoeffPoly] = {(1,): CoeffPoly.one()}
     for m in range(2, cap + 1):
-        candidate = TruncSeries._raw(s.vars, cap, dict(rev_terms))
-        trial = compose(s, [candidate])
+        trial = compose(s, [s._like(dict(rev_terms))])
         defect = trial.coefficient((m,))
         if defect:
             # the linear coefficient of s is 1, so adjusting degree m of r
             # shifts degree m of the composite by exactly the same amount
             rev_terms[(m,)] = -defect
-    return TruncSeries._raw(s.vars, cap, rev_terms)
+    return s._like(rev_terms)
 
 
 def compose(outer: TruncSeries, args: Sequence[TruncSeries]) -> TruncSeries:
@@ -685,7 +681,7 @@ def compose(outer: TruncSeries, args: Sequence[TruncSeries]) -> TruncSeries:
     for arg in args:
         if arg.vars != vars or arg.cap != cap:
             raise UsageError("compose arguments must share variables and cap")
-        if not arg.constant_coeff().is_zero():
+        if arg.constant_term():
             raise UsageError("compose arguments must have zero constant term")
     powers: list[dict[int, TruncSeries]] = [
         {0: TruncSeries.one(vars, cap), 1: arg} for arg in args]
@@ -703,22 +699,9 @@ def compose(outer: TruncSeries, args: Sequence[TruncSeries]) -> TruncSeries:
         parts = [power(i, e) for i, e in enumerate(key) if e]
         factors[key] = (functools.reduce(operator.mul, parts) if parts
                         else powers[0][0])
-    terms = sum_of_products(
-        ((xkey, coeff, value) for key, coeff in outer.terms.items()
-         for xkey, value in factors[key].terms.items()),
-        outer.terms.values(),
-        [value for factor in factors.values()
-         for value in factor.terms.values()])
-    return TruncSeries._raw(vars, cap, terms)
-
-
-def _add_term(out: dict, key: XMonomial, value: CoeffPoly) -> None:
-    old = out.get(key)
-    new = value if old is None else old + value
-    if new:
-        out[key] = new
-    else:
-        out.pop(key, None)
+    return TruncSeries._raw(vars, cap, sum_of_products(
+        (xkey, coeff, value) for key, coeff in outer.terms.items()
+        for xkey, value in factors[key].terms.items()))
 
 
 def _telescope(key: XMonomial, p: int, q: int, steps: int):
@@ -772,13 +755,11 @@ def divide_by_linear(num: TruncSeries, p: int, q: int) -> TruncSeries:
         return tuple(k)
 
     remainder = sum_of_products(
-        ((at_diagonal(key), coeff, 1) for key, coeff in terms.items()),
-        terms.values())
+        (at_diagonal(key), coeff, 1) for key, coeff in terms.items())
     if remainder:
         raise DivisibilityError(
             f"division by {num.vars[p]} - {num.vars[q]} leaves remainder "
-            f"{TruncSeries._raw(num.vars, num.cap, remainder)}")
-    return TruncSeries._raw(num.vars, num.cap, sum_of_products(
-        ((k, coeff, 1) for key, coeff in terms.items()
-         for k in _telescope(key, p, q, key[p])),
-        terms.values()))
+            f"{num._like(remainder)}")
+    return num._like(sum_of_products(
+        (k, coeff, 1) for key, coeff in terms.items()
+        for k in _telescope(key, p, q, key[p])))

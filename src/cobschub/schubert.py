@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from cobschub.ringcore import CoeffPoly, InternalError, UsageError, _add_term
+from cobschub.ringcore import CoeffPoly, InternalError, UsageError, add_term
 from cobschub.flagring import (
     FlagContext,
     FlagElem,
@@ -60,13 +60,10 @@ class BSExpansion:
     def subword(self, kept: tuple[int, ...]) -> Word:
         return tuple(self.word[p] for p in kept)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def by_word(self) -> dict[Word, CoeffPoly]:
         out: dict[Word, CoeffPoly] = {}
         for kept, coeff in self.terms.items():
-            _add_term(out, self.subword(kept), coeff)
+            add_term(out, self.subword(kept), coeff)
         return out
 
     def evaluate(self, ctx: FlagContext) -> FlagElem:
@@ -182,11 +179,11 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
                 for kept, value in running.items():
                     sub = c1_times_bs(ctx, lam, tuple(word[p] for p in kept))
                     for sub_kept, sub_coeff in sub.terms.items():
-                        _add_term(stepped, tuple(kept[p] for p in sub_kept),
-                                  value * sub_coeff)
+                        add_term(stepped, tuple(kept[p] for p in sub_kept),
+                                 value * sub_coeff)
                 running = stepped
         for kept, value in running.items():
-            _add_term(acc, kept, value)
+            add_term(acc, kept, value)
     return BSExpansion(word, acc)
 
 

@@ -29,13 +29,13 @@ from typing import Callable, NamedTuple
 from cobschub.ringcore import (
     CoeffPoly,
     TruncSeries,
-    UsageError,
     combine_terms,
     compose,
     truncated_product,
 )
-from cobschub.fgl import pushforward_table
+from cobschub.fgl import PAIR_VARS, pushforward_table
 from cobschub.flagring import (
+    THEORIES,
     FlagContext,
     Weight,
     c1_weight,
@@ -44,6 +44,7 @@ from cobschub.flagring import (
     reduce_canonical,
     rho_weight,
     simple_root,
+    theory_law,
 )
 from cobschub.weylops import (
     Permutation,
@@ -65,7 +66,6 @@ from cobschub.schubert import (
 )
 
 F = Fraction
-THEORIES = ("cobordism", "chow", "ktheory")
 
 
 def classical_divided_difference(terms: dict, i: int) -> dict:
@@ -159,6 +159,10 @@ def _check_law_axioms(ctx, _beta):
     left = compose(fgl.F, [compose(fgl.F, [a, b]), c])
     right = compose(fgl.F, [a, compose(fgl.F, [b, c])])
     assert left == right
+    # the identity the operators' antisymmetrization rests on
+    y1, y2 = (TruncSeries.variable(PAIR_VARS, D, y) for y in PAIR_VARS)
+    x_loc = compose(fgl.F, [y1, compose(fgl.chi, [y2])])
+    assert x_loc.swap_vars(0, 1) == compose(fgl.chi, [x_loc])
 
 
 def _check_point_class(ctx, _beta):
@@ -411,10 +415,7 @@ def selftest_results(n: int, theory: str = "cobordism", beta: Fraction = F(1)):
     order, on one fresh context over the theory's law.  Yields (name, None)
     for a pass and (name, exception) for a failure, and keeps going after a
     failure."""
-    if theory not in THEORIES:
-        raise UsageError(f"unknown theory {theory!r}")
-    ctx = FlagContext(n, {"cobordism": None, "chow": F(0),
-                          "ktheory": beta}[theory])
+    ctx = FlagContext(n, *theory_law(theory, beta))
     for check in CHECKS:
         if not check.admits(n, theory):
             continue

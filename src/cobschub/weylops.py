@@ -6,11 +6,11 @@ operators rest on the factorization F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U
 with U a unit.  Both operators are linear over symmetric elements, so they
 map the ideal of the presentation into itself and work on canonical
 elements: the only law-dependent part is U^-1, the law's two-variable pack
-(``FGLData.pair_pack``, which also checks it) with y1 read as x_{i+1} and y2
-as x_i, kept in canonical form.  The rest is the classical divided
-difference (a - sigma_i a) / (x_{i+1} - x_i), whose telescoping integer
-terms go through the context's normal forms in one kernel merge, and a
-flag-ring product with U^-1 that never leaves degree d.
+(``FGLData.pair_pack``, which checks that U has constant term 1) with y1
+read as x_{i+1} and y2 as x_i, kept in canonical form.  The rest is the
+classical divided difference (a - sigma_i a) / (x_{i+1} - x_i), whose
+telescoping integer terms go through the context's normal forms in one
+kernel merge, and a flag-ring product with U^-1 that never leaves degree d.
 """
 
 from __future__ import annotations
@@ -205,10 +205,9 @@ def _antisymmetrize(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     monomial replaced by its integer normal form, in one kernel merge."""
     forms = ctx._normal_forms
     return FlagElem._raw(ctx, sum_of_products(
-        ((skey, coeff, sign * c)
-         for key, coeff, sign in divided_difference_terms(a.terms, i, i - 1)
-         for skey, c in forms.get(key) or ctx.normal_form(key)),
-        a.terms.values()))
+        (skey, coeff, sign * c)
+        for key, coeff, sign in divided_difference_terms(a.terms, i, i - 1)
+        for skey, c in forms.get(key) or ctx.normal_form(key)))
 
 
 def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:

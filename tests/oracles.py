@@ -37,7 +37,7 @@ from cobschub.ringcore import (
     DivisibilityError,
     TruncSeries,
     UsageError,
-    _add_term,
+    add_term,
     compose,
     series_invert_unit,
 )
@@ -152,7 +152,7 @@ def heap_reduce(ctx, raw) -> FlagElem:
 
 def geometric_inverse(s: TruncSeries) -> TruncSeries:
     """1/s via the geometric series sum((1 - s/c0)^k) / c0."""
-    c0 = s.constant_coeff().as_fraction()
+    c0 = s.constant_term().as_fraction()
     scaled = s * CoeffPoly.rational(Fraction(1) / c0)
     r = TruncSeries.one(s.vars, s.cap) - scaled
     total = TruncSeries.zero(s.vars, s.cap)
@@ -189,6 +189,20 @@ def lagrange_reverse(s: TruncSeries) -> TruncSeries:
 # Products one pair at a time
 
 
+def pairwise_sum_of_products(terms) -> dict:
+    """{key: the b-terms of the sum of p * q} over (key, p, q) triples, with
+    one Fraction per b-term (``FractionPoly``), every pair multiplied and
+    added on its own; the route the kernel's integer merge over per-key
+    denominators replaced.  q is a CoeffPoly or an int; keys whose sum
+    vanishes are left out."""
+    out: dict = {}
+    for key, p, q in terms:
+        right = q if isinstance(q, int) else FractionPoly(q.terms)
+        product = FractionPoly(p.terms) * right
+        out[key] = out[key] + product if key in out else product
+    return {key: value.terms for key, value in out.items() if value.terms}
+
+
 def pairwise_series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """a * b with one CoeffPoly product per pair of terms, each added to its
     output coefficient as it comes; the route the shared multiply-accumulate
@@ -198,7 +212,7 @@ def pairwise_series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     for k1, v1 in a.terms.items():
         for k2, v2 in b.terms.items():
             if sum(k1) + sum(k2) <= a.cap:
-                _add_term(out, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
+                add_term(out, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
     return TruncSeries(a.vars, a.cap, out)
 
 
@@ -209,7 +223,7 @@ def pairwise_flag_mul(a: FlagElem, b: FlagElem) -> FlagElem:
     for k1, v1 in a.terms.items():
         for k2, v2 in b.terms.items():
             if sum(k1) + sum(k2) <= a.ctx.d:
-                _add_term(raw, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
+                add_term(raw, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
     return reduce_canonical(a.ctx, raw)
 
 
@@ -277,17 +291,17 @@ def horner_divide(num: TruncSeries, factor: TruncSeries) -> TruncSeries:
     for a in range(max(digits, default=0), 0, -1):
         digit = carry  # becomes Q_{a-1} = C_a + L * Q_a
         for key, coeff in digits.get(a, {}).items():
-            _add_term(digit, key, coeff)
+            add_term(digit, key, coeff)
         carry = {}
         for key, coeff in digit.items():
             for pos, value in rest:
-                _add_term(carry, key[:pos] + (key[pos] + 1,) + key[pos + 1:],
-                          coeff * value)
+                add_term(carry, key[:pos] + (key[pos] + 1,) + key[pos + 1:],
+                         coeff * value)
             key = key[:pivot] + (a - 1,) + key[pivot + 1:]
             quotient[key] = coeff * inv_c
     remainder = carry
     for key, coeff in digits.get(0, {}).items():
-        _add_term(remainder, key, coeff)
+        add_term(remainder, key, coeff)
     if remainder:
         raise DivisibilityError(f"division by {factor} leaves a remainder")
     return TruncSeries._raw(num.vars, num.cap, quotient)
@@ -386,7 +400,7 @@ def reference_op_pack(ctx, i: int):
     x_loc = compose(ctx.fgl.F, [x_next, compose(ctx.fgl.chi, [x_i])])
     factor = x_next - x_i
     unit = horner_divide(x_loc, factor)
-    assert unit.constant_coeff() == CoeffPoly.one()
+    assert unit.constant_term() == CoeffPoly.one()
     assert x_loc.swap_vars(i - 1, i) == compose(ctx.fgl.chi, [x_loc])
     return factor, series_invert_unit(unit)
 
@@ -618,9 +632,6 @@ class LazardLattice:
 def random_flag_elem(ctx, rng, max_terms=4, max_index=3):
     """A random canonical element with small staircase exponents and small
     coefficient polynomials; used by the property suites."""
-    from cobschub.ringcore import CoeffPoly
-    from cobschub.flagring import FlagElem
-
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         key = tuple(rng.randint(0, j) for j in range(ctx.n))
@@ -633,7 +644,7 @@ def random_flag_elem(ctx, rng, max_terms=4, max_index=3):
         coeff = CoeffPoly(coeff_terms)
         if coeff:
             terms[key] = coeff
-    return FlagElem(ctx, terms)
+    return reduce_canonical(ctx, terms)
 
 
 def flag_poly_in_ideal(ctx, terms: dict) -> bool:

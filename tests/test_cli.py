@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cobschub import cli, selftest
 from cobschub.cli import main
+from cobschub.flagring import THEORIES, theory_law
+from cobschub.ringcore import UsageError
 from cobschub.selftest import CHECKS, run_selftest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -277,6 +280,25 @@ def test_json_output_is_deterministic(capsys):
                  "--right", "2,1", "--format", "json")
     assert first == second
     assert first[0] == 0
+
+
+def test_each_theory_computes_in_its_own_cached_context(capsys):
+    # cobordism keeps the key of _context(n), which the benchmark fills
+    # before its timed region; chow is beta 0 and ktheory --beta
+    expected = {"cobordism": (), "chow": (Fraction(0),),
+                "ktheory": (Fraction(2, 3),)}
+    assert set(expected) == set(THEORIES)
+    cli._context.cache_clear()
+    for theory, law in expected.items():
+        assert theory_law(theory, Fraction(2, 3)) == law
+        code, _, err = run(capsys, "bsclass", "--n", "2", "--word", "1",
+                           "--theory", theory, "--beta", "2/3")
+        assert code == 0, err
+        hits = cli._context.cache_info().hits
+        assert cli._context(2, *law).beta == (law[0] if law else None)
+        assert cli._context.cache_info().hits == hits + 1
+    with pytest.raises(UsageError, match="unknown theory"):
+        theory_law("tropical", Fraction(1))
 
 
 def test_ktheory_beta_parsing(capsys):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobschub.flagring import FlagContext, FlagElem
+from cobschub.flagring import FlagContext, reduce_canonical
 from cobschub.ringcore import (
     MAX_EXPONENT,
     MAX_INDEX,
@@ -29,6 +29,7 @@ from oracles import (
     denominator_lcm,
     pairwise_flag_mul,
     pairwise_series_mul,
+    pairwise_sum_of_products,
     specialize,
     support_indices,
     termwise_compose,
@@ -107,10 +108,9 @@ def test_arithmetic_matches_fraction_model(ta, tb, tc, scalar, exponent):
     # the kernel with CoeffPoly and integer factors on one key; a product
     # that leaves the field raises even when the sum cancels it
     factor = scalar if isinstance(scalar, int) else CoeffPoly.rational(scalar)
-    rights = (b, c) if isinstance(scalar, int) else (b, c, factor)
     product_or_overflow(
-        lambda: sum_of_products([(0, a, b), (0, b, c), (0, c, factor)],
-                                (a, b, c), rights).get(0, CoeffPoly.zero()),
+        lambda: sum_of_products([(0, a, b), (0, b, c), (0, c, factor)]).get(
+            0, CoeffPoly.zero()),
         ma * mb + mb * mc + mc * scalar, (ma * mb, mb * mc))
     assert_matches(CoeffPoly.rational(scalar), FractionPoly({(): scalar}))
 
@@ -185,14 +185,15 @@ def test_exponents_beyond_the_field_raise():
     series = TruncSeries(t, 2, {(0,): half, (2,): top})
     other = TruncSeries(t, 2, {(0,): CoeffPoly.b(3), (2,): -half})
     ctx = FlagContext(2)
-    elem = FlagElem(ctx, {(0, 0): half, (0, 1): top})
-    elem_other = FlagElem(ctx, {(0, 0): CoeffPoly.b(3), (0, 1): -half})
+    elem = reduce_canonical(ctx, {(0, 0): half, (0, 1): top})
+    elem_other = reduce_canonical(ctx, {(0, 0): CoeffPoly.b(3),
+                                        (0, 1): -half})
     outer = TruncSeries(t, 3, {(1,): top})
     for overflowing in (
             lambda: series * other,
             lambda: series * TruncSeries(t, 2, {(0,): CoeffPoly.b(3)}),
             lambda: elem * elem_other,
-            lambda: elem * FlagElem(ctx, {(0, 0): CoeffPoly.b(3)}),
+            lambda: elem * reduce_canonical(ctx, {(0, 0): CoeffPoly.b(3)}),
             lambda: compose(outer, [TruncSeries(t, 3, {(1,): CoeffPoly.b(3)})]),
             lambda: compose(outer * TruncSeries.variable(t, 3, "t"),
                             [TruncSeries(t, 3, {(1,): 1, (2,): top})])):
@@ -278,6 +279,42 @@ def cancellations(a_terms, b_terms, cap: int, result_terms) -> int:
     return len(reached - result_terms.keys())
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_takes_each_keys_denominator_from_its_pairs(seed):
+    # coprime denominators spread over the keys, so each key's lcm differs
+    # and most keys' denominators grow as their pairs arrive; (p, 1)
+    # singletons, which come back as p; and a key whose pairs cancel
+    rng = random.Random(300 + seed)
+    dens = (1, 2, 3, 5, 7, 11, 13)
+
+    def coeff(den) -> CoeffPoly:
+        return CoeffPoly({
+            tuple(sorted({rng.randint(1, 3): rng.randint(1, 2)
+                          for _ in range(rng.randint(0, 2))}.items())):
+            Fraction(rng.choice((-4, -1, 1, 2, 3)), den)
+            for _ in range(rng.randint(1, 3))})
+
+    terms = []
+    for key in range(6):
+        for _ in range(rng.randint(1, 4)):
+            q = rng.choice((rng.randint(-3, 3) or 1, coeff(rng.choice(dens))))
+            terms.append((key, coeff(rng.choice(dens)), q))
+    singles = {key: coeff(rng.choice(dens)) for key in range(6, 10)}
+    terms += [(key, p, 1) for key, p in singles.items()]
+    p, q = coeff(7), coeff(11)
+    terms += [("cancels", p, q), ("cancels", -p, q)]
+    rng.shuffle(terms)
+    # any iterable that can be read once
+    got = sum_of_products(iter(terms))
+    assert {key: value.terms for key, value in got.items()} == (
+        pairwise_sum_of_products(terms))
+    for value in got.values():
+        assert_canonical(value)
+    assert "cancels" not in got
+    for key, p in singles.items():
+        assert got[key] == p
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_series_and_flag_products_match_pairwise_routes(n):
     rng = random.Random(100 + n)
@@ -296,8 +333,8 @@ def test_series_and_flag_products_match_pairwise_routes(n):
                                            expected.terms)
     x1, x2 = ctx.x_elem(1), ctx.x_elem(2)
     for _ in range(4):
-        f = FlagElem(ctx, random_terms(rng, n, ctx.d))
-        g = FlagElem(ctx, random_terms(rng, n, ctx.d))
+        f = reduce_canonical(ctx, random_terms(rng, n, ctx.d))
+        g = reduce_canonical(ctx, random_terms(rng, n, ctx.d))
         for a, b in ((f, g), (f * (x1 - x2), f * (x1 + x2))):
             expected = pairwise_flag_mul(a, b)
             assert a * b == expected

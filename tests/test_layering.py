@@ -1,6 +1,8 @@
 """The flag ring and every layer above it compute with flag elements only:
 none of them imports the series type or series composition, so a change
-that sends the flag ring back through n-variable series fails here."""
+that sends the flag ring back through n-variable series fails here.  And no
+module of the package imports another one's private names: what two
+modules share is public."""
 
 import ast
 from pathlib import Path
@@ -32,3 +34,38 @@ def test_flag_layers_import_no_series():
                                                  ast.FunctionDef))}
     offenders = {name: series_references(trees[name]) for name in FLAG_LAYERS}
     assert offenders == {name: set() for name in FLAG_LAYERS}
+
+
+def private_imports(tree) -> set[str]:
+    """The underscore names a module imports from another ``cobschub``
+    module, or reads off a module it imported with ``from cobschub import``
+    (``fgl._helper``)."""
+    found = set()
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module or "").startswith("cobschub"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.add(f"{node.module}.{alias.name}")
+                elif node.module == "cobschub":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_src_modules_import_no_private_names():
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    # the guard sees the import this rule was written against
+    old = ast.parse("from cobschub.ringcore import CoeffPoly, _add_term\n"
+                    "from cobschub import fgl\nfgl._helper()")
+    assert private_imports(old) == {"cobschub.ringcore._add_term",
+                                    "fgl._helper"}
+    offenders = {name: private_imports(tree) for name, tree in trees.items()}
+    assert offenders == {name: set() for name in trees}

@@ -9,16 +9,19 @@ from functools import lru_cache
 import pytest
 
 from cobschub import selftest
-from cobschub.flagring import FlagContext
-from cobschub.selftest import CHECKS, THEORIES, selftest_results
+from cobschub.flagring import THEORIES, FlagContext, theory_law
+from cobschub.selftest import CHECKS, selftest_results
 
 BETA = {"ktheory": Fraction(2, 3)}
-LAW = {"cobordism": None, "chow": Fraction(0), "ktheory": BETA["ktheory"]}
+
+
+def beta_of(theory):
+    return BETA.get(theory, Fraction(1))
 
 
 @lru_cache(maxsize=None)
 def context(n, theory):
-    return FlagContext(n, LAW[theory])
+    return FlagContext(n, *theory_law(theory, beta_of(theory)))
 
 
 @pytest.mark.parametrize("check, n, theory", [
@@ -26,19 +29,18 @@ def context(n, theory):
     for check in CHECKS for theory in THEORIES for n in (2, 3, 4)
     if check.admits(n, theory)])
 def test_selftest_check(check, n, theory):
-    check.body(context(n, theory), BETA.get(theory, Fraction(1)))
+    check.body(context(n, theory), beta_of(theory))
 
 
 @pytest.mark.parametrize("theory", THEORIES)
 def test_selftest_runs_each_theory_over_its_own_law(monkeypatch, theory):
     built = []
 
-    def record(n, beta=None):
-        built.append((n, beta))
-        return context(n, theory)
+    def record(*args):
+        built.append(args)
+        return context(args[0], theory)
 
     monkeypatch.setattr(selftest, "FlagContext", record)
-    beta = BETA.get(theory, Fraction(1))
     assert all(error is None
-               for _, error in selftest_results(2, theory, beta))
-    assert built == [(2, LAW[theory])]
+               for _, error in selftest_results(2, theory, beta_of(theory)))
+    assert built == [(2, *theory_law(theory, beta_of(theory)))]
