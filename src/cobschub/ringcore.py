@@ -645,7 +645,13 @@ def series_invert_unit(s: TruncSeries) -> TruncSeries:
 def series_reverse(s: TruncSeries) -> TruncSeries:
     """Compositional inverse of a single-variable series t + O(t^2).
 
-    Returns r with s(r(t)) = t through the degree cap.
+    Returns r with s(r(t)) = t through the degree cap.  Each degree m is
+    solved from the coefficient of t^m alone: with s_1 = 1 that coefficient
+    is r_m + sum_{j >= 2} s_j [t^m] r^j, and [t^m] r^j for j >= 2 involves
+    only r_1 .. r_(m-1).  The coefficients of the powers are kept in a
+    table, [t^m] r^j = sum_k r_k [t^(m-k)] r^(j-1), and r^j starts at degree
+    j, so each degree takes one kernel merge for its column of the table
+    and one for r_m.
     """
     if len(s.vars) != 1:
         raise UsageError("series_reverse needs a single-variable series")
@@ -653,16 +659,23 @@ def series_reverse(s: TruncSeries) -> TruncSeries:
         raise UsageError("series_reverse needs a zero constant term")
     if s.coefficient((1,)) != CoeffPoly.one():
         raise UsageError("series_reverse needs linear coefficient 1")
-    cap = s.cap
-    rev_terms: dict[XMonomial, CoeffPoly] = {(1,): CoeffPoly.one()}
-    for m in range(2, cap + 1):
-        trial = compose(s, [s._like(dict(rev_terms))])
-        defect = trial.coefficient((m,))
-        if defect:
-            # the linear coefficient of s is 1, so adjusting degree m of r
-            # shifts degree m of the composite by exactly the same amount
-            rev_terms[(m,)] = -defect
-    return s._like(rev_terms)
+    coeffs = {key[0]: value for key, value in s.terms.items()}
+    rev = {1: CoeffPoly.one()}
+    # powers[j][m] = [t^m] r^j, nonzero entries only; r^1 is r itself
+    powers = {1: rev}
+    for m in range(2, s.cap + 1):
+        column = sum_of_products(
+            (j, rev[k], lower[m - k])
+            for j in range(2, m + 1) for lower in (powers.get(j - 1, {}),)
+            for k in range(1, m - j + 2) if k in rev and m - k in lower)
+        for j, value in column.items():
+            powers.setdefault(j, {})[m] = value
+        value = sum_of_products(
+            (m, coeffs[j], power) for j, power in column.items()
+            if j in coeffs).get(m)
+        if value:
+            rev[m] = -value
+    return s._like({(m,): value for m, value in rev.items()})
 
 
 def compose(outer: TruncSeries, args: Sequence[TruncSeries]) -> TruncSeries:

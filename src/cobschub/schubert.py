@@ -8,8 +8,13 @@ and swaps.  All strings of one word are walked as a single depth-first tree
 that shares their common prefixes, and each string's last dual divided
 difference is replaced by a read of its input's degree-1 part, which holds
 the whole constant term because reduction keeps x-degree and U^-1 has
-constant term 1.  Multiplying one Chern-class factor at a time decomposes
-any product of two classes into the subword classes of the right factor.
+constant term 1.  The same facts bound the degrees the walk carries: the
+swap keeps degree and the dual divided difference reads its input only one
+degree above the part it returns, so the node at position p, whose reads
+lie at most p operators below it, needs its state only through degree
+p + 1, and nothing above that is computed.  Multiplying one Chern-class
+factor at a time decomposes any product of two classes into the subword
+classes of the right factor.
 
 The classes of the lexicographically smallest reduced words, one per
 permutation, form a basis.  Each one's lowest x-degree part is a Schubert
@@ -97,9 +102,16 @@ def _dual_constant_term(i: int, a: FlagElem) -> CoeffPoly:
     degree-1 part is (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i), and no other
     part of it reaches degree 0.
     """
-    n = a.ctx.n  # the exponent vector of x_j is the coordinates of e_j
-    return (a.coefficient(basis_weight(i + 1, n).coords)
-            - a.coefficient(basis_weight(i, n).coords))
+    zero = CoeffPoly.zero()
+    head, tail = (0,) * (i - 1), (0,) * (a.ctx.n - i - 1)
+    return (a.terms.get(head + (0, 1) + tail, zero)
+            - a.terms.get(head + (1, 0) + tail, zero))
+
+
+def _through_degree(a: FlagElem, top: int) -> FlagElem:
+    """The part of ``a`` of x-degree at most ``top``, as a new element."""
+    return FlagElem._raw(a.ctx, {key: coeff for key, coeff in a.terms.items()
+                                 if sum(key) <= top})
 
 
 def chevalley_coeff(ctx: FlagContext, word, positions, lam: Weight) -> CoeffPoly:
@@ -132,6 +144,13 @@ def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
     (``_dual_constant_term``), so the last dual divided difference of a
     string is never applied; a word of length l takes 2^(l-1) - 1 dual
     divided differences and as many swaps.
+
+    Each read is a degree-1 part, the swap keeps degree, and the dual
+    divided difference reads its input only one degree above its output, so
+    the node at position p needs its state only through degree p + 1: the
+    root keeps c1(L(lam)) through degree len(word), and a node asks for its
+    dual child's state through degree p (``divided_diff_dual``'s ``top``)
+    and swaps only its state's part through degree p.
     """
     word = validate_word(word, ctx.n)
     key = (lam.coords, word)
@@ -146,11 +165,14 @@ def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
         if coeff:
             terms[tuple(range(pos)) + kept_above] = coeff
         if pos:
-            walk(pos - 1, divided_diff_dual(ctx, letter, state), kept_above)
-            walk(pos - 1, sigma_op(ctx, letter, state), (pos,) + kept_above)
+            walk(pos - 1, divided_diff_dual(ctx, letter, state, pos),
+                 kept_above)
+            walk(pos - 1, sigma_op(ctx, letter, _through_degree(state, pos)),
+                 (pos,) + kept_above)
 
     if word:
-        walk(len(word) - 1, c1_weight(ctx, lam), ())
+        walk(len(word) - 1,
+             _through_degree(c1_weight(ctx, lam), len(word)), ())
     result = BSExpansion(word, terms)
     ctx._c1bs_cache[key] = result
     return result

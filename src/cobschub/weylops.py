@@ -10,7 +10,8 @@ elements: the only law-dependent part is U^-1, the law's two-variable pack
 read as x_{i+1} and y2 as x_i, kept in canonical form.  The rest is the
 classical divided difference (a - sigma_i a) / (x_{i+1} - x_i), whose
 telescoping integer terms go through the context's normal forms in one
-kernel merge, and a flag-ring product with U^-1 that never leaves degree d.
+kernel merge, and a flag-ring product with U^-1 that never leaves degree d;
+the dual operator stops at a lower degree when its caller names one.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from cobschub.ringcore import (
     UsageError,
     divided_difference_terms,
     sum_of_products,
+    truncated_product,
 )
 from cobschub.flagring import (
     FlagContext,
@@ -222,13 +224,20 @@ def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     return _antisymmetrize(ctx, i, a * _op_pack(ctx, i))
 
 
-def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
-    """The companion operator (1 / F(x_{i+1}, chi(x_i))) (1 - sigma_i).
+def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem,
+                      top: int | None = None) -> FlagElem:
+    """The companion operator (1 / F(x_{i+1}, chi(x_i))) (1 - sigma_i),
+    through x-degree ``top`` (default d, the whole image).
 
     The antisymmetrized quotient (a - sigma_i a) / (x_{i+1} - x_i) is reduced
-    first and then multiplied by U^-1 in the flag ring.  In the additive
-    specialization the operator coincides with divided_diff; in general it
-    differs and carries the Chevalley coefficients.
+    first and then multiplied by U^-1 in the flag ring, keeping only the
+    products of degree at most ``top``.  Reduction keeps x-degree and U^-1
+    has no negative degrees, so this is exactly the image's part of degree
+    at most ``top``, and it reads ``a`` only through degree top + 1.  In the
+    additive specialization the operator coincides with divided_diff; in
+    general it differs and carries the Chevalley coefficients.
     """
     unit_inv = _op_pack(ctx, i)  # checks i before the kernel reads it
-    return _antisymmetrize(ctx, i, a) * unit_inv
+    return reduce_canonical(ctx, truncated_product(
+        _antisymmetrize(ctx, i, a).terms, unit_inv.terms,
+        ctx.d if top is None else top))

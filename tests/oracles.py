@@ -19,8 +19,8 @@ the helpers that only the tests call: the specialization of coefficients,
 series and elements at values of the b_i, flag elements and variables read
 as series over the context's n variables, the product and reducedness of a
 word, total degrees, the graded degrees and generator support of a
-coefficient, the additive-theory image of an element and the lcm of its
-denominators.
+coefficient, an element's part through a given x-degree, the
+additive-theory image of an element and the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -518,6 +518,13 @@ def total_degrees(elem) -> set[int]:
     a flag element."""
     return {sum(key) + b for key, coeff in elem.terms.items()
             for b in coeff_degrees(coeff)}
+
+
+def through_degree(elem, top: int):
+    """The terms of a flag element of x-degree at most ``top``."""
+    return FlagElem._raw(elem.ctx, {key: coeff
+                                    for key, coeff in elem.terms.items()
+                                    if sum(key) <= top})
 
 
 def chow_elem(elem):

@@ -13,6 +13,12 @@ one pair at a time.
 theory.  It was recorded while the expansion still built the whole table of
 basis classes, before it read each class off the residual's leading
 monomial.
+
+``CHEVALLEY_SHA256`` pins a rank-5 Chevalley expansion of rho over a word
+of length 8 in every theory and a rank-5 product of two classes, whose
+walks run on words shorter than d = 10.  It was recorded while the walk
+still carried every state through degree d, before each state was cut to
+the degrees its reads reach.
 """
 
 from test_golden_cli import THEORIES, cli_digest
@@ -30,11 +36,19 @@ EXPAND_COMMANDS = tuple(
     ("expand", "--n", "5", "--word", word) + theory
     for word in ("3,2,3,1,2,1", "4,3,2,1,4,3,2,4,3,4") for theory in THEORIES)
 
+CHEVALLEY_COMMANDS = tuple(
+    ("chevalley", "--n", "5", "--word", "1,2,1,3,2,1,4,3",
+     "--weight", "4,3,2,1,0") + theory for theory in THEORIES) + (
+    ("product", "--n", "5", "--left", "1,2,1,3", "--right", "2,1,4,3,2"),)
+
 RANK5_SHA256 = (
     "947cc5dbe80046f7df6de30e77a9af30a234802ed93ec12b04b4efc0ada5e4ec")
 
 EXPAND_SHA256 = (
     "eeba1193a14ba912726f3105cbc0aaef61f53322ee4fd0f4ed2c116dd473687d")
+
+CHEVALLEY_SHA256 = (
+    "337114ae10bf59c2451fb1e1d5a49a9786c6c4ec4550886254c515fed91f7413")
 
 
 def test_rank5_output_bytes_unchanged():
@@ -43,3 +57,7 @@ def test_rank5_output_bytes_unchanged():
 
 def test_rank5_expand_bytes_unchanged():
     assert cli_digest(EXPAND_COMMANDS, ("json",)) == EXPAND_SHA256
+
+
+def test_rank5_chevalley_bytes_unchanged():
+    assert cli_digest(CHEVALLEY_COMMANDS, ("json",)) == CHEVALLEY_SHA256

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cobschub.fgl import build_universal_fgl
 from cobschub.ringcore import (
     CoeffPoly,
     DivisibilityError,
@@ -259,6 +260,19 @@ def test_reverse_matches_lagrange_oracle_and_round_trips():
         assert compose(s, [r]) == t
         assert compose(r, [s]) == t
         assert series_reverse(r) == s
+
+
+@pytest.mark.parametrize("beta", (None, F(0), F(2, 3)),
+                         ids=("cobordism", "chow", "ktheory"))
+def test_reverse_round_trips_the_law_logs(beta):
+    # the logs of the universal, additive and multiplicative laws, each
+    # degree solved from its own coefficient, against composition both ways
+    for cap in (1, 2, 3, 8, 17):
+        log = build_universal_fgl(cap, beta).log
+        exp = series_reverse(log)
+        t = TruncSeries.variable(("t",), cap, "t")
+        assert compose(log, [exp]) == t, cap
+        assert compose(exp, [log]) == t, cap
 
 
 def test_reverse_preconditions():

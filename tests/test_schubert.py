@@ -9,6 +9,7 @@ import pytest
 from cobschub.fgl import build_universal_fgl
 from cobschub.ringcore import CoeffPoly, InternalError, UsageError
 from cobschub.flagring import (
+    THEORIES,
     FlagContext,
     Weight,
     basis_weight,
@@ -17,6 +18,7 @@ from cobschub.flagring import (
     point_class,
     rho_weight,
     simple_root,
+    theory_law,
 )
 from cobschub.weylops import (
     Permutation,
@@ -140,27 +142,41 @@ def test_chevalley_singleton_is_beta_pairing(ctx3, ctx4):
 
 
 def test_c1_times_bs_matches_per_mask_walk():
-    # the tree walk against one full operator string per removal set, on
-    # fresh contexts: rank 3 up to length 4 (non-reduced words included),
-    # rank 4 up to length 3; omega_k, rho and seeded random weights
+    # the tree walk, which carries each state only through the degrees its
+    # reads reach, against one full operator string per removal set, every
+    # operator applied in full, on fresh contexts: rank 3 up to length 4
+    # (non-reduced words included, and longer than d = 3), rank 4 up to
+    # length 3 in cobordism, Chow and K-theory; omega_k, rho and seeded
+    # random weights; and rho on one length-4 word at rank 5
     rng = random.Random(41)
-    for n, length, randoms in ((3, 4, 2), (4, 3, 1)):
-        ctx = FlagContext(n)
+    beta = Fraction(2, 3)
+    cases = [(3, (), 4, 2)] + [(4, theory_law(theory, beta), 3, 1)
+                               for theory in THEORIES]
+    for n, law, length, randoms in cases:
+        ctx = FlagContext(n, *law)
         weights = [fundamental_weight(k, n) for k in range(1, n)]
         weights += [rho_weight(n)]
         weights += [Weight(tuple(rng.randint(-2, 2) for _ in range(n)))
                     for _ in range(randoms)]
         for lam in weights:
             for word in words_up_to(n, length):
-                expected = {}
-                for removed in subsets(range(len(word))):
-                    coeff = walk_chevalley_coeff(ctx, word, removed, lam)
-                    if coeff:
-                        kept = tuple(p for p in range(len(word))
-                                     if p not in removed)
-                        expected[kept] = coeff
-                assert c1_times_bs(ctx, lam, word).terms == expected, (
-                    n, lam, word)
+                assert c1_times_bs(ctx, lam, word).terms == walk_terms(
+                    ctx, lam, word), (n, law, lam, word)
+    ctx = FlagContext(5)
+    word = (1, 2, 1, 3)
+    assert c1_times_bs(ctx, rho_weight(5), word).terms == walk_terms(
+        ctx, rho_weight(5), word)
+
+
+def walk_terms(ctx, lam, word):
+    """The expansion's terms by kept positions, one walk per removal set."""
+    expected = {}
+    for removed in subsets(range(len(word))):
+        coeff = walk_chevalley_coeff(ctx, word, removed, lam)
+        if coeff:
+            kept = tuple(p for p in range(len(word)) if p not in removed)
+            expected[kept] = coeff
+    return expected
 
 
 def test_c1_times_bs_operator_count(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from cobschub import ringcore
 from cobschub.ringcore import CoeffPoly, TruncSeries, UsageError
 from cobschub.flagring import (
+    THEORIES,
     FlagContext,
     Weight,
     basis_weight,
@@ -16,6 +17,7 @@ from cobschub.flagring import (
     reduce_canonical,
     rho_weight,
     simple_root,
+    theory_law,
 )
 from cobschub.weylops import (
     Permutation,
@@ -42,6 +44,7 @@ from oracles import (
     series_divided_diff,
     series_divided_diff_dual,
     specialize,
+    through_degree,
     word_permutation,
 )
 
@@ -307,13 +310,15 @@ def test_operators_match_series_route_on_engine_inputs(monkeypatch):
     # every operator input reached by bs_class of every reduced word and by
     # the Chevalley walks of omega_k over words of length <= 3 (all of rank
     # 3, the chev_r4 set at rank 4), each on a fresh context, against the
-    # series route
+    # series route; the walk asks the dual operator for its image only
+    # through a degree top, which is compared with the series route's image
+    # cut there
     calls = []
 
     def recording(op, oracle):
-        def wrapper(ctx, i, a):
-            result = op(ctx, i, a)
-            calls.append((oracle, ctx, i, a, result))
+        def wrapper(ctx, i, a, *top):
+            result = op(ctx, i, a, *top)
+            calls.append((oracle, ctx, i, a, top, result))
             return result
         return wrapper
 
@@ -332,8 +337,36 @@ def test_operators_match_series_route_on_engine_inputs(monkeypatch):
                     c1_times_bs(ctx, fundamental_weight(k, n), word)
     assert {op for op, *_ in calls} == {series_divided_diff,
                                         series_divided_diff_dual}
-    for oracle, ctx, i, a, result in calls:
-        assert result == oracle(ctx, i, a), (ctx.n, i, a)
+    assert any(top and top[0] < ctx.d for _, ctx, _, _, top, _ in calls)
+    for oracle, ctx, i, a, top, result in calls:
+        expected = oracle(ctx, i, a)
+        if top:
+            expected = through_degree(expected, *top)
+        assert result == expected, (ctx.n, i, a, top)
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("n", (3, 4))
+def test_bounded_dual_is_the_image_through_top(n, theory):
+    # divided_diff_dual(ctx, i, a, top) is the series route's image cut to
+    # degree <= top for every top in 0..d, and top None the whole image, on
+    # random elements and on the engine's inputs: first Chern classes, the
+    # states the walk hands down, and Bott-Samelson classes
+    ctx = FlagContext(n, *theory_law(theory, Fraction(2, 3)))
+    rng = random.Random(59 + n)
+    rho = c1_weight(ctx, rho_weight(n))
+    inputs = [random_flag_elem(ctx, rng) for _ in range(3)]
+    inputs += [rho, c1_weight(ctx, fundamental_weight(n - 1, n)),
+               sigma_op(ctx, 1, divided_diff_dual(ctx, n - 1, rho)),
+               bs_class(ctx, (1, 2)), bs_class(ctx, (n - 1,))]
+    for a in inputs:
+        for i in range(1, n):
+            full = series_divided_diff_dual(ctx, i, a)
+            assert divided_diff_dual(ctx, i, a) == full
+            assert divided_diff_dual(ctx, i, a, None) == full
+            for top in range(ctx.d + 1):
+                assert divided_diff_dual(ctx, i, a, top) == through_degree(
+                    full, top), (i, a, top)
 
 
 def test_dual_constant_term_is_the_degree_one_read(ctx3, ctx4):
