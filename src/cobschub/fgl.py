@@ -1,4 +1,4 @@
-"""The universal formal group law and the rank-two push-forward operator.
+"""The universal formal group law and its Chow and K-theory images.
 
 The law is built through the logarithm log(t) = t + sum b_i t^(i+1) / (i+1)
 over the rationalized coefficient ring, which pins the standard coefficients
@@ -9,18 +9,14 @@ built with rational coefficients directly.  The inverse chi is an exact
 compositional inverse, and the series q with F(u, v) = u + v - u*v*q(u, v)
 is read off the coefficients of F, never from formal fraction manipulation.
 
-The divided-difference operator (1 + swap)(1 / F(y1, chi(y2))) is linear
-over symmetric series, so its only law-dependent part is the inverse unit
-U^-1 of F(y1, chi(y2)) = (y1 - y2) * U (see ``FGLData.pair_pack``), whose
-exponent pairs the flag-ring operators of every rank read as exponents of
-x_{i+1} and x_i; the rest is the classical divided difference of
-``ringcore``.
+The divided-difference operators live in ``weylops``; the law gives them
+their one law-dependent part, the inverse unit U^-1 of
+F(y1, chi(y2)) = (y1 - y2) * U (``FGLData.pair_pack``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from cobschub.ringcore import (
     CoeffPoly,
@@ -29,10 +25,8 @@ from cobschub.ringcore import (
     UsageError,
     compose,
     divide_by_linear,
-    divided_difference_terms,
     series_invert_unit,
     series_reverse,
-    sum_of_products,
 )
 
 
@@ -59,10 +53,6 @@ class FGLData:
         self.chi = chi
         self.q = q
         self._pair_pack = None
-
-    def a(self, i: int, j: int) -> CoeffPoly:
-        """Coefficient of u^i v^j in F."""
-        return self.F.coefficient((i, j))
 
     def pair_pack(self) -> TruncSeries:
         """The inverse unit U^-1 over (y1, y2), where
@@ -128,68 +118,3 @@ def build_universal_fgl(D: int, beta: Fraction | None = None) -> FGLData:
         q_terms[(i - 1, j - 1)] = coeff
     q = TruncSeries._raw(pair, D, q_terms)
     return FGLData(D, log, exp, F, chi, q)
-
-
-def universal_divided_diff(fgl: FGLData, f: TruncSeries) -> TruncSeries:
-    """The operator (1 + swap) (f / F(y1, chi(y2))) on two-variable series.
-
-    Computed as the antisymmetrized quotient (h - swap h) / (y1 - y2) with
-    h = f / U, where F(y1, chi(y2)) = (y1 - y2) * U.  The result is
-    symmetric.  Terms in the top two degrees below the cap depend on
-    discarded terms of f, so build the law with headroom when they matter.
-    """
-    if len(f.vars) != 2:
-        raise UsageError("universal_divided_diff needs a two-variable series")
-    if f.cap != fgl.degree_cap:
-        raise UsageError("series cap must match the formal group law cap")
-    h = f * f._like(fgl.pair_pack().terms)
-    return h._like(sum_of_products(divided_difference_terms(h.terms, 0, 1)))
-
-
-def to_chern_basis(s: TruncSeries) -> dict[tuple[int, int], CoeffPoly]:
-    """Rewrite a symmetric two-variable series in e1 = y1 + y2, e2 = y1*y2.
-
-    Returns a mapping (a, b) -> coefficient for e1^a * e2^b.  Raises
-    InternalError if the input is not symmetric.
-    """
-    if len(s.vars) != 2:
-        raise UsageError("to_chern_basis needs a two-variable series")
-    vars, cap = s.vars, s.cap
-    e1 = (TruncSeries.variable(vars, cap, vars[0])
-          + TruncSeries.variable(vars, cap, vars[1]))
-    e2 = (TruncSeries.variable(vars, cap, vars[0])
-          * TruncSeries.variable(vars, cap, vars[1]))
-    powers: dict[tuple[int, int], TruncSeries] = {}
-
-    def e_power(a: int, b: int) -> TruncSeries:
-        if (a, b) not in powers:
-            powers[(a, b)] = e1**a * e2**b
-        return powers[(a, b)]
-
-    residue = s
-    table: dict[tuple[int, int], CoeffPoly] = {}
-    while not residue.is_zero():
-        key = max(residue.terms)  # lex-largest monomial
-        a, b = key
-        if a < b:
-            raise InternalError(f"series is not symmetric near {key}")
-        coeff = residue.terms[key]
-        table[(a - b, b)] = coeff
-        residue = residue - e_power(a - b, b) * coeff
-    return table
-
-
-def pushforward_table(fgl: FGLData,
-                      f_coeffs: Sequence) -> dict[tuple[int, int], CoeffPoly]:
-    """A(f(y1)) decomposed on monomials in the elementary symmetric classes.
-
-    Only the degrees the truncated law determines are returned, i.e. the
-    table covers Chern monomials of total weight up to degree_cap - 2.
-    """
-    cap = fgl.degree_cap
-    y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
-    f_series = TruncSeries.zero(PAIR_VARS, cap)
-    for k, coeff in enumerate(f_coeffs):
-        f_series = f_series + y1**k * CoeffPoly.coerce(coeff)
-    pushed = universal_divided_diff(fgl, f_series)
-    return to_chern_basis(pushed.truncate(max(cap - 2, 0)))

@@ -111,9 +111,8 @@ class FlagContext:
     U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is exact one degree below the
     law's cap, so cap d + 1 is the least that serves the operators; the
     tests check that caps d + 1, d + 3 and d + 4 give the results of d + 2.
-    The law is built at d + 2 because the selftest reads its cubic
-    coefficients a_21 and a_12 from the context, which at rank 2 needs
-    cap 3.
+    The law is built at d + 2 because the selftest reads the coefficients
+    of u^2 v and u v^2 in F from the context, which at rank 2 needs cap 3.
 
     Caches, filled on first use and kept for the context's life: the
     normal forms of raw monomials (``_normal_forms``, see ``normal_form``),

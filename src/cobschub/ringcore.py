@@ -578,13 +578,6 @@ class TruncSeries(TermMap):
 
     # -- arithmetic beyond the shared module operations ----------------------
 
-    def truncate(self, cap: int) -> "TruncSeries":
-        if cap >= self.cap:
-            return TruncSeries._raw(self.vars, cap, dict(self.terms))
-        return TruncSeries._raw(
-            self.vars, cap,
-            {k: v for k, v in self.terms.items() if sum(k) <= cap})
-
     def __mul__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return self._scale(other)

@@ -201,7 +201,7 @@ def test_selftest_rank3(capsys, theory):
 
 def test_selftest_reports_a_failing_check_and_keeps_going(capsys,
                                                           monkeypatch):
-    def broken(ctx, beta):
+    def broken(ctx):
         raise AssertionError("broken on purpose")
 
     monkeypatch.setattr(selftest, "CHECKS", tuple(

@@ -1,40 +1,26 @@
-import random
-from fractions import Fraction
-
 import pytest
 
 from cobschub import fgl as fgl_module
+from cobschub.flagring import FlagContext, reduce_canonical
 from cobschub.ringcore import (
     CoeffPoly,
     InternalError,
     TruncSeries,
     UsageError,
     compose,
-    divide_by_linear,
-    series_invert_unit,
 )
-from cobschub.fgl import (
-    build_universal_fgl,
-    pushforward_table,
-    to_chern_basis,
-    universal_divided_diff,
+from cobschub.fgl import build_universal_fgl
+from cobschub.weylops import divided_diff
+
+from oracles import (
+    formal_sum,
+    horner_divide,
+    n_series,
+    reference_op_pack,
+    var_series,
 )
 
-from oracles import formal_sum, n_series, specialize, support_indices
-
-F = Fraction
 b1 = CoeffPoly.b(1)
-b2 = CoeffPoly.b(2)
-
-
-def chow(c):
-    # every b_i goes to 0
-    return specialize(c, {i: F(0) for i in support_indices(c)})
-
-
-def ktheory(c, beta):
-    # b_i goes to beta^i
-    return specialize(c, {i: F(beta)**i for i in support_indices(c)})
 
 
 # ---------------------------------------------------------------------------
@@ -128,101 +114,39 @@ def test_formal_sum_examples(fgl_factory):
 
 
 # ---------------------------------------------------------------------------
-# The divided-difference operator on two-variable series
+# The flag-ring operator A_i = (1 + sigma_i)(1 / F(x_{i+1}, chi(x_i))),
+# with the law's pair (y1, y2) read as (x_{i+1}, x_i)
 
 
-def test_divided_diff_of_one(fgl_factory):
-    fgl = fgl_factory(6)
-    pair = ("y1", "y2")
-    one = TruncSeries.one(pair, 6)
-    a1 = universal_divided_diff(fgl, one)
-    assert a1.constant_term() == b1  # -a_11
-    # matches q(x_loc, chi(x_loc)) through the trustworthy range
-    y1 = TruncSeries.variable(pair, 6, "y1")
-    y2 = TruncSeries.variable(pair, 6, "y2")
-    x_loc = compose(fgl.F, [y1, compose(fgl.chi, [y2])])
-    chi_x = compose(fgl.chi, [x_loc])
-    assert a1.truncate(4) == compose(fgl.q, [x_loc, chi_x]).truncate(4)
-    # symmetric under the swap
-    assert a1 == a1.swap_vars(0, 1)
+def operator_cases():
+    """(ctx, i, x_loc) for every operator at ranks 3-4 over the universal
+    law, with x_loc = F(x_{i+1}, chi(x_i)) a series in the context's
+    variables."""
+    for n in (3, 4):
+        ctx = FlagContext(n)
+        for i in range(1, n):
+            x_loc = compose(ctx.fgl.F, [
+                var_series(ctx, i + 1),
+                compose(ctx.fgl.chi, [var_series(ctx, i)])])
+            yield ctx, i, x_loc
 
 
-def test_divided_diff_of_y1(fgl_factory):
-    fgl = fgl_factory(6)
-    pair = ("y1", "y2")
-    y1 = TruncSeries.variable(pair, 6, "y1")
-    y2 = TruncSeries.variable(pair, 6, "y2")
-    ay1 = universal_divided_diff(fgl, y1)
-    assert ay1.constant_term() == CoeffPoly.one()
-    assert ay1.coefficient((1, 1)) == b1**2 - b2  # a_12
-    assert ay1.coefficient((1, 0)).is_zero()
-    assert ay1.coefficient((0, 1)).is_zero()
-    # identity A(y1) = y2 A(1) + (F(x_loc, y2) - y2) / x_loc
-    one = TruncSeries.one(pair, 6)
-    a1 = universal_divided_diff(fgl, one)
-    x_loc = compose(fgl.F, [y1, compose(fgl.chi, [y2])])
-    unit = divide_by_linear(x_loc, 0, 1)
-    frac = divide_by_linear(compose(fgl.F, [x_loc, y2]) - y2, 0, 1)
-    frac = frac * series_invert_unit(unit)
-    assert ay1.truncate(4) == (y2 * a1 + frac).truncate(4)
+def test_divided_diff_of_one():
+    for ctx, i, x_loc in operator_cases():
+        a1 = divided_diff(ctx, i, ctx.one())
+        assert a1.constant_term() == b1  # -a_11
+        chi_x = compose(ctx.fgl.chi, [x_loc])
+        q_x = compose(ctx.fgl.q, [x_loc, chi_x])
+        assert a1 == reduce_canonical(ctx, q_x.terms), (ctx.n, i)
 
 
-def test_divided_diff_symmetric_linearity(fgl_factory):
-    fgl = fgl_factory(6)
-    pair = ("y1", "y2")
-    rng = random.Random(5)
-    y1 = TruncSeries.variable(pair, 6, "y1")
-    y2 = TruncSeries.variable(pair, 6, "y2")
-    e1, e2 = y1 + y2, y1 * y2
-    for _ in range(5):
-        g = (TruncSeries.constant(pair, 6, rng.randint(1, 3))
-             + e1 * rng.randint(-2, 2) + e2 * rng.randint(-2, 2)
-             + e1 * e1 * CoeffPoly.b(1) * rng.randint(-1, 1))
-        h = (y1**rng.randint(0, 2)) * (y2**rng.randint(0, 2))
-        left = universal_divided_diff(fgl, g * h)
-        right = g * universal_divided_diff(fgl, h)
-        assert left.truncate(4) == right.truncate(4)
-        assert left == left.swap_vars(0, 1)
-
-
-# ---------------------------------------------------------------------------
-# Push-forward degenerations
-
-
-def test_pushforward_chow_degenerations(fgl_factory):
-    fgl = fgl_factory(6)
-    table_one = pushforward_table(fgl, (1,))
-    assert all(chow(c) == 0 for c in table_one.values())
-    table_xi = pushforward_table(fgl, (0, 1))
-    for key, coeff in table_xi.items():
-        assert chow(coeff) == (1 if key == (0, 0) else 0)
-
-
-def test_pushforward_ktheory_degenerations(fgl_factory):
-    fgl = fgl_factory(6)
-    beta = F(3, 5)
-    table_one = pushforward_table(fgl, (1,))
-    for key, coeff in table_one.items():
-        assert ktheory(coeff, beta) == (beta if key == (0, 0) else 0)
-    table_xi = pushforward_table(fgl, (0, 1))
-    for key, coeff in table_xi.items():
-        assert ktheory(coeff, beta) == (1 if key == (0, 0) else 0)
-
-
-def test_to_chern_basis_round_trip(fgl_factory):
-    rng = random.Random(13)
-    pair = ("y1", "y2")
-    y1 = TruncSeries.variable(pair, 5, "y1")
-    y2 = TruncSeries.variable(pair, 5, "y2")
-    e1, e2 = y1 + y2, y1 * y2
-    s = TruncSeries.zero(pair, 5)
-    for _ in range(6):
-        s = s + (e1**rng.randint(0, 2)) * (e2**rng.randint(0, 1)) * F(
-            rng.randint(-3, 3))
-    table = to_chern_basis(s)
-    rebuilt = TruncSeries.zero(pair, 5)
-    for (a, b), coeff in table.items():
-        rebuilt = rebuilt + coeff * (e1**a * e2**b)
-    assert rebuilt == s
-    with pytest.raises(InternalError):
-        to_chern_basis(y2)  # not symmetric
+def test_divided_diff_of_y1():
+    # A(x_{i+1}) = x_i A(1) + (F(x_loc, x_i) - x_i) / x_loc
+    for ctx, i, x_loc in operator_cases():
+        factor, unit_inv = reference_op_pack(ctx, i)
+        x_i = var_series(ctx, i)
+        frac = horner_divide(compose(ctx.fgl.F, [x_loc, x_i]) - x_i,
+                             factor) * unit_inv
+        expected = (ctx.x_elem(i) * divided_diff(ctx, i, ctx.one())
+                    + reduce_canonical(ctx, frac.terms))
+        assert divided_diff(ctx, i, ctx.x_elem(i + 1)) == expected, (ctx.n, i)

@@ -1,8 +1,9 @@
 """The flag ring and every layer above it compute with flag elements only:
 none of them imports the series type or series composition, so a change
-that sends the flag ring back through n-variable series fails here.  And no
-module of the package imports another one's private names: what two
-modules share is public."""
+that sends the flag ring back through n-variable series fails here.  Only
+``weylops`` imports the classical divided-difference kernel, so a second
+copy of the operators fails here too.  And no module of the package imports
+another one's private names: what two modules share is public."""
 
 import ast
 from pathlib import Path
@@ -10,30 +11,47 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "cobschub"
 FLAG_LAYERS = ("flagring", "weylops", "schubert", "cli")
 SERIES_NAMES = {"TruncSeries", "compose"}
+OPERATOR_KERNEL = "divided_difference_terms"
 
 
-def series_references(tree) -> set[str]:
-    """The series names a module imports, or reads off an imported module
+def source_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def ringcore_definitions(trees) -> set[str]:
+    return {node.name for node in trees["ringcore"].body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+
+
+def references(tree, names) -> set[str]:
+    """The given names a module imports, or reads off an imported module
     (``ringcore.compose``)."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            found |= {alias.name for alias in node.names} & SERIES_NAMES
-        elif isinstance(node, ast.Attribute) and node.attr in SERIES_NAMES:
+            found |= {alias.name for alias in node.names} & names
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.add(node.attr)
     return found
 
 
 def test_flag_layers_import_no_series():
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = source_trees()
     assert set(FLAG_LAYERS) <= set(trees)
     # the guard looks for names the series layer really defines
-    assert SERIES_NAMES <= {node.name for node in trees["ringcore"].body
-                            if isinstance(node, (ast.ClassDef,
-                                                 ast.FunctionDef))}
-    offenders = {name: series_references(trees[name]) for name in FLAG_LAYERS}
+    assert SERIES_NAMES <= ringcore_definitions(trees)
+    offenders = {name: references(trees[name], SERIES_NAMES)
+                 for name in FLAG_LAYERS}
     assert offenders == {name: set() for name in FLAG_LAYERS}
+
+
+def test_only_weylops_imports_the_divided_difference_kernel():
+    trees = source_trees()
+    assert OPERATOR_KERNEL in ringcore_definitions(trees)
+    importers = {name for name, tree in trees.items()
+                 if references(tree, {OPERATOR_KERNEL})}
+    assert importers == {"weylops"}
 
 
 def private_imports(tree) -> set[str]:
@@ -60,8 +78,7 @@ def private_imports(tree) -> set[str]:
 
 
 def test_src_modules_import_no_private_names():
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = source_trees()
     # the guard sees the import this rule was written against
     old = ast.parse("from cobschub.ringcore import CoeffPoly, _add_term\n"
                     "from cobschub import fgl\nfgl._helper()")

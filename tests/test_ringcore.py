@@ -128,7 +128,7 @@ def test_series_arith_mismatch():
     with pytest.raises(UsageError):
         a + b
     with pytest.raises(UsageError):
-        a + a.truncate(2)
+        a + TruncSeries.variable(("u",), 2, "u")
 
 
 def test_series_subtraction_is_addition_of_the_negative():
@@ -447,3 +447,35 @@ def test_divided_difference_kernel_matches_classical(terms, i):
     f = TruncSeries(vars, cap, terms)
     swap = f.swap_vars(i, i + 1)
     assert divide_by_linear(f - swap, i + 1, i).terms == expected
+
+
+# ---------------------------------------------------------------------------
+# Round trips on random series with b-polynomial coefficients, the kind the
+# universal law's log, exp and chi are
+
+
+@st.composite
+def law_series(draw, lowest):
+    """A series in t at a cap of 2-8 whose terms, of degree ``lowest`` and
+    up, carry random b-polynomials."""
+    cap = draw(st.integers(2, 8))
+    terms = draw(st.dictionaries(st.integers(lowest, cap), small_coeffs,
+                                 max_size=4))
+    return TruncSeries(("t",), cap, {(k,): c for k, c in terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(law_series(1), nonzero_rationals)
+def test_invert_unit_round_trips_law_series(tail, const):
+    s = tail + TruncSeries.constant(("t",), tail.cap, const)
+    assert s * series_invert_unit(s) == TruncSeries.one(("t",), s.cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law_series(2))
+def test_reverse_round_trips_law_series(tail):
+    t = TruncSeries.variable(("t",), tail.cap, "t")
+    s = t + tail
+    r = series_reverse(s)
+    assert compose(s, [r]) == t
+    assert compose(r, [s]) == t

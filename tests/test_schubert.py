@@ -3,8 +3,10 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobschub.fgl import build_universal_fgl
 from cobschub.ringcore import CoeffPoly, InternalError, UsageError
@@ -42,10 +44,12 @@ from cobschub.schubert import (
 from cobschub import schubert
 from oracles import (
     chow_elem,
+    coeff_degrees,
     denominator_lcm,
     is_reduced,
     random_flag_elem,
     table_expand_in_bs_basis,
+    total_degrees,
     walk_chevalley_coeff,
     words_up_to,
 )
@@ -471,6 +475,43 @@ def test_results_do_not_depend_on_headroom(n, length):
     for cap in (d + 1, d + 3, d + 4):
         assert headroom_results(context_at_cap(n, cap), length) == expected, \
             cap
+
+
+# ---------------------------------------------------------------------------
+# Grading: with b_i in degree -i, each x_j in degree 1 and
+# wt(b^m) = sum i * m_i, every cobordism output is homogeneous
+
+
+@lru_cache(maxsize=None)
+def cobordism_context(n):
+    return FlagContext(n)
+
+
+def weights(coeff) -> set[int]:
+    """wt(b^m) over the b-monomials of a coefficient."""
+    return {-degree for degree in coeff_degrees(coeff)}
+
+
+@st.composite
+def rank_and_two_words(draw):
+    n = draw(st.sampled_from((3, 4)))
+    d = n * (n - 1) // 2
+    word = st.lists(st.integers(1, n - 1), max_size=d + 1).map(tuple)
+    return n, draw(word), draw(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_and_two_words())
+def test_cobordism_outputs_are_homogeneous(case):
+    n, left, word = case
+    ctx = cobordism_context(n)
+    cls = bs_class(ctx, word)
+    # each term x^k b^m of Z_J has |k| - wt(m) = d - len(J)
+    assert total_degrees(cls) <= {ctx.d - len(word)}
+    for kept, coeff in product_bs(ctx, left, word).terms.items():
+        assert weights(coeff) <= {len(left) + len(word) - len(kept) - ctx.d}
+    for w, coeff in expand_in_bs_basis(ctx, cls).items():
+        assert weights(coeff) <= {len(word) - w.inversions()}
 
 
 # ---------------------------------------------------------------------------

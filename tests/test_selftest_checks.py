@@ -29,7 +29,7 @@ def context(n, theory):
     for check in CHECKS for theory in THEORIES for n in (2, 3, 4)
     if check.admits(n, theory)])
 def test_selftest_check(check, n, theory):
-    check.body(context(n, theory), beta_of(theory))
+    check.body(context(n, theory))
 
 
 @pytest.mark.parametrize("theory", THEORIES)
