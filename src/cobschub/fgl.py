@@ -11,7 +11,9 @@ is read off the coefficients of F, never from formal fraction manipulation.
 
 The divided-difference operators live in ``weylops``; the law gives them
 their one law-dependent part, the inverse unit U^-1 of
-F(y1, chi(y2)) = (y1 - y2) * U (``FGLData.pair_pack``).
+F(y1, chi(y2)) = (y1 - y2) * U (``FGLData.pair_pack``), built only through
+the degree its reader names: the operators of a rank-n flag ring read it
+through d = n(n-1)/2, which takes the law through d + 1.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ class FGLData:
     ``F`` lives in variables (u, v), ``chi`` in u, ``log`` and ``exp`` in t.
     ``q`` is determined by F(u, v) = u + v - u*v*q(u, v), so its stored
     terms are exact through degree_cap - 2.  The law never changes after
-    construction; its one cache, the operator pack, is filled by the first
-    ``pair_pack`` call and lives as long as the law.
+    construction; its one cache, the operator packs, holds one pack per
+    degree asked of ``pair_pack`` and lives as long as the law.
     """
 
-    __slots__ = ("degree_cap", "log", "exp", "F", "chi", "q", "_pair_pack")
+    __slots__ = ("degree_cap", "log", "exp", "F", "chi", "q", "_pair_packs")
 
     def __init__(self, degree_cap, log, exp, F, chi, q):
         self.degree_cap = degree_cap
@@ -52,30 +54,42 @@ class FGLData:
         self.F = F
         self.chi = chi
         self.q = q
-        self._pair_pack = None
+        self._pair_packs: dict[int, TruncSeries] = {}
 
-    def pair_pack(self) -> TruncSeries:
-        """The inverse unit U^-1 over (y1, y2), where
-        x_loc = F(y1, chi(y2)) = (y1 - y2) * U.
+    def pair_pack(self, top: int) -> TruncSeries:
+        """The inverse unit U^-1 over (y1, y2) at cap ``top``, exact through
+        that degree, where x_loc = F(y1, chi(y2)) = (y1 - y2) * U; built on
+        first use and kept, one pack per ``top``.
 
-        Built on first use.  U must have constant term 1, which is checked
-        here.  The antisymmetrization route also rests on the law identity
+        U is one degree below x_loc, so F and chi are cut to cap top + 1
+        (UsageError if the law stops below it), composed and divided by
+        y1 - y2 with its remainder check, and U is cut to cap top before it
+        is inverted.  U must have constant term 1, which is checked here.
+        The antisymmetrization route also rests on the law identity
         swap(x_loc) = chi(x_loc); the ``law-axioms`` check of the selftest
         registry tests it, so it runs in tier-1 and in ``selftest``, not on
-        every law.  Renaming y1, y2 to two of more variables keeps both
+        every law.  Renaming y1, y2 to any two flag variables keeps both
         identities, so they hold for the operators of every rank.
         """
-        if self._pair_pack is None:
-            cap = self.degree_cap
+        if top + 1 > self.degree_cap:
+            raise UsageError(
+                f"a pack through degree {top} needs a law of cap at least "
+                f"{top + 1}, not {self.degree_cap}")
+        pack = self._pair_packs.get(top)
+        if pack is None:
+            cap = top + 1
             y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
             y2 = TruncSeries.variable(PAIR_VARS, cap, "y2")
-            x_loc = compose(self.F, [y1, compose(self.chi, [y2])])
+            F = TruncSeries(self.F.vars, cap, self.F.terms)
+            chi = TruncSeries(self.chi.vars, cap, self.chi.terms)
+            x_loc = compose(F, [y1, compose(chi, [y2])])
             unit = divide_by_linear(x_loc, 0, 1)
             if unit.constant_term() != CoeffPoly.one():
                 raise InternalError(
                     "x_loc / (y1 - y2) is not a unit with constant 1")
-            self._pair_pack = series_invert_unit(unit)
-        return self._pair_pack
+            pack = self._pair_packs[top] = series_invert_unit(
+                TruncSeries(PAIR_VARS, top, unit.terms))
+        return pack
 
     def __repr__(self):
         return f"FGLData(degree_cap={self.degree_cap})"

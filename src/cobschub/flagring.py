@@ -108,18 +108,22 @@ class FlagContext:
     one flag-ring product with the inverse unit U^-1, so it reads U^-1 only
     through degree d; ``c1_weight`` evaluates the law's log and exp at flag
     elements, so it too reads the law only through degree d.
-    U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is exact one degree below the
-    law's cap, so cap d + 1 is the least that serves the operators; the
-    tests check that caps d + 1, d + 3 and d + 4 give the results of d + 2.
-    The law is built at d + 2 because the selftest reads the coefficients
-    of u^2 v and u v^2 in F from the context, which at rank 2 needs cap 3.
+    U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is one degree below x_loc,
+    so the law's pack through degree d (``FGLData.pair_pack(d)``) reads the
+    law through d + 1: cap d + 1 is the least that serves the operators,
+    and the tests check that caps d + 1, d + 3 and d + 4 give the results
+    of d + 2.  The law is built at d + 2 because the selftest reads the
+    coefficients of u^2 v and u v^2 in F from the context, which at rank 2
+    needs cap 3.
 
     Caches, filled on first use and kept for the context's life: the
-    normal forms of raw monomials (``_normal_forms``, see ``normal_form``),
-    the operators' canonical U^-1 (``_op_packs``, by i), first Chern classes
-    of weights (``_c1_cache``), Bott-Samelson classes (``_bs_cache``),
-    Chevalley expansions (``_c1bs_cache``, by weight and word; single
-    coefficients are looked up there).
+    normal forms of the monomials that reductions meet and of those their
+    forms rest on (``_normal_forms``, see ``normal_form``), the law's pack
+    through degree d (on the law), the operators' canonical U^-1
+    (``_op_packs``, by i), first Chern classes of weights (``_c1_cache``),
+    Bott-Samelson classes (``_bs_cache``), Chevalley expansions
+    (``_c1bs_cache``, by weight and word; single coefficients are looked up
+    there).
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
@@ -159,11 +163,21 @@ class FlagContext:
         The rewrite rules have integer coefficients and no b-terms, so the
         form does not depend on the law.  A staircase monomial is its own
         form.  Any other monomial has a first j with x_j-exponent at least
-        j, and rewriting that x_j^j by the rule of h_j(x_j, .., x_n) gives
-        strictly smaller monomials (lexicographically, x_1 heaviest) of the
-        same degree; the form is minus the sum of theirs.  So every form is
-        built once, after those of the smaller monomials it needs, and each
-        of them is kept in the table too.
+        j, and one of two rules gives its form:
+
+        - if mono / x_j is staircase, x_j^j is rewritten by the rule of
+          h_j(x_j, .., x_n), which gives monomials of the same degree, each
+          lexicographically below mono (x_1 heaviest); the form is minus
+          the sum of theirs;
+        - otherwise one x_j is peeled: the form is the sum of c times the
+          form of x_j * s over the terms (s, c) of the form of mono / x_j.
+          That is exact because taking forms is linear modulo the ideal.
+
+        Forms only hold monomials lexicographically at most their own, and
+        mono / x_j is not staircase, so each s lies strictly below mono / x_j
+        and each x_j * s strictly below mono.  Every form so rests on forms
+        of lower degree or of smaller monomials of its degree, and is built
+        once, after them; each of them is kept in the table too.
         """
         forms = self._normal_forms
         form = forms.get(key)
@@ -187,18 +201,29 @@ class FlagContext:
                 forms[mono] = ((mono, 1),)
                 stack.pop()
                 continue
-            base = list(mono)
-            base[j - 1] -= j
-            smaller = [tuple(map(operator.add, base, repl))
-                       for repl in self._rewrite[j]]
-            missing = [m for m in smaller if m not in forms]
+            if mono[j - 1] == j and all(
+                    e <= k for k, e in enumerate(mono[j:], start=j)):
+                base = list(mono)
+                base[j - 1] = 0
+                smaller = [(tuple(map(operator.add, base, repl)), -1)
+                           for repl in self._rewrite[j]]
+            else:
+                parent = list(mono)
+                parent[j - 1] -= 1
+                parent = tuple(parent)
+                if parent not in forms:
+                    stack.append(parent)
+                    continue
+                smaller = [(skey[:j - 1] + (skey[j - 1] + 1,) + skey[j:], c)
+                           for skey, c in forms[parent]]
+            missing = [m for m, _ in smaller if m not in forms]
             if missing:
                 stack.extend(missing)
                 continue
             total: dict[tuple[int, ...], int] = {}
-            for m in smaller:
+            for m, c in smaller:
                 for skey, value in forms[m]:
-                    total[skey] = total.get(skey, 0) - value
+                    total[skey] = total.get(skey, 0) + c * value
             forms[mono] = tuple((skey, value)
                                 for skey, value in total.items() if value)
             stack.pop()

@@ -201,6 +201,11 @@ def _check_weyl_lemma(ctx):
 
 
 def _check_operator_properties(ctx):
+    # A_i(1) is the class of P^1, -a_11: b1, beta or 0; this pins which
+    # variable of the operator the pack's y1 is read as
+    p1 = -ctx.fgl.F.coefficient((1, 1))
+    for i in range(1, ctx.n):
+        assert divided_diff(ctx, i, ctx.one()).constant_term() == p1
     rng = random.Random(103)
     for _ in range(3):
         a = _random_elem(ctx, rng)

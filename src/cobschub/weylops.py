@@ -6,8 +6,9 @@ operators rest on the factorization F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U
 with U a unit.  Both operators are linear over symmetric elements, so they
 map the ideal of the presentation into itself and work on canonical
 elements: the only law-dependent part is U^-1, the law's two-variable pack
-(``FGLData.pair_pack``, which checks that U has constant term 1) with y1
-read as x_{i+1} and y2 as x_i, kept in canonical form.  The rest is the
+through degree d (``FGLData.pair_pack(d)``, which checks that U has
+constant term 1) with y1 read as x_{i+1} and y2 as x_i, kept in canonical
+form; no product of the operators reads it above degree d.  The rest is the
 classical divided difference (a - sigma_i a) / (x_{i+1} - x_i), whose
 telescoping integer terms go through the context's normal forms in one
 kernel merge, and a flag-ring product with U^-1 that never leaves degree d;
@@ -175,8 +176,8 @@ def beta_sequence(word: Word, n: int) -> list[Weight]:
 
 def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
     """The canonical form of the inverse unit U^-1 of F(x_{i+1}, chi(x_i)),
-    kept in ``ctx._op_packs``: the law's pack over (y1, y2) with each term
-    y1^a y2^b read as x_i^b x_{i+1}^a and reduced."""
+    kept in ``ctx._op_packs``: the law's pack over (y1, y2) through degree
+    d with each term y1^a y2^b read as x_i^b x_{i+1}^a and reduced."""
     if not 1 <= i <= ctx.n - 1:
         raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
     unit_inv = ctx._op_packs.get(i)
@@ -184,7 +185,7 @@ def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
         head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
         unit_inv = ctx._op_packs[i] = reduce_canonical(ctx, {
             head + (b, a) + tail: coeff
-            for (a, b), coeff in ctx.fgl.pair_pack().terms.items()})
+            for (a, b), coeff in ctx.fgl.pair_pack(ctx.d).terms.items()})
     return unit_inv
 
 

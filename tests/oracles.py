@@ -11,10 +11,11 @@ rewrite sweep on CoeffPoly coefficients for canonical reduction, a table of
 all n! basis classes by leading monomial for the basis expansion, sparse
 Fraction elimination on the elementary symmetric generators for ideal
 membership, Fraction Gauss-Jordan for matrix inverses, one Fraction per
-term for b-polynomial arithmetic, and Horner division by a general linear
-form for the exact divisions of the operators.  The classical divided
-difference of the additive theory is
-``cobschub.selftest.classical_divided_difference``.  The module also keeps
+term for b-polynomial arithmetic, Horner division by a general linear
+form for the exact divisions of the operators, the full h_j cascade for
+the integer normal forms, and the full-cap composition for the law's
+operator pack.  The classical divided difference of the additive theory
+is ``cobschub.selftest.classical_divided_difference``.  The module also keeps
 the helpers that only the tests call: the specialization of coefficients,
 series and elements at values of the b_i, flag elements and variables read
 as series over the context's n variables, the product and reducedness of a
@@ -31,6 +32,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from cobschub.fgl import PAIR_VARS
 from cobschub.flagring import FlagElem, c1_weight, reduce_canonical
 from cobschub.ringcore import (
     CoeffPoly,
@@ -39,6 +41,7 @@ from cobschub.ringcore import (
     UsageError,
     add_term,
     compose,
+    divide_by_linear,
     series_invert_unit,
 )
 from cobschub.schubert import bs_class
@@ -148,6 +151,60 @@ def heap_reduce(ctx, raw) -> FlagElem:
             else:
                 pending[new_key] = old - coeff
     return FlagElem._raw(ctx, done)
+
+
+def cascade_normal_form(ctx, key, forms: dict):
+    """The integer normal form of x^key by the full h_j cascade, filling
+    ``forms`` (one dict per context, kept by the caller) as it goes.
+
+    Every non-staircase monomial, with first j whose x_j-exponent is at
+    least j, has x_j^j rewritten by h_j(x_j, .., x_n); the form is minus the
+    sum of the forms of the smaller monomials that gives.  This is the route
+    that the context's one-variable peel replaced.
+    """
+    start = tuple(key)
+    if sum(start) > ctx.d:
+        return ()
+    stack = [start]
+    while stack:
+        mono = stack[-1]
+        if mono in forms:
+            stack.pop()
+            continue
+        j = next((j for j in range(1, ctx.n + 1) if mono[j - 1] >= j), None)
+        if j is None:
+            forms[mono] = ((mono, 1),)
+            stack.pop()
+            continue
+        base = list(mono)
+        base[j - 1] -= j
+        smaller = [tuple(b + r for b, r in zip(base, repl))
+                   for repl in ctx._rewrite[j]]
+        missing = [m for m in smaller if m not in forms]
+        if missing:
+            stack.extend(missing)
+            continue
+        total: dict = {}
+        for m in smaller:
+            for skey, value in forms[m]:
+                total[skey] = total.get(skey, 0) - value
+        forms[mono] = tuple((skey, value)
+                            for skey, value in total.items() if value)
+        stack.pop()
+    return forms[start]
+
+
+def full_cap_pair_pack(law) -> TruncSeries:
+    """U^-1 of F(y1, chi(y2)) = (y1 - y2) * U composed, divided and inverted
+    at the law's own cap, whose top degree is not exact: the route that
+    ``FGLData.pair_pack`` replaced."""
+    cap = law.degree_cap
+    y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
+    y2 = TruncSeries.variable(PAIR_VARS, cap, "y2")
+    x_loc = compose(law.F, [y1, compose(law.chi, [y2])])
+    unit = divide_by_linear(x_loc, 0, 1)
+    assert unit.constant_term() == CoeffPoly.one()
+    return series_invert_unit(unit)
 
 
 def geometric_inverse(s: TruncSeries) -> TruncSeries:

@@ -234,7 +234,7 @@ def test_terms_keys_are_sorted_tuples():
 def test_engine_coefficients_are_canonical():
     ctx = FlagContext(4)
     law = ctx.fgl
-    series = [law.log, law.exp, law.F, law.chi, law.q, law.pair_pack()]
+    series = [law.log, law.exp, law.F, law.chi, law.q, law.pair_pack(ctx.d)]
     for s in series:
         for coeff in s.terms.values():
             assert_canonical(coeff)

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from cobschub import fgl as fgl_module
-from cobschub.flagring import FlagContext, reduce_canonical
+from cobschub.flagring import THEORIES, FlagContext, reduce_canonical
 from cobschub.ringcore import (
     CoeffPoly,
     InternalError,
@@ -14,6 +16,7 @@ from cobschub.weylops import divided_diff
 
 from oracles import (
     formal_sum,
+    full_cap_pair_pack,
     horner_divide,
     n_series,
     reference_op_pack,
@@ -111,6 +114,37 @@ def test_formal_sum_examples(fgl_factory):
     assert formal_sum(fgl, [], vars=("u",), cap=4).is_zero()
     with pytest.raises(UsageError):
         formal_sum(fgl, [])
+
+
+# ---------------------------------------------------------------------------
+# The operator pack U^-1 of F(y1, chi(y2)) = (y1 - y2) * U
+
+
+@pytest.mark.parametrize("beta", [None, Fraction(0), Fraction(2, 3)],
+                         ids=THEORIES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_pack_is_exact_through_its_cap(n, beta):
+    # the context's law has cap d + 2; a pack through d from it, from the
+    # least law that serves it and from a law with more headroom agree, and
+    # they are the full-cap route's pack cut to degree d
+    d = n * (n - 1) // 2
+    law = build_universal_fgl(d + 2, beta)
+    pack = law.pair_pack(d)
+    assert pack.cap == d
+    for cap in (d + 1, d + 3):
+        assert build_universal_fgl(cap, beta).pair_pack(d) == pack, cap
+    assert TruncSeries(pack.vars, d, full_cap_pair_pack(law).terms) == pack
+
+
+def test_pair_pack_is_kept_per_top_and_refuses_a_top_beyond_the_law():
+    law = build_universal_fgl(5)
+    for top in (law.degree_cap, law.degree_cap + 1):
+        with pytest.raises(UsageError):
+            law.pair_pack(top)
+    pack = law.pair_pack(4)
+    assert law.pair_pack(4) is pack
+    assert law.pair_pack(2) is law.pair_pack(2)
+    assert law.pair_pack(2) == TruncSeries(pack.vars, 2, pack.terms)
 
 
 # ---------------------------------------------------------------------------

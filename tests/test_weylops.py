@@ -275,7 +275,7 @@ def test_c1_takes_no_series_route(monkeypatch):
              if len(word) <= 3]
     expected = FlagContext(n)
     ctx = FlagContext(n)
-    ctx.fgl.pair_pack()  # the law's own pack is built by composition
+    ctx.fgl.pair_pack(ctx.d)  # the law's own pack is built by composition
 
     def refuse(*args, **kwargs):
         raise AssertionError("the flag ring built a series")
