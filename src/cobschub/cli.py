@@ -28,7 +28,6 @@ import json
 import os
 import re
 import sys
-import traceback
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,14 +42,13 @@ from cobschub.schubert import (
     pieri_exponents,
     product_bs,
 )
-from cobschub.selftest import run_selftest, selftest_results
 
 MAX_RANK = 6
 MAX_FGL_DEGREE = 16
-# selftest takes at most 0.12 s per theory at rank 4; at rank 5 it takes
-# 1.8-2.0 s in cobordism and 0.65-0.75 s in ktheory, mostly in c1_weight of
-# the weyl-lemma weights, and 0.02-0.04 s in chow (Python 3.11 on one core
-# of a shared Xeon)
+# selftest takes at most 0.11 s per theory at rank 4; at rank 5 it takes
+# 2.3-2.4 s in cobordism and 0.76-0.77 s in ktheory, mostly in c1_weight of
+# the weyl-lemma weights, and 0.04 s in chow (in-process, two runs, Python
+# 3.11 on one core of a shared 2-core Xeon host)
 MAX_SELFTEST_RANK = 4
 
 
@@ -284,6 +282,10 @@ def cmd_pieri(ns) -> int:
 
 
 def cmd_selftest(ns) -> int:
+    # imported here, so that no computing command pays for the suite
+    import traceback
+    from cobschub.selftest import run_selftest, selftest_results
+
     n = _check_rank(ns.n, MAX_SELFTEST_RANK)
     if ns.format == "text":
         return 0 if run_selftest(n, ns.theory, ns.beta) else 1

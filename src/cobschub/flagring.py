@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from cobschub.ringcore import (
@@ -33,16 +32,32 @@ from cobschub.fgl import build_universal_fgl
 NormalForm = tuple[tuple[tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
 class Weight:
-    """An integral weight sum(c_i e_i) of the rank-n torus."""
+    """An integral weight sum(c_i e_i) of the rank-n torus; immutable."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if any(not isinstance(c, int) for c in self.coords):
+    def __init__(self, coords):
+        coords = tuple(coords)
+        if any(not isinstance(c, int) for c in coords):
             raise UsageError("weight coordinates must be integers")
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __repr__(self):
+        return f"Weight(coords={self.coords!r})"
 
     @property
     def n(self) -> int:
@@ -110,11 +125,11 @@ class FlagContext:
     elements, so it too reads the law only through degree d.
     U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is one degree below x_loc,
     so the law's pack through degree d (``FGLData.pair_pack(d)``) reads the
-    law through d + 1: cap d + 1 is the least that serves the operators,
-    and the tests check that caps d + 1, d + 3 and d + 4 give the results
-    of d + 2.  The law is built at d + 2 because the selftest reads the
-    coefficients of u^2 v and u v^2 in F from the context, which at rank 2
-    needs cap 3.
+    law through d + 1.  The law is built at ``work_cap`` = max(d + 1, 3):
+    d + 1 is the least cap that serves the operators, and the floor of 3
+    keeps the cubic coefficients the selftest reads from the context at
+    rank 2.  The tests check that caps d + 2, d + 3 and d + 4 give the
+    results of the default context.
 
     Caches, filled on first use and kept for the context's life: the
     normal forms of the monomials that reductions meet and of those their
@@ -132,7 +147,7 @@ class FlagContext:
         self.n = n
         self.beta = beta
         self.d = n * (n - 1) // 2
-        self.work_cap = self.d + 2
+        self.work_cap = max(self.d + 1, 3)
         self.vars = tuple(f"x{i}" for i in range(1, n + 1))
         self.fgl = build_universal_fgl(self.work_cap, beta)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
@@ -359,17 +374,22 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
     first Chern class is the formal sum over i of [-c_i](x_i), which is
     exp(sum -c_i log(x_i)).  Every x_i is nilpotent in the flag ring, so
     each log and the exp are evaluated there (``_evaluate``) with flag-ring
-    products, and the law is read only through degree d.
+    products, and the law is read only through degree d.  For -e_i, whose
+    line is L_i itself, that is x_i, which is returned without evaluation.
     """
     if lam.n != ctx.n:
         raise UsageError("weight length does not match the context rank")
     cached = ctx._c1_cache.get(lam.coords)
     if cached is not None:
         return cached
-    log_sum = ctx.zero()
-    for i, c in enumerate(lam.coords, start=1):
-        if c:
-            log_sum = log_sum + _evaluate(ctx, ctx.fgl.log,
-                                          ctx.x_elem(i)) * (-c)
-    result = ctx._c1_cache[lam.coords] = _evaluate(ctx, ctx.fgl.exp, log_sum)
+    if sorted(lam.coords) == [-1] + [0] * (ctx.n - 1):
+        result = ctx.x_elem(lam.coords.index(-1) + 1)
+    else:
+        log_sum = ctx.zero()
+        for i, c in enumerate(lam.coords, start=1):
+            if c:
+                log_sum = log_sum + _evaluate(ctx, ctx.fgl.log,
+                                              ctx.x_elem(i)) * (-c)
+        result = _evaluate(ctx, ctx.fgl.exp, log_sum)
+    ctx._c1_cache[lam.coords] = result
     return result

@@ -26,8 +26,6 @@ the classes it peels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from cobschub.ringcore import CoeffPoly, InternalError, UsageError, add_term
 from cobschub.flagring import (
     FlagContext,
@@ -50,17 +48,29 @@ from cobschub.weylops import (
 )
 
 
-@dataclass
 class BSExpansion:
     """A finite combination sum c_K * Z_(subword K) over subwords of a word.
 
     Keys are tuples of kept positions (0-based, ascending) into ``word``;
     distinct position sets may carry the same letter sequence, in which case
-    they name the same class and ``by_word`` merges them.
+    they name the same class and ``by_word`` merges them.  Mutable, and
+    so unhashable.
     """
 
-    word: Word
-    terms: dict[tuple[int, ...], CoeffPoly] = field(default_factory=dict)
+    __slots__ = ("word", "terms")
+
+    def __init__(self, word: Word,
+                 terms: dict[tuple[int, ...], CoeffPoly] | None = None):
+        self.word = word
+        self.terms = {} if terms is None else terms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.word, self.terms) == (other.word, other.terms)
+
+    def __repr__(self):
+        return f"BSExpansion(word={self.word!r}, terms={self.terms!r})"
 
     def subword(self, kept: tuple[int, ...]) -> Word:
         return tuple(self.word[p] for p in kept)
@@ -215,9 +225,18 @@ def product_bs(ctx: FlagContext, left, right) -> BSExpansion:
     The left factor is replaced by its polynomial and distributed across the
     right word; swapping the arguments yields a different but equally valid
     expansion of the same element.
+
+    Z_word has degree d - len(word), so the coefficient of a subword K of
+    ``right`` has degree len(K) + d - len(left) - len(right).  Cobordism
+    coefficients have degree at most 0 (b_i has degree -i), and the Chow
+    and K-theory coefficients are their images, so when len(left) +
+    len(right) < d every coefficient vanishes and the expansion is empty
+    before any class is built.
     """
     left = validate_word(left, ctx.n)
     right = validate_word(right, ctx.n)
+    if len(left) + len(right) < ctx.d:
+        return BSExpansion(right)
     return poly_times_bs(ctx, bs_class(ctx, left), right)
 
 

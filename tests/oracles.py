@@ -8,19 +8,20 @@ formal sums, composition of exp with an n-variable log sum for first Chern
 classes, the operator factorization built directly in n variables, one
 full operator string per removal set for the Chevalley coefficients, the
 rewrite sweep on CoeffPoly coefficients for canonical reduction, a table of
-all n! basis classes by leading monomial for the basis expansion, sparse
-Fraction elimination on the elementary symmetric generators for ideal
-membership, Fraction Gauss-Jordan for matrix inverses, one Fraction per
-term for b-polynomial arithmetic, Horner division by a general linear
-form for the exact divisions of the operators, the full h_j cascade for
-the integer normal forms, and the full-cap composition for the law's
-operator pack.  The classical divided difference of the additive theory
-is ``cobschub.selftest.classical_divided_difference``.  The module also keeps
-the helpers that only the tests call: the specialization of coefficients,
-series and elements at values of the b_i, flag elements and variables read
-as series over the context's n variables, the product and reducedness of a
-word, total degrees, the graded degrees and generator support of a
-coefficient, an element's part through a given x-degree, the
+all n! basis classes by leading monomial for the basis expansion, the
+Bernstein-Gelfand-Gelfand criterion (every classical divided difference of
+top length vanishes) for ideal membership, Fraction Gauss-Jordan for
+matrix inverses, one Fraction per term for b-polynomial arithmetic, Horner
+division by a general linear form for the exact divisions of the
+operators, the full h_j cascade for the integer normal forms, and the
+full-cap composition for the law's operator pack.  The classical divided
+difference of the additive theory, which the membership criterion also
+applies, is ``cobschub.selftest.classical_divided_difference``.  The module
+also keeps the helpers that only the tests call: the specialization of
+coefficients, series and elements at values of the b_i, flag elements and
+variables read as series over the context's n variables, the product and
+reducedness of a word, total degrees, the graded degrees and generator
+support of a coefficient, an element's part through a given x-degree, the
 additive-theory image of an element and the lcm of its denominators.
 """
 
@@ -45,6 +46,7 @@ from cobschub.ringcore import (
     series_invert_unit,
 )
 from cobschub.schubert import bs_class
+from cobschub.selftest import classical_divided_difference
 from cobschub.weylops import (
     Permutation,
     all_permutations,
@@ -720,69 +722,52 @@ def flag_poly_in_ideal(ctx, terms: dict) -> bool:
         deg = sum(key)
         for bkey, value in coeff.terms.items():
             pieces.setdefault((deg, bkey), {})[key] = value
-    return all(in_symmetric_ideal(piece, ctx.n) for piece in pieces.values())
+    return all(in_symmetric_ideal(piece) for piece in pieces.values())
 
 
-def in_symmetric_ideal(terms: dict, n: int) -> bool:
+def in_symmetric_ideal(terms: dict) -> bool:
     """Membership of a homogeneous rational polynomial in the ideal generated
-    by the elementary symmetric polynomials e_1..e_n of x_1..x_n.
+    by the elementary symmetric polynomials e_1..e_n of x_1..x_n, n the
+    length of its exponent vectors.
 
-    The ideal's part of degree D is spanned by the products e_k * m for
-    every monomial m of degree D - k; the polynomial is in it exactly when
-    its leading monomials cancel, one after another, against an echelon
-    basis of that span (``_ideal_echelon``).
+    The Bernstein-Gelfand-Gelfand criterion: a polynomial p of degree k is
+    in the ideal exactly when the classical divided difference d_w p
+    vanishes for every permutation w of length k.  Modulo the ideal p is a
+    combination of the Schubert polynomials of length k, d_w takes the one
+    of w to 1 and the others to 0, and it takes the ideal's degree-k part
+    into its constants, which are 0.  So the constants d_w p are p's
+    coordinates there (``_schubert_coordinates``), linear in p.
     """
     if not terms:
         return True
     degrees = {sum(k) for k in terms}
     assert len(degrees) == 1, "oracle needs homogeneous input"
-    return not _reduce_by(terms, _ideal_echelon(n, degrees.pop()))
-
-
-def _reduce_by(row: dict, pivots: dict) -> dict:
-    """Cancel leading monomials (lexicographically largest) of ``row``
-    against pivot rows with leading coefficient 1 until the leading monomial
-    has no pivot; the remainder, empty when the row is in the span."""
-    row = {key: Fraction(value) for key, value in row.items() if value}
-    while row:
-        lead = max(row)
-        pivot = pivots.get(lead)
-        if pivot is None:
-            break
-        scale = row[lead]
-        for key, value in pivot.items():
-            new = row.get(key, 0) - scale * value
-            if new:
-                row[key] = new
-            else:
-                row.pop(key, None)
-    return row
+    total: dict = {}
+    for key, value in terms.items():
+        for w, coord in _schubert_coordinates(tuple(key)).items():
+            total[w] = total.get(w, 0) + value * coord
+    return not any(total.values())
 
 
 @functools.lru_cache(maxsize=None)
-def _ideal_echelon(n: int, degree: int) -> dict:
-    """Echelon basis of the degree part of the ideal of e_1..e_n: one row per
-    leading monomial, scaled to leading coefficient 1, built from the sparse
-    products e_k * m by elimination over the rationals."""
-    def monomials(total, width):
-        if width == 1:
-            yield (total,)
-            return
-        for e in range(total + 1):
-            for tail in monomials(total - e, width - 1):
-                yield (e,) + tail
+def _schubert_coordinates(mono: tuple[int, ...]) -> dict:
+    """d_w x^mono for every permutation w (one-line images) of length
+    deg(mono), the zero ones left out.
 
-    pivots: dict = {}
-    for k in range(1, min(n, degree) + 1):
-        elementary = [tuple(int(i in combo) for i in range(n))
-                      for combo in itertools.combinations(range(n), k)]
-        for mono in monomials(degree - k, n):
-            row = {tuple(a + b for a, b in zip(mono, e)): 1
-                   for e in elementary}
-            row = _reduce_by(row, pivots)
-            if row:
-                lead = max(row)
-                scale = row[lead]
-                pivots[lead] = {key: value / scale
-                                for key, value in row.items()}
-    return pivots
+    For a reduced word w = s_a1 .. s_ak, d_w = d_a1 .. d_ak, so for any i
+    with l(w s_i) < l(w) (w(i) > w(i+1)), d_w = d_(w s_i) d_i.  Each w is
+    taken at its first such i, from the coordinates of the monomials of
+    d_i x^mono, one degree lower."""
+    n = len(mono)
+    if not any(mono):
+        return {tuple(range(1, n + 1)): 1}
+    out: dict = {}
+    for i in range(n - 1):
+        for key, value in classical_divided_difference({mono: 1}, i).items():
+            for lower, coord in _schubert_coordinates(key).items():
+                if lower[i] > lower[i + 1]:
+                    continue
+                w = lower[:i] + (lower[i + 1], lower[i]) + lower[i + 2:]
+                if all(w[j] < w[j + 1] for j in range(i)):
+                    out[w] = out.get(w, 0) + value * coord
+    return {w: coord for w, coord in out.items() if coord}

@@ -124,9 +124,9 @@ def test_formal_sum_examples(fgl_factory):
                          ids=THEORIES)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pair_pack_is_exact_through_its_cap(n, beta):
-    # the context's law has cap d + 2; a pack through d from it, from the
-    # least law that serves it and from a law with more headroom agree, and
-    # they are the full-cap route's pack cut to degree d
+    # packs through d from the least law that serves them (cap d + 1, the
+    # context's cap from rank 3 on) and from laws with more headroom agree,
+    # and they are the full-cap route's pack cut to degree d
     d = n * (n - 1) // 2
     law = build_universal_fgl(d + 2, beta)
     pack = law.pair_pack(d)

@@ -286,6 +286,17 @@ def test_c1_matches_the_compose_route_at_rank_5(beta):
         assert c1_weight(ctx, lam) == compose_c1(ctx, lam), lam
 
 
+@pytest.mark.parametrize("beta", THEORY_BETAS, ids=THEORY_IDS)
+def test_c1_of_minus_e_i_is_x_i(beta):
+    for n in (3, 4, 5):
+        ctx = FlagContext(n, beta)
+        for i in range(1, n + 1):
+            lam = -basis_weight(i, n)
+            got = c1_weight(ctx, lam)
+            assert got == ctx.x_elem(i)
+            assert got == compose_c1(ctx, lam), (n, i)
+
+
 def test_c1_lift_independence(ctx3, ctx4):
     rng = random.Random(31)
     for ctx in (ctx3, ctx4):

@@ -3,15 +3,21 @@ none of them imports the series type or series composition, so a change
 that sends the flag ring back through n-variable series fails here.  Only
 ``weylops`` imports the classical divided-difference kernel, so a second
 copy of the operators fails here too.  And no module of the package imports
-another one's private names: what two modules share is public."""
+another one's private names: what two modules share is public.  Importing
+the CLI, which every command pays for, loads neither the selftest suite nor
+the stdlib modules only it or a dataclass would need."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cobschub"
 FLAG_LAYERS = ("flagring", "weylops", "schubert", "cli")
 SERIES_NAMES = {"TruncSeries", "compose"}
 OPERATOR_KERNEL = "divided_difference_terms"
+NOT_ON_THE_CLI_PATH = ("cobschub.selftest", "dataclasses", "inspect",
+                       "traceback")
 
 
 def source_trees() -> dict:
@@ -86,3 +92,17 @@ def test_src_modules_import_no_private_names():
                                     "fgl._helper"}
     offenders = {name: private_imports(tree) for name, tree in trees.items()}
     assert offenders == {name: set() for name in trees}
+
+
+def test_cli_import_skips_the_selftest_and_dataclasses():
+    # a fresh interpreter, so modules this test run has loaded do not count
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "before = set(sys.modules)\n"
+            "import cobschub.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    loaded = set(subprocess.run([sys.executable, "-c", code], check=True,
+                                capture_output=True, text=True).stdout.split())
+    # the guard sees the import it watches
+    assert "cobschub.cli" in loaded
+    assert loaded & set(NOT_ON_THE_CLI_PATH) == set()

@@ -290,6 +290,30 @@ def test_product_consistency_small(ctx3):
                 ctx3, right), (left, right)
 
 
+@pytest.mark.parametrize("theory", ["cobordism", "chow", "ktheory"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_products_zero_by_length_match_the_distributed_route(n, theory):
+    # a product with len(left) + len(right) < d has only coefficients of
+    # positive degree, so it is empty without building the left class; at
+    # len(left) + len(right) = d the shortcut no longer applies
+    ctx = FlagContext(n, THEORY_LAWS[theory])
+    d = ctx.d
+    rng = random.Random(17 * n)
+    for _ in range(4):
+        total = rng.randint(0, d - 1)
+        cut = rng.randint(0, total)
+        left, right = (tuple(rng.randint(1, n - 1) for _ in range(k))
+                       for k in (cut, total - cut))
+        expected = poly_times_bs(ctx, bs_class(ctx, left), right)
+        assert expected.terms == {}, (left, right)
+        ctx._bs_cache.clear()
+        got = product_bs(ctx, left, right)
+        assert got == expected, (left, right)
+        assert not ctx._bs_cache, (left, right)
+    w0_word = reduced_word(Permutation(range(n, 0, -1)))
+    assert product_bs(ctx, w0_word, ()).by_word() == {(): CoeffPoly.one()}
+
+
 def test_product_argument_order_evaluates_equal(ctx3):
     for left, right in [((1, 2), (2, 1)), ((1, 2, 1), (2, 1)),
                         ((1, 1), (2, 1, 2))]:
@@ -468,11 +492,12 @@ def headroom_results(ctx, length):
 @pytest.mark.parametrize("n, length", [(3, 3), (4, 2)])
 def test_results_do_not_depend_on_headroom(n, length):
     # canonical elements stay within degree d and every operator step is
-    # reduced, so the law's cap above d must not change any result; d + 1 is
-    # the least cap at which U^-1 is exact through degree d
+    # reduced, so the law's cap above d must not change any result; the
+    # default context builds its law at d + 1, the least cap at which U^-1
+    # is exact through degree d
     d = n * (n - 1) // 2
     expected = headroom_results(FlagContext(n), length)
-    for cap in (d + 1, d + 3, d + 4):
+    for cap in (d + 2, d + 3, d + 4):
         assert headroom_results(context_at_cap(n, cap), length) == expected, \
             cap
 
