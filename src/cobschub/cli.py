@@ -45,10 +45,10 @@ from cobschub.schubert import (
 
 MAX_RANK = 6
 MAX_FGL_DEGREE = 16
-# selftest takes at most 0.11 s per theory at rank 4; at rank 5 it takes
-# 2.3-2.4 s in cobordism and 0.76-0.77 s in ktheory, mostly in c1_weight of
+# selftest takes at most 0.10 s per theory at rank 4; at rank 5 it takes
+# 1.9-2.2 s in cobordism and 0.67-0.70 s in ktheory, mostly in c1_weight of
 # the weyl-lemma weights, and 0.04 s in chow (in-process, two runs, Python
-# 3.11 on one core of a shared 2-core Xeon host)
+# 3.11 pinned to one core of a shared 2-core Xeon host)
 MAX_SELFTEST_RANK = 4
 
 

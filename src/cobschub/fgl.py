@@ -12,8 +12,13 @@ is read off the coefficients of F, never from formal fraction manipulation.
 The divided-difference operators live in ``weylops``; the law gives them
 their one law-dependent part, the inverse unit U^-1 of
 F(y1, chi(y2)) = (y1 - y2) * U (``FGLData.pair_pack``), built only through
-the degree its reader names: the operators of a rank-n flag ring read it
-through d = n(n-1)/2, which takes the law through d + 1.
+the degree its reader names.  The operators of a rank-n flag ring read it
+through 2n - 3, which takes the law through 2n - 2: S_n maps any pair of
+flag variables to (x_{n-1}, x_n), whose rewrite rules h_{n-1}(x_{n-1}, x_n)
+and h_n(x_n) use no other variable, so a polynomial in the pair reduces
+inside it, to the staircase monomials x_{n-1}^(<= n-2) x_n^(<= n-1), which
+stop at degree 2n - 3.  Reduction keeps degree, so every monomial of the
+pair above 2n - 3 has normal form 0.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from cobschub.ringcore import (
     divide_by_linear,
     series_invert_unit,
     series_reverse,
+    sum_of_products,
 )
 
 
@@ -61,15 +67,24 @@ class FGLData:
         that degree, where x_loc = F(y1, chi(y2)) = (y1 - y2) * U; built on
         first use and kept, one pack per ``top``.
 
-        U is one degree below x_loc, so F and chi are cut to cap top + 1
-        (UsageError if the law stops below it), composed and divided by
-        y1 - y2 with its remainder check, and U is cut to cap top before it
-        is inverted.  U must have constant term 1, which is checked here.
+        U is one degree below x_loc, so x_loc is built at cap top + 1
+        (UsageError if the law stops below it), divided by y1 - y2 with its
+        remainder check, and U is cut to cap top before it is inverted.
+        x_loc takes one kernel merge: its coefficient of y1^a y2^c is the
+        sum of a_ab [t^c] chi(t)^b over the terms a_ab u^a v^b of F, read
+        off the one-variable powers of chi, so no series in two variables
+        is multiplied.  U must have constant term 1, which is checked here.
         The antisymmetrization route also rests on the law identity
         swap(x_loc) = chi(x_loc); the ``law-axioms`` check of the selftest
         registry tests it, so it runs in tier-1 and in ``selftest``, not on
         every law.  Renaming y1, y2 to any two flag variables keeps both
         identities, so they hold for the operators of every rank.
+
+        The operators of rank n ask for top = 2n - 3 (see
+        ``weylops._op_pack``): S_n maps any two flag variables to
+        (x_{n-1}, x_n), whose rewrite rules use no third variable and whose
+        staircase monomials stop at degree 2n - 3, so a polynomial in two
+        flag variables has normal form 0 above that degree.
         """
         if top + 1 > self.degree_cap:
             raise UsageError(
@@ -78,11 +93,15 @@ class FGLData:
         pack = self._pair_packs.get(top)
         if pack is None:
             cap = top + 1
-            y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
-            y2 = TruncSeries.variable(PAIR_VARS, cap, "y2")
-            F = TruncSeries(self.F.vars, cap, self.F.terms)
             chi = TruncSeries(self.chi.vars, cap, self.chi.terms)
-            x_loc = compose(F, [y1, compose(chi, [y2])])
+            chi_powers = [TruncSeries.one(chi.vars, cap)]
+            for _ in range(cap):
+                chi_powers.append(chi_powers[-1] * chi)
+            x_loc = TruncSeries._raw(PAIR_VARS, cap, sum_of_products(
+                ((a, c), coeff, value)
+                for (a, b), coeff in self.F.terms.items() if a + b <= cap
+                for (c,), value in chi_powers[b].terms.items()
+                if a + c <= cap))
             unit = divide_by_linear(x_loc, 0, 1)
             if unit.constant_term() != CoeffPoly.one():
                 raise InternalError(

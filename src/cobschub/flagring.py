@@ -118,23 +118,24 @@ class FlagContext:
     smaller theory.  Elements of contexts with different (n, beta) never
     mix.
 
-    Canonical elements never exceed degree d = n(n-1)/2, and each operator
-    is a classical divided difference through the integer normal forms and
-    one flag-ring product with the inverse unit U^-1, so it reads U^-1 only
-    through degree d; ``c1_weight`` evaluates the law's log and exp at flag
-    elements, so it too reads the law only through degree d.
-    U = F(x_{i+1}, chi(x_i)) / (x_{i+1} - x_i) is one degree below x_loc,
-    so the law's pack through degree d (``FGLData.pair_pack(d)``) reads the
-    law through d + 1.  The law is built at ``work_cap`` = max(d + 1, 3):
-    d + 1 is the least cap that serves the operators, and the floor of 3
-    keeps the cubic coefficients the selftest reads from the context at
-    rank 2.  The tests check that caps d + 2, d + 3 and d + 4 give the
-    results of the default context.
+    Canonical elements never exceed degree d = n(n-1)/2.  ``c1_weight``
+    evaluates the law's log and exp at flag elements, so it reads the law
+    through degree d.  Each operator is a classical divided difference
+    through the integer normal forms and one flag-ring product with the
+    inverse unit U^-1 of F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, a
+    series in x_i and x_{i+1} alone; every such monomial above degree
+    2n - 3 has normal form 0 (see ``weylops._op_pack``), so the operators
+    read the law's pack through 2n - 3 (``FGLData.pair_pack(2n - 3)``).  U
+    is one degree below x_loc, so that pack reads the law through 2n - 2.
+    The law is built at ``work_cap`` = max(d, 2n - 2, 3), the least cap
+    that serves both readers; the floor of 3 keeps the cubic coefficients
+    the selftest reads from the context at rank 2.  The tests check that
+    caps d + 2, d + 3 and d + 4 give the results of the default context.
 
     Caches, filled on first use and kept for the context's life: the
     normal forms of the monomials that reductions meet and of those their
     forms rest on (``_normal_forms``, see ``normal_form``), the law's pack
-    through degree d (on the law), the operators' canonical U^-1
+    through degree 2n - 3 (on the law), the operators' canonical U^-1
     (``_op_packs``, by i), first Chern classes of weights (``_c1_cache``),
     Bott-Samelson classes (``_bs_cache``), Chevalley expansions
     (``_c1bs_cache``, by weight and word; single coefficients are looked up
@@ -147,7 +148,7 @@ class FlagContext:
         self.n = n
         self.beta = beta
         self.d = n * (n - 1) // 2
-        self.work_cap = max(self.d + 1, 3)
+        self.work_cap = max(self.d, 2 * n - 2, 3)
         self.vars = tuple(f"x{i}" for i in range(1, n + 1))
         self.fgl = build_universal_fgl(self.work_cap, beta)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}

@@ -6,9 +6,14 @@ operators rest on the factorization F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U
 with U a unit.  Both operators are linear over symmetric elements, so they
 map the ideal of the presentation into itself and work on canonical
 elements: the only law-dependent part is U^-1, the law's two-variable pack
-through degree d (``FGLData.pair_pack(d)``, which checks that U has
-constant term 1) with y1 read as x_{i+1} and y2 as x_i, kept in canonical
-form; no product of the operators reads it above degree d.  The rest is the
+through degree 2n - 3 (``FGLData.pair_pack(2n - 3)``, which checks that U
+has constant term 1) with y1 read as x_{i+1} and y2 as x_i, kept in
+canonical form.  Higher degrees of the pack would reduce to zero: a
+permutation of the variables maps (x_i, x_{i+1}) to (x_{n-1}, x_n), whose
+rewrite rules h_{n-1}(x_{n-1}, x_n) and h_n(x_n) use no other variable, and
+the pair's staircase monomials x_{n-1}^(<= n-2) x_n^(<= n-1) stop at degree
+2n - 3; the ideal is symmetric and reduction keeps degree, so every
+monomial in x_i, x_{i+1} above 2n - 3 lies in the ideal.  The rest is the
 classical divided difference (a - sigma_i a) / (x_{i+1} - x_i), whose
 telescoping integer terms go through the context's normal forms in one
 kernel merge, and a flag-ring product with U^-1 that never leaves degree d;
@@ -177,15 +182,25 @@ def beta_sequence(word: Word, n: int) -> list[Weight]:
 def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
     """The canonical form of the inverse unit U^-1 of F(x_{i+1}, chi(x_i)),
     kept in ``ctx._op_packs``: the law's pack over (y1, y2) through degree
-    d with each term y1^a y2^b read as x_i^b x_{i+1}^a and reduced."""
+    2n - 3 with each term y1^a y2^b read as x_i^b x_{i+1}^a and reduced.
+
+    The pack stops at 2n - 3 because nothing above it survives: the ideal
+    is symmetric, and a permutation taking (x_i, x_{i+1}) to
+    (x_{n-1}, x_n) leaves a pair whose rewrite rules h_{n-1}(x_{n-1}, x_n)
+    and h_n(x_n) use no other variable.  Its staircase monomials
+    x_{n-1}^(<= n-2) x_n^(<= n-1) stop at degree 2n - 3 and reduction keeps
+    degree, so each pair monomial above 2n - 3 has normal form 0.  The
+    bound is tight: x_{n-1}^(n-2) x_n^(n-1) is its own form.  2n - 3 <= d
+    for every n >= 2."""
     if not 1 <= i <= ctx.n - 1:
         raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
     unit_inv = ctx._op_packs.get(i)
     if unit_inv is None:
         head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
+        pack = ctx.fgl.pair_pack(2 * ctx.n - 3)
         unit_inv = ctx._op_packs[i] = reduce_canonical(ctx, {
             head + (b, a) + tail: coeff
-            for (a, b), coeff in ctx.fgl.pair_pack(ctx.d).terms.items()})
+            for (a, b), coeff in pack.terms.items()})
     return unit_inv
 
 

@@ -33,7 +33,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from cobschub.fgl import PAIR_VARS
+from cobschub.fgl import PAIR_VARS, build_universal_fgl
 from cobschub.flagring import FlagElem, c1_weight, reduce_canonical
 from cobschub.ringcore import (
     CoeffPoly,
@@ -196,17 +196,41 @@ def cascade_normal_form(ctx, key, forms: dict):
     return forms[start]
 
 
+def composed_x_loc(law) -> TruncSeries:
+    """x_loc = F(y1, chi(y2)) at the law's cap by two compositions, the
+    route that the one-merge build in ``FGLData.pair_pack`` replaced."""
+    cap = law.degree_cap
+    y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
+    y2 = TruncSeries.variable(PAIR_VARS, cap, "y2")
+    return compose(law.F, [y1, compose(law.chi, [y2])])
+
+
 def full_cap_pair_pack(law) -> TruncSeries:
     """U^-1 of F(y1, chi(y2)) = (y1 - y2) * U composed, divided and inverted
     at the law's own cap, whose top degree is not exact: the route that
     ``FGLData.pair_pack`` replaced."""
-    cap = law.degree_cap
-    y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
-    y2 = TruncSeries.variable(PAIR_VARS, cap, "y2")
-    x_loc = compose(law.F, [y1, compose(law.chi, [y2])])
-    unit = divide_by_linear(x_loc, 0, 1)
+    unit = divide_by_linear(composed_x_loc(law), 0, 1)
     assert unit.constant_term() == CoeffPoly.one()
     return series_invert_unit(unit)
+
+
+def full_degree_op_pack(ctx, i: int) -> FlagElem:
+    """U^-1 of F(x_{i+1}, chi(x_i)) through degree d, the route that
+    ``weylops._op_pack`` replaced: the pack ``pair_pack(d)`` of a law at cap
+    d + 1, each term y1^a y2^b read as x_i^b x_{i+1}^a and reduced.  The
+    engine's pack stops at 2n - 3, and the degrees it leaves out reduce to
+    zero."""
+    head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
+    return reduce_canonical(ctx, {
+        head + (b, a) + tail: coeff
+        for (a, b), coeff in full_degree_pair_pack(ctx.d, ctx.beta).items()})
+
+
+@functools.lru_cache(maxsize=None)
+def full_degree_pair_pack(d: int, beta):
+    """The terms of ``pair_pack(d)`` from a law at cap d + 1; one per
+    (d, beta)."""
+    return build_universal_fgl(d + 1, beta).pair_pack(d).terms
 
 
 def geometric_inverse(s: TruncSeries) -> TruncSeries:
@@ -555,6 +579,36 @@ def is_reduced(word, n: int) -> bool:
     """A word is reduced when its length equals the inversion count of the
     product permutation."""
     return len(word) == word_permutation(word, n).inversions()
+
+
+def all_reduced_words(w: Permutation) -> list:
+    """Every reduced word of w: a left descent i of w, then a reduced word
+    of s_i w."""
+    if not w.inversions():
+        return [()]
+    words = []
+    for i in range(1, w.n):
+        rest = Permutation.simple(i, w.n) * w
+        if rest.inversions() < w.inversions():
+            words.extend((i,) + word for word in all_reduced_words(rest))
+    return words
+
+
+def commutation_class(word) -> frozenset:
+    """The words reached from ``word`` by swapping adjacent letters that
+    differ by at least 2."""
+    seen = {tuple(word)}
+    stack = [tuple(word)]
+    while stack:
+        current = stack.pop()
+        for j in range(len(current) - 1):
+            if abs(current[j] - current[j + 1]) >= 2:
+                moved = (current[:j] + (current[j + 1], current[j])
+                         + current[j + 2:])
+                if moved not in seen:
+                    seen.add(moved)
+                    stack.append(moved)
+    return frozenset(seen)
 
 
 def bmonomial_degree(key) -> int:

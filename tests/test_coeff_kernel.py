@@ -234,7 +234,8 @@ def test_terms_keys_are_sorted_tuples():
 def test_engine_coefficients_are_canonical():
     ctx = FlagContext(4)
     law = ctx.fgl
-    series = [law.log, law.exp, law.F, law.chi, law.q, law.pair_pack(ctx.d)]
+    series = [law.log, law.exp, law.F, law.chi, law.q,
+              law.pair_pack(2 * ctx.n - 3)]  # the pack the operators read
     for s in series:
         for coeff in s.terms.values():
             assert_canonical(coeff)

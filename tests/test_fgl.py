@@ -15,6 +15,7 @@ from cobschub.fgl import build_universal_fgl
 from cobschub.weylops import divided_diff
 
 from oracles import (
+    composed_x_loc,
     formal_sum,
     full_cap_pair_pack,
     horner_divide,
@@ -124,9 +125,9 @@ def test_formal_sum_examples(fgl_factory):
                          ids=THEORIES)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pair_pack_is_exact_through_its_cap(n, beta):
-    # packs through d from the least law that serves them (cap d + 1, the
-    # context's cap from rank 3 on) and from laws with more headroom agree,
-    # and they are the full-cap route's pack cut to degree d
+    # packs through d from the least law that serves them (cap d + 1) and
+    # from laws with more headroom agree, and they are the full-cap route's
+    # pack cut to degree d
     d = n * (n - 1) // 2
     law = build_universal_fgl(d + 2, beta)
     pack = law.pair_pack(d)
@@ -134,6 +135,27 @@ def test_pair_pack_is_exact_through_its_cap(n, beta):
     for cap in (d + 1, d + 3):
         assert build_universal_fgl(cap, beta).pair_pack(d) == pack, cap
     assert TruncSeries(pack.vars, d, full_cap_pair_pack(law).terms) == pack
+
+
+@pytest.mark.parametrize("beta", [None, Fraction(0), Fraction(2, 3),
+                                  Fraction(-1, 2)],
+                         ids=THEORIES + ("ktheory-negative",))
+def test_pair_pack_merges_x_loc_as_two_compositions_would(monkeypatch, beta):
+    # the x_loc that the pack divides by y1 - y2, built in one merge from
+    # F's terms and the powers of chi, is F(y1, chi(y2)) by composition
+    seen = []
+    divide = fgl_module.divide_by_linear
+
+    def spy(num, p, q):
+        seen.append(num)
+        return divide(num, p, q)
+
+    monkeypatch.setattr(fgl_module, "divide_by_linear", spy)
+    for cap in range(2, 10):
+        law = build_universal_fgl(cap, beta)
+        seen.clear()
+        law.pair_pack(cap - 1)
+        assert seen == [composed_x_loc(law)], cap
 
 
 def test_pair_pack_is_kept_per_top_and_refuses_a_top_beyond_the_law():

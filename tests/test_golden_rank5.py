@@ -19,6 +19,13 @@ of length 8 in every theory and a rank-5 product of two classes, whose
 walks run on words shorter than d = 10.  It was recorded while the walk
 still carried every state through degree d, before each state was cut to
 the degrees its reads reach.
+
+``PRODUCT_SHA256`` pins a rank-5 product of two classes in every theory
+with ``--verify``.  The product pinned with the Chevalley expansions has
+len(left) + len(right) < d and is zero by lengths; this one has lengths
+8 + 5 >= d = 10 and gives 20 terms in cobordism and K-theory and 6 in
+Chow.  It was recorded while the operators still read the law's pack
+through degree d, before the pack was cut to 2n - 3.
 """
 
 from test_golden_cli import THEORIES, cli_digest
@@ -41,6 +48,10 @@ CHEVALLEY_COMMANDS = tuple(
      "--weight", "4,3,2,1,0") + theory for theory in THEORIES) + (
     ("product", "--n", "5", "--left", "1,2,1,3", "--right", "2,1,4,3,2"),)
 
+PRODUCT_COMMANDS = tuple(
+    ("product", "--n", "5", "--left", "1,2,1,3,2,1,4,3", "--right",
+     "2,1,4,3,2", "--verify") + theory for theory in THEORIES)
+
 RANK5_SHA256 = (
     "947cc5dbe80046f7df6de30e77a9af30a234802ed93ec12b04b4efc0ada5e4ec")
 
@@ -49,6 +60,9 @@ EXPAND_SHA256 = (
 
 CHEVALLEY_SHA256 = (
     "337114ae10bf59c2451fb1e1d5a49a9786c6c4ec4550886254c515fed91f7413")
+
+PRODUCT_SHA256 = (
+    "da62d3e5830ce185b5a574acbee45c5a9cb4b2082b8cc56cc34cb63fa173159e")
 
 
 def test_rank5_output_bytes_unchanged():
@@ -61,3 +75,7 @@ def test_rank5_expand_bytes_unchanged():
 
 def test_rank5_chevalley_bytes_unchanged():
     assert cli_digest(CHEVALLEY_COMMANDS, ("json",)) == CHEVALLEY_SHA256
+
+
+def test_rank5_product_bytes_unchanged():
+    assert cli_digest(PRODUCT_COMMANDS, ("json",)) == PRODUCT_SHA256

@@ -43,8 +43,10 @@ from cobschub.schubert import (
 
 from cobschub import schubert
 from oracles import (
+    all_reduced_words,
     chow_elem,
     coeff_degrees,
+    commutation_class,
     denominator_lcm,
     is_reduced,
     random_flag_elem,
@@ -123,6 +125,24 @@ def test_reduced_words_of_longest_element_differ_in_cobordism(ctx3):
     r212 = bs_class(ctx3, (2, 1, 2))
     assert r121 != r212
     assert chow_elem(r121) == chow_elem(r212) == ctx3.one()
+
+
+@pytest.mark.parametrize("n, count, classes", [(3, 2, 2), (4, 16, 8)])
+def test_braid_moves_change_the_class_only_in_cobordism(n, count, classes):
+    # over all reduced words of w0, the Chow and K-theory classes agree;
+    # the cobordism classes agree exactly when commutations alone relate
+    # the words
+    words = all_reduced_words(Permutation(range(n, 0, -1)))
+    assert len(words) == count
+    component = {word: commutation_class(word) for word in words}
+    assert len(set(component.values())) == classes
+    for law in ((F(0),), (F(2, 3),)):
+        ctx = theory_context(n, *law)
+        assert len({bs_class(ctx, word) for word in words}) == 1, law
+    ctx = theory_context(n)
+    for u, v in itertools.combinations(words, 2):
+        same = component[u] == component[v]
+        assert (bs_class(ctx, u) == bs_class(ctx, v)) == same, (u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +528,8 @@ def test_results_do_not_depend_on_headroom(n, length):
 
 
 @lru_cache(maxsize=None)
-def cobordism_context(n):
-    return FlagContext(n)
+def theory_context(n, *law):
+    return FlagContext(n, *law)
 
 
 def weights(coeff) -> set[int]:
@@ -518,18 +538,19 @@ def weights(coeff) -> set[int]:
 
 
 @st.composite
-def rank_and_two_words(draw):
+def rank_two_words_and_weight(draw):
     n = draw(st.sampled_from((3, 4)))
     d = n * (n - 1) // 2
     word = st.lists(st.integers(1, n - 1), max_size=d + 1).map(tuple)
-    return n, draw(word), draw(word)
+    coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return n, draw(word), draw(word), Weight(tuple(draw(coords)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(rank_and_two_words())
+@given(rank_two_words_and_weight())
 def test_cobordism_outputs_are_homogeneous(case):
-    n, left, word = case
-    ctx = cobordism_context(n)
+    n, left, word, lam = case
+    ctx = theory_context(n)
     cls = bs_class(ctx, word)
     # each term x^k b^m of Z_J has |k| - wt(m) = d - len(J)
     assert total_degrees(cls) <= {ctx.d - len(word)}
@@ -537,6 +558,26 @@ def test_cobordism_outputs_are_homogeneous(case):
         assert weights(coeff) <= {len(left) + len(word) - len(kept) - ctx.d}
     for w, coeff in expand_in_bs_basis(ctx, cls).items():
         assert weights(coeff) <= {len(word) - w.inversions()}
+    # c1(L(lam)) has degree 1, so the subword with r letters removed has a
+    # coefficient of weight r - 1
+    for kept, coeff in c1_times_bs(ctx, lam, word).terms.items():
+        assert weights(coeff) <= {len(word) - len(kept) - 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(rank_two_words_and_weight(),
+       st.sampled_from(((F(0),), (F(2, 3),), (F(-1, 2),))))
+def test_chow_and_ktheory_classes_start_at_their_degree(case, law):
+    # the images of the cobordism grading: Z_J is homogeneous of x-degree
+    # d - len(J) in Chow, and in K-theory, whose coefficients are rational,
+    # it has no term below that degree
+    n, _, word, _ = case
+    ctx = theory_context(n, *law)
+    degrees = {sum(key) for key in bs_class(ctx, word).terms}
+    if law == (F(0),):
+        assert degrees <= {ctx.d - len(word)}
+    else:
+        assert all(degree >= ctx.d - len(word) for degree in degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cobschub import ringcore
+from cobschub.fgl import FGLData
 from cobschub.ringcore import CoeffPoly, TruncSeries, UsageError
 from cobschub.flagring import (
     THEORIES,
@@ -38,6 +39,7 @@ from cobschub.selftest import classical_divided_difference
 
 from oracles import (
     as_series,
+    full_degree_op_pack,
     is_reduced,
     random_flag_elem,
     reference_op_pack,
@@ -227,6 +229,55 @@ def test_op_pack_is_the_relabeled_law_pack(ctx3, ctx4):
             _op_pack(ctx, ctx.n)
 
 
+# ---------------------------------------------------------------------------
+# The operator pack stops at degree 2n - 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pair_monomials_above_2n_minus_3_reduce_to_zero(n):
+    # every monomial of degree 2n - 2 in a pair of adjacent variables lies
+    # in the ideal, so every monomial of higher degree does too; the pair
+    # staircase monomial x_{n-1}^(n-2) x_n^(n-1) of degree 2n - 3 does not;
+    # forms do not depend on the law, so the Chow context serves
+    ctx = FlagContext(n, F(0))
+    top = 2 * n - 3
+    for i in range(1, n):
+        for a in range(top + 2):
+            key = [0] * n
+            key[i - 1], key[i] = a, top + 1 - a
+            assert ctx.normal_form(tuple(key)) == (), (n, key)
+    corner = (0,) * (n - 2) + (n - 2, n - 1)
+    assert ctx.normal_form(corner) == ((corner, 1),)
+
+
+@pytest.mark.parametrize("law", [(), (F(0),), (F(2, 3),), (F(-1, 2),)],
+                         ids=THEORIES + ("ktheory-negative",))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_op_pack_is_the_full_degree_pack(n, law):
+    # the pack through 2n - 3 reduces to the pack through d, read in the
+    # same pair and reduced
+    ctx = FlagContext(n, *law)
+    for i in range(1, n):
+        assert _op_pack(ctx, i) == full_degree_op_pack(ctx, i), i
+
+
+def test_op_pack_asks_the_law_for_2n_minus_3(monkeypatch):
+    asked = []
+    law_pack = FGLData.pair_pack
+
+    def spy(law, top):
+        asked.append(top)
+        return law_pack(law, top)
+
+    monkeypatch.setattr(FGLData, "pair_pack", spy)
+    for n in (2, 3, 4, 5):
+        ctx = FlagContext(n)
+        asked.clear()
+        for i in range(1, n):
+            _op_pack(ctx, i)
+        assert asked == [2 * n - 3] * (n - 1), n
+
+
 @pytest.mark.parametrize("op", [divided_diff, divided_diff_dual])
 def test_operator_index_validation(ctx3, op):
     for i in (0, 3):
@@ -275,7 +326,8 @@ def test_c1_takes_no_series_route(monkeypatch):
              if len(word) <= 3]
     expected = FlagContext(n)
     ctx = FlagContext(n)
-    ctx.fgl.pair_pack(ctx.d)  # the law's own pack is built by composition
+    for i in range(1, n):
+        _op_pack(ctx, i)  # the law's own pack is built by series products
 
     def refuse(*args, **kwargs):
         raise AssertionError("the flag ring built a series")
