@@ -12,9 +12,12 @@ constant term 1.  The same facts bound the degrees the walk carries: the
 swap keeps degree and the dual divided difference reads its input only one
 degree above the part it returns, so the node at position p, whose reads
 lie at most p operators below it, needs its state only through degree
-p + 1, and nothing above that is computed.  Multiplying one Chern-class
-factor at a time decomposes any product of two classes into the subword
-classes of the right factor.
+p + 1, and nothing above that is computed.  A node at position 1 applies
+no operator: the reads of both its children are linear in its state's
+part through degree 2 (``dual_constant_terms_after``), so a word of
+length l >= 2 takes 2^(l-2) - 1 dual divided differences and as many
+swaps.  Multiplying one Chern-class factor at a time decomposes any
+product of two classes into the subword classes of the right factor.
 
 The classes of the lexicographically smallest reduced words, one per
 permutation, form a basis.  Each one's lowest x-degree part is a Schubert
@@ -42,6 +45,8 @@ from cobschub.weylops import (
     coroot_pairing,
     divided_diff,
     divided_diff_dual,
+    dual_constant_term,
+    dual_constant_terms_after,
     reduced_word,
     sigma_op,
     validate_word,
@@ -103,21 +108,6 @@ def bs_class(ctx: FlagContext, word) -> FlagElem:
     return result
 
 
-def _dual_constant_term(i: int, a: FlagElem) -> CoeffPoly:
-    """The constant term of divided_diff_dual(ctx, i, a), read as
-    a[x_{i+1}] - a[x_i] from the degree-1 part of a.
-
-    Reduction keeps x-degree and U^-1 has constant term 1, so this is the
-    constant term of (a - sigma_i a) / (x_{i+1} - x_i); the numerator's
-    degree-1 part is (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i), and no other
-    part of it reaches degree 0.
-    """
-    zero = CoeffPoly.zero()
-    head, tail = (0,) * (i - 1), (0,) * (a.ctx.n - i - 1)
-    return (a.terms.get(head + (0, 1) + tail, zero)
-            - a.terms.get(head + (1, 0) + tail, zero))
-
-
 def _through_degree(a: FlagElem, top: int) -> FlagElem:
     """The part of ``a`` of x-degree at most ``top``, as a new element."""
     return FlagElem._raw(a.ctx, {key: coeff for key, coeff in a.terms.items()
@@ -151,9 +141,15 @@ def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
     tree, so strings that agree on their higher positions share one state.
     A node at position p reads the coefficient of the set whose lowest
     removed position is p from its state's degree-1 part
-    (``_dual_constant_term``), so the last dual divided difference of a
-    string is never applied; a word of length l takes 2^(l-1) - 1 dual
-    divided differences and as many swaps.
+    (``dual_constant_term``), so the last dual divided difference of a
+    string is never applied.  A node at position 1 also reads both of its
+    children's coefficients from its own state through degree 2
+    (``dual_constant_terms_after``): the kept child's read relabels the
+    node's degree-1 coefficients, and the removed child's is the read of
+    the node's antisymmetrized quotient plus the node's own read times
+    the read of U^-1.  So no operator is applied at position 1, and a word
+    of length l >= 2 takes 2^(l-2) - 1 dual divided differences and as
+    many swaps; a word of length at most 2 takes none.
 
     Each read is a degree-1 part, the swap keeps degree, and the dual
     divided difference reads its input only one degree above its output, so
@@ -169,12 +165,20 @@ def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
         return cached
     terms: dict[tuple[int, ...], CoeffPoly] = {}
 
+    def record(kept: tuple[int, ...], coeff: CoeffPoly):
+        if coeff:
+            terms[kept] = coeff
+
     def walk(pos: int, state: FlagElem, kept_above: tuple[int, ...]):
         letter = word[pos]
-        coeff = _dual_constant_term(letter, state)
-        if coeff:
-            terms[tuple(range(pos)) + kept_above] = coeff
-        if pos:
+        record(tuple(range(pos)) + kept_above,
+               dual_constant_term(letter, state))
+        if pos == 1:
+            removed, kept = dual_constant_terms_after(ctx, letter, word[0],
+                                                      state)
+            record(kept_above, removed)
+            record((1,) + kept_above, kept)
+        elif pos:
             walk(pos - 1, divided_diff_dual(ctx, letter, state, pos),
                  kept_above)
             walk(pos - 1, sigma_op(ctx, letter, _through_degree(state, pos)),

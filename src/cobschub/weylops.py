@@ -17,7 +17,9 @@ monomial in x_i, x_{i+1} above 2n - 3 lies in the ideal.  The rest is the
 classical divided difference (a - sigma_i a) / (x_{i+1} - x_i), whose
 telescoping integer terms go through the context's normal forms in one
 kernel merge, and a flag-ring product with U^-1 that never leaves degree d;
-the dual operator stops at a lower degree when its caller names one.
+the dual operator stops at a lower degree when its caller names one.  Its
+constant term, after one more operator or none, is linear in degrees 1
+and 2 of its input and is read from them with no product at all.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 
 from cobschub.ringcore import (
+    CoeffPoly,
     UsageError,
     divided_difference_terms,
     sum_of_products,
@@ -257,3 +260,53 @@ def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem,
     return reduce_canonical(ctx, truncated_product(
         _antisymmetrize(ctx, i, a).terms, unit_inv.terms,
         ctx.d if top is None else top))
+
+
+def dual_constant_term(i: int, a: FlagElem) -> CoeffPoly:
+    """The constant term of divided_diff_dual(ctx, i, a), read as
+    a[x_{i+1}] - a[x_i] from the degree-1 part of a.
+
+    Reduction keeps x-degree and U^-1 has constant term 1, so this is the
+    constant term of (a - sigma_i a) / (x_{i+1} - x_i); the numerator's
+    degree-1 part is (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i), and no other
+    part of it reaches degree 0.
+    """
+    zero = CoeffPoly.zero()
+    head, tail = (0,) * (i - 1), (0,) * (a.ctx.n - i - 1)
+    return (a.terms.get(head + (0, 1) + tail, zero)
+            - a.terms.get(head + (1, 0) + tail, zero))
+
+
+def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
+                              a: FlagElem) -> tuple[CoeffPoly, CoeffPoly]:
+    """The constant terms of divided_diff_dual(ctx, j, c) for
+    c = divided_diff_dual(ctx, i, a) and for c = sigma_op(ctx, i, a), in
+    that order, with no product by U^-1, no swap and no reduction.  They
+    depend only on the part of ``a`` through degree 2, and a caller may
+    pass just that.
+
+    Both are degree-1 reads L_j(c) = c[x_{j+1}] - c[x_j]
+    (``dual_constant_term``).  L_j kills x_1 + ... + x_n, the one relation
+    of degree 1, so it may read a linear form before reduction.  The swap
+    keeps degree and relabels: L_j(sigma_i a) = a[x_{s(j+1)}] - a[x_{s(j)}]
+    with s the transposition of i and i + 1.  The dual operator is q * U^-1
+    with q the antisymmetrized quotient of a, which lowers degree by
+    exactly 1, and U^-1 has constant term 1, so the degree-1 part of the
+    product is q_1 + q_0 (U^-1)_1: q_0 = L_i(a), and q_1 is the classical
+    divided difference of the degree-2 part of a, read unreduced.
+    """
+    unit_inv = _op_pack(ctx, i)  # checks i before the kernel reads it
+    n, zero = ctx.n, CoeffPoly.zero()
+
+    def x(k):  # the exponent vector of x_k
+        return (0,) * (k - 1) + (1,) + (0,) * (n - k)
+
+    read = {x(j + 1): 1, x(j): -1}
+    removed = sum_of_products(itertools.chain(
+        ((0, coeff, sign * read[key]) for key, coeff, sign
+         in divided_difference_terms(a.terms, i, i - 1) if key in read),
+        [(0, dual_constant_term(i, a), dual_constant_term(j, unit_inv))]))
+    swap = {i: i + 1, i + 1: i}
+    kept = (a.terms.get(x(swap.get(j + 1, j + 1)), zero)
+            - a.terms.get(x(swap.get(j, j)), zero))
+    return removed.get(0, zero), kept

@@ -51,6 +51,7 @@ from cobschub.weylops import (
     Permutation,
     all_permutations,
     divided_diff_dual,
+    dual_constant_term,
     reduced_word,
     sigma_op,
     validate_word,
@@ -523,6 +524,35 @@ def walk_chevalley_coeff(ctx, word, positions, lam):
         op = divided_diff_dual if pos in positions else sigma_op
         current = op(ctx, word[pos], current)
     return current.constant_term()
+
+
+def full_tree_c1_times_bs(ctx, lam, word) -> dict:
+    """The terms of c1_times_bs(ctx, lam, word) by kept positions, from a
+    depth-first walk over every removed/kept choice that applies each
+    operator down to position 0: the node at position p swaps or takes the
+    dual divided difference of its state through degree p + 1 and reads
+    the coefficient of the set whose lowest removed position is p from its
+    state's degree-1 part.  A word of length l takes 2^(l-1) - 1 dual
+    divided differences and as many swaps; this is the walk that the
+    library replaced by reading both children of each position-1 node."""
+    word = validate_word(word, ctx.n)
+    terms = {}
+
+    def walk(pos, state, kept_above):
+        letter = word[pos]
+        coeff = dual_constant_term(letter, state)
+        if coeff:
+            terms[tuple(range(pos)) + kept_above] = coeff
+        if pos:
+            walk(pos - 1, divided_diff_dual(ctx, letter, state, pos),
+                 kept_above)
+            walk(pos - 1, sigma_op(ctx, letter, through_degree(state, pos)),
+                 (pos,) + kept_above)
+
+    if word:
+        walk(len(word) - 1, through_degree(c1_weight(ctx, lam), len(word)),
+             ())
+    return terms
 
 
 def table_expand_in_bs_basis(ctx, a) -> dict:

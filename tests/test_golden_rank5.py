@@ -26,6 +26,13 @@ len(left) + len(right) < d and is zero by lengths; this one has lengths
 8 + 5 >= d = 10 and gives 20 terms in cobordism and K-theory and 6 in
 Chow.  It was recorded while the operators still read the law's pack
 through degree d, before the pack was cut to 2n - 3.
+
+``READS_SHA256`` pins rank-5 Chevalley expansions in every theory under a
+generic weight with negative coordinates, over a non-reduced word with a
+repeated letter, a word of length 2 and a word of length 3.  It was
+recorded while every node of the walk at position 1 still applied both of
+its operators, before it read its children's coefficients from its own
+state.
 """
 
 from test_golden_cli import THEORIES, cli_digest
@@ -52,6 +59,11 @@ PRODUCT_COMMANDS = tuple(
     ("product", "--n", "5", "--left", "1,2,1,3,2,1,4,3", "--right",
      "2,1,4,3,2", "--verify") + theory for theory in THEORIES)
 
+READS_COMMANDS = tuple(
+    ("chevalley", "--n", "5", "--word", word, "--weight=3,-1,0,2,-2")
+    + theory for word in ("2,2,3,1,2,4,3", "3,1", "4,3,4")
+    for theory in THEORIES)
+
 RANK5_SHA256 = (
     "947cc5dbe80046f7df6de30e77a9af30a234802ed93ec12b04b4efc0ada5e4ec")
 
@@ -63,6 +75,9 @@ CHEVALLEY_SHA256 = (
 
 PRODUCT_SHA256 = (
     "da62d3e5830ce185b5a574acbee45c5a9cb4b2082b8cc56cc34cb63fa173159e")
+
+READS_SHA256 = (
+    "8d754e9aca0382db09f4132ba62381f26b3c024a5d1076d184ce98c58e2bd9f0")
 
 
 def test_rank5_output_bytes_unchanged():
@@ -79,3 +94,7 @@ def test_rank5_chevalley_bytes_unchanged():
 
 def test_rank5_product_bytes_unchanged():
     assert cli_digest(PRODUCT_COMMANDS, ("json",)) == PRODUCT_SHA256
+
+
+def test_rank5_chevalley_reads_bytes_unchanged():
+    assert cli_digest(READS_COMMANDS, ("json",)) == READS_SHA256

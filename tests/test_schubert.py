@@ -48,6 +48,7 @@ from oracles import (
     coeff_degrees,
     commutation_class,
     denominator_lcm,
+    full_tree_c1_times_bs,
     is_reduced,
     random_flag_elem,
     table_expand_in_bs_basis,
@@ -192,6 +193,29 @@ def test_c1_times_bs_matches_per_mask_walk():
         ctx, rho_weight(5), word)
 
 
+def test_c1_times_bs_matches_the_full_tree_walk():
+    # the walk whose position-1 nodes read both children from their own
+    # state, against the same walk applying every operator down to
+    # position 0, at ranks 3-5 in cobordism, Chow and K-theory, on seeded
+    # random weights and one random word of each length 1..7 per weight
+    rng = random.Random(67)
+    beta = Fraction(2, 3)
+    non_reduced = 0
+    for n, weights in ((3, 2), (4, 2), (5, 1)):
+        for theory in THEORIES:
+            ctx = FlagContext(n, *theory_law(theory, beta))
+            for _ in range(weights):
+                lam = Weight(tuple(rng.randint(-3, 3) for _ in range(n)))
+                for length in range(1, 8):
+                    word = tuple(rng.randint(1, n - 1)
+                                 for _ in range(length))
+                    non_reduced += not is_reduced(word, n)
+                    assert c1_times_bs(ctx, lam, word).terms == (
+                        full_tree_c1_times_bs(ctx, lam, word)), (
+                        n, theory, lam, word)
+    assert non_reduced
+
+
 def walk_terms(ctx, lam, word):
     """The expansion's terms by kept positions, one walk per removal set."""
     expected = {}
@@ -204,8 +228,10 @@ def walk_terms(ctx, lam, word):
 
 
 def test_c1_times_bs_operator_count(monkeypatch):
-    # a word of length l costs 2^(l-1) - 1 dual divided differences and as
-    # many swaps, not one string per removal set
+    # a word of length l >= 2 costs 2^(l-2) - 1 dual divided differences
+    # and as many swaps, not one string per removal set: the nodes at
+    # position 1 read both children from their own state, so a word of
+    # length at most 2 applies no operator
     counts = Counter()
 
     def counting(name, op):
@@ -219,10 +245,10 @@ def test_c1_times_bs_operator_count(monkeypatch):
                             counting(name, getattr(schubert, name)))
     ctx = FlagContext(3)
     lam = rho_weight(3)
-    for word in [(1,), (2, 1), (1, 2, 1), (1, 2, 1, 2)]:
+    for word in [(1,), (2, 1), (1, 2, 1), (1, 2, 1, 2), (2, 1, 2, 2, 1)]:
         counts.clear()
         c1_times_bs(ctx, lam, word)
-        expected = 2 ** (len(word) - 1) - 1
+        expected = max(2 ** (len(word) - 2) - 1, 0)
         assert counts["divided_diff_dual"] == expected, word
         assert counts["sigma_op"] == expected, word
 

@@ -27,6 +27,8 @@ from cobschub.weylops import (
     coroot_pairing,
     divided_diff,
     divided_diff_dual,
+    dual_constant_term,
+    dual_constant_terms_after,
     reduced_word,
     sigma_op,
     weyl_act,
@@ -34,7 +36,7 @@ from cobschub.weylops import (
 )
 
 from cobschub import schubert
-from cobschub.schubert import _dual_constant_term, bs_class, c1_times_bs
+from cobschub.schubert import bs_class, c1_times_bs
 from cobschub.selftest import classical_divided_difference
 
 from oracles import (
@@ -436,10 +438,42 @@ def test_dual_constant_term_is_the_degree_one_read(ctx3, ctx4):
             for i in range(1, ctx.n):
                 read = (a.coefficient(basis_weight(i + 1, ctx.n).coords)
                         - a.coefficient(basis_weight(i, ctx.n).coords))
-                assert _dual_constant_term(i, a) == read
+                assert dual_constant_term(i, a) == read
                 assert divided_diff_dual(ctx, i, a).constant_term() == read
                 nonzero += bool(read)
     assert nonzero
+
+
+@pytest.mark.parametrize("law", [(), (F(0),), (F(2, 3),), (F(-1, 2),)],
+                         ids=THEORIES + ("ktheory-negative",))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dual_constant_terms_after_are_the_two_step_reads(n, law):
+    # the reads of a position-1 node's children in c1_times_bs, taken from
+    # the node's state through degree 2, against the dual divided
+    # difference and the swap applied and then read, for every pair (i, j):
+    # i == j, |i - j| = 1, |i - j| >= 2 and j = 1 at ranks 4 and 5
+    rng = random.Random(59 + n)
+    ctx = FlagContext(n, *law)
+    states = [random_flag_elem(ctx, rng) for _ in range(3)]
+    states += [c1_weight(ctx, random_weight(rng, n)),
+               c1_weight(ctx, fundamental_weight(n - 1, n))]
+    states.append(states[-1] * states[-2])  # degree 2 in Chow too
+    nonzero = [0, 0]
+    for a in states:
+        for i in range(1, n):
+            for j in range(1, n):
+                expected = (
+                    dual_constant_term(j, divided_diff_dual(ctx, i, a, 1)),
+                    dual_constant_term(j, sigma_op(ctx, i,
+                                                   through_degree(a, 1))))
+                assert dual_constant_terms_after(ctx, i, j, a) == expected
+                assert dual_constant_terms_after(
+                    ctx, i, j, through_degree(a, 2)) == expected
+                nonzero = [k + bool(read)
+                           for k, read in zip(nonzero, expected)]
+    # at rank 2 in Chow nothing has degree 2 (d = 1) and U^-1 = 1, so the
+    # removed child reads 0
+    assert nonzero[1] and (nonzero[0] or (n, law) == (2, (F(0),)))
 
 
 def test_divided_diff_golden_rank3(ctx3):
