@@ -2,12 +2,16 @@
 
 Subcommands: bsclass, product, chevalley, fgl, expand, pieri, selftest.
 Exit codes: 0 success, 1 selftest failure or stdout closed early, 2 usage
-error, 3 resource cap.  Every subcommand honours ``--format``; selftest
-prints one PASS/FAIL line per check as text, and one object listing the
-checks as JSON.  Ranks above ``MAX_RANK``, and selftest ranks above
-``MAX_SELFTEST_RANK``, exit 3 before any context is built.
-JSON output is deterministic: terms are sorted, rationals are emitted as
-decimal num/den strings so arbitrary precision survives serialization.
+error, 3 resource cap.  Every request takes one path: argparse parses a
+word or weight into a tuple of ints (a malformed one exits 2 before any
+context is built), ``_request_context`` checks the rank (above ``MAX_RANK``
+it exits 3) and returns the cached context of the theory, the engine checks
+letter ranges and weight lengths, and ``_respond`` prints the result in the
+``--format`` asked for, building only that one.  JSON output is
+deterministic: terms are sorted, rationals are emitted as decimal num/den
+strings so arbitrary precision survives serialization.  selftest, capped at
+``MAX_SELFTEST_RANK``, runs the whole suite and then prints one PASS/FAIL
+line per check, or one object listing the checks.
 
 Each theory is computed over its own formal group law
 (``flagring.theory_law``): cobordism over the universal law, chow over the
@@ -34,7 +38,7 @@ from functools import lru_cache
 from cobschub.ringcore import CobschubError, CoeffPoly, UsageError
 from cobschub.fgl import build_universal_fgl
 from cobschub.flagring import THEORIES, FlagContext, Weight, theory_law
-from cobschub.weylops import reduced_word, validate_word
+from cobschub.weylops import reduced_word
 from cobschub.schubert import (
     bs_class,
     c1_times_bs,
@@ -76,34 +80,29 @@ def _check_rank(n: int, cap: int = MAX_RANK) -> int:
     return n
 
 
+def _request_context(ns) -> FlagContext:
+    """The cached context of the request's theory at its checked rank."""
+    return _context(_check_rank(ns.n), *theory_law(ns.theory, ns.beta))
+
+
 def _parse_rational(text: str) -> Fraction:
-    # used as an argparse type: ValueError turns into a usage error (exit 2)
+    """The argparse type of ``--beta``."""
     try:
         return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"bad rational {text!r}: zero denominator") from None
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number, got {text!r}") from None
 
 
-def _parse_word(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """The argparse type of a word or a weight: comma-separated integers,
+    and the empty string for the empty word."""
     text = text.strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
-        raise UsageError(f"bad word {text!r}; expected comma-separated "
-                         "integers") from None
-
-
-def _parse_weight(text: str, n: int) -> Weight:
-    try:
-        coords = tuple(int(part) for part in text.strip().split(","))
-    except ValueError:
-        raise UsageError(f"bad weight {text!r}; expected comma-separated "
-                         "integers") from None
-    if len(coords) != n:
-        raise UsageError(f"weight must have length {n}, got {len(coords)}")
-    return Weight(coords)
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +110,9 @@ def _parse_weight(text: str, n: int) -> Weight:
 
 
 def coeff_to_json(c: CoeffPoly) -> list:
-    out = []
-    for key, value in sorted(c.terms.items()):
-        out.append({
-            "b": [[i, e] for i, e in key],
-            "num": str(value.numerator),
-            "den": str(value.denominator),
-        })
-    return out
+    return [{"b": [[i, e] for i, e in key], "num": str(value.numerator),
+             "den": str(value.denominator)}
+            for key, value in sorted(c.terms.items())]
 
 
 def elem_terms_to_json(elem) -> list:
@@ -146,15 +140,24 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
+def _respond(ns, payload, lines) -> None:
+    """Print a command's result in its ``--format``, building only that
+    one: ``payload()`` gives the fields of the JSON object besides
+    "command", and ``lines()`` the text lines."""
+    if ns.format == "json":
+        _emit_json({"command": ns.command, **payload()})
+    else:
+        for line in lines():
+            print(line)
+
+
 def _rows_to_json(rows) -> list:
     return [{"subword": list(w), "coeff": coeff_to_json(c)} for w, c in rows]
 
 
-def _print_rows(rows) -> None:
-    if not rows:
-        print("0")
-    for word, coeff in rows:
-        print(f"Z_[{_word_label(word)}]: {coeff}")
+def _row_lines(rows) -> list[str]:
+    return [f"Z_[{_word_label(word)}]: {coeff}"
+            for word, coeff in rows] or ["0"]
 
 
 # ---------------------------------------------------------------------------
@@ -162,142 +165,106 @@ def _print_rows(rows) -> None:
 
 
 def cmd_bsclass(ns) -> int:
-    n = _check_rank(ns.n)
-    ctx = _context(n, *theory_law(ns.theory, ns.beta))
-    word = validate_word(_parse_word(ns.word), n)
-    cls = bs_class(ctx, word)
-    if ns.format == "json":
-        _emit_json({
-            "command": "bsclass", "n": n, "word": list(word),
-            "theory": ns.theory, "terms": elem_terms_to_json(cls)})
-    else:
-        print(f"Z_[{_word_label(word)}] = {cls}")
+    ctx = _request_context(ns)
+    cls = bs_class(ctx, ns.word)
+    _respond(ns, lambda: {"n": ctx.n, "word": list(ns.word),
+                          "theory": ns.theory,
+                          "terms": elem_terms_to_json(cls)},
+             lambda: [f"Z_[{_word_label(ns.word)}] = {cls}"])
     return 0
 
 
 def cmd_product(ns) -> int:
-    n = _check_rank(ns.n)
-    ctx = _context(n, *theory_law(ns.theory, ns.beta))
-    left = validate_word(_parse_word(ns.left), n)
-    right = validate_word(_parse_word(ns.right), n)
-    expansion = product_bs(ctx, left, right)
-    verified = None
+    ctx = _request_context(ns)
+    expansion = product_bs(ctx, ns.left, ns.right)
+    checked = {}
     if ns.verify:
-        verified = expansion.evaluate(ctx) == bs_class(ctx, left) * bs_class(
-            ctx, right)
+        checked["verified"] = expansion.evaluate(ctx) == bs_class(
+            ctx, ns.left) * bs_class(ctx, ns.right)
     rows = expansion_to_rows(expansion)
-    if ns.format == "json":
-        payload = {
-            "command": "product", "n": n, "left": list(left),
-            "right": list(right), "theory": ns.theory,
-            "terms": _rows_to_json(rows)}
-        if verified is not None:
-            payload["verified"] = verified
-        _emit_json(payload)
-    else:
-        _print_rows(rows)
-        if verified is not None:
-            print(f"verify: {'ok' if verified else 'MISMATCH'}")
-    if verified is False:
-        return 1
-    return 0
+    _respond(ns, lambda: {"n": ctx.n, "left": list(ns.left),
+                          "right": list(ns.right), "theory": ns.theory,
+                          "terms": _rows_to_json(rows), **checked},
+             lambda: _row_lines(rows) + [
+                 f"verify: {'ok' if ok else 'MISMATCH'}"
+                 for ok in checked.values()])
+    return 1 if checked.get("verified") is False else 0
 
 
 def cmd_chevalley(ns) -> int:
-    n = _check_rank(ns.n)
-    ctx = _context(n, *theory_law(ns.theory, ns.beta))
-    word = validate_word(_parse_word(ns.word), n)
-    lam = _parse_weight(ns.weight, n)
-    expansion = c1_times_bs(ctx, lam, word)
-    rows = expansion_to_rows(expansion)
-    if ns.format == "json":
-        _emit_json({
-            "command": "chevalley", "n": n, "word": list(word),
-            "weight": list(lam.coords), "theory": ns.theory,
-            "terms": _rows_to_json(rows)})
-    else:
-        _print_rows(rows)
+    ctx = _request_context(ns)
+    rows = expansion_to_rows(c1_times_bs(ctx, Weight(ns.weight), ns.word))
+    _respond(ns, lambda: {"n": ctx.n, "word": list(ns.word),
+                          "weight": list(ns.weight), "theory": ns.theory,
+                          "terms": _rows_to_json(rows)},
+             lambda: _row_lines(rows))
     return 0
 
 
 def cmd_fgl(ns) -> int:
     degree = ns.max_degree
-    if degree < 1:
-        raise UsageError("degree must be at least 1")
     if degree > MAX_FGL_DEGREE:
         raise ResourceCapError(
             f"degree {degree} exceeds the configured cap {MAX_FGL_DEGREE}")
     fgl = build_universal_fgl(degree, *theory_law(ns.theory, ns.beta))
-    if ns.format == "json":
-        _emit_json({
-            "command": "fgl", "degree_cap": degree, "theory": ns.theory,
-            "F": series_to_json(fgl.F), "chi": series_to_json(fgl.chi),
-            "q": series_to_json(fgl.q)})
-    else:
-        for label, series in (("F(u,v)", fgl.F), ("chi(u)", fgl.chi),
-                              ("q(u,v)", fgl.q)):
-            print(f"{label} = {series}")
+    series = (("F", "F(u,v)", fgl.F), ("chi", "chi(u)", fgl.chi),
+              ("q", "q(u,v)", fgl.q))
+    _respond(ns, lambda: {"degree_cap": degree, "theory": ns.theory,
+                          **{key: series_to_json(s) for key, _, s in series}},
+             lambda: [f"{label} = {s}" for _, label, s in series])
     return 0
 
 
 def cmd_expand(ns) -> int:
-    n = _check_rank(ns.n)
-    ctx = _context(n, *theory_law(ns.theory, ns.beta))
-    word = validate_word(_parse_word(ns.word), n)
-    expansion = expand_in_bs_basis(ctx, bs_class(ctx, word))
-    rows = [(w, expansion[w]) for w in
+    ctx = _request_context(ns)
+    expansion = expand_in_bs_basis(ctx, bs_class(ctx, ns.word))
+    rows = [(w, reduced_word(w), expansion[w]) for w in
             sorted(expansion, key=lambda p: (p.inversions(), p.images))]
-    if ns.format == "json":
-        _emit_json({
-            "command": "expand", "n": n, "word": list(word),
-            "theory": ns.theory,
-            "classes": [{"perm": list(w.images),
-                         "word": list(reduced_word(w)),
-                         "coeff": coeff_to_json(c)} for w, c in rows]})
-    else:
-        if not rows:
-            print("0")
-        for w, coeff in rows:
-            label = _word_label(reduced_word(w))
-            print(f"Z_[{label}] (perm {list(w.images)}): {coeff}")
+    _respond(ns, lambda: {"n": ctx.n, "word": list(ns.word),
+                          "theory": ns.theory,
+                          "classes": [{"perm": list(w.images),
+                                       "word": list(word),
+                                       "coeff": coeff_to_json(c)}
+                                      for w, word, c in rows]},
+             lambda: [f"Z_[{_word_label(word)}] (perm {list(w.images)}): {c}"
+                      for w, word, c in rows] or ["0"])
     return 0
 
 
 def cmd_pieri(ns) -> int:
     n = _check_rank(ns.n)
-    word = validate_word(_parse_word(ns.word), n)
-    lam = _parse_weight(ns.weight, n)
-    rows = pieri_exponents(n, word, lam)
-    if ns.format == "json":
-        _emit_json({
-            "command": "pieri", "n": n, "word": list(word),
-            "weight": list(lam.coords),
-            "rows": [{"position": j + 1, "subword": list(sub),
-                      "exponent": exponent}
-                     for j, (sub, exponent) in enumerate(rows)]})
-    else:
-        for j, (sub, exponent) in enumerate(rows):
-            print(f"j={j + 1}: Z_[{_word_label(sub)}] exponent {exponent}")
+    rows = pieri_exponents(n, ns.word, Weight(ns.weight))
+    _respond(ns, lambda: {"n": n, "word": list(ns.word),
+                          "weight": list(ns.weight),
+                          "rows": [{"position": j, "subword": list(sub),
+                                    "exponent": exponent}
+                                   for j, (sub, exponent)
+                                   in enumerate(rows, start=1)]},
+             lambda: [f"j={j}: Z_[{_word_label(sub)}] exponent {exponent}"
+                      for j, (sub, exponent) in enumerate(rows, start=1)])
     return 0
 
 
 def cmd_selftest(ns) -> int:
     # imported here, so that no computing command pays for the suite
     import traceback
-    from cobschub.selftest import run_selftest, selftest_results
+    from cobschub.selftest import selftest_results
 
     n = _check_rank(ns.n, MAX_SELFTEST_RANK)
-    if ns.format == "text":
-        return 0 if run_selftest(n, ns.theory, ns.beta) else 1
-    checks = []
-    for name, error in selftest_results(n, ns.theory, ns.beta):
-        checks.append({"name": name, "ok": error is None})
-        if error is not None:
-            checks[-1]["error"] = "".join(
-                traceback.format_exception_only(error)).strip()
-    _emit_json({"command": "selftest", "n": n, "theory": ns.theory,
-                "checks": checks})
-    return 0 if all(check["ok"] for check in checks) else 1
+    # run in full before any output, so no write error counts as a FAIL
+    results = list(selftest_results(n, ns.theory, ns.beta))
+
+    def check_json(name, error):
+        if error is None:
+            return {"name": name, "ok": True}
+        return {"name": name, "ok": False, "error": "".join(
+            traceback.format_exception_only(error)).strip()}
+
+    _respond(ns, lambda: {"n": n, "theory": ns.theory,
+                          "checks": [check_json(*r) for r in results]},
+             lambda: [f"PASS {name}" if error is None else
+                      f"FAIL {name}: {error}" for name, error in results])
+    return 0 if all(error is None for _, error in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +281,28 @@ def _add_common(parser, *, rank=True):
     parser.add_argument("--format", choices=("json", "text"), default="text")
 
 
+def _add_ints(parser, option, help):
+    parser.add_argument(option, type=_parse_ints, required=True, help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cobschub",
         description="Schubert calculus in the algebraic cobordism of "
                     "complete flag varieties")
     sub = parser.add_subparsers(dest="command", required=True)
+    word_help = "comma-separated simple-root indices; empty for the point"
+    weight_help = "comma-separated integer weight of length n"
 
     p = sub.add_parser("bsclass", help="canonical form of a Bott-Samelson class")
     _add_common(p)
-    p.add_argument("--word", required=True,
-                   help="comma-separated simple-root indices; empty for the point")
+    _add_ints(p, "--word", word_help)
     p.set_defaults(func=cmd_bsclass)
 
     p = sub.add_parser("product", help="decompose a product of two classes")
     _add_common(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    _add_ints(p, "--left", word_help)
+    _add_ints(p, "--right", word_help)
     p.add_argument("--verify", action="store_true",
                    help="also check the expansion against the ring product")
     p.set_defaults(func=cmd_product)
@@ -338,9 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chevalley",
                        help="expand c1(L(weight)) times a class")
     _add_common(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--weight", required=True,
-                   help="comma-separated integer weight of length n")
+    _add_ints(p, "--word", word_help)
+    _add_ints(p, "--weight", weight_help)
     p.set_defaults(func=cmd_chevalley)
 
     p = sub.add_parser("fgl", help="dump the truncated formal group law")
@@ -352,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand",
                        help="expand a class over the reduced-word basis")
     _add_common(p)
-    p.add_argument("--word", required=True)
+    _add_ints(p, "--word", word_help)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("pieri", help="exponent table of a pulled-back line bundle")
     _add_common(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--weight", required=True)
+    _add_ints(p, "--word", word_help)
+    _add_ints(p, "--weight", weight_help)
     p.set_defaults(func=cmd_pieri)
 
     p = sub.add_parser("selftest", help="run the built-in verification suite")

@@ -13,12 +13,8 @@ The divided-difference operators live in ``weylops``; the law gives them
 their one law-dependent part, the inverse unit U^-1 of
 F(y1, chi(y2)) = (y1 - y2) * U (``FGLData.pair_pack``), built only through
 the degree its reader names.  The operators of a rank-n flag ring read it
-through 2n - 3, which takes the law through 2n - 2: S_n maps any pair of
-flag variables to (x_{n-1}, x_n), whose rewrite rules h_{n-1}(x_{n-1}, x_n)
-and h_n(x_n) use no other variable, so a polynomial in the pair reduces
-inside it, to the staircase monomials x_{n-1}^(<= n-2) x_n^(<= n-1), which
-stop at degree 2n - 3.  Reduction keeps degree, so every monomial of the
-pair above 2n - 3 has normal form 0.
+through 2n - 3 (``weylops._op_pack`` proves that nothing above survives),
+which takes the law through 2n - 2.
 """
 
 from __future__ import annotations
@@ -78,13 +74,8 @@ class FGLData:
         swap(x_loc) = chi(x_loc); the ``law-axioms`` check of the selftest
         registry tests it, so it runs in tier-1 and in ``selftest``, not on
         every law.  Renaming y1, y2 to any two flag variables keeps both
-        identities, so they hold for the operators of every rank.
-
-        The operators of rank n ask for top = 2n - 3 (see
-        ``weylops._op_pack``): S_n maps any two flag variables to
-        (x_{n-1}, x_n), whose rewrite rules use no third variable and whose
-        staircase monomials stop at degree 2n - 3, so a polynomial in two
-        flag variables has normal form 0 above that degree.
+        identities, so they hold for the operators of every rank.  The
+        operators of rank n ask for top = 2n - 3 (``weylops._op_pack``).
         """
         if top + 1 > self.degree_cap:
             raise UsageError(

@@ -123,10 +123,9 @@ class FlagContext:
     through degree d.  Each operator is a classical divided difference
     through the integer normal forms and one flag-ring product with the
     inverse unit U^-1 of F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, a
-    series in x_i and x_{i+1} alone; every such monomial above degree
-    2n - 3 has normal form 0 (see ``weylops._op_pack``), so the operators
-    read the law's pack through 2n - 3 (``FGLData.pair_pack(2n - 3)``).  U
-    is one degree below x_loc, so that pack reads the law through 2n - 2.
+    series in x_i and x_{i+1} alone that the operators read through degree
+    2n - 3 (``weylops._op_pack`` says why).  U is one degree below x_loc,
+    so that pack reads the law through 2n - 2.
     The law is built at ``work_cap`` = max(d, 2n - 2, 3), the least cap
     that serves both readers; the floor of 3 keeps the cubic coefficients
     the selftest reads from the context at rank 2.  The tests check that

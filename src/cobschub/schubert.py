@@ -159,6 +159,8 @@ def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
     and swaps only its state's part through degree p.
     """
     word = validate_word(word, ctx.n)
+    if lam.n != ctx.n:  # the empty word never reaches c1_weight's check
+        raise UsageError(f"weight must have length {ctx.n}, got {lam.n}")
     key = (lam.coords, word)
     cached = ctx._c1bs_cache.get(key)
     if cached is not None:
@@ -303,6 +305,8 @@ def pieri_exponents(n: int, word, lam: Weight):
     """Exponent table of the pullback of L(lam) at rank n: one row per
     position with the word minus that position and the pairing (lam, beta_j)."""
     word = validate_word(word, n)
+    if lam.n != n:
+        raise UsageError(f"weight must have length {n}, got {lam.n}")
     betas = beta_sequence(word, n)
     out = []
     for j, beta in enumerate(betas):

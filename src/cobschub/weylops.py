@@ -6,20 +6,16 @@ operators rest on the factorization F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U
 with U a unit.  Both operators are linear over symmetric elements, so they
 map the ideal of the presentation into itself and work on canonical
 elements: the only law-dependent part is U^-1, the law's two-variable pack
-through degree 2n - 3 (``FGLData.pair_pack(2n - 3)``, which checks that U
-has constant term 1) with y1 read as x_{i+1} and y2 as x_i, kept in
-canonical form.  Higher degrees of the pack would reduce to zero: a
-permutation of the variables maps (x_i, x_{i+1}) to (x_{n-1}, x_n), whose
-rewrite rules h_{n-1}(x_{n-1}, x_n) and h_n(x_n) use no other variable, and
-the pair's staircase monomials x_{n-1}^(<= n-2) x_n^(<= n-1) stop at degree
-2n - 3; the ideal is symmetric and reduction keeps degree, so every
-monomial in x_i, x_{i+1} above 2n - 3 lies in the ideal.  The rest is the
-classical divided difference (a - sigma_i a) / (x_{i+1} - x_i), whose
-telescoping integer terms go through the context's normal forms in one
-kernel merge, and a flag-ring product with U^-1 that never leaves degree d;
-the dual operator stops at a lower degree when its caller names one.  Its
-constant term, after one more operator or none, is linear in degrees 1
-and 2 of its input and is read from them with no product at all.
+(``FGLData.pair_pack``, which checks that U has constant term 1) with y1
+read as x_{i+1} and y2 as x_i, kept in canonical form through degree
+2n - 3, above which it would reduce to zero (``_op_pack`` proves it).  The
+rest is the classical divided difference (a - sigma_i a) / (x_{i+1} - x_i),
+whose telescoping integer terms go through the context's normal forms in
+one kernel merge, and a flag-ring product with U^-1 that never leaves
+degree d; the dual operator stops at a lower degree when its caller names
+one.  Its constant term, after one more operator or none, is linear in
+degrees 1 and 2 of its input and is read from them with no product at all.
+Every operator raises UsageError for an element of another context.
 """
 
 from __future__ import annotations
@@ -211,10 +207,11 @@ def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """Exchange x_i and x_{i+1} on any representative, then renormalize.
 
     Well defined on the quotient because the swap preserves the symmetric
-    ideal.
+    ideal.  UsageError if ``a`` lives over another context.
     """
     if not 1 <= i <= ctx.n - 1:
         raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
+    a = reduce_canonical(ctx, a)  # checks a's context, and returns it
     return reduce_canonical(ctx, {
         key[:i - 1] + (key[i], key[i - 1]) + key[i + 1:]: coeff
         for key, coeff in a.terms.items()})
@@ -254,9 +251,11 @@ def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem,
     has no negative degrees, so this is exactly the image's part of degree
     at most ``top``, and it reads ``a`` only through degree top + 1.  In the
     additive specialization the operator coincides with divided_diff; in
-    general it differs and carries the Chevalley coefficients.
+    general it differs and carries the Chevalley coefficients.  UsageError
+    if ``a`` lives over another context.
     """
     unit_inv = _op_pack(ctx, i)  # checks i before the kernel reads it
+    a = reduce_canonical(ctx, a)  # checks a's context, and returns it
     return reduce_canonical(ctx, truncated_product(
         _antisymmetrize(ctx, i, a).terms, unit_inv.terms,
         ctx.d if top is None else top))
@@ -283,7 +282,7 @@ def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
     c = divided_diff_dual(ctx, i, a) and for c = sigma_op(ctx, i, a), in
     that order, with no product by U^-1, no swap and no reduction.  They
     depend only on the part of ``a`` through degree 2, and a caller may
-    pass just that.
+    pass just that; UsageError if ``a`` lives over another context.
 
     Both are degree-1 reads L_j(c) = c[x_{j+1}] - c[x_j]
     (``dual_constant_term``).  L_j kills x_1 + ... + x_n, the one relation
@@ -296,6 +295,7 @@ def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
     divided difference of the degree-2 part of a, read unreduced.
     """
     unit_inv = _op_pack(ctx, i)  # checks i before the kernel reads it
+    a = reduce_canonical(ctx, a)  # checks a's context, and returns it
     n, zero = ctx.n, CoeffPoly.zero()
 
     def x(k):  # the exponent vector of x_k

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from cobschub import cli, selftest
+from cobschub import cli, ringcore, selftest
 from cobschub.cli import main
 from cobschub.flagring import THEORIES, theory_law
 from cobschub.ringcore import UsageError
-from cobschub.selftest import CHECKS, run_selftest
+from cobschub.selftest import CHECKS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -229,16 +229,60 @@ def test_selftest_refuses_ranks_above_its_cap(capsys, monkeypatch):
     assert code == 3 and not out and err.startswith("error:")
 
 
-def test_selftest_write_error_is_not_a_check_failure():
-    lines = []
+def test_selftest_write_error_is_not_a_check_failure(monkeypatch, tmp_path):
+    # stdout fails its first write, as a closed pipe does: the suite has run
+    # in full by then, and the command ends quietly with no FAIL line
+    ran, written = [], []
+    results = selftest.selftest_results
 
-    def writer(line):
-        lines.append(line)
-        raise BrokenPipeError
+    def recording(*args):
+        for name, error in results(*args):
+            ran.append((name, error))
+            yield name, error
 
-    with pytest.raises(BrokenPipeError):
-        run_selftest(2, writer=writer)
-    assert len(lines) == 1 and lines[0].startswith("PASS ")
+    class ClosedPipe:
+        def write(self, text):
+            written.append(text)
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+        def fileno(self):  # main points it at os.devnull
+            return sink.fileno()
+
+    monkeypatch.setattr(selftest, "selftest_results", recording)
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["selftest", "--n", "2"]) == 1
+    names = [check.name for check in CHECKS if check.admits(2, "cobordism")]
+    assert ran == [(name, None) for name in names]
+    assert written == [f"PASS {names[0]}"]
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["bsclass", "--n", "3"], "--word", "1,x"),
+    (["product", "--n", "3", "--right", "2"], "--left", "1;2"),
+    (["product", "--n", "3", "--left", "1"], "--right", "2,,1"),
+    (["chevalley", "--n", "3", "--word", "1"], "--weight", "1,0,a"),
+    (["expand", "--n", "3"], "--word", "1.5"),
+    (["pieri", "--n", "3", "--weight", "1,0,0"], "--word", "two"),
+    (["pieri", "--n", "3", "--word", "1"], "--weight", "1,-0.5,0"),
+])
+def test_malformed_word_or_weight_exits_2_before_any_context(
+        capsys, monkeypatch, argv, option, value):
+    def built(*args):
+        raise AssertionError(f"a context was built for {args}")
+
+    monkeypatch.setattr(cli, "_context", built)
+    monkeypatch.setattr(cli, "FlagContext", built)
+    code, out, err = run(capsys, *argv, option, value)
+    assert code == 2 and not out
+    assert f"argument {option}: expected comma-separated integers" in err
+    # the guard sees the build that a well-formed value reaches
+    if argv[0] != "pieri":
+        with pytest.raises(AssertionError, match="context was built"):
+            run(capsys, *argv, option, "1")
 
 
 def test_closed_stdout_ends_quietly():
@@ -264,6 +308,8 @@ def test_exit_codes(capsys):
     assert code == 3 and not out
     code, out, err = run(capsys, "fgl", "--max-degree", "99")
     assert code == 3
+    code, out, err = run(capsys, "fgl", "--max-degree", "0")
+    assert code == 2 and not out and "at least 1" in err
     code, out, err = run(capsys, "chevalley", "--n", "3", "--word", "1",
                          "--weight", "1,2")
     assert code == 2
@@ -271,6 +317,36 @@ def test_exit_codes(capsys):
     assert code == 2
     code, out, err = run(capsys, "bsclass", "--n", "-3", "--word", "1")
     assert code == 2 and not out and "rank must be at least 2" in err
+
+
+@pytest.mark.parametrize("command", ["chevalley", "pieri"])
+@pytest.mark.parametrize("word", ["", "1"])
+def test_the_engine_checks_the_weight_length(capsys, command, word):
+    # the empty word applies no operator, and is checked all the same
+    code, out, err = run(capsys, command, "--n", "3", "--word", word,
+                         "--weight", "1,2")
+    assert code == 2 and not out and "weight must have length 3" in err
+
+
+def test_json_mode_builds_no_text(capsys, monkeypatch):
+    def no_text(self):
+        raise AssertionError("text built in JSON mode")
+
+    monkeypatch.setattr(ringcore.TermMap, "__str__", no_text)
+    monkeypatch.setattr(ringcore.CoeffPoly, "__str__", no_text)
+    for argv in (("bsclass", "--n", "3", "--word", "1,2"),
+                 ("product", "--n", "3", "--left", "1,2", "--right", "2,1",
+                  "--verify"),
+                 ("chevalley", "--n", "3", "--word", "2,1",
+                  "--weight", "1,0,0"),
+                 ("fgl",),
+                 ("expand", "--n", "3", "--word", "2,1,2"),
+                 ("pieri", "--n", "3", "--word", "1,2", "--weight", "1,0,0"),
+                 ("selftest", "--n", "2")):
+        run_json(capsys, *argv)
+    # the guard sees the text that text mode builds
+    with pytest.raises(AssertionError, match="text built"):
+        run(capsys, "bsclass", "--n", "3", "--word", "1,2")
 
 
 def test_json_output_is_deterministic(capsys):
@@ -307,8 +383,10 @@ def test_ktheory_beta_parsing(capsys):
     F_terms = {tuple(t["x"]): t["coeff"] for t in payload["F"]["terms"]}
     assert F_terms[(1, 1)] == [{"b": [], "num": "-2", "den": "3"}]
     assert (2, 1) not in F_terms
-    code, out, err = run(capsys, "fgl", "--beta", "x")
-    assert code == 2
+    for value in ("x", "1/0"):
+        code, out, err = run(capsys, "fgl", "--beta", value)
+        assert code == 2
+        assert "argument --beta: expected a rational number" in err
 
 
 @pytest.mark.parametrize("argv, option, value", [

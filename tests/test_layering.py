@@ -5,7 +5,10 @@ that sends the flag ring back through n-variable series fails here.  Only
 copy of the operators fails here too.  And no module of the package imports
 another one's private names: what two modules share is public.  Importing
 the CLI, which every command pays for, loads neither the selftest suite nor
-the stdlib modules only it or a dataclass would need."""
+the stdlib modules only it or a dataclass would need.  In the CLI, command
+output reaches stdout only through ``_respond`` and ``_emit_json``, the one
+place a per-request hook has to reach; ``main``'s error lines go to
+stderr."""
 
 import ast
 import subprocess
@@ -92,6 +95,37 @@ def test_src_modules_import_no_private_names():
                                     "fgl._helper"}
     offenders = {name: private_imports(tree) for name, tree in trees.items()}
     assert offenders == {name: set() for name in trees}
+
+
+def stdout_writers(tree) -> set[str]:
+    """The top-level functions of a module ("<module>" for other statements)
+    that print to stdout or call ``sys.stdout.write``; a print with
+    ``file=sys.stderr`` does not count."""
+    found = set()
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "print":
+                files = [ast.unparse(kw.value) for kw in node.keywords
+                         if kw.arg == "file"]
+                if files != ["sys.stderr"]:
+                    found.add(owner)
+            elif (isinstance(func, ast.Attribute) and func.attr == "write"
+                  and ast.unparse(func.value) == "sys.stdout"):
+                found.add(owner)
+    return found
+
+
+def test_cli_output_goes_through_respond():
+    # the guard sees the writes it watches, and lets stderr through
+    sample = ast.parse("def f():\n    g(lambda: print(1))\n"
+                       "def h():\n    print(2, file=sys.stderr)\n"
+                       "sys.stdout.write('x')\n")
+    assert stdout_writers(sample) == {"f", "<module>"}
+    assert stdout_writers(source_trees()["cli"]) == {"_respond", "_emit_json"}
 
 
 def test_cli_import_skips_the_selftest_and_dataclasses():

@@ -1,7 +1,8 @@
 """Every selftest check at every rank 2-4 and theory that its table entry
 admits, with beta = 2/3 for K-theory, on the context of the theory's own law
-that ``selftest_results`` builds.  The ids carry the theory, because
-``pushforward-degenerations`` names one check per theory."""
+that ``selftest_results`` builds.  The ids carry the theory, because one
+entry may run in several theories (``pushforward-degenerations`` runs in
+chow and ktheory)."""
 
 from fractions import Fraction
 from functools import lru_cache

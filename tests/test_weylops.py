@@ -287,6 +287,26 @@ def test_operator_index_validation(ctx3, op):
             op(ctx3, i, ctx3.x_elem(1))
 
 
+@pytest.mark.parametrize("apply", [
+    lambda ctx, a: sigma_op(ctx, 1, a),
+    lambda ctx, a: divided_diff(ctx, 1, a),
+    lambda ctx, a: divided_diff_dual(ctx, 1, a),
+    lambda ctx, a: dual_constant_terms_after(ctx, 1, 2, a),
+], ids=["sigma_op", "divided_diff", "divided_diff_dual",
+        "dual_constant_terms_after"])
+def test_operators_reject_an_element_of_another_context(ctx3, ctx4, apply):
+    # a cobordism element carries b1, which a Chow result must never hold
+    chow = FlagContext(3, F(0))
+    a = bs_class(ctx3, (1, 2))
+    assert any(any(coeff.terms) for coeff in a.terms.values())
+    for ctx, elem in ((chow, a), (ctx3, chow.x_elem(1)),
+                      (ctx3, ctx4.x_elem(1))):
+        with pytest.raises(UsageError):
+            apply(ctx, elem)
+    # a context of the same rank and law is not another ring
+    apply(FlagContext(3), a)
+
+
 def test_operators_take_no_series_route(monkeypatch):
     # once the packs are built, bs_class of w0 and the Chevalley walks of
     # the chev_r4 set never swap series variables or divide by a linear form;
