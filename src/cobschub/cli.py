@@ -241,7 +241,8 @@ def cmd_pieri(ns) -> int:
                                    for j, (sub, exponent)
                                    in enumerate(rows, start=1)]},
              lambda: [f"j={j}: Z_[{_word_label(sub)}] exponent {exponent}"
-                      for j, (sub, exponent) in enumerate(rows, start=1)])
+                      for j, (sub, exponent) in enumerate(rows, start=1)]
+             or ["0"])
     return 0
 
 

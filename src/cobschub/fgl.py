@@ -5,21 +5,22 @@ over the rationalized coefficient ring, which pins the standard coefficients
 a_11 = -b1 and a_12 = a_21 = b1^2 - b2.  Its Chow and K-theory images, the
 additive law u + v and the multiplicative law u + v - beta u v, are the same
 construction with b_i replaced by beta^i (beta = 0 for Chow), so they are
-built with rational coefficients directly.  The inverse chi is an exact
-compositional inverse, and the series q with F(u, v) = u + v - u*v*q(u, v)
-is read off the coefficients of F, never from formal fraction manipulation.
+built with rational coefficients directly.  Over the rationals log is an
+isomorphism onto the additive law, so F(u, v) = exp(log u + log v) and
+chi(u) = exp(-log u); q with F = u + v - u*v*q is read off F's coefficients.
 
-The divided-difference operators live in ``weylops``; the law gives them
-their one law-dependent part, the inverse unit U^-1 of
-F(y1, chi(y2)) = (y1 - y2) * U (``FGLData.pair_pack``), built only through
-the degree its reader names.  The operators of a rank-n flag ring read it
-through 2n - 3 (``weylops._op_pack`` proves that nothing above survives),
-which takes the law through 2n - 2.
+The flag ring reads only log and exp (``log_and_exp``): ``c1_weight``
+evaluates them, and the operators in ``weylops`` read the inverse unit U^-1
+of F(y1, chi(y2)) = exp(log y1 - log y2) = (y1 - y2) * U (``unit_inverse``)
+through degree 2n - 3 at rank n, as ``weylops._op_pack`` proves.
+``build_universal_fgl`` adds F, chi and q, for the ``fgl`` command and the
+checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from cobschub.ringcore import (
     CoeffPoly,
@@ -30,89 +31,36 @@ from cobschub.ringcore import (
     divide_by_linear,
     series_invert_unit,
     series_reverse,
-    sum_of_products,
 )
 
 
 PAIR_VARS = ("y1", "y2")
 
 
-class FGLData:
-    """Container for the universal formal group law at a fixed degree cap.
+class FGLData(NamedTuple):
+    """The formal group law truncated at total degree ``degree_cap``.
 
     ``F`` lives in variables (u, v), ``chi`` in u, ``log`` and ``exp`` in t.
     ``q`` is determined by F(u, v) = u + v - u*v*q(u, v), so its stored
-    terms are exact through degree_cap - 2.  The law never changes after
-    construction; its one cache, the operator packs, holds one pack per
-    degree asked of ``pair_pack`` and lives as long as the law.
+    terms are exact through degree_cap - 2.
     """
 
-    __slots__ = ("degree_cap", "log", "exp", "F", "chi", "q", "_pair_packs")
-
-    def __init__(self, degree_cap, log, exp, F, chi, q):
-        self.degree_cap = degree_cap
-        self.log = log
-        self.exp = exp
-        self.F = F
-        self.chi = chi
-        self.q = q
-        self._pair_packs: dict[int, TruncSeries] = {}
-
-    def pair_pack(self, top: int) -> TruncSeries:
-        """The inverse unit U^-1 over (y1, y2) at cap ``top``, exact through
-        that degree, where x_loc = F(y1, chi(y2)) = (y1 - y2) * U; built on
-        first use and kept, one pack per ``top``.
-
-        U is one degree below x_loc, so x_loc is built at cap top + 1
-        (UsageError if the law stops below it), divided by y1 - y2 with its
-        remainder check, and U is cut to cap top before it is inverted.
-        x_loc takes one kernel merge: its coefficient of y1^a y2^c is the
-        sum of a_ab [t^c] chi(t)^b over the terms a_ab u^a v^b of F, read
-        off the one-variable powers of chi, so no series in two variables
-        is multiplied.  U must have constant term 1, which is checked here.
-        The antisymmetrization route also rests on the law identity
-        swap(x_loc) = chi(x_loc); the ``law-axioms`` check of the selftest
-        registry tests it, so it runs in tier-1 and in ``selftest``, not on
-        every law.  Renaming y1, y2 to any two flag variables keeps both
-        identities, so they hold for the operators of every rank.  The
-        operators of rank n ask for top = 2n - 3 (``weylops._op_pack``).
-        """
-        if top + 1 > self.degree_cap:
-            raise UsageError(
-                f"a pack through degree {top} needs a law of cap at least "
-                f"{top + 1}, not {self.degree_cap}")
-        pack = self._pair_packs.get(top)
-        if pack is None:
-            cap = top + 1
-            chi = TruncSeries(self.chi.vars, cap, self.chi.terms)
-            chi_powers = [TruncSeries.one(chi.vars, cap)]
-            for _ in range(cap):
-                chi_powers.append(chi_powers[-1] * chi)
-            x_loc = TruncSeries._raw(PAIR_VARS, cap, sum_of_products(
-                ((a, c), coeff, value)
-                for (a, b), coeff in self.F.terms.items() if a + b <= cap
-                for (c,), value in chi_powers[b].terms.items()
-                if a + c <= cap))
-            unit = divide_by_linear(x_loc, 0, 1)
-            if unit.constant_term() != CoeffPoly.one():
-                raise InternalError(
-                    "x_loc / (y1 - y2) is not a unit with constant 1")
-            pack = self._pair_packs[top] = series_invert_unit(
-                TruncSeries(PAIR_VARS, top, unit.terms))
-        return pack
-
-    def __repr__(self):
-        return f"FGLData(degree_cap={self.degree_cap})"
+    degree_cap: int
+    log: TruncSeries
+    exp: TruncSeries
+    F: TruncSeries
+    chi: TruncSeries
+    q: TruncSeries
 
 
-def build_universal_fgl(D: int, beta: Fraction | None = None) -> FGLData:
-    """Construct the formal group law truncated at total degree D.
+def log_and_exp(D: int, beta: Fraction | None = None):
+    """The law's logarithm and its compositional inverse exp, truncated at
+    degree D.
 
-    log(t) = t + sum_{i>=1} (c_i / (i+1)) t^(i+1), exp is its compositional
-    inverse, F(u, v) = exp(log u + log v) and chi(u) = exp(-log u).  With
-    ``beta`` None, c_i = b_i and the law is universal.  A rational ``beta``
-    gives c_i = beta^i, the image of the universal law under b_i -> beta^i:
-    the multiplicative law F = u + v - beta u v of K-theory, and at beta = 0
+    log(t) = t + sum_{i>=1} (c_i / (i+1)) t^(i+1).  With ``beta`` None,
+    c_i = b_i and the law is universal.  A rational ``beta`` gives
+    c_i = beta^i, the image of the universal law under b_i -> beta^i: the
+    multiplicative law F = u + v - beta u v of K-theory, and at beta = 0
     the additive law F = u + v of the Chow ring.
     """
     if D < 1:
@@ -122,19 +70,54 @@ def build_universal_fgl(D: int, beta: Fraction | None = None) -> FGLData:
         c = CoeffPoly.b(i) if beta is None else CoeffPoly.rational(beta**i)
         log_terms[(i + 1,)] = c * Fraction(1, i + 1)
     log = TruncSeries(("t",), D, log_terms)
-    exp = series_reverse(log)
+    return log, series_reverse(log)
 
+
+def _exp_of_logs(log, exp, vars, cap, sign):
+    """exp(log a + sign * log b) over the two variables (a, b) named by
+    ``vars``, at ``cap``: F(a, b) for sign 1 and F(a, chi(b)) for sign -1."""
+    log, exp = (TruncSeries(s.vars, cap, s.terms) for s in (log, exp))
+    a, b = (TruncSeries.variable(vars, cap, name) for name in vars)
+    return compose(exp, [compose(log, [a]) + compose(log, [b]) * sign])
+
+
+def unit_inverse(log, exp, top: int) -> TruncSeries:
+    """The inverse unit U^-1 over (y1, y2) at cap ``top``, exact through
+    that degree, where x_loc = F(y1, chi(y2)) = (y1 - y2) * U.
+
+    U is one degree below x_loc, so x_loc = exp(log y1 - log y2) is built
+    at cap top + 1 (UsageError if log or exp stops below it), divided by
+    y1 - y2 with its remainder check, and U, checked to have constant
+    term 1, is cut to cap top before it is inverted.  The
+    antisymmetrization also rests on swap(x_loc) = chi(x_loc), which the
+    selftest's ``law-axioms`` check tests, not every context.  Renaming
+    y1, y2 to any two flag variables keeps both identities, so they hold
+    for the operators of every rank, which read top = 2n - 3
+    (``weylops._op_pack``).
+    """
+    cap = top + 1
+    if min(log.cap, exp.cap) < cap:
+        raise UsageError(
+            f"a pack through degree {top} needs log and exp through degree "
+            f"{cap}, not {log.cap} and {exp.cap}")
+    unit = divide_by_linear(_exp_of_logs(log, exp, PAIR_VARS, cap, -1), 0, 1)
+    if unit.constant_term() != CoeffPoly.one():
+        raise InternalError("x_loc / (y1 - y2) is not a unit with constant 1")
+    return series_invert_unit(TruncSeries(PAIR_VARS, top, unit.terms))
+
+
+def build_universal_fgl(D: int, beta: Fraction | None = None) -> FGLData:
+    """Construct the formal group law truncated at total degree D, with
+    log and exp from ``log_and_exp``, F(u, v) = exp(log u + log v) and
+    chi(u) = exp(-log u)."""
+    log, exp = log_and_exp(D, beta)
     pair = ("u", "v")
-    u = TruncSeries.variable(pair, D, "u")
-    v = TruncSeries.variable(pair, D, "v")
-    log_u = compose(log, [u])
-    log_v = compose(log, [v])
-    F = compose(exp, [log_u + log_v])
-
+    F = _exp_of_logs(log, exp, pair, D, 1)
     u1 = TruncSeries.variable(("u",), D, "u")
     chi = compose(exp, [-compose(log, [u1])])
 
     # u + v - F = u*v*q, so q_{i-1,j-1} = -a_ij
+    u, v = (TruncSeries.variable(pair, D, name) for name in pair)
     q_terms = {}
     for (i, j), coeff in (u + v - F).terms.items():
         if not (i and j):

@@ -24,7 +24,7 @@ from cobschub.ringcore import (
     sum_of_products,
     truncated_product,
 )
-from cobschub.fgl import build_universal_fgl
+from cobschub.fgl import log_and_exp, unit_inverse
 
 
 # the canonical form of one monomial: (staircase exponent vector, integer)
@@ -107,11 +107,12 @@ def rho_weight(n: int) -> Weight:
 
 class FlagContext:
     """Everything attached to a fixed rank n and a formal group law: the
-    truncated law, the rewrite system, and operator caches.
+    parts of the law that the engine reads, the rewrite system, and
+    operator caches.
 
     ``beta`` None takes the universal law, whose coefficients are
     polynomials in the b_i (cobordism).  A rational ``beta`` takes its image
-    under b_i -> beta^i (see ``build_universal_fgl``): beta = 0 computes in
+    under b_i -> beta^i (see ``fgl.log_and_exp``): beta = 0 computes in
     the Chow ring and beta != 0 in K-theory, with rational coefficients
     throughout.  Every engine step is linear over the coefficient ring, so
     this gives the specialization of the cobordism result at the cost of the
@@ -119,26 +120,26 @@ class FlagContext:
     mix.
 
     Canonical elements never exceed degree d = n(n-1)/2.  ``c1_weight``
-    evaluates the law's log and exp at flag elements, so it reads the law
-    through degree d.  Each operator is a classical divided difference
-    through the integer normal forms and one flag-ring product with the
-    inverse unit U^-1 of F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, a
-    series in x_i and x_{i+1} alone that the operators read through degree
-    2n - 3 (``weylops._op_pack`` says why).  U is one degree below x_loc,
-    so that pack reads the law through 2n - 2.
-    The law is built at ``work_cap`` = max(d, 2n - 2, 3), the least cap
-    that serves both readers; the floor of 3 keeps the cubic coefficients
-    the selftest reads from the context at rank 2.  The tests check that
-    caps d + 2, d + 3 and d + 4 give the results of the default context.
+    evaluates the law's one-variable ``log`` and ``exp`` at flag elements,
+    so it reads them through degree d.  Each operator is a classical
+    divided difference through the integer normal forms and one flag-ring
+    product with the inverse unit U^-1 of F(x_{i+1}, chi(x_i))
+    = (x_{i+1} - x_i) * U, a series in x_i and x_{i+1} alone that the
+    operators read through degree 2n - 3 (``weylops._op_pack`` says why).
+    ``unit_inv`` is that series over the pair (y1, y2), built once from
+    log and exp by ``fgl.unit_inverse``; it reads them through 2n - 2.  So
+    log and exp are built at ``work_cap`` = max(d, 2n - 2), the least cap
+    that serves both readers, and F, chi and q are never built.  The tests
+    check that caps d + 2, d + 3 and d + 4 give the results of the default
+    context.
 
     Caches, filled on first use and kept for the context's life: the
     normal forms of the monomials that reductions meet and of those their
-    forms rest on (``_normal_forms``, see ``normal_form``), the law's pack
-    through degree 2n - 3 (on the law), the operators' canonical U^-1
-    (``_op_packs``, by i), first Chern classes of weights (``_c1_cache``),
-    Bott-Samelson classes (``_bs_cache``), Chevalley expansions
-    (``_c1bs_cache``, by weight and word; single coefficients are looked up
-    there).
+    forms rest on (``_normal_forms``, see ``normal_form``), the operators'
+    canonical U^-1 (``_op_packs``, by i), first Chern classes of weights
+    (``_c1_cache``), Bott-Samelson classes (``_bs_cache``), Chevalley
+    expansions (``_c1bs_cache``, by weight and word; single coefficients
+    are looked up there).
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
@@ -147,9 +148,10 @@ class FlagContext:
         self.n = n
         self.beta = beta
         self.d = n * (n - 1) // 2
-        self.work_cap = max(self.d, 2 * n - 2, 3)
+        self.work_cap = max(self.d, 2 * n - 2)
         self.vars = tuple(f"x{i}" for i in range(1, n + 1))
-        self.fgl = build_universal_fgl(self.work_cap, beta)
+        self.log, self.exp = log_and_exp(self.work_cap, beta)
+        self.unit_inv = unit_inverse(self.log, self.exp, 2 * n - 3)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
         self._normal_forms: dict[tuple[int, ...], NormalForm] = {}
         self._op_packs: dict[int, "FlagElem"] = {}
@@ -388,8 +390,8 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
         log_sum = ctx.zero()
         for i, c in enumerate(lam.coords, start=1):
             if c:
-                log_sum = log_sum + _evaluate(ctx, ctx.fgl.log,
+                log_sum = log_sum + _evaluate(ctx, ctx.log,
                                               ctx.x_elem(i)) * (-c)
-        result = _evaluate(ctx, ctx.fgl.exp, log_sum)
+        result = _evaluate(ctx, ctx.exp, log_sum)
     ctx._c1_cache[lam.coords] = result
     return result

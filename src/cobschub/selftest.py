@@ -31,9 +31,11 @@ from cobschub.ringcore import (
     TruncSeries,
     combine_terms,
     compose,
+    divide_by_linear,
+    series_invert_unit,
     truncated_product,
 )
-from cobschub.fgl import PAIR_VARS
+from cobschub.fgl import PAIR_VARS, build_universal_fgl
 from cobschub.flagring import (
     THEORIES,
     FlagContext,
@@ -122,6 +124,12 @@ def _random_elem(ctx, rng):
     return reduce_canonical(ctx, terms)
 
 
+def _law(ctx):
+    # F, chi and q, which the context never builds, through degree 3 or
+    # more for the cubic coefficients of law-coefficients at rank 2
+    return build_universal_fgl(max(ctx.work_cap, 3), ctx.beta)
+
+
 # ---------------------------------------------------------------------------
 # Check bodies: each takes the context and raises on failure
 
@@ -131,31 +139,28 @@ def _check_law_coefficients(ctx):
         b1, b2 = CoeffPoly.b(1), CoeffPoly.b(2)
     else:  # the law's image under b_i -> beta^i
         b1, b2 = CoeffPoly.rational(ctx.beta), CoeffPoly.rational(ctx.beta**2)
-    law = ctx.fgl.F
+    fgl = _law(ctx)
+    law, chi = fgl.F, fgl.chi
     assert law.coefficient((1, 1)) == -b1
     assert law.coefficient((2, 1)) == b1**2 - b2
     assert law.coefficient((1, 2)) == b1**2 - b2
-    chi = ctx.fgl.chi
     assert chi.coefficient((1,)) == CoeffPoly.rational(-1)
     assert chi.coefficient((2,)) == -b1
     assert chi.coefficient((3,)) == -(b1**2)
 
 
 def _check_law_axioms(ctx):
-    fgl = ctx.fgl
+    fgl = _law(ctx)
     D = fgl.degree_cap
     pair = ("u", "v")
-    u = TruncSeries.variable(pair, D, "u")
-    v = TruncSeries.variable(pair, D, "v")
+    u, v = (TruncSeries.variable(pair, D, x) for x in pair)
     assert compose(fgl.F, [u, TruncSeries.zero(pair, D)]) == u
     assert fgl.F == fgl.F.swap_vars(0, 1)
     u1 = TruncSeries.variable(("u",), D, "u")
     assert compose(fgl.F, [u1, fgl.chi]).is_zero()
     assert u + v - fgl.F == u * v * fgl.q
     triple = ("u", "v", "w")
-    a = TruncSeries.variable(triple, D, "u")
-    b = TruncSeries.variable(triple, D, "v")
-    c = TruncSeries.variable(triple, D, "w")
+    a, b, c = (TruncSeries.variable(triple, D, x) for x in triple)
     left = compose(fgl.F, [compose(fgl.F, [a, b]), c])
     right = compose(fgl.F, [a, compose(fgl.F, [b, c])])
     assert left == right
@@ -163,6 +168,14 @@ def _check_law_axioms(ctx):
     y1, y2 = (TruncSeries.variable(PAIR_VARS, D, y) for y in PAIR_VARS)
     x_loc = compose(fgl.F, [y1, compose(fgl.chi, [y2])])
     assert x_loc.swap_vars(0, 1) == compose(fgl.chi, [x_loc])
+    # the context's log, exp and U^-1 are the law's: its pack, built from
+    # log and exp alone, is U^-1 of the composed x_loc = (y1 - y2) * U,
+    # exact through D - 1 >= 2n - 3
+    for mine, law_series in ((ctx.log, fgl.log), (ctx.exp, fgl.exp)):
+        assert mine == TruncSeries(("t",), ctx.work_cap, law_series.terms)
+    unit_inv = series_invert_unit(divide_by_linear(x_loc, 0, 1))
+    assert ctx.unit_inv == TruncSeries(PAIR_VARS, 2 * ctx.n - 3,
+                                       unit_inv.terms)
 
 
 def _check_point_class(ctx):
@@ -202,7 +215,7 @@ def _check_weyl_lemma(ctx):
 def _check_operator_properties(ctx):
     # A_i(1) is the class of P^1, -a_11: b1, beta or 0; this pins which
     # variable of the operator the pack's y1 is read as
-    p1 = -ctx.fgl.F.coefficient((1, 1))
+    p1 = -_law(ctx).F.coefficient((1, 1))
     for i in range(1, ctx.n):
         assert divided_diff(ctx, i, ctx.one()).constant_term() == p1
     rng = random.Random(103)
@@ -347,11 +360,10 @@ def _check_multiplicative_law(ctx):
     # the law of b_i -> beta^i: F = u + v - beta u v, q = beta and
     # chi(u) = -u / (1 - beta u); at beta = 0 the additive law
     beta = ctx.beta
-    fgl = ctx.fgl
+    fgl = _law(ctx)
     D = fgl.degree_cap
     pair = ("u", "v")
-    u = TruncSeries.variable(pair, D, "u")
-    v = TruncSeries.variable(pair, D, "v")
+    u, v = (TruncSeries.variable(pair, D, x) for x in pair)
     assert fgl.F == u + v - beta * (u * v)
     assert fgl.q == TruncSeries.constant(pair, D, beta)
     chi = TruncSeries(("u",), D, {(k + 1,): -beta**k for k in range(D)})

@@ -5,17 +5,18 @@ simple-root indices with no reducedness restriction.  The divided-difference
 operators rest on the factorization F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U
 with U a unit.  Both operators are linear over symmetric elements, so they
 map the ideal of the presentation into itself and work on canonical
-elements: the only law-dependent part is U^-1, the law's two-variable pack
-(``FGLData.pair_pack``, which checks that U has constant term 1) with y1
-read as x_{i+1} and y2 as x_i, kept in canonical form through degree
-2n - 3, above which it would reduce to zero (``_op_pack`` proves it).  The
-rest is the classical divided difference (a - sigma_i a) / (x_{i+1} - x_i),
-whose telescoping integer terms go through the context's normal forms in
-one kernel merge, and a flag-ring product with U^-1 that never leaves
-degree d; the dual operator stops at a lower degree when its caller names
-one.  Its constant term, after one more operator or none, is linear in
-degrees 1 and 2 of its input and is read from them with no product at all.
-Every operator raises UsageError for an element of another context.
+elements: the only law-dependent part is U^-1, the context's two-variable
+pack ``unit_inv`` (built by ``fgl.unit_inverse``, which checks that U has
+constant term 1) with y1 read as x_{i+1} and y2 as x_i, kept in canonical
+form through degree 2n - 3, above which it would reduce to zero
+(``_op_pack`` proves it).  The rest is the classical divided difference
+(a - sigma_i a) / (x_{i+1} - x_i), whose telescoping integer terms go
+through the context's normal forms in one kernel merge, and a flag-ring
+product with U^-1 that never leaves degree d; the dual operator stops at a
+lower degree when its caller names one.  Its constant term, after one more
+operator or none, is linear in degrees 1 and 2 of its input and is read
+from them with no product at all.  Every operator raises UsageError for an
+element of another context.
 """
 
 from __future__ import annotations
@@ -180,8 +181,9 @@ def beta_sequence(word: Word, n: int) -> list[Weight]:
 
 def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
     """The canonical form of the inverse unit U^-1 of F(x_{i+1}, chi(x_i)),
-    kept in ``ctx._op_packs``: the law's pack over (y1, y2) through degree
-    2n - 3 with each term y1^a y2^b read as x_i^b x_{i+1}^a and reduced.
+    kept in ``ctx._op_packs``: the context's pack ``unit_inv`` over
+    (y1, y2) through degree 2n - 3 with each term y1^a y2^b read as
+    x_i^b x_{i+1}^a and reduced.
 
     The pack stops at 2n - 3 because nothing above it survives: the ideal
     is symmetric, and a permutation taking (x_i, x_{i+1}) to
@@ -196,10 +198,9 @@ def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
     unit_inv = ctx._op_packs.get(i)
     if unit_inv is None:
         head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
-        pack = ctx.fgl.pair_pack(2 * ctx.n - 3)
         unit_inv = ctx._op_packs[i] = reduce_canonical(ctx, {
             head + (b, a) + tail: coeff
-            for (a, b), coeff in pack.terms.items()})
+            for (a, b), coeff in ctx.unit_inv.terms.items()})
     return unit_inv
 
 

@@ -14,15 +14,17 @@ top length vanishes) for ideal membership, Fraction Gauss-Jordan for
 matrix inverses, one Fraction per term for b-polynomial arithmetic, Horner
 division by a general linear form for the exact divisions of the
 operators, the full h_j cascade for the integer normal forms, and the
-full-cap composition for the law's operator pack.  The classical divided
-difference of the additive theory, which the membership criterion also
-applies, is ``cobschub.selftest.classical_divided_difference``.  The module
-also keeps the helpers that only the tests call: the specialization of
-coefficients, series and elements at values of the b_i, flag elements and
-variables read as series over the context's n variables, the product and
-reducedness of a word, total degrees, the graded degrees and generator
-support of a coefficient, an element's part through a given x-degree, the
-additive-theory image of an element and the lcm of its denominators.
+full-cap composition of F(y1, chi(y2)) for the law's operator pack.  The
+classical divided difference of the additive theory, which the membership
+criterion also applies, is ``cobschub.selftest.classical_divided_difference``.
+The module also keeps the helpers that only the tests call: the whole law
+of a context (``law_of``, whose F, chi and q the engine never builds), the
+specialization of coefficients, series and elements at values of the b_i,
+flag elements and variables read as series over the context's n variables,
+the product and reducedness of a word, total degrees, the graded degrees
+and generator support of a coefficient, an element's part through a given
+x-degree, the additive-theory image of an element and the lcm of its
+denominators.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from cobschub.fgl import PAIR_VARS, build_universal_fgl
+from cobschub.fgl import PAIR_VARS, FGLData, build_universal_fgl
 from cobschub.flagring import FlagElem, c1_weight, reduce_canonical
 from cobschub.ringcore import (
     CoeffPoly,
@@ -197,9 +199,23 @@ def cascade_normal_form(ctx, key, forms: dict):
     return forms[start]
 
 
+@functools.lru_cache(maxsize=None)
+def law_at(cap: int, beta) -> FGLData:
+    """The whole law, F, chi and q included, at ``cap``; one per
+    (cap, beta)."""
+    return build_universal_fgl(cap, beta)
+
+
+def law_of(ctx) -> FGLData:
+    """The whole law of a context at its working cap, F, chi and q
+    included, which the context itself never builds: the reference routes
+    read the law through F and chi, apart from the engine's log and exp."""
+    return law_at(ctx.work_cap, ctx.beta)
+
+
 def composed_x_loc(law) -> TruncSeries:
-    """x_loc = F(y1, chi(y2)) at the law's cap by two compositions, the
-    route that the one-merge build in ``FGLData.pair_pack`` replaced."""
+    """x_loc = F(y1, chi(y2)) at the law's cap by two compositions, against
+    the engine's exp(log y1 - log y2) in ``fgl.unit_inverse``."""
     cap = law.degree_cap
     y1 = TruncSeries.variable(PAIR_VARS, cap, "y1")
     y2 = TruncSeries.variable(PAIR_VARS, cap, "y2")
@@ -208,8 +224,9 @@ def composed_x_loc(law) -> TruncSeries:
 
 def full_cap_pair_pack(law) -> TruncSeries:
     """U^-1 of F(y1, chi(y2)) = (y1 - y2) * U composed, divided and inverted
-    at the law's own cap, whose top degree is not exact: the route that
-    ``FGLData.pair_pack`` replaced."""
+    at the law's own cap, whose top degree is not exact: the route through
+    F and chi, against the engine's through log and exp alone
+    (``fgl.unit_inverse``)."""
     unit = divide_by_linear(composed_x_loc(law), 0, 1)
     assert unit.constant_term() == CoeffPoly.one()
     return series_invert_unit(unit)
@@ -217,10 +234,10 @@ def full_cap_pair_pack(law) -> TruncSeries:
 
 def full_degree_op_pack(ctx, i: int) -> FlagElem:
     """U^-1 of F(x_{i+1}, chi(x_i)) through degree d, the route that
-    ``weylops._op_pack`` replaced: the pack ``pair_pack(d)`` of a law at cap
-    d + 1, each term y1^a y2^b read as x_i^b x_{i+1}^a and reduced.  The
-    engine's pack stops at 2n - 3, and the degrees it leaves out reduce to
-    zero."""
+    ``weylops._op_pack`` replaced: the full-cap pack of a law at cap d + 1
+    cut to degree d, each term y1^a y2^b read as x_i^b x_{i+1}^a and
+    reduced.  The engine's pack stops at 2n - 3, and the degrees it leaves
+    out reduce to zero."""
     head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
     return reduce_canonical(ctx, {
         head + (b, a) + tail: coeff
@@ -229,9 +246,11 @@ def full_degree_op_pack(ctx, i: int) -> FlagElem:
 
 @functools.lru_cache(maxsize=None)
 def full_degree_pair_pack(d: int, beta):
-    """The terms of ``pair_pack(d)`` from a law at cap d + 1; one per
-    (d, beta)."""
-    return build_universal_fgl(d + 1, beta).pair_pack(d).terms
+    """The terms through degree d of the full-cap pack of a law at cap
+    d + 1, exact there; one per (d, beta)."""
+    return {key: value for key, value
+            in full_cap_pair_pack(law_at(d + 1, beta)).terms.items()
+            if sum(key) <= d}
 
 
 def geometric_inverse(s: TruncSeries) -> TruncSeries:
@@ -465,12 +484,12 @@ def compose_c1(ctx, lam) -> FlagElem:
     variables at the working cap, composed into exp and reduced once.  This
     is the route that evaluating log and exp inside the flag ring replaced;
     it is uncached."""
+    law = law_of(ctx)
     log_sum = TruncSeries.zero(ctx.vars, ctx.work_cap)
     for i, c in enumerate(lam.coords, start=1):
         if c:
-            log_sum = log_sum + compose(ctx.fgl.log,
-                                        [var_series(ctx, i)]) * (-c)
-    return reduce_canonical(ctx, compose(ctx.fgl.exp, [log_sum]).terms)
+            log_sum = log_sum + compose(law.log, [var_series(ctx, i)]) * (-c)
+    return reduce_canonical(ctx, compose(law.exp, [log_sum]).terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -481,11 +500,12 @@ def reference_op_pack(ctx, i: int):
     one per (ctx, i)."""
     x_i = var_series(ctx, i)
     x_next = var_series(ctx, i + 1)
-    x_loc = compose(ctx.fgl.F, [x_next, compose(ctx.fgl.chi, [x_i])])
+    law = law_of(ctx)
+    x_loc = compose(law.F, [x_next, compose(law.chi, [x_i])])
     factor = x_next - x_i
     unit = horner_divide(x_loc, factor)
     assert unit.constant_term() == CoeffPoly.one()
-    assert x_loc.swap_vars(i - 1, i) == compose(ctx.fgl.chi, [x_loc])
+    assert x_loc.swap_vars(i - 1, i) == compose(law.chi, [x_loc])
     return factor, series_invert_unit(unit)
 
 

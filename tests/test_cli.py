@@ -182,6 +182,18 @@ def test_pieri_command(capsys):
     ]
 
 
+def test_empty_tables_print_zero_in_text(capsys):
+    # the empty word has no positions, so pieri has no rows; like an empty
+    # chevalley table, text mode prints 0 rather than nothing
+    for argv in (("pieri", "--n", "3", "--word", "", "--weight", "1,0,0"),
+                 ("chevalley", "--n", "3", "--word", "2",
+                  "--weight", "1,0,0")):
+        assert run(capsys, *argv) == (0, "0\n", ""), argv
+    payload = run_json(capsys, "pieri", "--n", "3", "--word", "",
+                       "--weight", "1,0,0")
+    assert payload["rows"] == []
+
+
 def test_selftest_rank2(capsys):
     code, out, err = run(capsys, "selftest", "--n", "2")
     assert code == 0

@@ -27,6 +27,7 @@ from oracles import (
     FractionPoly,
     coeff_degrees,
     denominator_lcm,
+    law_of,
     pairwise_flag_mul,
     pairwise_series_mul,
     pairwise_sum_of_products,
@@ -233,9 +234,10 @@ def test_terms_keys_are_sorted_tuples():
 
 def test_engine_coefficients_are_canonical():
     ctx = FlagContext(4)
-    law = ctx.fgl
-    series = [law.log, law.exp, law.F, law.chi, law.q,
-              law.pair_pack(2 * ctx.n - 3)]  # the pack the operators read
+    law = law_of(ctx)
+    # the context's log, exp and the pack the operators read, and the rest
+    # of the law
+    series = [ctx.log, ctx.exp, ctx.unit_inv, law.F, law.chi, law.q]
     for s in series:
         for coeff in s.terms.values():
             assert_canonical(coeff)
@@ -355,7 +357,7 @@ def test_compose_matches_the_termwise_route(n):
                     for _ in outer_vars]
             assert compose(outer, args) == termwise_compose(outer, args)
     # the law's own F, whose coefficients are b-polynomials
-    law = ctx.fgl
+    law = law_of(ctx)
     args = [TruncSeries(ctx.vars, law.degree_cap,
                         random_terms(rng, n, 1, low=1, size=2))
             for _ in range(2)]

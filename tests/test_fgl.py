@@ -11,7 +11,12 @@ from cobschub.ringcore import (
     UsageError,
     compose,
 )
-from cobschub.fgl import build_universal_fgl
+from cobschub.fgl import (
+    PAIR_VARS,
+    build_universal_fgl,
+    log_and_exp,
+    unit_inverse,
+)
 from cobschub.weylops import divided_diff
 
 from oracles import (
@@ -19,6 +24,7 @@ from oracles import (
     formal_sum,
     full_cap_pair_pack,
     horner_divide,
+    law_of,
     n_series,
     reference_op_pack,
     var_series,
@@ -120,29 +126,42 @@ def test_formal_sum_examples(fgl_factory):
 # ---------------------------------------------------------------------------
 # The operator pack U^-1 of F(y1, chi(y2)) = (y1 - y2) * U
 
+LAWS = [None, Fraction(0), Fraction(2, 3), Fraction(-1, 2)]
+LAW_IDS = THEORIES + ("ktheory-negative",)
+
 
 @pytest.mark.parametrize("beta", [None, Fraction(0), Fraction(2, 3)],
                          ids=THEORIES)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pair_pack_is_exact_through_its_cap(n, beta):
-    # packs through d from the least law that serves them (cap d + 1) and
-    # from laws with more headroom agree, and they are the full-cap route's
-    # pack cut to degree d
-    d = n * (n - 1) // 2
-    law = build_universal_fgl(d + 2, beta)
-    pack = law.pair_pack(d)
-    assert pack.cap == d
-    for cap in (d + 1, d + 3):
-        assert build_universal_fgl(cap, beta).pair_pack(d) == pack, cap
-    assert TruncSeries(pack.vars, d, full_cap_pair_pack(law).terms) == pack
+    # the pack through 2n - 3 that a rank-n context holds, from log and
+    # exp at its working cap, is the pack from the least log and exp that
+    # serve it (cap 2n - 2) and from ones with more headroom, and it is the
+    # full-cap route's pack cut to 2n - 3
+    top = 2 * n - 3
+    pack = FlagContext(n, beta).unit_inv
+    assert pack.cap == top
+    for cap in (top + 1, top + 3):
+        assert unit_inverse(*log_and_exp(cap, beta), top) == pack, cap
+    law = build_universal_fgl(top + 2, beta)
+    assert TruncSeries(PAIR_VARS, top, full_cap_pair_pack(law).terms) == pack
 
 
-@pytest.mark.parametrize("beta", [None, Fraction(0), Fraction(2, 3),
-                                  Fraction(-1, 2)],
-                         ids=THEORIES + ("ktheory-negative",))
-def test_pair_pack_merges_x_loc_as_two_compositions_would(monkeypatch, beta):
-    # the x_loc that the pack divides by y1 - y2, built in one merge from
-    # F's terms and the powers of chi, is F(y1, chi(y2)) by composition
+@pytest.mark.parametrize("beta", LAWS, ids=LAW_IDS)
+def test_unit_inverse_is_the_full_cap_pack_cut_to_top(beta):
+    # at every cap the full-cap route is exact one degree below it, and the
+    # pack from log and exp alone agrees with it there
+    for cap in range(2, 13):
+        law = build_universal_fgl(cap, beta)
+        pack = unit_inverse(law.log, law.exp, cap - 1)
+        full = full_cap_pair_pack(law)
+        assert pack == TruncSeries(PAIR_VARS, cap - 1, full.terms), cap
+
+
+@pytest.mark.parametrize("beta", LAWS, ids=LAW_IDS)
+def test_unit_inverse_divides_the_composed_x_loc(monkeypatch, beta):
+    # the x_loc that the pack divides by y1 - y2, exp(log y1 - log y2), is
+    # F(y1, chi(y2)) by composition
     seen = []
     divide = fgl_module.divide_by_linear
 
@@ -154,19 +173,21 @@ def test_pair_pack_merges_x_loc_as_two_compositions_would(monkeypatch, beta):
     for cap in range(2, 10):
         law = build_universal_fgl(cap, beta)
         seen.clear()
-        law.pair_pack(cap - 1)
+        unit_inverse(law.log, law.exp, cap - 1)
         assert seen == [composed_x_loc(law)], cap
 
 
-def test_pair_pack_is_kept_per_top_and_refuses_a_top_beyond_the_law():
-    law = build_universal_fgl(5)
-    for top in (law.degree_cap, law.degree_cap + 1):
+def test_unit_inverse_refuses_a_top_its_series_cannot_serve():
+    # a pack through top reads log and exp through top + 1
+    log, exp = log_and_exp(5)
+    for top in (5, 6):
         with pytest.raises(UsageError):
-            law.pair_pack(top)
-    pack = law.pair_pack(4)
-    assert law.pair_pack(4) is pack
-    assert law.pair_pack(2) is law.pair_pack(2)
-    assert law.pair_pack(2) == TruncSeries(pack.vars, 2, pack.terms)
+            unit_inverse(log, exp, top)
+    short_log, short_exp = log_and_exp(3)
+    for pair in ((short_log, exp), (log, short_exp)):
+        with pytest.raises(UsageError):
+            unit_inverse(*pair, 3)
+        assert unit_inverse(*pair, 2) == unit_inverse(log, exp, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +202,10 @@ def operator_cases():
     for n in (3, 4):
         ctx = FlagContext(n)
         for i in range(1, n):
-            x_loc = compose(ctx.fgl.F, [
+            law = law_of(ctx)
+            x_loc = compose(law.F, [
                 var_series(ctx, i + 1),
-                compose(ctx.fgl.chi, [var_series(ctx, i)])])
+                compose(law.chi, [var_series(ctx, i)])])
             yield ctx, i, x_loc
 
 
@@ -191,8 +213,9 @@ def test_divided_diff_of_one():
     for ctx, i, x_loc in operator_cases():
         a1 = divided_diff(ctx, i, ctx.one())
         assert a1.constant_term() == b1  # -a_11
-        chi_x = compose(ctx.fgl.chi, [x_loc])
-        q_x = compose(ctx.fgl.q, [x_loc, chi_x])
+        law = law_of(ctx)
+        chi_x = compose(law.chi, [x_loc])
+        q_x = compose(law.q, [x_loc, chi_x])
         assert a1 == reduce_canonical(ctx, q_x.terms), (ctx.n, i)
 
 
@@ -201,7 +224,7 @@ def test_divided_diff_of_y1():
     for ctx, i, x_loc in operator_cases():
         factor, unit_inv = reference_op_pack(ctx, i)
         x_i = var_series(ctx, i)
-        frac = horner_divide(compose(ctx.fgl.F, [x_loc, x_i]) - x_i,
+        frac = horner_divide(compose(law_of(ctx).F, [x_loc, x_i]) - x_i,
                              factor) * unit_inv
         expected = (ctx.x_elem(i) * divided_diff(ctx, i, ctx.one())
                     + reduce_canonical(ctx, frac.terms))

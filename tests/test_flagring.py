@@ -23,6 +23,7 @@ from oracles import (
     compose_c1,
     flag_poly_in_ideal,
     formal_sum,
+    law_of,
     n_series,
     random_flag_elem,
     total_degrees,
@@ -241,8 +242,9 @@ def test_c1_of_simple_roots_matches_formal_sum(ctx3, ctx4):
     for ctx in (ctx3, ctx4):
         for i in range(1, ctx.n - 1 + 1):
             lam = simple_root(i, ctx.n)
-            chi_xi = compose(ctx.fgl.chi, [var_series(ctx, i)])
-            direct = compose(ctx.fgl.F, [chi_xi, var_series(ctx, i + 1)])
+            law = law_of(ctx)
+            chi_xi = compose(law.chi, [var_series(ctx, i)])
+            direct = compose(law.F, [chi_xi, var_series(ctx, i + 1)])
             assert c1_weight(ctx, lam) == reduce_canonical(ctx, direct.terms)
 
 
@@ -252,9 +254,9 @@ def test_c1_matches_n_series_fold(ctx3):
     rng = random.Random(41)
     for _ in range(4):
         lam = Weight(tuple(rng.randint(-2, 2) for _ in range(3)))
-        pieces = [compose(n_series(ctx3.fgl, -c), [var_series(ctx3, i)])
+        pieces = [compose(n_series(law_of(ctx3), -c), [var_series(ctx3, i)])
                   for i, c in enumerate(lam.coords, start=1) if c]
-        folded = formal_sum(ctx3.fgl, pieces, vars=ctx3.vars,
+        folded = formal_sum(law_of(ctx3), pieces, vars=ctx3.vars,
                             cap=ctx3.work_cap)
         assert c1_weight(ctx3, lam) == reduce_canonical(ctx3, folded.terms)
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobschub.fgl import build_universal_fgl
+from cobschub.fgl import log_and_exp, unit_inverse
 from cobschub.ringcore import CoeffPoly, InternalError, UsageError
 from cobschub.flagring import (
     THEORIES,
@@ -50,6 +50,7 @@ from oracles import (
     denominator_lcm,
     full_tree_c1_times_bs,
     is_reduced,
+    law_of,
     random_flag_elem,
     table_expand_in_bs_basis,
     total_degrees,
@@ -102,7 +103,7 @@ def test_bs_classes_are_integral(ctx3, ctx4):
     # at rank 4 b-denominators of 2 do occur (the b_i span the integral
     # coefficient ring only up to finite index), but the classes stay in
     # the lattice generated by the law's coefficients
-    lattice = LazardLattice(ctx4.fgl)
+    lattice = LazardLattice(law_of(ctx4))
     seen_denominators = set()
     for word in [(1, 2, 3), (3, 2, 1), (2, 1, 3, 2), (1, 2, 1, 3),
                  (1, 2, 1, 3, 2, 1)]:
@@ -504,10 +505,14 @@ def test_expand_rejects_a_wrong_basis_class(monkeypatch, ctx3, wrong):
 
 
 def context_at_cap(n, cap):
-    # the same rank-n context with its law rebuilt at another degree cap
+    # the same rank-n context with everything it reads of the law rebuilt
+    # at another degree cap: log and exp at cap, and the operators' pack
+    # U^-1 through cap - 1, so that the operators read its terms above
+    # 2n - 3 too
     ctx = FlagContext(n)
     ctx.work_cap = cap
-    ctx.fgl = build_universal_fgl(cap)
+    ctx.log, ctx.exp = log_and_exp(cap)
+    ctx.unit_inv = unit_inverse(ctx.log, ctx.exp, cap - 1)
     return ctx
 
 
@@ -538,14 +543,15 @@ def headroom_results(ctx, length):
 @pytest.mark.parametrize("n, length", [(3, 3), (4, 2)])
 def test_results_do_not_depend_on_headroom(n, length):
     # canonical elements stay within degree d and every operator step is
-    # reduced, so the law's cap above d must not change any result; the
-    # default context builds its law at d + 1, the least cap at which U^-1
-    # is exact through degree d
+    # reduced, so headroom in the law must not change any result; the
+    # default context builds log and exp at max(d, 2n - 2) and U^-1 through
+    # 2n - 3, the least that serves c1_weight and the operators
     d = n * (n - 1) // 2
     expected = headroom_results(FlagContext(n), length)
     for cap in (d + 2, d + 3, d + 4):
-        assert headroom_results(context_at_cap(n, cap), length) == expected, \
-            cap
+        ctx = context_at_cap(n, cap)
+        assert max(map(sum, ctx.unit_inv.terms)) == cap - 1 > 2 * n - 3
+        assert headroom_results(ctx, length) == expected, cap
 
 
 # ---------------------------------------------------------------------------

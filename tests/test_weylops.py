@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cobschub import ringcore
-from cobschub.fgl import FGLData
+from cobschub import fgl, flagring, ringcore, weylops
 from cobschub.ringcore import CoeffPoly, TruncSeries, UsageError
 from cobschub.flagring import (
     THEORIES,
@@ -263,21 +262,29 @@ def test_op_pack_is_the_full_degree_pack(n, law):
         assert _op_pack(ctx, i) == full_degree_op_pack(ctx, i), i
 
 
-def test_op_pack_asks_the_law_for_2n_minus_3(monkeypatch):
-    asked = []
-    law_pack = FGLData.pair_pack
+def test_context_builds_its_pack_once_through_2n_minus_3(monkeypatch):
+    # a context asks fgl for U^-1 once, through 2n - 3, however many
+    # operators read it, and never builds the whole law (F, chi and q)
+    asked, built = [], []
+    build_pack = flagring.unit_inverse
 
-    def spy(law, top):
+    def spy(log, exp, top):
         asked.append(top)
-        return law_pack(law, top)
+        return build_pack(log, exp, top)
 
-    monkeypatch.setattr(FGLData, "pair_pack", spy)
+    monkeypatch.setattr(flagring, "unit_inverse", spy)
+    for module in (fgl, flagring, weylops, schubert):
+        monkeypatch.setattr(module, "build_universal_fgl",
+                            lambda *args: built.append(args), raising=False)
     for n in (2, 3, 4, 5):
         ctx = FlagContext(n)
-        asked.clear()
         for i in range(1, n):
             _op_pack(ctx, i)
-        assert asked == [2 * n - 3] * (n - 1), n
+        bs_class(ctx, tuple(range(1, n)))
+        c1_weight(ctx, rho_weight(n))
+        assert asked == [2 * n - 3], n
+        asked.clear()
+    assert built == []
 
 
 @pytest.mark.parametrize("op", [divided_diff, divided_diff_dual])
