@@ -378,6 +378,8 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
     each log and the exp are evaluated there (``_evaluate``) with flag-ring
     products, and the law is read only through degree d.  For -e_i, whose
     line is L_i itself, that is x_i, which is returned without evaluation.
+    Products no longer ask for x_i this way, but a Chevalley expansion of
+    -e_i still does, and its two evaluations take about 1 s at rank 6.
     """
     if lam.n != ctx.n:
         raise UsageError("weight length does not match the context rank")

@@ -1,23 +1,15 @@
-"""Bott-Samelson classes, Chevalley coefficients, and product expansion.
+"""Bott-Samelson classes, products with them, and the basis expansion.
 
 A word of simple-root indices names the class obtained by folding the
 divided-difference operators over the point class, first letter innermost.
-The product of a first Chern class with such a class expands over subwords
-with coefficients read off an operator string of dual divided differences
-and swaps.  All strings of one word are walked as a single depth-first tree
-that shares their common prefixes, and each string's last dual divided
-difference is replaced by a read of its input's degree-1 part, which holds
-the whole constant term because reduction keeps x-degree and U^-1 has
-constant term 1.  The same facts bound the degrees the walk carries: the
-swap keeps degree and the dual divided difference reads its input only one
-degree above the part it returns, so the node at position p, whose reads
-lie at most p operators below it, needs its state only through degree
-p + 1, and nothing above that is computed.  A node at position 1 applies
-no operator: the reads of both its children are linear in its state's
-part through degree 2 (``dual_constant_terms_after``), so a word of
-length l >= 2 takes 2^(l-2) - 1 dual divided differences and as many
-swaps.  Multiplying one Chern-class factor at a time decomposes any
-product of two classes into the subword classes of the right factor.
+The operators obey a twisted Leibniz rule, g A_i(h) = A_i(sigma_i(g) h) +
+D_i(g) h for every element g, with D_i the dual divided difference
+(Bressler-Evens 1990), and g times the point class is g's constant term
+times it.  So any element times Z_word expands over the subwords of the
+word along one walk of operator strings applied to that element
+(``poly_times_bs``): the Chevalley expansion is the walk started at a
+first Chern class, and the product of two classes the walk started at the
+left class.
 
 The classes of the lexicographically smallest reduced words, one per
 permutation, form a basis.  Each one's lowest x-degree part is a Schubert
@@ -34,7 +26,6 @@ from cobschub.flagring import (
     FlagContext,
     FlagElem,
     Weight,
-    basis_weight,
     c1_weight,
     point_class,
 )
@@ -131,40 +122,40 @@ def chevalley_coeff(ctx: FlagContext, word, positions, lam: Weight) -> CoeffPoly
     return c1_times_bs(ctx, lam, word).terms.get(kept, CoeffPoly.zero())
 
 
-def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
-    """Expand c1(L(lam)) * Z_word over the subwords of ``word``.
+def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
+    """Expand f * Z_word over the subwords of ``word``, for any element f.
 
-    The coefficient of a removal set is the constant term of an operator
-    string applied to c1(L(lam)), from the last letter down to the lowest
-    removed position: the dual divided difference at removed positions and
-    the swap at kept ones.  The strings are walked depth first as one binary
-    tree, so strings that agree on their higher positions share one state.
-    A node at position p reads the coefficient of the set whose lowest
-    removed position is p from its state's degree-1 part
-    (``dual_constant_term``), so the last dual divided difference of a
-    string is never applied.  A node at position 1 also reads both of its
-    children's coefficients from its own state through degree 2
-    (``dual_constant_terms_after``): the kept child's read relabels the
-    node's degree-1 coefficients, and the removed child's is the read of
-    the node's antisymmetrized quotient plus the node's own read times
-    the read of U^-1.  So no operator is applied at position 1, and a word
-    of length l >= 2 takes 2^(l-2) - 1 dual divided differences and as
-    many swaps; a word of length at most 2 takes none.
+    Unfolding the twisted Leibniz rule (see the module docstring) one
+    letter at a time from the last, the coefficient of a kept set is the
+    constant term of an operator string applied to f, from the last letter
+    down to the lowest removed position: the dual divided difference at
+    removed positions and the swap at kept ones.  The whole word keeps f's
+    constant term, which every swap preserves.
+
+    The strings are walked depth first as one binary tree, so strings that
+    agree on their higher positions share one state.  A node at position p
+    reads the coefficient of the set whose lowest removed position is p
+    from its state's degree-1 part (``dual_constant_term``), so the last
+    dual divided difference of a string is never applied.  A node at
+    position 1 also reads both of its children's coefficients from its own
+    state through degree 2 (``dual_constant_terms_after``): the kept
+    child's read relabels the node's degree-1 coefficients, and the removed
+    child's is the read of the node's antisymmetrized quotient plus the
+    node's own read times the read of U^-1.  So no operator is applied at
+    position 1, and a word of length l >= 2 takes 2^(l-2) - 1 dual divided
+    differences and as many swaps; a word of length at most 2 takes none.
 
     Each read is a degree-1 part, the swap keeps degree, and the dual
     divided difference reads its input only one degree above its output, so
     the node at position p needs its state only through degree p + 1: the
-    root keeps c1(L(lam)) through degree len(word), and a node asks for its
-    dual child's state through degree p (``divided_diff_dual``'s ``top``)
-    and swaps only its state's part through degree p.
+    root keeps f through degree len(word), the dimension of Z_word, above
+    which f's parts multiply Z_word to 0, and a node asks for its dual
+    child's state through degree p (``divided_diff_dual``'s ``top``) and
+    swaps only its state's part through degree p.
     """
     word = validate_word(word, ctx.n)
-    if lam.n != ctx.n:  # the empty word never reaches c1_weight's check
-        raise UsageError(f"weight must have length {ctx.n}, got {lam.n}")
-    key = (lam.coords, word)
-    cached = ctx._c1bs_cache.get(key)
-    if cached is not None:
-        return cached
+    if not ctx.compatible(f.ctx):
+        raise UsageError("element context does not match")
     terms: dict[tuple[int, ...], CoeffPoly] = {}
 
     def record(kept: tuple[int, ...], coeff: CoeffPoly):
@@ -186,51 +177,37 @@ def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
             walk(pos - 1, sigma_op(ctx, letter, _through_degree(state, pos)),
                  (pos,) + kept_above)
 
+    record(tuple(range(len(word))), f.constant_term())
     if word:
-        walk(len(word) - 1,
-             _through_degree(c1_weight(ctx, lam), len(word)), ())
-    result = BSExpansion(word, terms)
+        walk(len(word) - 1, _through_degree(f, len(word)), ())
+    return BSExpansion(word, terms)
+
+
+def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
+    """Expand c1(L(lam)) * Z_word over the subwords of ``word``: the walk of
+    ``poly_times_bs`` started at c1(L(lam)), kept in the context per weight
+    and word.  The first Chern class has no constant term, so the empty
+    word gives the empty expansion, and no class is built for it."""
+    word = validate_word(word, ctx.n)
+    if lam.n != ctx.n:  # the empty word never reaches c1_weight's check
+        raise UsageError(f"weight must have length {ctx.n}, got {lam.n}")
+    key = (lam.coords, word)
+    cached = ctx._c1bs_cache.get(key)
+    if cached is not None:
+        return cached
+    if word:
+        result = poly_times_bs(ctx, c1_weight(ctx, lam), word)
+    else:
+        result = BSExpansion(word)
     ctx._c1bs_cache[key] = result
     return result
 
 
-def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
-    """Expand f * Z_word for any ring element f.
-
-    Every canonical monomial of f is a product of the classes x_i, each of
-    which is the first Chern class of a weight line; the factors multiply
-    into the running expansion one at a time (ascending variable order), and
-    the constant part of f scales Z_word directly.
-    """
-    word = validate_word(word, ctx.n)
-    if not ctx.compatible(f.ctx):
-        raise UsageError("element context does not match")
-    full = tuple(range(len(word)))
-    acc: dict[tuple[int, ...], CoeffPoly] = {}
-    for exponents in sorted(f.terms):
-        coeff = f.terms[exponents]
-        running: dict[tuple[int, ...], CoeffPoly] = {full: coeff}
-        for i, e in enumerate(exponents, start=1):
-            lam = -basis_weight(i, ctx.n)  # x_i = c1(L(-e_i))
-            for _ in range(e):
-                stepped: dict[tuple[int, ...], CoeffPoly] = {}
-                for kept, value in running.items():
-                    sub = c1_times_bs(ctx, lam, tuple(word[p] for p in kept))
-                    for sub_kept, sub_coeff in sub.terms.items():
-                        add_term(stepped, tuple(kept[p] for p in sub_kept),
-                                 value * sub_coeff)
-                running = stepped
-        for kept, value in running.items():
-            add_term(acc, kept, value)
-    return BSExpansion(word, acc)
-
-
 def product_bs(ctx: FlagContext, left, right) -> BSExpansion:
-    """Decompose Z_left * Z_right over the subword classes of ``right``.
-
-    The left factor is replaced by its polynomial and distributed across the
-    right word; swapping the arguments yields a different but equally valid
-    expansion of the same element.
+    """Decompose Z_left * Z_right over the subword classes of ``right``:
+    the walk of ``poly_times_bs`` started at the left class.  Swapping the
+    arguments yields a different but equally valid expansion of the same
+    element.
 
     Z_word has degree d - len(word), so the coefficient of a subword K of
     ``right`` has degree len(K) + d - len(left) - len(right).  Cobordism

@@ -20,6 +20,7 @@ operators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -124,10 +125,14 @@ def _random_elem(ctx, rng):
     return reduce_canonical(ctx, terms)
 
 
+# one build per degree cap and beta for the several checks that read the law
+_law_at = functools.lru_cache(maxsize=4)(build_universal_fgl)
+
+
 def _law(ctx):
     # F, chi and q, which the context never builds, through degree 3 or
     # more for the cubic coefficients of law-coefficients at rank 2
-    return build_universal_fgl(max(ctx.work_cap, 3), ctx.beta)
+    return _law_at(max(ctx.work_cap, 3), ctx.beta)
 
 
 # ---------------------------------------------------------------------------

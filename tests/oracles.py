@@ -5,18 +5,21 @@ code under test: products one pair of terms at a time for the shared
 multiply-accumulate kernel, geometric series for unit inversion, the
 Lagrange formula for compositional inverses, folds of the group law for
 formal sums, composition of exp with an n-variable log sum for first Chern
-classes, the operator factorization built directly in n variables, one
-full operator string per removal set for the Chevalley coefficients, the
-rewrite sweep on CoeffPoly coefficients for canonical reduction, a table of
-all n! basis classes by leading monomial for the basis expansion, the
-Bernstein-Gelfand-Gelfand criterion (every classical divided difference of
-top length vanishes) for ideal membership, Fraction Gauss-Jordan for
-matrix inverses, one Fraction per term for b-polynomial arithmetic, Horner
-division by a general linear form for the exact divisions of the
-operators, the full h_j cascade for the integer normal forms, and the
-full-cap composition of F(y1, chi(y2)) for the law's operator pack.  The
-classical divided difference of the additive theory, which the membership
-criterion also applies, is ``cobschub.selftest.classical_divided_difference``.
+classes, the operator factorization built directly in n variables, one full
+operator string per removal set for the Chevalley coefficients, one
+Chevalley expansion per variable factor for the product of an element with
+a class, the rewrite sweep on CoeffPoly coefficients for canonical
+reduction, a table of all n! basis classes by leading monomial for the
+basis expansion, the Bernstein-Gelfand-Gelfand criterion (every classical
+divided difference of top length vanishes) for ideal membership, Fraction
+Gauss-Jordan for matrix inverses, one Fraction per term for b-polynomial
+arithmetic, Horner division by a general linear form for the exact
+divisions of the operators, the full h_j cascade for the integer normal
+forms, and the full-cap composition of F(y1, chi(y2)) for the law's
+operator pack.  The classical divided difference of the additive theory,
+which the membership criterion also applies, is
+``cobschub.selftest.classical_divided_difference``.
+
 The module also keeps the helpers that only the tests call: the whole law
 of a context (``law_of``, whose F, chi and q the engine never builds), the
 specialization of coefficients, series and elements at values of the b_i,
@@ -36,7 +39,12 @@ import math
 from fractions import Fraction
 
 from cobschub.fgl import PAIR_VARS, FGLData, build_universal_fgl
-from cobschub.flagring import FlagElem, c1_weight, reduce_canonical
+from cobschub.flagring import (
+    FlagElem,
+    basis_weight,
+    c1_weight,
+    reduce_canonical,
+)
 from cobschub.ringcore import (
     CoeffPoly,
     DivisibilityError,
@@ -47,7 +55,7 @@ from cobschub.ringcore import (
     divide_by_linear,
     series_invert_unit,
 )
-from cobschub.schubert import bs_class
+from cobschub.schubert import bs_class, c1_times_bs
 from cobschub.selftest import classical_divided_difference
 from cobschub.weylops import (
     Permutation,
@@ -573,6 +581,34 @@ def full_tree_c1_times_bs(ctx, lam, word) -> dict:
         walk(len(word) - 1, through_degree(c1_weight(ctx, lam), len(word)),
              ())
     return terms
+
+
+def iterated_poly_times_bs(ctx, f, word) -> dict:
+    """The terms of poly_times_bs(ctx, f, word) by kept positions, one
+    variable at a time: every canonical monomial of f is a product of the
+    classes x_i = c1(L(-e_i)), whose factors multiply into the running
+    expansion in ascending variable order, each through c1_times_bs on a
+    running term's subword with its positions mapped back into ``word``,
+    and the constant part of f scales Z_word directly.  Every monomial is
+    multiplied in, whatever its degree; this is the route the library
+    replaced by one walk started at f."""
+    word = validate_word(word, ctx.n)
+    acc = {}
+    for exponents in sorted(f.terms):
+        running = {tuple(range(len(word))): f.terms[exponents]}
+        for i, e in enumerate(exponents, start=1):
+            lam = -basis_weight(i, ctx.n)
+            for _ in range(e):
+                stepped = {}
+                for kept, value in running.items():
+                    sub = c1_times_bs(ctx, lam, tuple(word[p] for p in kept))
+                    for sub_kept, sub_coeff in sub.terms.items():
+                        add_term(stepped, tuple(kept[p] for p in sub_kept),
+                                 value * sub_coeff)
+                running = stepped
+        for kept, value in running.items():
+            add_term(acc, kept, value)
+    return acc
 
 
 def table_expand_in_bs_basis(ctx, a) -> dict:

@@ -33,6 +33,14 @@ repeated letter, a word of length 2 and a word of length 3.  It was
 recorded while every node of the walk at position 1 still applied both of
 its operators, before it read its children's coefficients from its own
 state.
+
+``NONREDUCED_SHA256`` pins rank-5 products of two classes in every theory
+with ``--verify`` whose right words are not reduced: two of length 6 with
+a repeated letter under a left word of length 8, and one of length 9 under
+a left word of length 3.  Every other pinned product has a reduced right
+word.  It was recorded while a product still multiplied the left class
+into the right word one variable at a time, before it walked the
+operator tree once from the left class.
 """
 
 from test_golden_cli import THEORIES, cli_digest
@@ -64,6 +72,13 @@ READS_COMMANDS = tuple(
     + theory for word in ("2,2,3,1,2,4,3", "3,1", "4,3,4")
     for theory in THEORIES)
 
+NONREDUCED_COMMANDS = tuple(
+    ("product", "--n", "5", "--left", left, "--right", right, "--verify")
+    + theory for left, right in (("1,2,1,3,2,1,4,3", "2,2,3,1,2,4"),
+                                 ("1,2,1,3,2,1,4,3", "2,1,1,4,3,2"),
+                                 ("3,1,2", "1,2,1,3,2,1,4,4,3"))
+    for theory in THEORIES)
+
 RANK5_SHA256 = (
     "947cc5dbe80046f7df6de30e77a9af30a234802ed93ec12b04b4efc0ada5e4ec")
 
@@ -78,6 +93,9 @@ PRODUCT_SHA256 = (
 
 READS_SHA256 = (
     "8d754e9aca0382db09f4132ba62381f26b3c024a5d1076d184ce98c58e2bd9f0")
+
+NONREDUCED_SHA256 = (
+    "da11a37508cc1249d2f41124205f74045046dcd437e45b13f91601b4a844e9bf")
 
 
 def test_rank5_output_bytes_unchanged():
@@ -98,3 +116,7 @@ def test_rank5_product_bytes_unchanged():
 
 def test_rank5_chevalley_reads_bytes_unchanged():
     assert cli_digest(READS_COMMANDS, ("json",)) == READS_SHA256
+
+
+def test_rank5_nonreduced_product_bytes_unchanged():
+    assert cli_digest(NONREDUCED_COMMANDS, ("json",)) == NONREDUCED_SHA256

@@ -18,6 +18,7 @@ from cobschub.flagring import (
     c1_weight,
     fundamental_weight,
     point_class,
+    reduce_canonical,
     rho_weight,
     simple_root,
     theory_law,
@@ -50,6 +51,7 @@ from oracles import (
     denominator_lcm,
     full_tree_c1_times_bs,
     is_reduced,
+    iterated_poly_times_bs,
     law_of,
     random_flag_elem,
     table_expand_in_bs_basis,
@@ -228,22 +230,23 @@ def walk_terms(ctx, lam, word):
     return expected
 
 
+def counting(counts, name, op):
+    """``op`` wrapped to count its calls in ``counts[name]``."""
+    def wrapper(*args):
+        counts[name] += 1
+        return op(*args)
+    return wrapper
+
+
 def test_c1_times_bs_operator_count(monkeypatch):
     # a word of length l >= 2 costs 2^(l-2) - 1 dual divided differences
     # and as many swaps, not one string per removal set: the nodes at
     # position 1 read both children from their own state, so a word of
     # length at most 2 applies no operator
     counts = Counter()
-
-    def counting(name, op):
-        def wrapper(*args):
-            counts[name] += 1
-            return op(*args)
-        return wrapper
-
     for name in ("divided_diff_dual", "sigma_op"):
         monkeypatch.setattr(schubert, name,
-                            counting(name, getattr(schubert, name)))
+                            counting(counts, name, getattr(schubert, name)))
     ctx = FlagContext(3)
     lam = rho_weight(3)
     for word in [(1,), (2, 1), (1, 2, 1), (1, 2, 1, 2), (2, 1, 2, 2, 1)]:
@@ -321,12 +324,62 @@ def test_poly_times_bs_constant(ctx3):
 
 
 def test_poly_times_bs_single_chern_factor_matches(ctx3):
+    # the walk started at a first Chern class against the full tree walk,
+    # which applies every operator down to position 0
     for lam in (fundamental_weight(1, 3), -basis_weight(2, 3),
                 simple_root(1, 3), rho_weight(3)):
         for word in [(2, 1), (1, 2), (1, 2, 1)]:
-            direct = c1_times_bs(ctx3, lam, word)
             viapoly = poly_times_bs(ctx3, c1_weight(ctx3, lam), word)
-            assert direct.terms == viapoly.terms
+            assert viapoly.terms == full_tree_c1_times_bs(ctx3, lam, word)
+
+
+def random_factor(ctx, rng):
+    """A random element with a nonzero constant term, b-coefficients, and a
+    part of degree d at the staircase monomial x_2 x_3^2 ... x_n^(n-1)."""
+    terms = dict(random_flag_elem(ctx, rng, max_terms=6).terms)
+    terms[(0,) * ctx.n] = CoeffPoly.rational(rng.choice((-2, -1, 1, 3))) + (
+        rng.randint(-2, 2) * b1)
+    terms[tuple(range(ctx.n))] = rng.randint(1, 3) * b2 + 1
+    return reduce_canonical(ctx, terms)
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("n, longest", [(2, 3), (3, 4), (4, 7), (5, 8)])
+def test_poly_times_bs_matches_the_iterated_route(n, longest, theory):
+    # the one walk started at f against multiplying f's monomials in one
+    # variable at a time, each factor a Chevalley expansion of a running
+    # subword, on random f with parts of every degree up to d; words are
+    # empty, random, with a repeated letter, and at ranks 2-4 as long as
+    # d or longer
+    ctx = FlagContext(n, *theory_law(theory, Fraction(2, 3)))
+    rng = random.Random(f"{n}{theory}")
+    words = [(), (1, 1)] + [tuple(rng.randint(1, n - 1) for _ in range(k))
+                            for k in range(1, longest + 1)]
+    for word in words:
+        for f in (random_factor(ctx, rng), random_factor(ctx, rng)):
+            got = poly_times_bs(ctx, f, word)
+            assert got.terms == iterated_poly_times_bs(ctx, f, word), word
+            assert got.evaluate(ctx) == f * bs_class(ctx, word), word
+    assert any(len(word) >= ctx.d for word in words) == (n < 5)
+
+
+def test_product_operator_count(monkeypatch):
+    # a product walks the operator tree once from the left class: a right
+    # word of length l >= 2 costs 2^(l-2) - 1 dual divided differences and
+    # no first Chern class (one Chevalley expansion per variable factor
+    # took 72 of them on the rank-5 product)
+    counts = Counter()
+    for name in ("divided_diff_dual", "c1_weight"):
+        monkeypatch.setattr(schubert, name,
+                            counting(counts, name, getattr(schubert, name)))
+    for n, left, right in [(3, (1, 2), (2, 1)), (4, (1, 2, 1), (1, 2, 1, 3)),
+                           (5, (1, 2, 1, 3, 2, 1, 4, 3), (2, 1, 4, 3, 2)),
+                           (5, (1, 2, 1, 3, 2, 1, 4, 3), (2, 2, 3, 1, 2, 4))]:
+        counts.clear()
+        assert product_bs(FlagContext(n), left, right).terms, (left, right)
+        assert counts["divided_diff_dual"] == 2 ** (len(right) - 2) - 1, (
+            left, right)
+        assert counts["c1_weight"] == 0, (left, right)
 
 
 def test_product_consistency_small(ctx3):

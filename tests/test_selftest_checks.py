@@ -45,3 +45,14 @@ def test_selftest_runs_each_theory_over_its_own_law(monkeypatch, theory):
     assert all(error is None
                for _, error in selftest_results(2, theory, beta_of(theory)))
     assert built == [(2, *theory_law(theory, beta_of(theory)))]
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_selftest_builds_the_law_once_per_run(theory):
+    # law-coefficients, law-axioms, operator-properties and the additive
+    # and multiplicative law checks all read the whole law
+    selftest._law_at.cache_clear()
+    assert all(error is None
+               for _, error in selftest_results(3, theory, beta_of(theory)))
+    info = selftest._law_at.cache_info()
+    assert info.misses == 1 and info.hits >= 2, info
