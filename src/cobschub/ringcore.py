@@ -17,7 +17,9 @@ difference and exact division by x_p - x_q share one multiply-accumulate
 kernel, ``sum_of_products``, which takes only its (key, p, q) terms: each
 output coefficient is one integer merge over the lcm of the denominators of
 the pairs on its key, and the field guard is checked before sums that cancel
-are dropped.  Series and flag elements share one implementation of their
+are dropped.  Its spread stage adds each raw sum onto the keys of an
+integer normal form once the guard has seen it, so flag products reduce in
+the same pass.  Series and flag elements share one implementation of their
 module operations (``TermMap``), maps to coefficients share one add-or-drop
 merge (``add_term``), and powers one square-and-multiply.
 """
@@ -69,6 +71,7 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 MAX_INDEX = 64
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 _GUARD = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(MAX_INDEX))
+_OVERFLOW = f"a b-exponent exceeds {MAX_EXPONENT}, the packed field limit"
 
 
 def _as_fraction(value) -> Fraction:
@@ -275,65 +278,67 @@ class CoeffPoly:
         return self._hash
 
     def __str__(self) -> str:
-        terms = self.terms
-        if not terms:
-            return "0"
-        parts = []
-        for key in sorted(terms):
-            value = terms[key]
-            mono = "*".join(
-                f"b{i}" if e == 1 else f"b{i}^{e}" for i, e in key
-            )
-            if not mono:
-                text = str(value)
-            elif value == 1:
-                text = mono
-            elif value == -1:
-                text = f"-{mono}"
-            else:
-                text = f"{value}*{mono}"
-            parts.append(text)
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return out
+        out = ""
+        for key, value in sorted(self.terms.items()):
+            mono = "*".join(f"b{i}" if e == 1 else f"b{i}^{e}"
+                            for i, e in key)
+            text = (str(value) if not mono else mono if value == 1
+                    else f"-{mono}" if value == -1 else f"{value}*{mono}")
+            if out:
+                text = f" - {text[1:]}" if text[0] == "-" else f" + {text}"
+            out += text
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"CoeffPoly({self})"
 
 
-def _multiply_into(acc: dict, p: CoeffPoly, q, scale: int) -> None:
-    # acc += scale * p * q on packed monomials; q is a CoeffPoly or an int
+def _multiply_into(acc: dict, num: dict, q, scale: int) -> None:
+    # acc += scale * num * q on packed monomials; q is a CoeffPoly or an int
     get = acc.get
     if type(q) is int:
         scale *= q
-        for m, v in p.num.items():
+        for m, v in num.items():
             acc[m] = get(m, 0) + v * scale
         return
     right = q.num.items()
-    for m1, v1 in p.num.items():
+    for m1, v1 in num.items():
         v1 *= scale
         for m2, v2 in right:
             m = m1 + m2
             acc[m] = get(m, 0) + v1 * v2
 
 
-def sum_of_products(terms) -> dict:
+def _grow(acc: dict, dens: dict, key, den: int) -> int:
+    # raise key's denominator to its lcm with den, rescaling its dict once
+    factor = math.lcm(dens[key], den) // dens[key]
+    for m in acc:
+        acc[m] *= factor
+    dens[key] *= factor
+    return dens[key]
+
+
+def sum_of_products(terms, spread=None) -> dict:
     """{key: the sum of p * q over the (key, p, q) in ``terms``}, zeros left
     out; p is a CoeffPoly and q a CoeffPoly or an int.
 
     The one multiply-accumulate kernel of the package: series, flag and
-    composition products and canonical reduction go through it, and they
-    pass only their terms, in one pass of any iterable.  Each output
-    coefficient is one integer dict over its own denominator, the lcm of
-    p.den * q.den over the pairs on its key (q.den is 1 for an int q).
-    Every pair adds its monomial products straight into its key's dict, and
-    no CoeffPoly is built per pair; a pair whose denominator does not divide
-    the key's so far raises it to their lcm and rescales the dict once, and
-    ``_raw`` divides out the common factor at the end.  The packed-field
-    guard is checked over every monomial a merge touched before zero sums
-    are dropped, so a monomial product that leaves its field raises
-    UsageError even when it cancels in the sum.
+    composition products and canonical reduction pass it only their terms,
+    in one pass of any iterable.  Each sum is one integer dict over the lcm
+    of p.den * q.den over the pairs on its key (q.den is 1 for an int q):
+    every pair adds its monomial products straight into it, with no
+    CoeffPoly per pair, a pair whose denominator does not divide the key's
+    so far rescales it once, and ``_raw`` divides out the common factor at
+    the end.  The packed-field guard is checked over every monomial a merge
+    touched before zero sums are dropped, so a product that leaves its
+    field raises UsageError even when it cancels.
+
+    ``spread``, if given, maps each key to (skey, int c) pairs: each key's
+    sum, once all its pairs are in, is added c times into each skey's, and
+    the result is keyed by the skeys.  The flag ring spreads products onto
+    normal forms and so reduces each raw monomial once.  The guard runs on
+    each key's sum before it is spread, so it sees a key whose spread is
+    empty too.
     """
     sums: dict = {}
     dens: dict = {}
@@ -346,18 +351,32 @@ def sum_of_products(terms) -> dict:
         else:
             den = dens[key]
             if den % pq_den:
-                grown = math.lcm(den, pq_den)
-                factor = grown // den
-                for m in acc:
-                    acc[m] *= factor
-                den = dens[key] = grown
-        _multiply_into(acc, p, q, den // pq_den)
+                den = _grow(acc, dens, key, pq_den)
+        _multiply_into(acc, p.num, q, den // pq_den)
+    if spread is not None:
+        raw, raw_dens, sums, dens = sums, dens, {}, {}
+        for key, acc in raw.items():
+            if any(map(_GUARD.__and__, acc)):
+                raise UsageError(_OVERFLOW)
+            den, free = raw_dens[key], True
+            for skey, c in spread(key):
+                target = sums.get(skey)
+                if target is None:
+                    if c == 1 and free:
+                        # moved once, not copied: the later entries of this
+                        # form read it before any other key adds into it
+                        sums[skey], dens[skey], free = acc, den, False
+                        continue
+                    target = sums[skey] = {}
+                    dens[skey] = den
+                elif dens[skey] % den:
+                    _grow(target, dens, skey, den)
+                _multiply_into(target, acc, c, dens[skey] // den)
     for key, acc in sums.items():
         # in-range fields add without a carry, so a monomial that left the
         # range is a distinct int with its guard bit set
         if any(map(_GUARD.__and__, acc)):
-            raise UsageError(
-                f"a b-exponent exceeds {MAX_EXPONENT}, the packed field limit")
+            raise UsageError(_OVERFLOW)
         if not all(acc.values()):
             acc = {m: v for m, v in acc.items() if v}
         # replace each sum as it is done, so no two copies of it are alive
@@ -410,14 +429,16 @@ def combine_terms(left: Mapping, right: Mapping, sign: int) -> dict:
     return out
 
 
-def truncated_product(left: Mapping, right: Mapping, cap: int) -> dict:
+def truncated_product(left: Mapping, right: Mapping, cap: int,
+                      spread=None) -> dict:
     """The product of two maps from monomials to CoeffPoly through total
-    degree ``cap``, with one kernel merge per output monomial."""
+    degree ``cap``, with one kernel merge per output monomial, spread as
+    ``sum_of_products`` spreads."""
     rows = [(key, sum(key), value) for key, value in right.items()]
     return sum_of_products(
-        (tuple(map(operator.add, k1, k2)), v1, v2)
-        for k1, v1 in left.items() for room in (cap - sum(k1),)
-        for k2, d2, v2 in rows if d2 <= room)
+        ((tuple(map(operator.add, k1, k2)), v1, v2)
+         for k1, v1 in left.items() for room in (cap - sum(k1),)
+         for k2, d2, v2 in rows if d2 <= room), spread)
 
 
 class TermMap:
@@ -556,11 +577,8 @@ class TruncSeries(TermMap):
 
     @classmethod
     def constant(cls, vars: Sequence[str], cap: int, value) -> "TruncSeries":
-        coeff = CoeffPoly.coerce(value)
-        vars = tuple(vars)
-        if not coeff:
-            return cls._raw(vars, cap, {})
-        return cls._raw(vars, cap, {(0,) * len(vars): coeff})
+        coeff, vars = CoeffPoly.coerce(value), tuple(vars)
+        return cls._raw(vars, cap, {(0,) * len(vars): coeff} if coeff else {})
 
     @classmethod
     def one(cls, vars: Sequence[str], cap: int) -> "TruncSeries":

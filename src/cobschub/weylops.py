@@ -28,7 +28,6 @@ from cobschub.ringcore import (
     UsageError,
     divided_difference_terms,
     sum_of_products,
-    truncated_product,
 )
 from cobschub.flagring import (
     FlagContext,
@@ -192,15 +191,31 @@ def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
     x_{n-1}^(<= n-2) x_n^(<= n-1) stop at degree 2n - 3 and reduction keeps
     degree, so each pair monomial above 2n - 3 has normal form 0.  The
     bound is tight: x_{n-1}^(n-2) x_n^(n-1) is its own form.  2n - 3 <= d
-    for every n >= 2."""
+    for every n >= 2.
+
+    So only the last pack, i = n - 1, reduces ``unit_inv`` itself, and its
+    canonical form N stays in the pair (x_{n-1}, x_n).  Every other pack is
+    N moved to (x_i, x_{i+1}) and reduced.  That is exact: a permutation s
+    of the variables with s(x_{n-1}) = x_i and s(x_n) = x_{i+1} maps the
+    ideal onto itself, so it maps the congruence of N with the read pack P
+    at (x_{n-1}, x_n) to one of s(N) with s(P), the pack read at
+    (x_i, x_{i+1}); congruent polynomials share one normal form.  s(N)
+    holds only x_i^(<= n-2) x_{i+1}^(<= n-1), a subset of the monomials of
+    s(P), so the move reduces fewer monomials than reading ``unit_inv``
+    again.  It is still reduced, as s(N) is in general not staircase."""
     if not 1 <= i <= ctx.n - 1:
         raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
     unit_inv = ctx._op_packs.get(i)
     if unit_inv is None:
         head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
+        if i == ctx.n - 1:
+            pair = {(b, a): coeff
+                    for (a, b), coeff in ctx.unit_inv.terms.items()}
+        else:
+            pair = {key[-2:]: coeff for key, coeff
+                    in _op_pack(ctx, ctx.n - 1).terms.items()}
         unit_inv = ctx._op_packs[i] = reduce_canonical(ctx, {
-            head + (b, a) + tail: coeff
-            for (a, b), coeff in ctx.unit_inv.terms.items()})
+            head + key + tail: coeff for key, coeff in pair.items()})
     return unit_inv
 
 
@@ -220,13 +235,11 @@ def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
 
 def _antisymmetrize(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """(a - sigma_i a) / (x_{i+1} - x_i) in canonical form: the classical
-    divided difference of the canonical representative, each telescoped
-    monomial replaced by its integer normal form, in one kernel merge."""
-    forms = ctx._normal_forms
+    divided difference of the canonical representative in one kernel
+    merge, which sums the telescoped terms on each raw monomial and spreads
+    that sum onto the monomial's integer normal form."""
     return FlagElem._raw(ctx, sum_of_products(
-        (skey, coeff, sign * c)
-        for key, coeff, sign in divided_difference_terms(a.terms, i, i - 1)
-        for skey, c in forms.get(key) or ctx.normal_form(key)))
+        divided_difference_terms(a.terms, i, i - 1), ctx.normal_form))
 
 
 def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
@@ -257,9 +270,8 @@ def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem,
     """
     unit_inv = _op_pack(ctx, i)  # checks i before the kernel reads it
     a = reduce_canonical(ctx, a)  # checks a's context, and returns it
-    return reduce_canonical(ctx, truncated_product(
-        _antisymmetrize(ctx, i, a).terms, unit_inv.terms,
-        ctx.d if top is None else top))
+    return _antisymmetrize(ctx, i, a).times(
+        unit_inv, ctx.d if top is None else top)
 
 
 def dual_constant_term(i: int, a: FlagElem) -> CoeffPoly:

@@ -15,10 +15,12 @@ divided difference of top length vanishes) for ideal membership, Fraction
 Gauss-Jordan for matrix inverses, one Fraction per term for b-polynomial
 arithmetic, Horner division by a general linear form for the exact
 divisions of the operators, the full h_j cascade for the integer normal
-forms, and the full-cap composition of F(y1, chi(y2)) for the law's
-operator pack.  The classical divided difference of the additive theory,
-which the membership criterion also applies, is
-``cobschub.selftest.classical_divided_difference``.
+forms, the full-cap composition of F(y1, chi(y2)) for the law's operator
+pack, the two-pass product (the raw truncated product, then one reduction)
+for the flag product that reduces inside the kernel, and U^-1 read at each
+pair and reduced for the packs moved from the last pair.  The classical
+divided difference of the additive theory, which the membership criterion
+also applies, is ``cobschub.selftest.classical_divided_difference``.
 
 The module also keeps the helpers that only the tests call: the whole law
 of a context (``law_of``, whose F, chi and q the engine never builds), the
@@ -54,6 +56,7 @@ from cobschub.ringcore import (
     compose,
     divide_by_linear,
     series_invert_unit,
+    truncated_product,
 )
 from cobschub.schubert import bs_class, c1_times_bs
 from cobschub.selftest import classical_divided_difference
@@ -240,6 +243,17 @@ def full_cap_pair_pack(law) -> TruncSeries:
     return series_invert_unit(unit)
 
 
+def direct_op_pack(ctx, i: int) -> FlagElem:
+    """U^-1 of F(x_{i+1}, chi(x_i)) through degree 2n - 3 read at the pair
+    itself: the context's ``unit_inv`` with each term y1^a y2^b read as
+    x_i^b x_{i+1}^a and reduced, the route of every pack before all but
+    the last were moved from the last."""
+    head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
+    return reduce_canonical(ctx, {
+        head + (b, a) + tail: coeff
+        for (a, b), coeff in ctx.unit_inv.terms.items()})
+
+
 def full_degree_op_pack(ctx, i: int) -> FlagElem:
     """U^-1 of F(x_{i+1}, chi(x_i)) through degree d, the route that
     ``weylops._op_pack`` replaced: the full-cap pack of a law at cap d + 1
@@ -336,6 +350,15 @@ def pairwise_flag_mul(a: FlagElem, b: FlagElem) -> FlagElem:
             if sum(k1) + sum(k2) <= a.ctx.d:
                 add_term(raw, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
     return reduce_canonical(a.ctx, raw)
+
+
+def two_pass_product(a: FlagElem, b: FlagElem, top=None) -> FlagElem:
+    """a * b through x-degree ``top`` (default d) in two passes, the route
+    the flag product replaced: the raw product of the terms, one CoeffPoly
+    per raw monomial, then one canonical reduction of it."""
+    ctx = a.ctx
+    return reduce_canonical(ctx, truncated_product(
+        a.terms, b.terms, ctx.d if top is None else top))
 
 
 def termwise_compose(outer: TruncSeries, args) -> TruncSeries:

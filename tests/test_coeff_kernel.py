@@ -207,6 +207,26 @@ def test_exponents_beyond_the_field_raise():
     assert (CoeffPoly.b(MAX_INDEX, limit)).terms == {((MAX_INDEX, limit),): 1}
 
 
+def test_guard_sees_flag_products_on_monomials_with_empty_forms():
+    # x_4^4 lies in the ideal at rank 4, so its normal form is empty and a
+    # flag product spreads nothing from it.  b3^16 * (-b3^16) + b3^15 * b3^17
+    # leaves the field on x_4^4 and cancels, and b3^16 * b3^17 leaves it on
+    # x_4^5, whose form is empty too; every other product fits.  A guard
+    # that saw only what was spread would let both through.
+    ctx = FlagContext(4)
+    assert ctx.normal_form((0, 0, 0, 4)) == ()
+    half = CoeffPoly.b(3, 16)
+    a = reduce_canonical(ctx, {(0, 0, 0, 3): half,
+                               (0, 0, 0, 2): CoeffPoly.b(3, 15)})
+    b = reduce_canonical(ctx, {(0, 0, 0, 1): -half,
+                               (0, 0, 0, 2): CoeffPoly.b(3, 17)})
+    # through degree 4 the only overflow is the one that cancels
+    for overflowing in (lambda: a * b, lambda: a.times(b, 4)):
+        with pytest.raises(UsageError, match="field limit"):
+            overflowing()
+    assert a.times(b, 3).terms == {(0, 0, 0, 3): -CoeffPoly.b(3, 31)}
+
+
 def test_repeated_index_is_rejected():
     # a b-monomial names each generator once; b1 * b1^2 is written b1^3
     with pytest.raises(UsageError, match="malformed b-monomial"):
@@ -282,12 +302,11 @@ def cancellations(a_terms, b_terms, cap: int, result_terms) -> int:
     return len(reached - result_terms.keys())
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_kernel_takes_each_keys_denominator_from_its_pairs(seed):
-    # coprime denominators spread over the keys, so each key's lcm differs
-    # and most keys' denominators grow as their pairs arrive; (p, 1)
-    # singletons, which come back as p; and a key whose pairs cancel
-    rng = random.Random(300 + seed)
+def mixed_denominator_terms(rng):
+    """Kernel terms whose coprime denominators spread over the keys 0..5,
+    so each key's lcm differs and most keys' denominators grow as their
+    pairs arrive; (p, 1) singletons on the keys 6..9; and a key "cancels"
+    whose pairs cancel.  Returns the shuffled terms and the singletons."""
     dens = (1, 2, 3, 5, 7, 11, 13)
 
     def coeff(den) -> CoeffPoly:
@@ -307,6 +326,12 @@ def test_kernel_takes_each_keys_denominator_from_its_pairs(seed):
     p, q = coeff(7), coeff(11)
     terms += [("cancels", p, q), ("cancels", -p, q)]
     rng.shuffle(terms)
+    return terms, singles
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_takes_each_keys_denominator_from_its_pairs(seed):
+    terms, singles = mixed_denominator_terms(random.Random(300 + seed))
     # any iterable that can be read once
     got = sum_of_products(iter(terms))
     assert {key: value.terms for key, value in got.items()} == (
@@ -316,6 +341,30 @@ def test_kernel_takes_each_keys_denominator_from_its_pairs(seed):
     assert "cancels" not in got
     for key, p in singles.items():
         assert got[key] == p
+
+
+# spreads for the keys of ``mixed_denominator_terms``: several unit entries
+# on one key (a moved sum once sat under two skeys, so what was added to one
+# showed in the other), scaled entries, skeys that many keys share, an
+# empty spread, and a key that is its own spread
+SPREADS = {0: (("s", 1), ("t", 1)), 1: (("s", -2), ("u", 1)), 2: (),
+           3: (("t", 1),), 4: (("u", 3), ("s", 1)),
+           5: (("v", 1), ("w", 1), ("s", 1)), 6: (("s", 1), ("w", 2)),
+           7: ((7, 1),), 8: (("t", -1),), 9: (("w", 1), ("t", 1)),
+           "cancels": (("v", 1),)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spread_matches_spreading_each_pair(seed):
+    # each key's sum goes into every skey of its spread once all its pairs
+    # are in; spreading every pair on its own gives the same sums
+    terms, _ = mixed_denominator_terms(random.Random(400 + seed))
+    got = sum_of_products(iter(terms), SPREADS.__getitem__)
+    assert {key: value.terms for key, value in got.items()} == (
+        pairwise_sum_of_products((skey, p, c * q) for key, p, q in terms
+                                 for skey, c in SPREADS[key]))
+    for value in got.values():
+        assert_canonical(value)
 
 
 @pytest.mark.parametrize("n", [3, 4])

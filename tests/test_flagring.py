@@ -27,6 +27,7 @@ from oracles import (
     n_series,
     random_flag_elem,
     total_degrees,
+    two_pass_product,
     var_series,
 )
 
@@ -263,6 +264,37 @@ def test_c1_matches_n_series_fold(ctx3):
 
 THEORY_BETAS = [None, F(0), F(2, 3), F(-1, 2)]
 THEORY_IDS = ["cobordism", "chow", "ktheory-2/3", "ktheory--1/2"]
+
+
+def mixed_elem(ctx, rng, size: int):
+    """A canonical element of up to ``size`` staircase terms whose
+    coefficients mix b-monomials and denominators."""
+    return reduce_canonical(ctx, {
+        tuple(rng.randint(0, j) for j in range(ctx.n)): CoeffPoly({
+            (): F(rng.randint(-4, 4), rng.randint(1, 6)),
+            ((rng.randint(1, 3), rng.randint(1, 2)),):
+                F(rng.randint(-3, 3), rng.choice((1, 2, 5, 7)))})
+        for _ in range(size)})
+
+
+@pytest.mark.parametrize("beta", THEORY_BETAS, ids=THEORY_IDS)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_products_match_the_two_pass_route(n, beta):
+    # the product sums the pairs on each raw monomial and spreads that sum
+    # onto its normal form in one kernel pass; the route it replaced builds
+    # every raw coefficient first and reduces them after, at every cap
+    ctx = FlagContext(n, *(() if beta is None else (beta,)))
+    rng = random.Random(f"product-{n}-{beta}")
+    for size in (3, 8, 16):
+        a, b = mixed_elem(ctx, rng, size), mixed_elem(ctx, rng, size)
+        assert a * b == two_pass_product(a, b)
+        for top in range(ctx.d):
+            assert a.times(b, top) == two_pass_product(a, b, top), top
+    # raw monomials on x_n^n and above, whose forms are empty
+    corner = reduce_canonical(ctx, {(0,) * (n - 1) + (n - 1,): b1 + F(1, 3)})
+    a = mixed_elem(ctx, rng, 8)
+    for factor in (ctx.x_elem(n), corner):
+        assert a * factor == two_pass_product(a, factor)
 
 
 @pytest.mark.parametrize("beta", THEORY_BETAS, ids=THEORY_IDS)

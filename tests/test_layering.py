@@ -2,10 +2,13 @@
 none of them imports the series type or series composition, so a change
 that sends the flag ring back through n-variable series fails here.  Only
 ``weylops`` imports the classical divided-difference kernel, so a second
-copy of the operators fails here too.  And no module of the package imports
-another one's private names: what two modules share is public.  Importing
-the CLI, which every command pays for, loads neither the selftest suite nor
-the stdlib modules only it or a dataclass would need.  In the CLI, command
+copy of the operators fails here too.  Only ``flagring`` multiplies flag
+elements: the layers above it import no raw ``truncated_product``, so no
+product that reduces in a second pass comes back beside the one that
+reduces inside the kernel.  And no module of the package imports another
+one's private names: what two modules share is public.  Importing the CLI,
+which every command pays for, loads neither the selftest suite nor the
+stdlib modules only it or a dataclass would need.  In the CLI, command
 output reaches stdout only through ``_respond`` and ``_emit_json``, the one
 place a per-request hook has to reach; ``main``'s error lines go to
 stderr."""
@@ -19,6 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cobschub"
 FLAG_LAYERS = ("flagring", "weylops", "schubert", "cli")
 SERIES_NAMES = {"TruncSeries", "compose"}
 OPERATOR_KERNEL = "divided_difference_terms"
+RAW_PRODUCT = "truncated_product"
+ABOVE_THE_PRODUCT = ("weylops", "schubert", "cli")
 NOT_ON_THE_CLI_PATH = ("cobschub.selftest", "dataclasses", "inspect",
                        "traceback")
 
@@ -61,6 +66,16 @@ def test_only_weylops_imports_the_divided_difference_kernel():
     importers = {name for name, tree in trees.items()
                  if references(tree, {OPERATOR_KERNEL})}
     assert importers == {"weylops"}
+
+
+def test_only_flagring_multiplies_flag_elements():
+    trees = source_trees()
+    assert RAW_PRODUCT in ringcore_definitions(trees)
+    # the guard sees the import it watches
+    assert references(trees["flagring"], {RAW_PRODUCT}) == {RAW_PRODUCT}
+    offenders = {name: references(trees[name], {RAW_PRODUCT})
+                 for name in ABOVE_THE_PRODUCT}
+    assert offenders == {name: set() for name in ABOVE_THE_PRODUCT}
 
 
 def private_imports(tree) -> set[str]:

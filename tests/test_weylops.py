@@ -31,6 +31,7 @@ from cobschub.weylops import (
     reduced_word,
     sigma_op,
     weyl_act,
+    _antisymmetrize,
     _op_pack,
 )
 
@@ -40,6 +41,7 @@ from cobschub.selftest import classical_divided_difference
 
 from oracles import (
     as_series,
+    direct_op_pack,
     full_degree_op_pack,
     is_reduced,
     random_flag_elem,
@@ -48,6 +50,7 @@ from oracles import (
     series_divided_diff_dual,
     specialize,
     through_degree,
+    two_pass_product,
     word_permutation,
 )
 
@@ -260,6 +263,52 @@ def test_op_pack_is_the_full_degree_pack(n, law):
     ctx = FlagContext(n, *law)
     for i in range(1, n):
         assert _op_pack(ctx, i) == full_degree_op_pack(ctx, i), i
+
+
+@pytest.mark.parametrize("law", [(), (F(0),), (F(2, 3),), (F(-1, 2),)],
+                         ids=THEORIES + ("ktheory-negative",))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_moved_packs_and_dual_products_match_the_direct_routes(n, law):
+    # every pack but the last is the last one's canonical form moved to its
+    # pair and reduced; the dual operator's product reduces inside the
+    # kernel; both match the routes they replaced, at every cap
+    ctx = FlagContext(n, *law)
+    rng = random.Random(f"dual-{n}-{law}")
+    for i in range(1, n):
+        assert _op_pack(ctx, i) == direct_op_pack(ctx, i), i
+    for i in range(1, n):
+        a = random_flag_elem(ctx, rng, max_terms=6)
+        quotient = _antisymmetrize(ctx, i, a)
+        for top in range(ctx.d + 1):
+            assert divided_diff_dual(ctx, i, a, top) == two_pass_product(
+                quotient, direct_op_pack(ctx, i), top), (i, top)
+        # a class times a pack: long b-coefficients on many raw monomials
+        z = bs_class(ctx, tuple(range(1, n))[:i])
+        assert z * _op_pack(ctx, i) == two_pass_product(
+            z, direct_op_pack(ctx, i)), i
+
+
+def test_cold_class_of_w0_reduces_once_per_pack(monkeypatch):
+    # products reduce inside the kernel, so a cold class calls
+    # reduce_canonical only to build its packs, one per letter: 3 at rank 4,
+    # where it made 9 calls when each of its 6 products reduced in a second
+    # pass, and 4 at rank 5; and the moved packs fill no more normal forms
+    # than packs read at their own pairs did (96 at rank 4, 593 at rank 5)
+    calls = []
+    reduce = flagring.reduce_canonical
+
+    def spy(ctx, p):
+        calls.append(ctx.n)
+        return reduce(ctx, p)
+
+    for module in (flagring, weylops):
+        monkeypatch.setattr(module, "reduce_canonical", spy)
+    for n, reductions, forms in ((4, 3, 96), (5, 4, 593)):
+        ctx = FlagContext(n)
+        calls.clear()
+        bs_class(ctx, reduced_word(Permutation(tuple(range(n, 0, -1)))))
+        assert len(calls) == reductions, n
+        assert len(ctx._normal_forms) <= forms, n
 
 
 def test_context_builds_its_pack_once_through_2n_minus_3(monkeypatch):
