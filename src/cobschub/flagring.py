@@ -64,10 +64,12 @@ class Weight:
         return len(self.coords)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(map(operator.add, self.coords,
+                          validate_weight(other, self.n).coords))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(map(operator.sub, self.coords,
+                          validate_weight(other, self.n).coords))
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coords))
@@ -81,6 +83,23 @@ class Weight:
         return "(" + ",".join(map(str, self.coords)) + ")"
 
 
+def validate_weight(lam: Weight, n: int) -> Weight:
+    """``lam`` if it is a weight of rank n; UsageError otherwise."""
+    if not isinstance(lam, Weight) or lam.n != n:
+        raise UsageError(f"weight must have length {n}, got {lam!r}")
+    return lam
+
+
+def validate_word(word, n: int) -> tuple[int, ...]:
+    """``word`` as a tuple of simple-root letters 1..n-1, or UsageError."""
+    word = tuple(word)
+    for letter in word:
+        if not isinstance(letter, int) or not 1 <= letter <= n - 1:
+            raise UsageError(
+                f"word letter {letter!r} out of range 1..{n - 1}")
+    return word
+
+
 def basis_weight(i: int, n: int) -> Weight:
     """e_i."""
     return Weight(tuple(1 if k == i else 0 for k in range(1, n + 1)))
@@ -88,15 +107,13 @@ def basis_weight(i: int, n: int) -> Weight:
 
 def simple_root(i: int, n: int) -> Weight:
     """gamma_i = e_i - e_{i+1}."""
-    if not 1 <= i <= n - 1:
-        raise UsageError(f"simple root index {i} out of range for rank {n}")
+    validate_word((i,), n)
     return basis_weight(i, n) - basis_weight(i + 1, n)
 
 
 def fundamental_weight(i: int, n: int) -> Weight:
     """omega_i = e_1 + ... + e_i, the standard lift with (omega_i, gamma_j) = delta_ij."""
-    if not 1 <= i <= n - 1:
-        raise UsageError(f"fundamental weight index {i} out of range for rank {n}")
+    validate_word((i,), n)
     return Weight(tuple(1 if k <= i else 0 for k in range(1, n + 1)))
 
 
@@ -117,7 +134,8 @@ class FlagContext:
     throughout.  Every engine step is linear over the coefficient ring, so
     this gives the specialization of the cobordism result at the cost of the
     smaller theory.  Elements of contexts with different (n, beta) never
-    mix.
+    mix: every operator and engine entry takes its element and the letters
+    it reads through ``own``, which returns the element or raises.
 
     Canonical elements never exceed degree d = n(n-1)/2.  ``c1_weight``
     evaluates the law's one-variable ``log`` and ``exp`` at flag elements,
@@ -251,8 +269,14 @@ class FlagContext:
         key = tuple(int(k == i) for k in range(1, self.n + 1))
         return reduce_canonical(self, {key: CoeffPoly.one()})
 
-    def compatible(self, other: "FlagContext") -> bool:
-        return self is other or (self.n, self.beta) == (other.n, other.beta)
+    def own(self, a, *letters) -> "FlagElem":
+        """``a`` itself if it is an element of a context with this (n, beta)
+        and every letter names a simple root 1..n-1; UsageError otherwise."""
+        validate_word(letters, self.n)
+        if not (isinstance(a, FlagElem) and (a.ctx is self or (
+                a.ctx.n, a.ctx.beta) == (self.n, self.beta))):
+            raise UsageError(f"expected an element of {self!r}")
+        return a
 
     def __repr__(self):
         return f"FlagContext(n={self.n}, beta={self.beta})"
@@ -312,22 +336,20 @@ class FlagElem(TermMap):
 
     def times(self, other: "FlagElem", top: int) -> "FlagElem":
         """The part of x-degree at most ``top`` of the product with an
-        element of a compatible context, in one kernel merge: the pair
+        element that ``own`` accepts, in one kernel merge: the pair
         products on each raw monomial are summed once and that sum is
         spread onto the monomial's integer normal form.  Reduction keeps
         x-degree, so raw monomials above ``top`` are never formed."""
-        if other.ctx is not self.ctx:
-            self._check(other)
         return FlagElem._raw(self.ctx, truncated_product(
-            self.terms, other.terms, top, self.ctx.normal_form))
+            self.terms, self.ctx.own(other).terms, top, self.ctx.normal_form))
 
 
 def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
     """Rewrite a raw polynomial to the canonical staircase form.
 
-    Accepts a raw mapping from exponent vectors to coefficients; a FlagElem
-    of a compatible context is already canonical and comes back as it is.
-    Each raw monomial's integer normal form (``normal_form``, kept in the
+    Takes only a raw mapping from exponent vectors to coefficients: an
+    element is already canonical, and ``FlagContext.own`` checks one.  Each
+    raw monomial's integer normal form (``normal_form``, kept in the
     context's table) is read once, and its coefficient goes, times each
     integer of the form, onto the form's staircase monomials in one merge
     of the shared kernel ``sum_of_products``.  A mapping names each raw
@@ -335,10 +357,6 @@ def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
     forms are read.  Monomials of degree above d have the empty form: they
     lie in the ideal.
     """
-    if isinstance(p, FlagElem):
-        if not ctx.compatible(p.ctx):
-            raise UsageError("element lives over a different flag context")
-        return p
     normal_form = ctx.normal_form
     return FlagElem._raw(ctx, sum_of_products(
         (skey, coeff, c) for key, value in p.items()
@@ -382,8 +400,7 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
     -e_i still does; evaluating its log and exp would take about 1 s at
     rank 6.
     """
-    if lam.n != ctx.n:
-        raise UsageError("weight length does not match the context rank")
+    validate_weight(lam, ctx.n)
     cached = ctx._c1_cache.get(lam.coords)
     if cached is not None:
         return cached

@@ -336,8 +336,9 @@ def sum_of_products(terms, spread=None) -> dict:
     ``spread``, if given, maps each key to (skey, int c) pairs: each key's
     sum, once all its pairs are in, is added c times into each skey's, and
     the result is keyed by the skeys.  The flag ring spreads products onto
-    normal forms and so reduces each raw monomial once.  The guard runs on
-    each key's sum before it is spread, so it sees a key whose spread is
+    normal forms and so reduces each raw monomial once.  The guard runs
+    once, on each key's sum before any spread: a spread only multiplies by
+    integers and adds no monomial, and the guard sees a key whose spread is
     empty too.
     """
     sums: dict = {}
@@ -353,11 +354,14 @@ def sum_of_products(terms, spread=None) -> dict:
             if den % pq_den:
                 den = _grow(acc, dens, key, pq_den)
         _multiply_into(acc, p.num, q, den // pq_den)
+    for acc in sums.values():
+        # in-range fields add without a carry, so a monomial that left the
+        # range is a distinct int with its guard bit set
+        if any(map(_GUARD.__and__, acc)):
+            raise UsageError(_OVERFLOW)
     if spread is not None:
         raw, raw_dens, sums, dens = sums, dens, {}, {}
         for key, acc in raw.items():
-            if any(map(_GUARD.__and__, acc)):
-                raise UsageError(_OVERFLOW)
             den, free = raw_dens[key], True
             for skey, c in spread(key):
                 target = sums.get(skey)
@@ -373,10 +377,6 @@ def sum_of_products(terms, spread=None) -> dict:
                     _grow(target, dens, skey, den)
                 _multiply_into(target, acc, c, dens[skey] // den)
     for key, acc in sums.items():
-        # in-range fields add without a carry, so a monomial that left the
-        # range is a distinct int with its guard bit set
-        if any(map(_GUARD.__and__, acc)):
-            raise UsageError(_OVERFLOW)
         if not all(acc.values()):
             acc = {m: v for m, v in acc.items() if v}
         # replace each sum as it is done, so no two copies of it are alive

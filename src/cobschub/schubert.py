@@ -28,6 +28,8 @@ from cobschub.flagring import (
     Weight,
     c1_weight,
     point_class,
+    validate_weight,
+    validate_word,
 )
 from cobschub.weylops import (
     Permutation,
@@ -40,7 +42,6 @@ from cobschub.weylops import (
     dual_constant_terms_after,
     reduced_word,
     sigma_op,
-    validate_word,
 )
 
 
@@ -137,13 +138,14 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
     reads the coefficient of the set whose lowest removed position is p
     from its state's degree-1 part (``dual_constant_term``), so the last
     dual divided difference of a string is never applied.  A node at
-    position 1 also reads both of its children's coefficients from its own
-    state through degree 2 (``dual_constant_terms_after``): the kept
-    child's read relabels the node's degree-1 coefficients, and the removed
-    child's is the read of the node's antisymmetrized quotient plus the
-    node's own read times the read of U^-1.  So no operator is applied at
-    position 1, and a word of length l >= 2 takes 2^(l-2) - 1 dual divided
-    differences and as many swaps; a word of length at most 2 takes none.
+    position 1 reads its own coefficient and both of its children's from
+    its state through degree 2 in one call (``dual_constant_terms_after``):
+    the kept child's read relabels the node's degree-1 coefficients, and
+    the removed child's is the read of the node's antisymmetrized quotient
+    plus the node's own read times the read of U^-1.  So no operator is
+    applied at position 1, and a word of length l >= 2 takes 2^(l-2) - 1
+    dual divided differences and as many swaps; a word of length at most 2
+    takes none.
 
     Each read is a degree-1 part, the swap keeps degree, and the dual
     divided difference reads its input only one degree above its output, so
@@ -154,8 +156,7 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
     swaps only its state's part through degree p.
     """
     word = validate_word(word, ctx.n)
-    if not ctx.compatible(f.ctx):
-        raise UsageError("element context does not match")
+    ctx.own(f)
     terms: dict[tuple[int, ...], CoeffPoly] = {}
 
     def record(kept: tuple[int, ...], coeff: CoeffPoly):
@@ -164,14 +165,14 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
 
     def walk(pos: int, state: FlagElem, kept_above: tuple[int, ...]):
         letter = word[pos]
-        record(tuple(range(pos)) + kept_above,
-               dual_constant_term(letter, state))
         if pos == 1:
-            removed, kept = dual_constant_terms_after(ctx, letter, word[0],
-                                                      state)
-            record(kept_above, removed)
-            record((1,) + kept_above, kept)
-        elif pos:
+            reads = dual_constant_terms_after(ctx, letter, word[0], state)
+            for kept, coeff in zip(((0,), (), (1,)), reads):
+                record(kept + kept_above, coeff)
+            return
+        record(tuple(range(pos)) + kept_above,
+               dual_constant_term(ctx, letter, state))
+        if pos:
             walk(pos - 1, divided_diff_dual(ctx, letter, state, pos),
                  kept_above)
             walk(pos - 1, sigma_op(ctx, letter, _through_degree(state, pos)),
@@ -189,8 +190,7 @@ def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
     and word.  The first Chern class has no constant term, so the empty
     word gives the empty expansion, and no class is built for it."""
     word = validate_word(word, ctx.n)
-    if lam.n != ctx.n:  # the empty word never reaches c1_weight's check
-        raise UsageError(f"weight must have length {ctx.n}, got {lam.n}")
+    validate_weight(lam, ctx.n)  # the empty word never reaches c1_weight
     key = (lam.coords, word)
     cached = ctx._c1bs_cache.get(key)
     if cached is not None:
@@ -259,10 +259,8 @@ def expand_in_bs_basis(ctx: FlagContext, a: FlagElem) -> dict[Permutation, Coeff
     monomial strictly falls, no class is used twice, and only the peeled
     classes are built.
     """
-    if not ctx.compatible(a.ctx):
-        raise UsageError("element context does not match")
     out: dict[Permutation, CoeffPoly] = {}
-    residual = a
+    residual = ctx.own(a)
     while not residual.is_zero():
         lead = _leading_monomial(residual)
         w = _basis_permutation(lead)
@@ -282,8 +280,7 @@ def pieri_exponents(n: int, word, lam: Weight):
     """Exponent table of the pullback of L(lam) at rank n: one row per
     position with the word minus that position and the pairing (lam, beta_j)."""
     word = validate_word(word, n)
-    if lam.n != n:
-        raise UsageError(f"weight must have length {n}, got {lam.n}")
+    validate_weight(lam, n)
     betas = beta_sequence(word, n)
     out = []
     for j, beta in enumerate(betas):

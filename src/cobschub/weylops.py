@@ -15,8 +15,10 @@ through the context's normal forms in one kernel merge, and a flag-ring
 product with U^-1 that never leaves degree d; the dual operator stops at a
 lower degree when its caller names one.  Its constant term, after one more
 operator or none, is linear in degrees 1 and 2 of its input and is read
-from them with no product at all.  Every operator raises UsageError for an
-element of another context.
+from them with no product at all.  Every public operator takes its element
+and letters through ``FlagContext.own`` once, so it raises UsageError for a
+letter outside 1..n-1 and for anything but an element of a context with
+its (n, beta); a weight of another length fails ``validate_weight``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from cobschub.flagring import (
     Weight,
     reduce_canonical,
     simple_root,
+    validate_weight,
+    validate_word,
 )
 
 Word = tuple[int, ...]
@@ -54,8 +58,7 @@ class Permutation:
     @classmethod
     def simple(cls, i: int, n: int) -> "Permutation":
         """The adjacent transposition (i, i+1)."""
-        if not 1 <= i <= n - 1:
-            raise UsageError(f"simple reflection index {i} out of range")
+        validate_word((i,), n)
         images = list(range(1, n + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
         return cls(images)
@@ -107,8 +110,7 @@ def all_permutations(n: int):
 
 def weyl_act(w: Permutation, lam: Weight) -> Weight:
     """Permute weight coordinates: w sends e_i to e_{w(i)}."""
-    if w.n != lam.n:
-        raise UsageError("permutation and weight ranks differ")
+    validate_weight(lam, w.n)
     out = [0] * lam.n
     for i in range(1, lam.n + 1):
         out[w(i) - 1] = lam.coords[i - 1]
@@ -125,18 +127,8 @@ def coroot_pairing(lam: Weight, alpha: Weight) -> int:
     rest = [c for c in alpha.coords if c not in (0, 1, -1)]
     if len(pos) != 1 or len(neg) != 1 or rest:
         raise UsageError(f"{alpha} is not a root of the form e_i - e_j")
-    if lam.n != alpha.n:
-        raise UsageError("weight and root ranks differ")
+    validate_weight(lam, alpha.n)
     return lam.coords[pos[0]] - lam.coords[neg[0]]
-
-
-def validate_word(word, n: int) -> Word:
-    word = tuple(word)
-    for letter in word:
-        if not isinstance(letter, int) or not 1 <= letter <= n - 1:
-            raise UsageError(
-                f"word letter {letter!r} out of range 1..{n - 1}")
-    return word
 
 
 def reduced_word(w: Permutation) -> Word:
@@ -202,9 +194,8 @@ def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
     (x_i, x_{i+1}); congruent polynomials share one normal form.  s(N)
     holds only x_i^(<= n-2) x_{i+1}^(<= n-1), a subset of the monomials of
     s(P), so the move reduces fewer monomials than reading ``unit_inv``
-    again.  It is still reduced, as s(N) is in general not staircase."""
-    if not 1 <= i <= ctx.n - 1:
-        raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
+    again.  It is still reduced, as s(N) is in general not staircase.
+    The operators that call this have checked ``i``."""
     unit_inv = ctx._op_packs.get(i)
     if unit_inv is None:
         head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
@@ -220,17 +211,11 @@ def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
 
 
 def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
-    """Exchange x_i and x_{i+1} on any representative, then renormalize.
-
-    Well defined on the quotient because the swap preserves the symmetric
-    ideal.  UsageError if ``a`` lives over another context.
-    """
-    if not 1 <= i <= ctx.n - 1:
-        raise UsageError(f"operator index {i} out of range 1..{ctx.n - 1}")
-    a = reduce_canonical(ctx, a)  # checks a's context, and returns it
+    """Exchange x_i and x_{i+1} on any representative, then renormalize:
+    well defined on the quotient, as the swap keeps the symmetric ideal."""
     return reduce_canonical(ctx, {
         key[:i - 1] + (key[i], key[i - 1]) + key[i + 1:]: coeff
-        for key, coeff in a.terms.items()})
+        for key, coeff in ctx.own(a, i).terms.items()})
 
 
 def _antisymmetrize(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
@@ -251,7 +236,7 @@ def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     quotient; that is exact because the antisymmetrized quotient is linear
     over symmetric elements and so maps the ideal into itself.
     """
-    return _antisymmetrize(ctx, i, a * _op_pack(ctx, i))
+    return _antisymmetrize(ctx, i, ctx.own(a, i) * _op_pack(ctx, i))
 
 
 def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem,
@@ -265,16 +250,13 @@ def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem,
     has no negative degrees, so this is exactly the image's part of degree
     at most ``top``, and it reads ``a`` only through degree top + 1.  In the
     additive specialization the operator coincides with divided_diff; in
-    general it differs and carries the Chevalley coefficients.  UsageError
-    if ``a`` lives over another context.
+    general it differs and carries the Chevalley coefficients.
     """
-    unit_inv = _op_pack(ctx, i)  # checks i before the kernel reads it
-    a = reduce_canonical(ctx, a)  # checks a's context, and returns it
-    return _antisymmetrize(ctx, i, a).times(
-        unit_inv, ctx.d if top is None else top)
+    return _antisymmetrize(ctx, i, ctx.own(a, i)).times(
+        _op_pack(ctx, i), ctx.d if top is None else top)
 
 
-def dual_constant_term(i: int, a: FlagElem) -> CoeffPoly:
+def dual_constant_term(ctx: FlagContext, i: int, a: FlagElem) -> CoeffPoly:
     """The constant term of divided_diff_dual(ctx, i, a), read as
     a[x_{i+1}] - a[x_i] from the degree-1 part of a.
 
@@ -283,43 +265,46 @@ def dual_constant_term(i: int, a: FlagElem) -> CoeffPoly:
     degree-1 part is (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i), and no other
     part of it reaches degree 0.
     """
-    zero = CoeffPoly.zero()
-    head, tail = (0,) * (i - 1), (0,) * (a.ctx.n - i - 1)
-    return (a.terms.get(head + (0, 1) + tail, zero)
-            - a.terms.get(head + (1, 0) + tail, zero))
+    terms, zero = ctx.own(a, i).terms, CoeffPoly.zero()
+    head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
+    return (terms.get(head + (0, 1) + tail, zero)
+            - terms.get(head + (1, 0) + tail, zero))
 
 
 def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
-                              a: FlagElem) -> tuple[CoeffPoly, CoeffPoly]:
-    """The constant terms of divided_diff_dual(ctx, j, c) for
-    c = divided_diff_dual(ctx, i, a) and for c = sigma_op(ctx, i, a), in
-    that order, with no product by U^-1, no swap and no reduction.  They
-    depend only on the part of ``a`` through degree 2, and a caller may
-    pass just that; UsageError if ``a`` lives over another context.
+                              a: FlagElem) -> tuple[CoeffPoly, ...]:
+    """The constant terms of divided_diff_dual(ctx, i, a), and of
+    divided_diff_dual(ctx, j, c) for c = divided_diff_dual(ctx, i, a) and
+    for c = sigma_op(ctx, i, a), in that order, with no product by U^-1,
+    no swap and no reduction.  They depend only on the part of ``a``
+    through degree 2, and a caller may pass just that.
 
-    Both are degree-1 reads L_j(c) = c[x_{j+1}] - c[x_j]
-    (``dual_constant_term``).  L_j kills x_1 + ... + x_n, the one relation
-    of degree 1, so it may read a linear form before reduction.  The swap
-    keeps degree and relabels: L_j(sigma_i a) = a[x_{s(j+1)}] - a[x_{s(j)}]
-    with s the transposition of i and i + 1.  The dual operator is q * U^-1
-    with q the antisymmetrized quotient of a, which lowers degree by
-    exactly 1, and U^-1 has constant term 1, so the degree-1 part of the
-    product is q_1 + q_0 (U^-1)_1: q_0 = L_i(a), and q_1 is the classical
-    divided difference of the degree-2 part of a, read unreduced.
+    All three are degree-1 reads L_j(c) = c[x_{j+1}] - c[x_j]
+    (``dual_constant_term``), the first L_i(a).  L_j kills x_1 + ... + x_n,
+    the one relation of degree 1, so it may read a linear form before
+    reduction.  The swap keeps degree and relabels: L_j(sigma_i a) =
+    a[x_{s(j+1)}] - a[x_{s(j)}] with s the transposition of i and i + 1.
+    The dual operator is q * U^-1 with q the antisymmetrized quotient of a,
+    which lowers degree by exactly 1, and U^-1 has constant term 1, so the
+    degree-1 part of the product is q_1 + q_0 (U^-1)_1: q_0 = L_i(a), and
+    q_1 is the classical divided difference of the degree-2 part of a, read
+    unreduced.
     """
-    unit_inv = _op_pack(ctx, i)  # checks i before the kernel reads it
-    a = reduce_canonical(ctx, a)  # checks a's context, and returns it
+    a = ctx.own(a, i, j)
     n, zero = ctx.n, CoeffPoly.zero()
 
     def x(k):  # the exponent vector of x_k
         return (0,) * (k - 1) + (1,) + (0,) * (n - k)
 
-    read = {x(j + 1): 1, x(j): -1}
+    def read(terms, k, l):  # terms[x_l] - terms[x_k]
+        return terms.get(x(l), zero) - terms.get(x(k), zero)
+
+    own_read = read(a.terms, i, i + 1)
+    signs = {x(j + 1): 1, x(j): -1}
     removed = sum_of_products(itertools.chain(
-        ((0, coeff, sign * read[key]) for key, coeff, sign
-         in divided_difference_terms(a.terms, i, i - 1) if key in read),
-        [(0, dual_constant_term(i, a), dual_constant_term(j, unit_inv))]))
+        ((0, coeff, sign * signs[key]) for key, coeff, sign
+         in divided_difference_terms(a.terms, i, i - 1) if key in signs),
+        [(0, own_read, read(_op_pack(ctx, i).terms, j, j + 1))]))
     swap = {i: i + 1, i + 1: i}
-    kept = (a.terms.get(x(swap.get(j + 1, j + 1)), zero)
-            - a.terms.get(x(swap.get(j, j)), zero))
-    return removed.get(0, zero), kept
+    kept = read(a.terms, swap.get(j, j), swap.get(j + 1, j + 1))
+    return own_read, removed.get(0, zero), kept

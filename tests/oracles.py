@@ -591,7 +591,7 @@ def full_tree_c1_times_bs(ctx, lam, word) -> dict:
 
     def walk(pos, state, kept_above):
         letter = word[pos]
-        coeff = dual_constant_term(letter, state)
+        coeff = dual_constant_term(ctx, letter, state)
         if coeff:
             terms[tuple(range(pos)) + kept_above] = coeff
         if pos:

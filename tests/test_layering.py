@@ -11,7 +11,9 @@ which every command pays for, loads neither the selftest suite nor the
 stdlib modules only it or a dataclass would need.  In the CLI, command
 output reaches stdout only through ``_respond`` and ``_emit_json``, the one
 place a per-request hook has to reach; ``main``'s error lines go to
-stderr."""
+stderr.  Letters, weight lengths and element ownership are each checked by
+one function of ``flagring``, so only the functions pinned here raise
+UsageError themselves in the engine's flag layers."""
 
 import ast
 import subprocess
@@ -26,6 +28,17 @@ RAW_PRODUCT = "truncated_product"
 ABOVE_THE_PRODUCT = ("weylops", "schubert", "cli")
 NOT_ON_THE_CLI_PATH = ("cobschub.selftest", "dataclasses", "inspect",
                        "traceback")
+# the functions of the flag layers that raise UsageError themselves: the
+# one rule for each of letters, weights and elements, and the checks of
+# inputs that no rule covers
+USAGE_RAISERS = {
+    "flagring": {"Weight.__init__", "validate_weight", "validate_word",
+                 "FlagContext.__init__", "FlagContext.normal_form",
+                 "FlagContext.x_elem", "FlagContext.own", "theory_law"},
+    "weylops": {"Permutation.__init__", "Permutation.__mul__",
+                "coroot_pairing"},
+    "schubert": {"chevalley_coeff"},
+}
 
 
 def source_trees() -> dict:
@@ -155,3 +168,33 @@ def test_cli_import_skips_the_selftest_and_dataclasses():
     # the guard sees the import it watches
     assert "cobschub.cli" in loaded
     assert loaded & set(NOT_ON_THE_CLI_PATH) == set()
+
+
+def usage_raisers(tree) -> set[str]:
+    """The top-level functions and methods (``Class.method``) of a module
+    whose bodies, nested functions included, raise UsageError."""
+    found = set()
+    for stmt in tree.body:
+        members = ([(f"{stmt.name}.", node) for node in stmt.body]
+                   if isinstance(stmt, ast.ClassDef) else [("", stmt)])
+        for prefix, member in members:
+            for node in ast.walk(member):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) and exc.id == "UsageError":
+                    found.add(prefix + getattr(member, "name", "<module>"))
+    return found
+
+
+def test_input_rules_live_in_flagring():
+    # the guard sees a method's raise, a nested function's and a bare one,
+    # and no other exception
+    sample = ast.parse("class A:\n"
+                       "    def f(self):\n        raise UsageError('x')\n"
+                       "def g():\n    def h():\n        raise UsageError\n"
+                       "def k():\n    raise ValueError('x')\n")
+    assert usage_raisers(sample) == {"A.f", "g"}
+    trees = source_trees()
+    assert {name: usage_raisers(trees[name])
+            for name in USAGE_RAISERS} == USAGE_RAISERS

@@ -687,3 +687,21 @@ def test_pieri_exponents_fundamental():
         assert got == [((), 1)]
     got = pieri_exponents(3, (1, 2), fundamental_weight(1, 3))
     assert [e for _, e in got] == [1, 0]
+
+
+@pytest.mark.parametrize("apply", [
+    lambda lam: c1_weight(FlagContext(3), lam),
+    lambda lam: c1_times_bs(FlagContext(3), lam, ()),
+    lambda lam: pieri_exponents(3, (), lam),
+    lambda lam: weyl_act(Permutation.simple(1, 3), lam),
+    lambda lam: coroot_pairing(lam, simple_root(1, 3)),
+    lambda lam: rho_weight(3) + lam,
+    lambda lam: rho_weight(3) - lam,
+], ids=["c1_weight", "c1_times_bs", "pieri_exponents", "weyl_act",
+        "coroot_pairing", "add", "sub"])
+def test_weights_of_another_length_are_refused(apply):
+    # one rule with one message, also where no operator runs (the empty
+    # word) and where zip would have cut the longer weight short
+    for lam in (Weight((1, 2)), Weight((1, 2, 0, 0))):
+        with pytest.raises(UsageError, match="weight must have length 3"):
+            apply(lam)

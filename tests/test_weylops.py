@@ -210,13 +210,6 @@ def test_sigma_is_ring_map(ctx3):
             ctx3, i, b)
 
 
-def test_sigma_index_validation(ctx3):
-    with pytest.raises(UsageError):
-        sigma_op(ctx3, 0, ctx3.one())
-    with pytest.raises(UsageError):
-        sigma_op(ctx3, 3, ctx3.one())
-
-
 # ---------------------------------------------------------------------------
 # Divided differences
 
@@ -311,6 +304,43 @@ def test_cold_class_of_w0_reduces_once_per_pack(monkeypatch):
         assert len(ctx._normal_forms) <= forms, n
 
 
+def test_chevalley_walks_reduce_only_mappings(monkeypatch):
+    # operators check their input with FlagContext.own, not by passing it
+    # through reduce_canonical, so every call reduces a raw mapping: the 45
+    # walks of the chev_r4 set (omega_1..omega_3 on the lexicographically
+    # smallest reduced words of length at most 3 at rank 4, with packs and
+    # Chern classes built first) make 18, all swaps, where pass-through
+    # checks of flag elements made 87 more; a cold class of w0 makes 3
+    inputs = []
+    reduce = flagring.reduce_canonical
+
+    def spy(ctx, p):
+        inputs.append(p)
+        return reduce(ctx, p)
+
+    for module in (flagring, weylops, schubert):
+        monkeypatch.setattr(module, "reduce_canonical", spy, raising=False)
+    n = 4
+    ctx = FlagContext(n)
+    for i in range(1, n):
+        bs_class(ctx, (i,))
+        c1_weight(ctx, fundamental_weight(i, n))
+    words = [word for word in map(reduced_word, all_permutations(n))
+             if len(word) <= 3]
+    walks = [(fundamental_weight(i, n), word)
+             for i in range(1, n) for word in words]
+    assert len(walks) == 45
+    inputs.clear()
+    for lam, word in walks:
+        c1_times_bs(ctx, lam, word)
+    assert len(inputs) == 18
+    assert all(type(p) is dict for p in inputs)
+    inputs.clear()
+    bs_class(FlagContext(n), reduced_word(Permutation(tuple(range(n, 0, -1)))))
+    assert len(inputs) == 3
+    assert all(type(p) is dict for p in inputs)
+
+
 def test_context_builds_its_pack_once_through_2n_minus_3(monkeypatch):
     # a context asks fgl for U^-1 once, through 2n - 3, however many
     # operators read it, and never builds the whole law (F, chi and q)
@@ -336,11 +366,20 @@ def test_context_builds_its_pack_once_through_2n_minus_3(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("op", [divided_diff, divided_diff_dual])
+@pytest.mark.parametrize("op", [
+    divided_diff, divided_diff_dual, sigma_op, dual_constant_term,
+    lambda ctx, i, a: dual_constant_terms_after(ctx, i, 1, a),
+    lambda ctx, i, a: dual_constant_terms_after(ctx, 1, i, a),
+], ids=["divided_diff", "divided_diff_dual", "sigma_op",
+        "dual_constant_term", "dual_constant_terms_after-i",
+        "dual_constant_terms_after-j"])
 def test_operator_index_validation(ctx3, op):
+    # a linear form with distinct coefficients, so a read with an
+    # unchecked letter would return a nonzero value
+    a = ctx3.x_elem(2) + 2 * ctx3.x_elem(3)
     for i in (0, 3):
         with pytest.raises(UsageError):
-            op(ctx3, i, ctx3.x_elem(1))
+            op(ctx3, i, a)
 
 
 @pytest.mark.parametrize("apply", [
@@ -348,15 +387,20 @@ def test_operator_index_validation(ctx3, op):
     lambda ctx, a: divided_diff(ctx, 1, a),
     lambda ctx, a: divided_diff_dual(ctx, 1, a),
     lambda ctx, a: dual_constant_terms_after(ctx, 1, 2, a),
+    lambda ctx, a: dual_constant_term(ctx, 1, a),
+    lambda ctx, a: schubert.poly_times_bs(ctx, a, (1, 2)),
+    lambda ctx, a: schubert.expand_in_bs_basis(ctx, a),
 ], ids=["sigma_op", "divided_diff", "divided_diff_dual",
-        "dual_constant_terms_after"])
+        "dual_constant_terms_after", "dual_constant_term", "poly_times_bs",
+        "expand_in_bs_basis"])
 def test_operators_reject_an_element_of_another_context(ctx3, ctx4, apply):
-    # a cobordism element carries b1, which a Chow result must never hold
+    # a cobordism element carries b1, which a Chow result must never hold;
+    # a raw mapping is no element, even with canonical terms
     chow = FlagContext(3, F(0))
     a = bs_class(ctx3, (1, 2))
     assert any(any(coeff.terms) for coeff in a.terms.values())
     for ctx, elem in ((chow, a), (ctx3, chow.x_elem(1)),
-                      (ctx3, ctx4.x_elem(1))):
+                      (ctx3, ctx4.x_elem(1)), (ctx3, dict(a.terms))):
         with pytest.raises(UsageError):
             apply(ctx, elem)
     # a context of the same rank and law is not another ring
@@ -514,7 +558,7 @@ def test_dual_constant_term_is_the_degree_one_read(ctx3, ctx4):
             for i in range(1, ctx.n):
                 read = (a.coefficient(basis_weight(i + 1, ctx.n).coords)
                         - a.coefficient(basis_weight(i, ctx.n).coords))
-                assert dual_constant_term(i, a) == read
+                assert dual_constant_term(ctx, i, a) == read
                 assert divided_diff_dual(ctx, i, a).constant_term() == read
                 nonzero += bool(read)
     assert nonzero
@@ -524,9 +568,10 @@ def test_dual_constant_term_is_the_degree_one_read(ctx3, ctx4):
                          ids=THEORIES + ("ktheory-negative",))
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_dual_constant_terms_after_are_the_two_step_reads(n, law):
-    # the reads of a position-1 node's children in c1_times_bs, taken from
-    # the node's state through degree 2, against the dual divided
-    # difference and the swap applied and then read, for every pair (i, j):
+    # the reads of a position-1 node and of its children in c1_times_bs,
+    # taken from the node's state through degree 2, against the node's own
+    # read and the dual divided difference and the swap applied and then
+    # read, for every pair (i, j):
     # i == j, |i - j| = 1, |i - j| >= 2 and j = 1 at ranks 4 and 5
     rng = random.Random(59 + n)
     ctx = FlagContext(n, *law)
@@ -534,14 +579,16 @@ def test_dual_constant_terms_after_are_the_two_step_reads(n, law):
     states += [c1_weight(ctx, random_weight(rng, n)),
                c1_weight(ctx, fundamental_weight(n - 1, n))]
     states.append(states[-1] * states[-2])  # degree 2 in Chow too
-    nonzero = [0, 0]
+    nonzero = [0, 0, 0]
     for a in states:
         for i in range(1, n):
             for j in range(1, n):
                 expected = (
-                    dual_constant_term(j, divided_diff_dual(ctx, i, a, 1)),
-                    dual_constant_term(j, sigma_op(ctx, i,
-                                                   through_degree(a, 1))))
+                    dual_constant_term(ctx, i, a),
+                    dual_constant_term(ctx, j,
+                                       divided_diff_dual(ctx, i, a, 1)),
+                    dual_constant_term(ctx, j, sigma_op(
+                        ctx, i, through_degree(a, 1))))
                 assert dual_constant_terms_after(ctx, i, j, a) == expected
                 assert dual_constant_terms_after(
                     ctx, i, j, through_degree(a, 2)) == expected
@@ -549,7 +596,8 @@ def test_dual_constant_terms_after_are_the_two_step_reads(n, law):
                            for k, read in zip(nonzero, expected)]
     # at rank 2 in Chow nothing has degree 2 (d = 1) and U^-1 = 1, so the
     # removed child reads 0
-    assert nonzero[1] and (nonzero[0] or (n, law) == (2, (F(0),)))
+    assert nonzero[0] and nonzero[2] and (
+        nonzero[1] or (n, law) == (2, (F(0),)))
 
 
 def test_divided_diff_golden_rank3(ctx3):
