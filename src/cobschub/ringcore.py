@@ -170,8 +170,6 @@ class CoeffPoly:
     @classmethod
     def b(cls, index: int, exponent: int = 1) -> "CoeffPoly":
         """The generator b_index (optionally raised to a power)."""
-        if index < 1 or exponent < 1:
-            raise UsageError("b-generators need index >= 1 and exponent >= 1")
         return cls._raw({_pack(((index, exponent),)): 1}, 1)
 
     @classmethod
@@ -448,8 +446,9 @@ class TermMap:
     ``vars`` names the variables.  A subclass supplies ``_like(terms)``, a
     new element of its own kind (same variables and cap, or same context)
     over the given terms, and ``_kind()``, what two elements must share to
-    mix: a sum, difference or product of two elements raises UsageError
-    when their kinds differ, and equality and hashing include it.
+    mix: equality and hashing include it, and ``_check``, the hook of every
+    sum, difference and product of two elements, raises UsageError when the
+    kinds differ unless a subclass overrides it with a rule of its own.
     """
 
     __slots__ = ()
@@ -703,8 +702,7 @@ def compose(outer: TruncSeries, args: Sequence[TruncSeries]) -> TruncSeries:
     vars = args[0].vars
     cap = args[0].cap
     for arg in args:
-        if arg.vars != vars or arg.cap != cap:
-            raise UsageError("compose arguments must share variables and cap")
+        args[0]._check(arg)
         if arg.constant_term():
             raise UsageError("compose arguments must have zero constant term")
     powers: list[dict[int, TruncSeries]] = [

@@ -109,9 +109,8 @@ def _through_degree(a: FlagElem, top: int) -> FlagElem:
 def chevalley_coeff(ctx: FlagContext, word, positions, lam: Weight) -> CoeffPoly:
     """Coefficient of Z_(word minus positions) in c1(L(lam)) * Z_word.
 
-    A lookup into the expansion of ``c1_times_bs``, so the first call for a
-    weight and word costs the whole expansion.  The empty removal set
-    contributes zero.
+    Read from a new expansion of ``c1_times_bs``, so every call costs the
+    whole walk.  The empty removal set contributes zero.
     """
     word = validate_word(word, ctx.n)
     positions = tuple(sorted(set(positions)))
@@ -186,21 +185,14 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
 
 def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
     """Expand c1(L(lam)) * Z_word over the subwords of ``word``: the walk of
-    ``poly_times_bs`` started at c1(L(lam)), kept in the context per weight
-    and word.  The first Chern class has no constant term, so the empty
-    word gives the empty expansion, and no class is built for it."""
+    ``poly_times_bs`` started at c1(L(lam)), as a new expansion on every
+    call.  The first Chern class has no constant term, so the empty word
+    gives the empty expansion, and no class is built for it."""
     word = validate_word(word, ctx.n)
     validate_weight(lam, ctx.n)  # the empty word never reaches c1_weight
-    key = (lam.coords, word)
-    cached = ctx._c1bs_cache.get(key)
-    if cached is not None:
-        return cached
-    if word:
-        result = poly_times_bs(ctx, c1_weight(ctx, lam), word)
-    else:
-        result = BSExpansion(word)
-    ctx._c1bs_cache[key] = result
-    return result
+    if not word:
+        return BSExpansion(word)
+    return poly_times_bs(ctx, c1_weight(ctx, lam), word)
 
 
 def product_bs(ctx: FlagContext, left, right) -> BSExpansion:

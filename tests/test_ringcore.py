@@ -108,6 +108,16 @@ def test_coeffpoly_denominator_recording():
     assert (b1 - b2).den == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0,), "malformed"), ((1, 0), "malformed"),
+    ((65,), "packed range"), ((1, 32), "packed range"),
+])
+def test_b_generator_refuses_what_the_packing_cannot_hold(args, message):
+    # index 1..MAX_INDEX and exponent 1..MAX_EXPONENT, one rule in the packing
+    with pytest.raises(UsageError, match=message):
+        CoeffPoly.b(*args)
+
+
 # ---------------------------------------------------------------------------
 # TruncSeries arithmetic
 
@@ -129,6 +139,22 @@ def test_series_arith_mismatch():
         a + b
     with pytest.raises(UsageError):
         a + TruncSeries.variable(("u",), 2, "u")
+
+
+def test_compose_refusals():
+    u = u_series(3)
+    uv = TruncSeries.variable(("u", "v"), 3, "u")
+    # one argument per outer variable, at least one variable
+    with pytest.raises(UsageError, match="one argument per"):
+        compose(u, [u, u])
+    with pytest.raises(UsageError, match="at least one"):
+        compose(TruncSeries((), 3), [])
+    # the arguments are series of one kind: variables and cap
+    for other in (u_series(2), TruncSeries.variable(("v",), 3, "v")):
+        with pytest.raises(UsageError, match="mismatch"):
+            compose(uv, [u, other])
+    with pytest.raises(UsageError, match="zero constant term"):
+        compose(u, [u + TruncSeries.one(("u",), 3)])
 
 
 def test_series_subtraction_is_addition_of_the_negative():

@@ -257,6 +257,20 @@ def test_c1_times_bs_operator_count(monkeypatch):
         assert counts["sigma_op"] == expected, word
 
 
+def test_returned_expansions_are_the_callers_own(ctx3):
+    # an expansion is mutable, so no call hands out one that a later call
+    # returns or reads again
+    rho, word = rho_weight(3), (1, 2, 1)
+    expected = c1_times_bs(FlagContext(3), rho, word)
+    assert chevalley_coeff(ctx3, word, (0,), rho) == 1
+    for _ in range(2):
+        got = c1_times_bs(ctx3, rho, word)
+        assert got == expected
+        got.terms.clear()
+    assert c1_times_bs(ctx3, rho, word) == expected
+    assert chevalley_coeff(ctx3, word, (0,), rho) == 1
+
+
 def test_c1_times_bs_evaluates_to_product(ctx3):
     rng = random.Random(10)
     for word in words_up_to(3, 3):

@@ -222,8 +222,6 @@ def test_op_pack_is_the_relabeled_law_pack(ctx3, ctx4):
             _, ref_unit_inv = reference_op_pack(ctx, i)
             assert _op_pack(ctx, i) == reduce_canonical(
                 ctx, ref_unit_inv.terms), (ctx.n, i)
-        with pytest.raises(UsageError):
-            _op_pack(ctx, ctx.n)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +403,32 @@ def test_operators_reject_an_element_of_another_context(ctx3, ctx4, apply):
             apply(ctx, elem)
     # a context of the same rank and law is not another ring
     apply(FlagContext(3), a)
+
+
+@pytest.mark.parametrize("meet", [
+    lambda x, y: x + y,
+    lambda x, y: x - y,
+    lambda x, y: y - x,
+    lambda x, y: x * y,
+    lambda x, y: x.times(y, 2),
+    lambda x, y: divided_diff(x.ctx, 1, y),
+    lambda x, y: divided_diff_dual(x.ctx, 1, y),
+    lambda x, y: sigma_op(x.ctx, 1, y),
+    lambda x, y: dual_constant_term(x.ctx, 1, y),
+    lambda x, y: dual_constant_terms_after(x.ctx, 1, 2, y),
+    lambda x, y: schubert.poly_times_bs(x.ctx, y, (1, 2)),
+    lambda x, y: schubert.expand_in_bs_basis(x.ctx, y),
+], ids=["add", "sub", "rsub", "mul", "times", "divided_diff",
+        "divided_diff_dual", "sigma_op", "dual_constant_term",
+        "dual_constant_terms_after", "poly_times_bs", "expand_in_bs_basis"])
+def test_two_rings_meet_only_through_own(meet):
+    # every way two elements meet admits what ``own`` admits and refuses
+    # the rest with its one message, sums and differences included
+    x = FlagContext(3).x_elem(1)
+    y = FlagContext(3, F(0)).x_elem(2)
+    with pytest.raises(UsageError, match="expected an element of FlagContext"):
+        meet(x, y)
+    meet(x, FlagContext(3).x_elem(2))
 
 
 def test_operators_take_no_series_route(monkeypatch):
