@@ -9,9 +9,9 @@ it exits 3) and returns the cached context of the theory, the engine checks
 letter ranges and weight lengths, and ``_respond`` prints the result in the
 ``--format`` asked for, building only that one.  JSON output is
 deterministic: terms are sorted, rationals are emitted as decimal num/den
-strings so arbitrary precision survives serialization.  selftest, capped at
-``MAX_SELFTEST_RANK``, runs the whole suite and then prints one PASS/FAIL
-line per check, or one object listing the checks.
+strings so arbitrary precision survives serialization.  selftest runs the
+checks its table admits at the rank and then prints one PASS/FAIL line per
+check, or one object listing the checks.
 
 Each theory is computed over its own formal group law
 (``flagring.theory_law``): cobordism over the universal law, chow over the
@@ -49,11 +49,6 @@ from cobschub.schubert import (
 
 MAX_RANK = 6
 MAX_FGL_DEGREE = 16
-# selftest takes at most 0.10 s per theory at rank 4; at rank 5 it takes
-# 1.9-2.2 s in cobordism and 0.67-0.70 s in ktheory, mostly in c1_weight of
-# the weyl-lemma weights, and 0.04 s in chow (in-process, two runs, Python
-# 3.11 pinned to one core of a shared 2-core Xeon host)
-MAX_SELFTEST_RANK = 4
 
 
 # the options that take a value; one that starts with "-" and a digit or a
@@ -72,11 +67,12 @@ def _context(n: int, *law) -> FlagContext:
     return FlagContext(n, *law)
 
 
-def _check_rank(n: int, cap: int = MAX_RANK) -> int:
+def _check_rank(n: int) -> int:
     if n < 2:
         raise UsageError("rank must be at least 2")
-    if n > cap:
-        raise ResourceCapError(f"rank {n} exceeds the configured cap {cap}")
+    if n > MAX_RANK:
+        raise ResourceCapError(
+            f"rank {n} exceeds the configured cap {MAX_RANK}")
     return n
 
 
@@ -251,7 +247,7 @@ def cmd_selftest(ns) -> int:
     import traceback
     from cobschub.selftest import selftest_results
 
-    n = _check_rank(ns.n, MAX_SELFTEST_RANK)
+    n = _check_rank(ns.n)
     # run in full before any output, so no write error counts as a FAIL
     results = list(selftest_results(n, ns.theory, ns.beta))
 

@@ -9,12 +9,12 @@ built with rational coefficients directly.  Over the rationals log is an
 isomorphism onto the additive law, so F(u, v) = exp(log u + log v) and
 chi(u) = exp(-log u); q with F = u + v - u*v*q is read off F's coefficients.
 
-The flag ring reads only log and exp (``log_and_exp``): ``c1_weight``
-evaluates them, and the operators in ``weylops`` read the inverse unit U^-1
-of F(y1, chi(y2)) = exp(log y1 - log y2) = (y1 - y2) * U (``unit_inverse``)
-through degree 2n - 3 at rank n, as ``weylops._op_pack`` proves.
-``build_universal_fgl`` adds F, chi and q, for the ``fgl`` command and the
-checks.
+The flag ring reads only log and exp (``log_and_exp``): ``c1_weight`` sums
+log's terms in one reduction and evaluates exp at the sum.  The operators
+in ``weylops`` read the inverse unit U^-1 of F(y1, chi(y2)) =
+exp(log y1 - log y2) = (y1 - y2) * U (``unit_inverse``) through degree
+2n - 3 at rank n, as ``weylops._op_pack`` proves.  ``build_universal_fgl``
+adds F, chi and q, for the ``fgl`` command and the checks.
 """
 
 from __future__ import annotations

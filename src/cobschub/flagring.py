@@ -6,9 +6,9 @@ keeps exponent vectors with x_j-exponent at most j-1: the presentation's
 ideal is generated by the complete homogeneous relations h_j(x_j, .., x_n),
 each oriented to eliminate x_j^j, and every monomial of degree above
 d = n(n-1)/2 reduces to zero.  So every x_i is nilpotent, and the ring has
-one element type, ``FlagElem``: first Chern classes of weights evaluate the
-law's one-variable log and exp at flag elements, and no series in the n
-variables is ever built.
+one element type, ``FlagElem``: the first Chern class of a weight is the
+law's exp at a sum of its one-variable logs, reduced once as a raw mapping,
+and no series in the n variables is ever built.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class Weight:
 def validate_weight(lam: Weight, n: int) -> Weight:
     """``lam`` if it is a weight of rank n; UsageError otherwise."""
     if not isinstance(lam, Weight) or lam.n != n:
-        raise UsageError(f"weight must have length {n}, got {lam!r}")
+        raise UsageError(f"weight must have length {n}, got {lam}")
     return lam
 
 

@@ -256,6 +256,18 @@ def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem,
         _op_pack(ctx, i), ctx.d if top is None else top)
 
 
+def _x_key(n: int, k: int) -> tuple[int, ...]:
+    """The exponent vector of x_k at rank n."""
+    return (0,) * (k - 1) + (1,) + (0,) * (n - k)
+
+
+def _linear_read(terms, n: int, k: int, l: int) -> CoeffPoly:
+    """terms[x_l] - terms[x_k], from a mapping of exponent vectors,
+    canonical or not."""
+    zero = CoeffPoly.zero()
+    return terms.get(_x_key(n, l), zero) - terms.get(_x_key(n, k), zero)
+
+
 def dual_constant_term(ctx: FlagContext, i: int, a: FlagElem) -> CoeffPoly:
     """The constant term of divided_diff_dual(ctx, i, a), read as
     a[x_{i+1}] - a[x_i] from the degree-1 part of a.
@@ -265,10 +277,7 @@ def dual_constant_term(ctx: FlagContext, i: int, a: FlagElem) -> CoeffPoly:
     degree-1 part is (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i), and no other
     part of it reaches degree 0.
     """
-    terms, zero = ctx.own(a, i).terms, CoeffPoly.zero()
-    head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
-    return (terms.get(head + (0, 1) + tail, zero)
-            - terms.get(head + (1, 0) + tail, zero))
+    return _linear_read(ctx.own(a, i).terms, ctx.n, i, i + 1)
 
 
 def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
@@ -290,21 +299,13 @@ def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
     q_1 is the classical divided difference of the degree-2 part of a, read
     unreduced.
     """
-    a = ctx.own(a, i, j)
-    n, zero = ctx.n, CoeffPoly.zero()
-
-    def x(k):  # the exponent vector of x_k
-        return (0,) * (k - 1) + (1,) + (0,) * (n - k)
-
-    def read(terms, k, l):  # terms[x_l] - terms[x_k]
-        return terms.get(x(l), zero) - terms.get(x(k), zero)
-
-    own_read = read(a.terms, i, i + 1)
-    signs = {x(j + 1): 1, x(j): -1}
+    a, n = ctx.own(a, i, j), ctx.n
+    own_read = _linear_read(a.terms, n, i, i + 1)
+    signs = {_x_key(n, j + 1): 1, _x_key(n, j): -1}
     removed = sum_of_products(itertools.chain(
         ((0, coeff, sign * signs[key]) for key, coeff, sign
          in divided_difference_terms(a.terms, i, i - 1) if key in signs),
-        [(0, own_read, read(_op_pack(ctx, i).terms, j, j + 1))]))
+        [(0, own_read, _linear_read(_op_pack(ctx, i).terms, n, j, j + 1))]))
     swap = {i: i + 1, i + 1: i}
-    kept = read(a.terms, swap.get(j, j), swap.get(j + 1, j + 1))
-    return own_read, removed.get(0, zero), kept
+    kept = _linear_read(a.terms, n, swap.get(j, j), swap.get(j + 1, j + 1))
+    return own_read, removed.get(0, CoeffPoly.zero()), kept

@@ -234,10 +234,20 @@ def test_selftest_reports_a_failing_check_and_keeps_going(capsys,
         for name in names]
 
 
+@pytest.mark.parametrize("theory", THEORIES)
+def test_selftest_rank5(capsys, theory):
+    # the rank cap of every command admits rank 5, and the table alone
+    # decides which checks run there
+    code, out, err = run(capsys, "selftest", "--n", "5", "--theory", theory)
+    names = [check.name for check in CHECKS if check.admits(5, theory)]
+    assert code == 0 and not err
+    assert out.splitlines() == [f"PASS {name}" for name in names]
+
+
 def test_selftest_refuses_ranks_above_its_cap(capsys, monkeypatch):
-    # refused before any context is built; other commands keep their cap
+    # refused before any context is built, at the cap of every command
     monkeypatch.setattr(selftest, "FlagContext", None)
-    code, out, err = run(capsys, "selftest", "--n", "5")
+    code, out, err = run(capsys, "selftest", "--n", "7")
     assert code == 3 and not out and err.startswith("error:")
 
 
@@ -338,6 +348,7 @@ def test_the_engine_checks_the_weight_length(capsys, command, word):
     code, out, err = run(capsys, command, "--n", "3", "--word", word,
                          "--weight", "1,2")
     assert code == 2 and not out and "weight must have length 3" in err
+    assert "got (1,2)" in err and "Weight(" not in err
 
 
 def test_json_mode_builds_no_text(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Every selftest check at every rank 2-4 and theory that its table entry
+"""Every selftest check at every rank 2-6 and theory that its table entry
 admits, with beta = 2/3 for K-theory, on the context of the theory's own law
 that ``selftest_results`` builds.  The ids carry the theory, because one
 entry may run in several theories (``pushforward-degenerations`` runs in
@@ -27,7 +27,7 @@ def context(n, theory):
 
 @pytest.mark.parametrize("check, n, theory", [
     pytest.param(check, n, theory, id=f"{check.name}-{theory}-n{n}")
-    for check in CHECKS for theory in THEORIES for n in (2, 3, 4)
+    for check in CHECKS for theory in THEORIES for n in range(2, 7)
     if check.admits(n, theory)])
 def test_selftest_check(check, n, theory):
     check.body(context(n, theory))
