@@ -155,11 +155,11 @@ class FlagContext:
     Caches, filled on first use and kept for the context's life: the
     normal forms of the monomials that reductions meet and of those their
     forms rest on (``_normal_forms``, see ``normal_form``), the operators'
-    canonical U^-1 (``_op_packs``, by i; all but the last are moved from
-    the last, see ``weylops._op_pack``), first Chern classes of weights
-    (``_c1_cache``) and Bott-Samelson classes (``_bs_cache``).  All of
-    them hold immutable elements; Chevalley expansions are mutable and are
-    built afresh on every call.
+    U^-1 as plain mappings read only by them (``_op_packs``, by i; all but
+    the last are moved from the last, unreduced, see ``weylops._op_pack``),
+    and immutable elements: first Chern classes of weights (``_c1_cache``)
+    and Bott-Samelson classes (``_bs_cache``).  Chevalley expansions are
+    mutable and are built afresh on every call.
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
@@ -174,7 +174,7 @@ class FlagContext:
         self.unit_inv = unit_inverse(self.log, self.exp, 2 * n - 3)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
         self._normal_forms: dict[tuple[int, ...], NormalForm] = {}
-        self._op_packs: dict[int, "FlagElem"] = {}
+        self._op_packs: dict[int, dict] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
 
@@ -339,14 +339,18 @@ class FlagElem(TermMap):
     __rmul__ = __mul__
 
     def times(self, other: "FlagElem", top: int) -> "FlagElem":
-        """The part of x-degree at most ``top`` of the product with an
-        element that ``own`` accepts, in one kernel merge: the pair
-        products on each raw monomial are summed once and that sum is
-        spread onto the monomial's integer normal form.  Reduction keeps
-        x-degree, so raw monomials above ``top`` are never formed."""
+        """``times_terms`` with an element that ``own`` accepts."""
         self._check(other)
-        return FlagElem._raw(self.ctx, truncated_product(
-            self.terms, other.terms, top, self.ctx.normal_form))
+        return FlagElem._raw(self.ctx, times_terms(
+            self.ctx, self.terms, other.terms, top))
+
+
+def times_terms(ctx: FlagContext, left, right, top: int) -> dict:
+    """The canonical terms through x-degree ``top`` of the product of two
+    mappings, raw or not, in one kernel merge: the pair products on each
+    raw monomial are summed and spread onto its normal form, and as
+    reduction keeps x-degree, no raw monomial above ``top`` is formed."""
+    return truncated_product(left, right, top, ctx.normal_form)
 
 
 def reduce_canonical(ctx: FlagContext, p) -> FlagElem:

@@ -37,11 +37,11 @@ from cobschub.weylops import (
     beta_sequence,
     coroot_pairing,
     divided_diff,
-    divided_diff_dual,
-    dual_constant_term,
-    dual_constant_terms_after,
+    dual_read,
+    dual_reads_after,
+    dual_step,
     reduced_word,
-    sigma_op,
+    swap_step,
 )
 
 
@@ -100,12 +100,6 @@ def bs_class(ctx: FlagContext, word) -> FlagElem:
     return result
 
 
-def _through_degree(a: FlagElem, top: int) -> FlagElem:
-    """The part of ``a`` of x-degree at most ``top``, as a new element."""
-    return FlagElem._raw(a.ctx, {key: coeff for key, coeff in a.terms.items()
-                                 if sum(key) <= top})
-
-
 def chevalley_coeff(ctx: FlagContext, word, positions, lam: Weight) -> CoeffPoly:
     """Coefficient of Z_(word minus positions) in c1(L(lam)) * Z_word.
 
@@ -135,24 +129,22 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
     The strings are walked depth first as one binary tree, so strings that
     agree on their higher positions share one state.  A node at position p
     reads the coefficient of the set whose lowest removed position is p
-    from its state's degree-1 part (``dual_constant_term``), so the last
-    dual divided difference of a string is never applied.  A node at
-    position 1 reads its own coefficient and both of its children's from
-    its state through degree 2 in one call (``dual_constant_terms_after``):
-    the kept child's read relabels the node's degree-1 coefficients, and
-    the removed child's is the read of the node's antisymmetrized quotient
-    plus the node's own read times the read of U^-1.  So no operator is
-    applied at position 1, and a word of length l >= 2 takes 2^(l-2) - 1
-    dual divided differences and as many swaps; a word of length at most 2
-    takes none.
+    from its state's degree-1 part (``dual_read``), so the last dual step
+    of a string is never applied; a node at position 1 reads its own and
+    both children's from its state (``dual_reads_after``).  So a word of
+    length l >= 2 takes 2^(l-2) - 1 dual steps and as many swaps.  Each
+    read is a degree-1 part, the swap keeps degree, and the dual step reads
+    its input one degree above its output, so a node at position p needs
+    its state through degree p + 1: the root keeps f through len(word), the
+    dimension of Z_word, above which f multiplies Z_word to 0, and a node
+    asks for its dual child through degree p and swaps only that part.
 
-    Each read is a degree-1 part, the swap keeps degree, and the dual
-    divided difference reads its input only one degree above its output, so
-    the node at position p needs its state only through degree p + 1: the
-    root keeps f through degree len(word), the dimension of Z_word, above
-    which f's parts multiply Z_word to 0, and a node asks for its dual
-    child's state through degree p (``divided_diff_dual``'s ``top``) and
-    swaps only its state's part through degree p.
+    The word and f are checked once, and each state is a plain mapping
+    that only the dual step's merges make canonical: a swapped state stays
+    raw.  That is exact.  The ideal is S_n-stable and homogeneous; the
+    antisymmetrized quotient, the swap, products and cuts by degree all map
+    it into itself; and every read vanishes on it, the constant term as
+    much as the degree-1 read L_j, which kills x_1 + ... + x_n.
     """
     word = validate_word(word, ctx.n)
     ctx.own(f)
@@ -162,24 +154,22 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
         if coeff:
             terms[kept] = coeff
 
-    def walk(pos: int, state: FlagElem, kept_above: tuple[int, ...]):
+    def walk(pos: int, state: dict, kept_above: tuple[int, ...]):
         letter = word[pos]
         if pos == 1:
-            reads = dual_constant_terms_after(ctx, letter, word[0], state)
+            reads = dual_reads_after(ctx, letter, word[0], state)
             for kept, coeff in zip(((0,), (), (1,)), reads):
                 record(kept + kept_above, coeff)
             return
-        record(tuple(range(pos)) + kept_above,
-               dual_constant_term(ctx, letter, state))
+        record(tuple(range(pos)) + kept_above, dual_read(ctx, letter, state))
         if pos:
-            walk(pos - 1, divided_diff_dual(ctx, letter, state, pos),
-                 kept_above)
-            walk(pos - 1, sigma_op(ctx, letter, _through_degree(state, pos)),
-                 (pos,) + kept_above)
+            walk(pos - 1, dual_step(ctx, letter, state, pos), kept_above)
+            walk(pos - 1, swap_step(state, letter, pos), (pos,) + kept_above)
 
     record(tuple(range(len(word))), f.constant_term())
     if word:
-        walk(len(word) - 1, _through_degree(f, len(word)), ())
+        walk(len(word) - 1, {key: coeff for key, coeff in f.terms.items()
+                             if sum(key) <= len(word)}, ())
     return BSExpansion(word, terms)
 
 

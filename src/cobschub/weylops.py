@@ -3,22 +3,19 @@
 Permutations act on weights by permuting coordinates; words are tuples of
 simple-root indices with no reducedness restriction.  The divided-difference
 operators rest on the factorization F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U
-with U a unit.  Both operators are linear over symmetric elements, so they
-map the ideal of the presentation into itself and work on canonical
-elements: the only law-dependent part is U^-1, the context's two-variable
-pack ``unit_inv`` (built by ``fgl.unit_inverse``, which checks that U has
-constant term 1) with y1 read as x_{i+1} and y2 as x_i, kept in canonical
-form through degree 2n - 3, above which it would reduce to zero
-(``_op_pack`` proves it).  The rest is the classical divided difference
-(a - sigma_i a) / (x_{i+1} - x_i), whose telescoping integer terms go
-through the context's normal forms in one kernel merge, and a flag-ring
-product with U^-1 that never leaves degree d; the dual operator stops at a
-lower degree when its caller names one.  Its constant term, after one more
-operator or none, is linear in degrees 1 and 2 of its input and is read
-from them with no product at all.  Every public operator takes its element
-and letters through ``FlagContext.own`` once, so it raises UsageError for a
-letter outside 1..n-1 and for anything but an element of a context with
-its (n, beta); a weight of another length fails ``validate_weight``.
+with U a unit.  Both are linear over symmetric elements, so they map the
+ideal into itself and may act on any representative.  Each is a classical
+divided difference, whose telescoping integer terms go through the normal
+forms in one kernel merge, and a flag-ring product with U^-1, the
+context's pack ``unit_inv`` (``fgl.unit_inverse`` checks that U has
+constant term 1) read at the pair through degree 2n - 3 (``_op_pack``).
+Each operator, and each read of the dual operator's constant term after
+one more operator or none, is a step on plain mappings that checks
+nothing: only merges that spread onto normal forms make canonical terms,
+and a swap leaves them raw.  The public operators on elements are those
+steps after one ``FlagContext.own``, so they raise UsageError for a letter
+outside 1..n-1 and for anything but an element of a context with its
+(n, beta); a weight of another length fails ``validate_weight``.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from cobschub.flagring import (
     Weight,
     reduce_canonical,
     simple_root,
+    times_terms,
     validate_weight,
     validate_word,
 )
@@ -170,11 +168,10 @@ def beta_sequence(word: Word, n: int) -> list[Weight]:
 # Operators on the flag ring
 
 
-def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
-    """The canonical form of the inverse unit U^-1 of F(x_{i+1}, chi(x_i)),
-    kept in ``ctx._op_packs``: the context's pack ``unit_inv`` over
-    (y1, y2) through degree 2n - 3 with each term y1^a y2^b read as
-    x_i^b x_{i+1}^a and reduced.
+def _op_pack(ctx: FlagContext, i: int) -> dict:
+    """U^-1 of F(x_{i+1}, chi(x_i)) as a plain mapping, kept in
+    ``ctx._op_packs``: the context's pack ``unit_inv`` over (y1, y2)
+    through degree 2n - 3, each term y1^a y2^b read as x_i^b x_{i+1}^a.
 
     The pack stops at 2n - 3 because nothing above it survives: the ideal
     is symmetric, and a permutation taking (x_i, x_{i+1}) to
@@ -185,75 +182,77 @@ def _op_pack(ctx: FlagContext, i: int) -> FlagElem:
     bound is tight: x_{n-1}^(n-2) x_n^(n-1) is its own form.  2n - 3 <= d
     for every n >= 2.
 
-    So only the last pack, i = n - 1, reduces ``unit_inv`` itself, and its
-    canonical form N stays in the pair (x_{n-1}, x_n).  Every other pack is
-    N moved to (x_i, x_{i+1}) and reduced.  That is exact: a permutation s
-    of the variables with s(x_{n-1}) = x_i and s(x_n) = x_{i+1} maps the
-    ideal onto itself, so it maps the congruence of N with the read pack P
-    at (x_{n-1}, x_n) to one of s(N) with s(P), the pack read at
-    (x_i, x_{i+1}); congruent polynomials share one normal form.  s(N)
-    holds only x_i^(<= n-2) x_{i+1}^(<= n-1), a subset of the monomials of
-    s(P), so the move reduces fewer monomials than reading ``unit_inv``
-    again.  It is still reduced, as s(N) is in general not staircase.
-    The operators that call this have checked ``i``."""
-    unit_inv = ctx._op_packs.get(i)
-    if unit_inv is None:
+    So only the last pack, i = n - 1, reduces ``unit_inv``; its canonical
+    form N stays in (x_{n-1}, x_n), and every other pack is N moved to
+    (x_i, x_{i+1}), not reduced.  A permutation s of the variables with
+    s(x_{n-1}) = x_i and s(x_n) = x_{i+1} keeps the ideal and takes the
+    pack read at (x_{n-1}, x_n) to the one read at (x_i, x_{i+1}), so s(N)
+    is congruent to the latter.  It is in general not staircase and need
+    not be: a pack enters only products that spread each raw monomial onto
+    its normal form (``times_terms``) and the read of
+    ``dual_reads_after``, which kills x_1 + ... + x_n.  Callers check i."""
+    pack = ctx._op_packs.get(i)
+    if pack is None:
         head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
         if i == ctx.n - 1:
-            pair = {(b, a): coeff
-                    for (a, b), coeff in ctx.unit_inv.terms.items()}
+            pack = reduce_canonical(ctx, {
+                head + (b, a): coeff
+                for (a, b), coeff in ctx.unit_inv.terms.items()}).terms
         else:
-            pair = {key[-2:]: coeff for key, coeff
-                    in _op_pack(ctx, ctx.n - 1).terms.items()}
-        unit_inv = ctx._op_packs[i] = reduce_canonical(ctx, {
-            head + key + tail: coeff for key, coeff in pair.items()})
-    return unit_inv
+            pack = {head + key[-2:] + tail: coeff
+                    for key, coeff in _op_pack(ctx, ctx.n - 1).items()}
+        ctx._op_packs[i] = pack
+    return pack
 
 
-def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
-    """Exchange x_i and x_{i+1} on any representative, then renormalize:
-    well defined on the quotient, as the swap keeps the symmetric ideal."""
-    return reduce_canonical(ctx, {
-        key[:i - 1] + (key[i], key[i - 1]) + key[i + 1:]: coeff
-        for key, coeff in ctx.own(a, i).terms.items()})
-
-
-def _antisymmetrize(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
-    """(a - sigma_i a) / (x_{i+1} - x_i) in canonical form: the classical
-    divided difference of the canonical representative in one kernel
-    merge, which sums the telescoped terms on each raw monomial and spreads
-    that sum onto the monomial's integer normal form."""
-    return FlagElem._raw(ctx, sum_of_products(
-        divided_difference_terms(a.terms, i, i - 1), ctx.normal_form))
+def _antisymmetrize(ctx: FlagContext, i: int, terms) -> dict:
+    """The canonical terms of the classical divided difference
+    (a - sigma_i a) / (x_{i+1} - x_i) of a mapping a, raw or not, in one
+    kernel merge that spreads each raw monomial onto its normal form."""
+    return sum_of_products(divided_difference_terms(terms, i, i - 1),
+                           ctx.normal_form)
 
 
 def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """The degree-lowering operator (1 + sigma_i) (1 / F(x_{i+1}, chi(x_i))).
 
     Computed as the antisymmetrized quotient (h - sigma_i h) / (x_{i+1} - x_i)
-    with h = a * U^-1 where F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U.  The
-    product h is taken in the flag ring, so it is reduced before the
-    quotient; that is exact because the antisymmetrized quotient is linear
-    over symmetric elements and so maps the ideal into itself.
+    with h = a * U^-1 where F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, h
+    taken and reduced in the flag ring.
     """
-    return _antisymmetrize(ctx, i, ctx.own(a, i) * _op_pack(ctx, i))
+    return FlagElem._raw(ctx, _antisymmetrize(ctx, i, times_terms(
+        ctx, ctx.own(a, i).terms, _op_pack(ctx, i), ctx.d)))
+
+
+def dual_step(ctx: FlagContext, i: int, terms, top: int) -> dict:
+    """The canonical terms through x-degree ``top`` of the companion
+    operator (1 / F(x_{i+1}, chi(x_i))) (1 - sigma_i) of a mapping a, raw
+    or not: the antisymmetrized quotient times U^-1 in the flag ring.
+    Reduction keeps x-degree and U^-1 has no negative degrees, so this
+    reads a only through degree top + 1.  In the additive specialization
+    the operator is divided_diff; in general it carries the Chevalley
+    coefficients."""
+    return times_terms(ctx, _antisymmetrize(ctx, i, terms), _op_pack(ctx, i),
+                       top)
 
 
 def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem,
                       top: int | None = None) -> FlagElem:
-    """The companion operator (1 / F(x_{i+1}, chi(x_i))) (1 - sigma_i),
-    through x-degree ``top`` (default d, the whole image).
+    """``dual_step`` of an element (``top`` None: d, the whole image)."""
+    return FlagElem._raw(ctx, dual_step(ctx, i, ctx.own(a, i).terms,
+                                        ctx.d if top is None else top))
 
-    The antisymmetrized quotient (a - sigma_i a) / (x_{i+1} - x_i) is reduced
-    first and then multiplied by U^-1 in the flag ring, keeping only the
-    products of degree at most ``top``.  Reduction keeps x-degree and U^-1
-    has no negative degrees, so this is exactly the image's part of degree
-    at most ``top``, and it reads ``a`` only through degree top + 1.  In the
-    additive specialization the operator coincides with divided_diff; in
-    general it differs and carries the Chevalley coefficients.
-    """
-    return _antisymmetrize(ctx, i, ctx.own(a, i)).times(
-        _op_pack(ctx, i), ctx.d if top is None else top)
+
+def swap_step(terms, i: int, top: int) -> dict:
+    """The part of x-degree at most ``top`` of a mapping with x_i and
+    x_{i+1} exchanged, not reduced: the swap keeps degree and the ideal."""
+    return {key[:i - 1] + (key[i], key[i - 1]) + key[i + 1:]: coeff
+            for key, coeff in terms.items() if sum(key) <= top}
+
+
+def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
+    """``swap_step`` of an element, renormalized."""
+    return reduce_canonical(ctx, swap_step(ctx.own(a, i).terms, i, ctx.d))
 
 
 def _x_key(n: int, k: int) -> tuple[int, ...]:
@@ -262,36 +261,36 @@ def _x_key(n: int, k: int) -> tuple[int, ...]:
 
 
 def _linear_read(terms, n: int, k: int, l: int) -> CoeffPoly:
-    """terms[x_l] - terms[x_k], from a mapping of exponent vectors,
-    canonical or not."""
+    """terms[x_l] - terms[x_k], from a mapping of exponent vectors, raw or
+    not: it kills x_1 + ... + x_n, the one relation of degree 1."""
     zero = CoeffPoly.zero()
     return terms.get(_x_key(n, l), zero) - terms.get(_x_key(n, k), zero)
 
 
+def dual_read(ctx: FlagContext, i: int, terms) -> CoeffPoly:
+    """The constant term of ``dual_step`` of a mapping a, raw or not, read
+    as a[x_{i+1}] - a[x_i].  Reduction keeps x-degree and U^-1 has constant
+    term 1, so this is the constant term of (a - sigma_i a) /
+    (x_{i+1} - x_i), whose numerator reaches degree 0 only from its
+    degree-1 part (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i)."""
+    return _linear_read(terms, ctx.n, i, i + 1)
+
+
 def dual_constant_term(ctx: FlagContext, i: int, a: FlagElem) -> CoeffPoly:
-    """The constant term of divided_diff_dual(ctx, i, a), read as
-    a[x_{i+1}] - a[x_i] from the degree-1 part of a.
-
-    Reduction keeps x-degree and U^-1 has constant term 1, so this is the
-    constant term of (a - sigma_i a) / (x_{i+1} - x_i); the numerator's
-    degree-1 part is (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i), and no other
-    part of it reaches degree 0.
-    """
-    return _linear_read(ctx.own(a, i).terms, ctx.n, i, i + 1)
+    """``dual_read`` of an element."""
+    return dual_read(ctx, i, ctx.own(a, i).terms)
 
 
-def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
-                              a: FlagElem) -> tuple[CoeffPoly, ...]:
-    """The constant terms of divided_diff_dual(ctx, i, a), and of
-    divided_diff_dual(ctx, j, c) for c = divided_diff_dual(ctx, i, a) and
-    for c = sigma_op(ctx, i, a), in that order, with no product by U^-1,
-    no swap and no reduction.  They depend only on the part of ``a``
-    through degree 2, and a caller may pass just that.
+def dual_reads_after(ctx: FlagContext, i: int, j: int,
+                     terms) -> tuple[CoeffPoly, ...]:
+    """The constant terms of ``dual_step`` at i of a mapping a, raw or not,
+    and of ``dual_step`` at j of c for c that image and for c a's
+    ``swap_step`` at i, in that order, with no product by U^-1, no swap and
+    no reduction.  They read a only through degree 2.
 
     All three are degree-1 reads L_j(c) = c[x_{j+1}] - c[x_j]
-    (``dual_constant_term``), the first L_i(a).  L_j kills x_1 + ... + x_n,
-    the one relation of degree 1, so it may read a linear form before
-    reduction.  The swap keeps degree and relabels: L_j(sigma_i a) =
+    (``dual_read``), the first L_i(a); L_j may read a raw linear form.
+    The swap keeps degree and relabels: L_j(sigma_i a) =
     a[x_{s(j+1)}] - a[x_{s(j)}] with s the transposition of i and i + 1.
     The dual operator is q * U^-1 with q the antisymmetrized quotient of a,
     which lowers degree by exactly 1, and U^-1 has constant term 1, so the
@@ -299,13 +298,19 @@ def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
     q_1 is the classical divided difference of the degree-2 part of a, read
     unreduced.
     """
-    a, n = ctx.own(a, i, j), ctx.n
-    own_read = _linear_read(a.terms, n, i, i + 1)
+    n = ctx.n
+    own_read = _linear_read(terms, n, i, i + 1)
     signs = {_x_key(n, j + 1): 1, _x_key(n, j): -1}
     removed = sum_of_products(itertools.chain(
         ((0, coeff, sign * signs[key]) for key, coeff, sign
-         in divided_difference_terms(a.terms, i, i - 1) if key in signs),
-        [(0, own_read, _linear_read(_op_pack(ctx, i).terms, n, j, j + 1))]))
+         in divided_difference_terms(terms, i, i - 1) if key in signs),
+        [(0, own_read, _linear_read(_op_pack(ctx, i), n, j, j + 1))]))
     swap = {i: i + 1, i + 1: i}
-    kept = _linear_read(a.terms, n, swap.get(j, j), swap.get(j + 1, j + 1))
+    kept = _linear_read(terms, n, swap.get(j, j), swap.get(j + 1, j + 1))
     return own_read, removed.get(0, CoeffPoly.zero()), kept
+
+
+def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
+                              a: FlagElem) -> tuple[CoeffPoly, ...]:
+    """``dual_reads_after`` of an element."""
+    return dual_reads_after(ctx, i, j, ctx.own(a, i, j).terms)

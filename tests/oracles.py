@@ -8,19 +8,21 @@ formal sums, composition of exp with an n-variable log sum for first Chern
 classes, the operator factorization built directly in n variables, one full
 operator string per removal set for the Chevalley coefficients, one
 Chevalley expansion per variable factor for the product of an element with
-a class, the rewrite sweep on CoeffPoly coefficients for canonical
-reduction, a table of all n! basis classes by leading monomial for the
-basis expansion, the Bernstein-Gelfand-Gelfand criterion (every classical
-divided difference of top length vanishes) for ideal membership, Fraction
-Gauss-Jordan for matrix inverses, one Fraction per term for b-polynomial
-arithmetic, Horner division by a general linear form for the exact
-divisions of the operators, the full h_j cascade for the integer normal
-forms, the full-cap composition of F(y1, chi(y2)) for the law's operator
-pack, the two-pass product (the raw truncated product, then one reduction)
-for the flag product that reduces inside the kernel, and U^-1 read at each
-pair and reduced for the packs moved from the last pair.  The classical
-divided difference of the additive theory, which the membership criterion
-also applies, is ``cobschub.selftest.classical_divided_difference``.
+a class, the walk over canonical elements with reduced swaps for the walk
+over plain mappings, the rewrite sweep on CoeffPoly coefficients for
+canonical reduction, a table of all n! basis classes by leading monomial
+for the basis expansion, the Bernstein-Gelfand-Gelfand criterion (every
+classical divided difference of top length vanishes) for ideal membership,
+Fraction Gauss-Jordan for matrix inverses, one Fraction per term for
+b-polynomial arithmetic, Horner division by a general linear form for the
+exact divisions of the operators, the full h_j cascade for the integer
+normal forms, the full-cap composition of F(y1, chi(y2)) for the law's
+operator pack, the two-pass product (the raw truncated product, then one
+reduction) for the flag product that reduces inside the kernel, and U^-1
+read at each pair and reduced for the packs moved from the last pair.  The
+classical divided difference of the additive theory, which the membership
+criterion also applies, is
+``cobschub.selftest.classical_divided_difference``.
 
 The module also keeps the helpers that only the tests call: the whole law
 of a context (``law_of``, whose F, chi and q the engine never builds), the
@@ -65,6 +67,7 @@ from cobschub.weylops import (
     all_permutations,
     divided_diff_dual,
     dual_constant_term,
+    dual_constant_terms_after,
     reduced_word,
     sigma_op,
     validate_word,
@@ -606,6 +609,41 @@ def full_tree_c1_times_bs(ctx, lam, word) -> dict:
     return terms
 
 
+def canonical_poly_times_bs(ctx, f, word) -> dict:
+    """The terms of poly_times_bs(ctx, f, word) by kept positions along the
+    walk that the library replaced by one on plain mappings: the same tree
+    of operator strings with the same reads, but every state a canonical
+    element built by the public operators, each swap reduced
+    (``sigma_op``) and each dual image an element cut at its node's degree
+    (``divided_diff_dual``'s ``top``)."""
+    word = validate_word(word, ctx.n)
+    terms = {}
+
+    def record(kept, coeff):
+        if coeff:
+            terms[kept] = coeff
+
+    def walk(pos, state, kept_above):
+        letter = word[pos]
+        if pos == 1:
+            reads = dual_constant_terms_after(ctx, letter, word[0], state)
+            for kept, coeff in zip(((0,), (), (1,)), reads):
+                record(kept + kept_above, coeff)
+            return
+        record(tuple(range(pos)) + kept_above,
+               dual_constant_term(ctx, letter, state))
+        if pos:
+            walk(pos - 1, divided_diff_dual(ctx, letter, state, pos),
+                 kept_above)
+            walk(pos - 1, sigma_op(ctx, letter, through_degree(state, pos)),
+                 (pos,) + kept_above)
+
+    record(tuple(range(len(word))), ctx.own(f).constant_term())
+    if word:
+        walk(len(word) - 1, through_degree(f, len(word)), ())
+    return terms
+
+
 def iterated_poly_times_bs(ctx, f, word) -> dict:
     """The terms of poly_times_bs(ctx, f, word) by kept positions, one
     variable at a time: every canonical monomial of f is a product of the
@@ -740,6 +778,12 @@ def total_degrees(elem) -> set[int]:
     a flag element."""
     return {sum(key) + b for key, coeff in elem.terms.items()
             for b in coeff_degrees(coeff)}
+
+
+def is_canonical(terms) -> bool:
+    """Whether every exponent vector of a mapping is staircase: x_j to at
+    most the power j - 1."""
+    return all(e <= j for key in terms for j, e in enumerate(key))
 
 
 def through_degree(elem, top: int):

@@ -45,6 +45,7 @@ from cobschub.schubert import (
 from cobschub import schubert
 from oracles import (
     all_reduced_words,
+    canonical_poly_times_bs,
     chow_elem,
     coeff_degrees,
     commutation_class,
@@ -239,12 +240,12 @@ def counting(counts, name, op):
 
 
 def test_c1_times_bs_operator_count(monkeypatch):
-    # a word of length l >= 2 costs 2^(l-2) - 1 dual divided differences
-    # and as many swaps, not one string per removal set: the nodes at
-    # position 1 read both children from their own state, so a word of
-    # length at most 2 applies no operator
+    # a word of length l >= 2 costs 2^(l-2) - 1 dual steps and as many
+    # swaps, not one string per removal set: the nodes at position 1 read
+    # both children from their own state, so a word of length at most 2
+    # applies no operator
     counts = Counter()
-    for name in ("divided_diff_dual", "sigma_op"):
+    for name in ("dual_step", "swap_step"):
         monkeypatch.setattr(schubert, name,
                             counting(counts, name, getattr(schubert, name)))
     ctx = FlagContext(3)
@@ -253,8 +254,8 @@ def test_c1_times_bs_operator_count(monkeypatch):
         counts.clear()
         c1_times_bs(ctx, lam, word)
         expected = max(2 ** (len(word) - 2) - 1, 0)
-        assert counts["divided_diff_dual"] == expected, word
-        assert counts["sigma_op"] == expected, word
+        assert counts["dual_step"] == expected, word
+        assert counts["swap_step"] == expected, word
 
 
 def test_returned_expansions_are_the_callers_own(ctx3):
@@ -377,13 +378,51 @@ def test_poly_times_bs_matches_the_iterated_route(n, longest, theory):
     assert any(len(word) >= ctx.d for word in words) == (n < 5)
 
 
+@pytest.mark.parametrize("law", [(), (Fraction(0),), (Fraction(2, 3),),
+                                 (Fraction(-1, 2),)],
+                         ids=THEORIES + ("ktheory-negative",))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_walk_on_raw_states_matches_the_canonical_walk(n, law):
+    # the walk carries plain mappings and leaves its swapped states raw; the
+    # canonical walk reduces every swap and keeps every state an element;
+    # both give the same terms for Chevalley walks of random weights and for
+    # products with zero and nonzero outputs, on random words, reduced or
+    # not, of every length up to d + 1 (7 at rank 5)
+    ctx = FlagContext(n, *law)
+    rng = random.Random(f"raw-walk-{n}-{law}")
+    words = [tuple(rng.randint(1, n - 1) for _ in range(k))
+             for k in range(min(ctx.d + 1, 7) + 1)]
+    words.append((1, 1) + words[-1][2:])
+    assert not all(map(is_reduced, words, [n] * len(words)))
+    for word in words:
+        lam = Weight(tuple(rng.randint(-2, 3) for _ in range(n)))
+        f = c1_weight(ctx, lam)
+        assert c1_times_bs(ctx, lam, word).terms == canonical_poly_times_bs(
+            ctx, f, word), (lam, word)
+    # a left class one letter short of degree len(right) multiplies Z_right
+    # to zero by degree, and a reduced one a letter longer in general does
+    # not; with the empty right word the walk reads the class's constant
+    # term alone
+    w0 = reduced_word(Permutation(tuple(range(n, 0, -1))))
+    products = set()
+    for right in words:
+        for k in (ctx.d - len(right) - 1, ctx.d - len(right) + 1):
+            left = w0[:max(k, 0)]
+            got = poly_times_bs(ctx, bs_class(ctx, left), right).terms
+            assert got == canonical_poly_times_bs(
+                ctx, bs_class(ctx, left), right), (left, right)
+            assert product_bs(ctx, left, right).terms == got, (left, right)
+            products.add(bool(got))
+    assert products == {False, True}
+
+
 def test_product_operator_count(monkeypatch):
     # a product walks the operator tree once from the left class: a right
-    # word of length l >= 2 costs 2^(l-2) - 1 dual divided differences and
+    # word of length l >= 2 costs 2^(l-2) - 1 dual steps, as many swaps and
     # no first Chern class (one Chevalley expansion per variable factor
-    # took 72 of them on the rank-5 product)
+    # took 72 dual divided differences on the rank-5 product)
     counts = Counter()
-    for name in ("divided_diff_dual", "c1_weight"):
+    for name in ("dual_step", "swap_step", "c1_weight"):
         monkeypatch.setattr(schubert, name,
                             counting(counts, name, getattr(schubert, name)))
     for n, left, right in [(3, (1, 2), (2, 1)), (4, (1, 2, 1), (1, 2, 1, 3)),
@@ -391,8 +430,9 @@ def test_product_operator_count(monkeypatch):
                            (5, (1, 2, 1, 3, 2, 1, 4, 3), (2, 2, 3, 1, 2, 4))]:
         counts.clear()
         assert product_bs(FlagContext(n), left, right).terms, (left, right)
-        assert counts["divided_diff_dual"] == 2 ** (len(right) - 2) - 1, (
+        assert counts["dual_step"] == 2 ** (len(right) - 2) - 1, (
             left, right)
+        assert counts["swap_step"] == counts["dual_step"], (left, right)
         assert counts["c1_weight"] == 0, (left, right)
 
 

@@ -10,6 +10,7 @@ from cobschub.ringcore import CoeffPoly, TruncSeries, UsageError
 from cobschub.flagring import (
     THEORIES,
     FlagContext,
+    FlagElem,
     Weight,
     basis_weight,
     c1_weight,
@@ -18,6 +19,7 @@ from cobschub.flagring import (
     rho_weight,
     simple_root,
     theory_law,
+    times_terms,
 )
 from cobschub.weylops import (
     Permutation,
@@ -28,6 +30,7 @@ from cobschub.weylops import (
     divided_diff_dual,
     dual_constant_term,
     dual_constant_terms_after,
+    dual_step,
     reduced_word,
     sigma_op,
     weyl_act,
@@ -43,6 +46,7 @@ from oracles import (
     as_series,
     direct_op_pack,
     full_degree_op_pack,
+    is_canonical,
     is_reduced,
     random_flag_elem,
     reference_op_pack,
@@ -215,12 +219,12 @@ def test_sigma_is_ring_map(ctx3):
 
 
 def test_op_pack_is_the_relabeled_law_pack(ctx3, ctx4):
-    # the two-variable U^-1 read in x_i, x_{i+1} equals the inverse
+    # the two-variable U^-1 read in x_i, x_{i+1} reduces to the inverse
     # unit built and checked directly in n variables, in canonical form
     for ctx in (ctx3, ctx4):
         for i in range(1, ctx.n):
             _, ref_unit_inv = reference_op_pack(ctx, i)
-            assert _op_pack(ctx, i) == reduce_canonical(
+            assert reduce_canonical(ctx, _op_pack(ctx, i)) == reduce_canonical(
                 ctx, ref_unit_inv.terms), (ctx.n, i)
 
 
@@ -253,38 +257,49 @@ def test_op_pack_is_the_full_degree_pack(n, law):
     # same pair and reduced
     ctx = FlagContext(n, *law)
     for i in range(1, n):
-        assert _op_pack(ctx, i) == full_degree_op_pack(ctx, i), i
+        assert reduce_canonical(ctx, _op_pack(ctx, i)) == full_degree_op_pack(
+            ctx, i), i
 
 
 @pytest.mark.parametrize("law", [(), (F(0),), (F(2, 3),), (F(-1, 2),)],
                          ids=THEORIES + ("ktheory-negative",))
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_moved_packs_and_dual_products_match_the_direct_routes(n, law):
-    # every pack but the last is the last one's canonical form moved to its
-    # pair and reduced; the dual operator's product reduces inside the
+    # the last pack is canonical, and every other pack is its terms moved to
+    # the pair and not reduced, a representative of the pack read at the
+    # pair; the dual operator's product with a raw pack reduces inside the
     # kernel; both match the routes they replaced, at every cap
     ctx = FlagContext(n, *law)
     rng = random.Random(f"dual-{n}-{law}")
+    last = _op_pack(ctx, n - 1)
+    assert last == direct_op_pack(ctx, n - 1).terms
     for i in range(1, n):
-        assert _op_pack(ctx, i) == direct_op_pack(ctx, i), i
+        pack = _op_pack(ctx, i)
+        assert type(pack) is dict and list(pack.values()) == list(
+            last.values()), i
+        assert all(sum(key) == sum(key[i - 1:i + 1]) for key in pack), i
+        assert reduce_canonical(ctx, pack) == direct_op_pack(ctx, i), i
     for i in range(1, n):
         a = random_flag_elem(ctx, rng, max_terms=6)
-        quotient = _antisymmetrize(ctx, i, a)
+        quotient = FlagElem._raw(ctx, _antisymmetrize(ctx, i, a.terms))
         for top in range(ctx.d + 1):
             assert divided_diff_dual(ctx, i, a, top) == two_pass_product(
                 quotient, direct_op_pack(ctx, i), top), (i, top)
         # a class times a pack: long b-coefficients on many raw monomials
         z = bs_class(ctx, tuple(range(1, n))[:i])
-        assert z * _op_pack(ctx, i) == two_pass_product(
-            z, direct_op_pack(ctx, i)), i
+        assert times_terms(ctx, z.terms, _op_pack(ctx, i), ctx.d) == \
+            two_pass_product(z, direct_op_pack(ctx, i)).terms, i
 
 
 def test_cold_class_of_w0_reduces_once_per_pack(monkeypatch):
-    # products reduce inside the kernel, so a cold class calls
-    # reduce_canonical only to build its packs, one per letter: 3 at rank 4,
-    # where it made 9 calls when each of its 6 products reduced in a second
-    # pass, and 4 at rank 5; and the moved packs fill no more normal forms
-    # than packs read at their own pairs did (96 at rank 4, 593 at rank 5)
+    # products reduce inside the kernel and every pack but the last is
+    # moved from it unreduced, so a cold class calls reduce_canonical once,
+    # for the last pack: it made 9 calls at rank 4 when each of its 6
+    # products reduced in a second pass, and one per pack (3 at rank 4, 4
+    # at rank 5) while the moved packs were reduced.  Products with raw
+    # packs meet more raw monomials, 125 normal forms at rank 4 and 1242 at
+    # rank 5 (81 and 562 with canonical packs), far below the 3021 forms of
+    # the full h_j cascade at rank 5
     calls = []
     reduce = flagring.reduce_canonical
 
@@ -294,7 +309,7 @@ def test_cold_class_of_w0_reduces_once_per_pack(monkeypatch):
 
     for module in (flagring, weylops):
         monkeypatch.setattr(module, "reduce_canonical", spy)
-    for n, reductions, forms in ((4, 3, 96), (5, 4, 593)):
+    for n, reductions, forms in ((4, 1, 125), (5, 1, 1242)):
         ctx = FlagContext(n)
         calls.clear()
         bs_class(ctx, reduced_word(Permutation(tuple(range(n, 0, -1)))))
@@ -304,11 +319,13 @@ def test_cold_class_of_w0_reduces_once_per_pack(monkeypatch):
 
 def test_chevalley_walks_reduce_only_mappings(monkeypatch):
     # operators check their input with FlagContext.own, not by passing it
-    # through reduce_canonical, so every call reduces a raw mapping: the 45
-    # walks of the chev_r4 set (omega_1..omega_3 on the lexicographically
-    # smallest reduced words of length at most 3 at rank 4, with packs and
-    # Chern classes built first) make 18, all swaps, where pass-through
-    # checks of flag elements made 87 more; a cold class of w0 makes 3
+    # through reduce_canonical, and the walk leaves its swapped states raw,
+    # so the 45 walks of the chev_r4 set (omega_1..omega_3 on the
+    # lexicographically smallest reduced words of length at most 3 at rank
+    # 4, with packs and Chern classes built first) make no reduction, where
+    # reduced swaps made 18 and pass-through checks of flag elements 87
+    # more; a cold class of w0 makes 1, for its last pack, where reduced
+    # moved packs made 3
     inputs = []
     reduce = flagring.reduce_canonical
 
@@ -331,11 +348,9 @@ def test_chevalley_walks_reduce_only_mappings(monkeypatch):
     inputs.clear()
     for lam, word in walks:
         c1_times_bs(ctx, lam, word)
-    assert len(inputs) == 18
-    assert all(type(p) is dict for p in inputs)
-    inputs.clear()
+    assert inputs == []
     bs_class(FlagContext(n), reduced_word(Permutation(tuple(range(n, 0, -1)))))
-    assert len(inputs) == 3
+    assert len(inputs) == 1
     assert all(type(p) is dict for p in inputs)
 
 
@@ -505,25 +520,30 @@ def test_operators_match_series_route_on_random_elements(ctx3, ctx4):
 
 
 def test_operators_match_series_route_on_engine_inputs(monkeypatch):
-    # every operator input reached by bs_class of every reduced word and by
+    # every operator input reached by bs_class of every reduced word, by
     # the Chevalley walks of omega_k over words of length <= 3 (all of rank
-    # 3, the chev_r4 set at rank 4), each on a fresh context, against the
-    # series route; the walk asks the dual operator for its image only
-    # through a degree top, which is compared with the series route's image
-    # cut there
+    # 3, the chev_r4 set at rank 4) and by the walk of rho over the longest
+    # word, each rank on a fresh context, against the series route; from
+    # length 4 on the walk hands the dual step raw mappings (its swapped
+    # states), and it asks for the image only through a degree top, which
+    # is compared with the series route's image of the same raw input cut
+    # there
     calls = []
 
     def recording(op, oracle):
         def wrapper(ctx, i, a, *top):
             result = op(ctx, i, a, *top)
-            calls.append((oracle, ctx, i, a, top, result))
+            # a mapping is carried to the series route as its terms
+            calls.append((oracle, ctx, i) + tuple(
+                FlagElem._raw(ctx, x) if type(x) is dict else x
+                for x in (a, top, result)))
             return result
         return wrapper
 
     monkeypatch.setattr(schubert, "divided_diff",
                         recording(divided_diff, series_divided_diff))
-    monkeypatch.setattr(schubert, "divided_diff_dual",
-                        recording(divided_diff_dual, series_divided_diff_dual))
+    monkeypatch.setattr(schubert, "dual_step",
+                        recording(dual_step, series_divided_diff_dual))
     for n in (3, 4):
         ctx = FlagContext(n)
         words = [reduced_word(w) for w in all_permutations(n)]
@@ -533,9 +553,11 @@ def test_operators_match_series_route_on_engine_inputs(monkeypatch):
             for word in words:
                 if len(word) <= 3:
                     c1_times_bs(ctx, fundamental_weight(k, n), word)
+        c1_times_bs(ctx, rho_weight(n), max(words, key=len))
     assert {op for op, *_ in calls} == {series_divided_diff,
                                         series_divided_diff_dual}
     assert any(top and top[0] < ctx.d for _, ctx, _, _, top, _ in calls)
+    assert any(not is_canonical(a.terms) for _, _, _, a, _, _ in calls)
     for oracle, ctx, i, a, top, result in calls:
         expected = oracle(ctx, i, a)
         if top:
