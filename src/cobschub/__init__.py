@@ -1,34 +1,8 @@
 """Schubert calculus for the algebraic cobordism of complete flag varieties.
 
-The engine works over the rationalized Lazard ring presented on the classes
-of projective spaces, realizes the cobordism ring of the full flag variety
-of rank n through its Borel-style presentation, and computes Bott-Samelson
-classes and their products with exact rational arithmetic.
+The engine works over the rationalized Lazard ring (``ringcore``, ``fgl``),
+presents the cobordism ring of the rank-n full flag variety (``flagring``),
+and computes Bott-Samelson classes (``weylops``, ``schubert``) and their
+products with exact rational arithmetic; ``cli`` and ``selftest`` serve it.
+The package binds no names: import from its modules.
 """
-
-from cobschub.ringcore import (
-    CobschubError,
-    CoeffPoly,
-    DivisibilityError,
-    InternalError,
-    NotAUnitError,
-    TruncSeries,
-    UsageError,
-    series_invert_unit,
-    series_reverse,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CobschubError",
-    "CoeffPoly",
-    "DivisibilityError",
-    "InternalError",
-    "NotAUnitError",
-    "TruncSeries",
-    "UsageError",
-    "series_invert_unit",
-    "series_reverse",
-    "__version__",
-]

@@ -21,6 +21,7 @@ from cobschub.ringcore import (
     CoeffPoly,
     TermMap,
     UsageError,
+    add_term,
     sum_of_products,
     truncated_product,
 )
@@ -163,6 +164,8 @@ class FlagContext:
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
+        if not isinstance(n, int):
+            raise UsageError(f"rank must be an integer, got {n!r}")
         if n < 2:
             raise UsageError("rank must be at least 2")
         self.n = n
@@ -301,7 +304,7 @@ class FlagElem(TermMap):
     Immutable; the exponent vectors all satisfy the staircase bound and stay
     within total degree d, and no zero coefficients are stored.  Elements
     mix only within contexts of the same (n, beta): sums, differences and
-    products check the other element with the context's ``own``.
+    products, ``times_terms`` through d, check the other with ``own``.
     ``reduce_canonical`` builds elements from raw polynomials.  The constant
     term agrees with the invariant definition through the product with the
     point class: a * [pt] = a.constant_term() * [pt].
@@ -333,16 +336,12 @@ class FlagElem(TermMap):
     def __mul__(self, other) -> "FlagElem":
         if not isinstance(other, FlagElem):
             return self._scale(other)
+        self._check(other)
         # monomials above degree d lie in the ideal
-        return self.times(other, self.ctx.d)
+        return FlagElem._raw(self.ctx, times_terms(
+            self.ctx, self.terms, other.terms, self.ctx.d))
 
     __rmul__ = __mul__
-
-    def times(self, other: "FlagElem", top: int) -> "FlagElem":
-        """``times_terms`` with an element that ``own`` accepts."""
-        self._check(other)
-        return FlagElem._raw(self.ctx, times_terms(
-            self.ctx, self.terms, other.terms, top))
 
 
 def times_terms(ctx: FlagContext, left, right, top: int) -> dict:
@@ -379,18 +378,18 @@ def point_class(ctx: FlagContext) -> FlagElem:
     return FlagElem._raw(ctx, {key: CoeffPoly.one()})
 
 
-def _exp_at(ctx: FlagContext, y: FlagElem) -> FlagElem:
-    """The law's exp at a flag element y without constant term, by
-    Horner's rule through degree d: y^k vanishes for k > d, so the rest of
-    the series never counts."""
-    acc = ctx.zero()
+def _exp_at(ctx: FlagContext, y) -> dict:
+    """The law's exp at the canonical terms y of an element without constant
+    term, by Horner's rule on term maps through degree d: y^k vanishes for
+    k > d, so the rest of the series never counts."""
+    acc: dict = {}
     for k in range(ctx.d, 0, -1):
         coeff = ctx.exp.coefficient((k,))
         if coeff:
-            acc = acc + ctx.one() * coeff
+            add_term(acc, (0,) * ctx.n, coeff)
         # k - 1 more factors y follow, each raising the degree, so the
         # product counts only through degree d - k + 1
-        acc = acc.times(y, ctx.d - k + 1)
+        acc = times_terms(ctx, acc, y, ctx.d - k + 1)
     return acc
 
 
@@ -404,10 +403,11 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
     powers are single monomials, so the sum of logs is one reduction of
     the raw mapping {k e_i: -c_i l_k} over the log's coefficients l_k
     through degree d; every x_i is nilpotent in the flag ring, so the exp
-    is evaluated there (``_exp_at``) with flag-ring products, and the law
-    is read only through degree d.  For -e_i, whose line is L_i itself,
-    that is x_i, which is returned without evaluation: the exp at
-    log(x_i) would take 0.1-0.8 s at rank 6 for i <= 4.
+    is evaluated there by Horner's rule on term maps (``_exp_at``), whose
+    result is wrapped as an element once, and the law is read only through
+    degree d.  For -e_i, whose line is L_i itself, that is x_i, which is
+    returned without evaluation: the exp at log(x_i) would take 0.1-0.8 s
+    at rank 6 for i <= 4.
     """
     validate_weight(lam, ctx.n)
     cached = ctx._c1_cache.get(lam.coords)
@@ -421,6 +421,6 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
             for i, c in enumerate(lam.coords) if c
             for k in range(1, ctx.d + 1)
             for ell in (ctx.log.coefficient((k,)),) if ell})
-        result = _exp_at(ctx, log_sum)
+        result = FlagElem._raw(ctx, _exp_at(ctx, log_sum.terms))
     ctx._c1_cache[lam.coords] = result
     return result

@@ -9,13 +9,13 @@ divided difference, whose telescoping integer terms go through the normal
 forms in one kernel merge, and a flag-ring product with U^-1, the
 context's pack ``unit_inv`` (``fgl.unit_inverse`` checks that U has
 constant term 1) read at the pair through degree 2n - 3 (``_op_pack``).
-Each operator, and each read of the dual operator's constant term after
-one more operator or none, is a step on plain mappings that checks
-nothing: only merges that spread onto normal forms make canonical terms,
-and a swap leaves them raw.  The public operators on elements are those
-steps after one ``FlagContext.own``, so they raise UsageError for a letter
-outside 1..n-1 and for anything but an element of a context with its
-(n, beta); a weight of another length fails ``validate_weight``.
+The element entries are ``divided_diff``, ``divided_diff_dual`` and
+``sigma_op``; each takes its element through one ``FlagContext.own``, so
+it raises UsageError for a letter outside 1..n-1 and for anything but an
+element of a context with its (n, beta).  The steps (``dual_step``,
+``swap_step``) and reads (``dual_read``, ``dual_reads_after``) are
+unchecked term-map functions that serve the walk: only merges that spread
+onto normal forms make canonical terms, and a swap leaves them raw.
 """
 
 from __future__ import annotations
@@ -236,11 +236,9 @@ def dual_step(ctx: FlagContext, i: int, terms, top: int) -> dict:
                        top)
 
 
-def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem,
-                      top: int | None = None) -> FlagElem:
-    """``dual_step`` of an element (``top`` None: d, the whole image)."""
-    return FlagElem._raw(ctx, dual_step(ctx, i, ctx.own(a, i).terms,
-                                        ctx.d if top is None else top))
+def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
+    """``dual_step`` of an element through degree d, its whole image."""
+    return FlagElem._raw(ctx, dual_step(ctx, i, ctx.own(a, i).terms, ctx.d))
 
 
 def swap_step(terms, i: int, top: int) -> dict:
@@ -276,11 +274,6 @@ def dual_read(ctx: FlagContext, i: int, terms) -> CoeffPoly:
     return _linear_read(terms, ctx.n, i, i + 1)
 
 
-def dual_constant_term(ctx: FlagContext, i: int, a: FlagElem) -> CoeffPoly:
-    """``dual_read`` of an element."""
-    return dual_read(ctx, i, ctx.own(a, i).terms)
-
-
 def dual_reads_after(ctx: FlagContext, i: int, j: int,
                      terms) -> tuple[CoeffPoly, ...]:
     """The constant terms of ``dual_step`` at i of a mapping a, raw or not,
@@ -309,8 +302,3 @@ def dual_reads_after(ctx: FlagContext, i: int, j: int,
     kept = _linear_read(terms, n, swap.get(j, j), swap.get(j + 1, j + 1))
     return own_read, removed.get(0, CoeffPoly.zero()), kept
 
-
-def dual_constant_terms_after(ctx: FlagContext, i: int, j: int,
-                              a: FlagElem) -> tuple[CoeffPoly, ...]:
-    """``dual_reads_after`` of an element."""
-    return dual_reads_after(ctx, i, j, ctx.own(a, i, j).terms)

@@ -66,8 +66,8 @@ from cobschub.weylops import (
     Permutation,
     all_permutations,
     divided_diff_dual,
-    dual_constant_term,
-    dual_constant_terms_after,
+    dual_read,
+    dual_reads_after,
     reduced_word,
     sigma_op,
     validate_word,
@@ -594,12 +594,12 @@ def full_tree_c1_times_bs(ctx, lam, word) -> dict:
 
     def walk(pos, state, kept_above):
         letter = word[pos]
-        coeff = dual_constant_term(ctx, letter, state)
+        coeff = dual_read(ctx, letter, state.terms)
         if coeff:
             terms[tuple(range(pos)) + kept_above] = coeff
         if pos:
-            walk(pos - 1, divided_diff_dual(ctx, letter, state, pos),
-                 kept_above)
+            walk(pos - 1, through_degree(
+                divided_diff_dual(ctx, letter, state), pos), kept_above)
             walk(pos - 1, sigma_op(ctx, letter, through_degree(state, pos)),
                  (pos,) + kept_above)
 
@@ -614,8 +614,8 @@ def canonical_poly_times_bs(ctx, f, word) -> dict:
     walk that the library replaced by one on plain mappings: the same tree
     of operator strings with the same reads, but every state a canonical
     element built by the public operators, each swap reduced
-    (``sigma_op``) and each dual image an element cut at its node's degree
-    (``divided_diff_dual``'s ``top``)."""
+    (``sigma_op``) and each dual image a whole element cut at its node's
+    degree."""
     word = validate_word(word, ctx.n)
     terms = {}
 
@@ -626,15 +626,15 @@ def canonical_poly_times_bs(ctx, f, word) -> dict:
     def walk(pos, state, kept_above):
         letter = word[pos]
         if pos == 1:
-            reads = dual_constant_terms_after(ctx, letter, word[0], state)
+            reads = dual_reads_after(ctx, letter, word[0], state.terms)
             for kept, coeff in zip(((0,), (), (1,)), reads):
                 record(kept + kept_above, coeff)
             return
         record(tuple(range(pos)) + kept_above,
-               dual_constant_term(ctx, letter, state))
+               dual_read(ctx, letter, state.terms))
         if pos:
-            walk(pos - 1, divided_diff_dual(ctx, letter, state, pos),
-                 kept_above)
+            walk(pos - 1, through_degree(
+                divided_diff_dual(ctx, letter, state), pos), kept_above)
             walk(pos - 1, sigma_op(ctx, letter, through_degree(state, pos)),
                  (pos,) + kept_above)
 

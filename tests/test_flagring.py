@@ -15,6 +15,7 @@ from cobschub.flagring import (
     reduce_canonical,
     rho_weight,
     simple_root,
+    times_terms,
 )
 from cobschub.ringcore import compose
 
@@ -51,6 +52,15 @@ def test_context_validation():
     ctx = FlagContext(2)
     assert ctx.d == 1
     assert FlagContext(4).d == 6
+
+
+@pytest.mark.parametrize("rank", [3.5, 3.0, "3", None, 1, -2])
+def test_a_rank_that_is_no_integer_from_2_up_is_a_usage_error(rank):
+    # a float, a string or None is no rank, whatever its value; a rank
+    # below 2 has its own message
+    match = "at least 2" if isinstance(rank, int) else "must be an integer"
+    with pytest.raises(UsageError, match=match):
+        FlagContext(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +299,8 @@ def test_products_match_the_two_pass_route(n, beta):
         a, b = mixed_elem(ctx, rng, size), mixed_elem(ctx, rng, size)
         assert a * b == two_pass_product(a, b)
         for top in range(ctx.d):
-            assert a.times(b, top) == two_pass_product(a, b, top), top
+            assert times_terms(ctx, a.terms, b.terms, top) == \
+                two_pass_product(a, b, top).terms, top
     # raw monomials on x_n^n and above, whose forms are empty
     corner = reduce_canonical(ctx, {(0,) * (n - 1) + (n - 1,): b1 + F(1, 3)})
     a = mixed_elem(ctx, rng, 8)

@@ -13,7 +13,9 @@ output reaches stdout only through ``_respond`` and ``_emit_json``, the one
 place a per-request hook has to reach; ``main``'s error lines go to
 stderr.  Letters, weight lengths and element ownership are each checked by
 one function of ``flagring``, so only the functions pinned here raise
-UsageError themselves in the engine's flag layers."""
+UsageError themselves in the engine's flag layers.  Every function, class
+and method the package defines has a caller outside the tests: a module of
+the package or a benchmark script names it, or the tracer patches it."""
 
 import ast
 import subprocess
@@ -21,6 +23,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cobschub"
+PERFBENCH = SRC.parent.parent / "perfbench"
+# the lists of (owner, attribute, name) targets the tracer patches
+TRACER_TARGETS = ("SPANS", "COUNTED")
 FLAG_LAYERS = ("flagring", "weylops", "schubert", "cli")
 SERIES_NAMES = {"TruncSeries", "compose"}
 OPERATOR_KERNEL = "divided_difference_terms"
@@ -198,3 +203,68 @@ def test_input_rules_live_in_flagring():
     trees = source_trees()
     assert {name: usage_raisers(trees[name])
             for name in USAGE_RAISERS} == USAGE_RAISERS
+
+
+def definitions(tree):
+    """(qualified name, node) for each top-level function and class of a
+    module and each method of its classes; dunders left out."""
+    for stmt in tree.body:
+        members = [(f"{stmt.name}.", node) for node in stmt.body] \
+            if isinstance(stmt, ast.ClassDef) else []
+        for prefix, node in [("", stmt)] + members:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                yield prefix + node.name, node
+
+
+def name_uses(tree) -> list[str]:
+    """Every name a tree reads, imports or reads off an object, once per
+    use, and each target name in the tracer's lists."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            uses.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            uses += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) in TRACER_TARGETS
+                for target in node.targets):
+            uses += [entry.elts[1].value for entry in node.value.elts]
+    return uses
+
+
+def uncalled(trees, readers) -> set[str]:
+    """The definitions of ``trees`` that no tree of ``trees`` or ``readers``
+    names outside the definition's own body.  Names are matched as names,
+    so a method counts as called wherever an attribute of its name is
+    read."""
+    counts: dict[str, int] = {}
+    for tree in list(trees.values()) + list(readers):
+        for name in name_uses(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return {f"{module}.{qualname}" for module, tree in trees.items()
+            for qualname, node in definitions(tree)
+            if counts.get(node.name, 0) == name_uses(node).count(node.name)}
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    # the guard sees a dead function, one that only calls itself, a dead
+    # method and a dead class, and counts a use in a reader and a tracer
+    # target as a call
+    sample = {"m": ast.parse("def dead():\n    pass\n"
+                             "def loop():\n    return loop()\n"
+                             "def used():\n    pass\n"
+                             "def traced():\n    pass\n"
+                             "class A:\n    def __init__(self):\n"
+                             "        used()\n    def stale(self):\n"
+                             "        pass\n"
+                             "class B:\n    pass\n"
+                             "x = A()\n")}
+    reader = ast.parse("SPANS = [(m, 'traced', 'm.traced')]\n")
+    assert uncalled(sample, [reader]) == {"m.dead", "m.loop", "m.A.stale",
+                                          "m.B"}
+    readers = [ast.parse(path.read_text(), str(path))
+               for path in sorted(PERFBENCH.glob("*.py"))]
+    assert uncalled(source_trees(), readers) == set()
