@@ -23,14 +23,12 @@ from cobschub.ringcore import (
     UsageError,
     add_term,
     sum_of_products,
-    truncated_product,
 )
 from cobschub.fgl import log_and_exp, unit_inverse
 
 
-# the canonical form of one monomial: (staircase exponent vector, integer)
-# pairs
-NormalForm = tuple[tuple[tuple[int, ...], int], ...]
+# the canonical form of one packed monomial: (staircase pack, int) pairs
+NormalForm = tuple[tuple[int, int], ...]
 
 
 class Weight:
@@ -125,19 +123,19 @@ def rho_weight(n: int) -> Weight:
 
 class FlagContext:
     """Everything attached to a fixed rank n and a formal group law: the
-    parts of the law that the engine reads, the rewrite system, and
-    operator caches.
+    parts of the law that the engine reads, the rewrite system, the packed
+    layout of x-monomials, and operator caches.
 
     ``beta`` None takes the universal law, whose coefficients are
-    polynomials in the b_i (cobordism).  A rational ``beta`` takes its image
-    under b_i -> beta^i (see ``fgl.log_and_exp``): beta = 0 computes in
-    the Chow ring and beta != 0 in K-theory, with rational coefficients
-    throughout.  Every engine step is linear over the coefficient ring, so
-    this gives the specialization of the cobordism result at the cost of the
-    smaller theory.  Elements of contexts with different (n, beta) never
-    mix: every sum, difference, product, operator and engine entry takes
-    its element and the letters it reads through ``own``, which returns the
-    element or raises.
+    polynomials in the b_i (cobordism).  A rational ``beta`` (an int or a
+    Fraction) takes its image under b_i -> beta^i (see
+    ``fgl.log_and_exp``): beta = 0 computes in the Chow ring and beta != 0
+    in K-theory, with rational coefficients throughout.  Every engine step
+    is linear over the coefficient ring, so this gives the specialization
+    of the cobordism result at the cost of the smaller theory.  Elements of
+    contexts with different (n, beta) never mix: every sum, difference,
+    product, operator and engine entry takes its element and the letters it
+    reads through ``own``, which returns the element or raises.
 
     Canonical elements never exceed degree d = n(n-1)/2.  ``c1_weight``
     reads the law's one-variable ``log`` and evaluates its ``exp`` at a flag
@@ -149,18 +147,25 @@ class FlagContext:
     ``unit_inv`` is that series over the pair (y1, y2), built once from
     log and exp by ``fgl.unit_inverse``; it reads them through 2n - 2.  So
     log and exp are built at ``work_cap`` = max(d, 2n - 2), the least cap
-    that serves both readers, and F, chi and q are never built.  The tests
-    check that caps d + 2, d + 3 and d + 4 give the results of the default
-    context.
+    that serves both readers, and F, chi and q are never built.
 
-    Caches, filled on first use and kept for the context's life: the
-    normal forms of the monomials that reductions meet and of those their
-    forms rest on (``_normal_forms``, see ``normal_form``), the operators'
-    U^-1 as plain mappings read only by them (``_op_packs``, by i; all but
-    the last are moved from the last, unreduced, see ``weylops._op_pack``),
-    and immutable elements: first Chern classes of weights (``_c1_cache``)
-    and Bott-Samelson classes (``_bs_cache``).  Chevalley expansions are
-    mutable and are built afresh on every call.
+    Inside the engine an x-monomial of degree at most d is one int: the
+    exponent of x_k in the field of ``field_bits`` = d.bit_length() + 1
+    bits at bit field_bits * (k - 1), and the degree above the n fields,
+    at bit ``degree_shift``.  No exponent reaches a field's top bit, so
+    while degrees add up to at most d a product is the sum of the ints,
+    with no carry.  ``x_keys`` holds x_1..x_n.  Elements keep exponent
+    tuples: the element entries pack terms once (``pack_terms``, through
+    ``pack``, the one check of a tuple) and unpack once (``element``).
+
+    Caches, filled on first use and kept for the context's life, keyed by
+    packed ints where they hold monomials: the normal forms that reductions
+    meet and those they rest on (``_normal_forms``), the operators' packed
+    U^-1 (``_op_packs``, by i, see ``weylops._op_pack``), the packs of
+    tuples and the tuples of staircase packs (``_packed``, ``_unpacked``),
+    first Chern classes of weights (``_c1_cache``) and Bott-Samelson
+    classes (``_bs_cache``).  Chevalley expansions are mutable and are
+    built afresh on every call.
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
@@ -168,41 +173,79 @@ class FlagContext:
             raise UsageError(f"rank must be an integer, got {n!r}")
         if n < 2:
             raise UsageError("rank must be at least 2")
+        if beta is not None and type(beta) not in (int, Fraction):
+            raise UsageError(
+                f"beta must be None, an integer or a Fraction, got {beta!r}")
         self.n = n
         self.beta = beta
         self.d = n * (n - 1) // 2
         self.work_cap = max(self.d, 2 * n - 2)
         self.vars = tuple(f"x{i}" for i in range(1, n + 1))
+        self.field_bits = width = self.d.bit_length() + 1
+        self.degree_shift = width * n
+        self.x_keys = tuple(1 << width * k | 1 << width * n for k in range(n))
+        # the bias sets field k's top bit iff x_{k+1}'s exponent is > k
+        top = 1 << width - 1
+        self._guard = sum(top << width * k for k in range(n))
+        self._bias = sum(top - k - 1 << width * k for k in range(n))
         self.log, self.exp = log_and_exp(self.work_cap, beta)
         self.unit_inv = unit_inverse(self.log, self.exp, 2 * n - 3)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
-        self._normal_forms: dict[tuple[int, ...], NormalForm] = {}
+        self._normal_forms: dict[int, NormalForm] = {}
+        self._packed: dict[tuple[int, ...], int] = {}
+        self._unpacked: dict[int, tuple[int, ...]] = {}
         self._op_packs: dict[int, dict] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
 
-    def _rewrite_rule(self, j: int) -> list[tuple[int, ...]]:
+    def _rewrite_rule(self, j: int) -> list[int]:
         # monomials of h_j(x_j, .., x_n) other than the eliminated x_j^j
-        out = []
-        for combo in itertools.combinations_with_replacement(
-                range(j - 1, self.n), j):
-            key = [0] * self.n
-            for pos in combo:
-                key[pos] += 1
-            key = tuple(key)
-            if key[j - 1] == j:
-                continue
-            out.append(key)
-        return out
+        return [sum(self.x_keys[pos] for pos in combo)
+                for combo in itertools.combinations_with_replacement(
+                    range(j - 1, self.n), j) if combo != (j - 1,) * j]
 
-    def normal_form(self, key) -> NormalForm:
-        """The canonical form of the monomial x^key as (staircase key, int)
-        pairs; () for a monomial of degree above d.
+    def pack(self, key) -> int | None:
+        """x^key packed, None above degree d (where it lies in the ideal);
+        UsageError unless ``key`` is n nonnegative integers."""
+        m = self._packed.get(key)
+        if m is None:
+            if len(key) != self.n or not all(
+                    isinstance(e, int) and e >= 0 for e in key):
+                raise UsageError(f"malformed exponent vector {key!r}")
+            if sum(key) > self.d:
+                return None
+            m = self._packed[key] = sum(map(operator.mul, key, self.x_keys))
+        return m
+
+    def pack_terms(self, terms) -> dict:
+        """An element's terms keyed by their packs; a key the memo misses,
+        or 0's, goes to ``pack``."""
+        get, pack = self._packed.get, self.pack
+        return {get(key) or pack(key): value for key, value in terms.items()}
+
+    def element(self, terms: dict) -> "FlagElem":
+        """The element of canonical packed terms, keyed by tuples."""
+        keys, width = self._unpacked, self.field_bits
+        for m in terms.keys() - keys.keys():
+            keys[m] = tuple(m >> width * k & (1 << width) - 1
+                            for k in range(self.n))
+        return FlagElem._raw(self, {keys[m]: value
+                                    for m, value in terms.items()})
+
+    def _climb(self, m: int) -> int:
+        # the first j with x_j-exponent at least j in m, 0 if m is staircase
+        hit = m + self._bias & self._guard
+        return (hit & -hit).bit_length() // self.field_bits
+
+    def normal_form(self, m: int) -> NormalForm:
+        """The canonical form of the packed monomial m of degree at most d
+        as (staircase int, int) pairs.
 
         The rewrite rules have integer coefficients and no b-terms, so the
         form does not depend on the law.  A staircase monomial is its own
         form.  Any other monomial has a first j with x_j-exponent at least
-        j, and one of two rules gives its form:
+        j, which one add and one mask find (``_climb``), and one of two
+        rules gives its form:
 
         - if mono / x_j is staircase, x_j^j is rewritten by the rule of
           h_j(x_j, .., x_n), which gives monomials of the same degree, each
@@ -219,44 +262,29 @@ class FlagContext:
         recursion through them ends.  It is memoized in the table: each form
         is built once, after the forms it rests on, and a form that is
         legitimately (), such as that of x_n^n, is a hit too.  The chains
-        stay short: a cold class of w0 at rank 6 goes 11 calls deep, and a
+        stay short: a cold class of w0 at rank 6 goes 14 calls deep, and a
         cold x_1^15 there 17.
         """
-        form = self._normal_forms.get(key)
-        if form is None:
-            start = tuple(key)
-            if len(start) != self.n or min(start) < 0:
-                raise UsageError(f"malformed exponent vector {start!r}")
-            form = self._form(start) if sum(start) <= self.d else ()
-            self._normal_forms[start] = form
-        return form
-
-    def _form(self, mono: tuple[int, ...]) -> NormalForm:
-        # the recursion of ``normal_form`` on a well-formed monomial of
-        # degree at most d
-        form = self._normal_forms.get(mono)
+        form = self._normal_forms.get(m)
         if form is not None:
             return form
-        j = next((j for j, e in enumerate(mono, start=1) if e >= j), None)
-        if j is None:
-            form = self._normal_forms[mono] = ((mono, 1),)
+        j = self._climb(m)
+        if not j:
+            form = self._normal_forms[m] = ((m, 1),)
             return form
-        total: dict[tuple[int, ...], int] = {}
-        head, tail = mono[:j - 1], mono[j:]
-        if mono[j - 1] == j and all(
-                e <= k for k, e in enumerate(tail, start=j)):
-            base = head + (0,) + tail
+        total: dict[int, int] = {}
+        x_j = self.x_keys[j - 1]
+        if not self._climb(m - x_j):
+            base = m - j * x_j
             for repl in self._rewrite[j]:
-                for skey, value in self._form(
-                        tuple(map(operator.add, base, repl))):
-                    total[skey] = total.get(skey, 0) - value
+                for s, value in self.normal_form(base + repl):
+                    total[s] = total.get(s, 0) - value
         else:
-            for skey, c in self._form(head + (mono[j - 1] - 1,) + tail):
-                for fkey, value in self._form(
-                        skey[:j - 1] + (skey[j - 1] + 1,) + skey[j:]):
-                    total[fkey] = total.get(fkey, 0) + c * value
-        form = self._normal_forms[mono] = tuple(
-            (skey, value) for skey, value in total.items() if value)
+            for s, c in self.normal_form(m - x_j):
+                for f, value in self.normal_form(s + x_j):
+                    total[f] = total.get(f, 0) + c * value
+        form = self._normal_forms[m] = tuple(
+            (s, value) for s, value in total.items() if value)
         return form
 
     def one(self) -> "FlagElem":
@@ -337,39 +365,49 @@ class FlagElem(TermMap):
         if not isinstance(other, FlagElem):
             return self._scale(other)
         self._check(other)
+        ctx = self.ctx
         # monomials above degree d lie in the ideal
-        return FlagElem._raw(self.ctx, times_terms(
-            self.ctx, self.terms, other.terms, self.ctx.d))
+        return ctx.element(times_terms(ctx, ctx.pack_terms(self.terms),
+                                       ctx.pack_terms(other.terms), ctx.d))
 
     __rmul__ = __mul__
 
 
 def times_terms(ctx: FlagContext, left, right, top: int) -> dict:
     """The canonical terms through x-degree ``top`` of the product of two
-    mappings, raw or not, in one kernel merge: the pair products on each
-    raw monomial are summed and spread onto its normal form, and as
-    reduction keeps x-degree, no raw monomial above ``top`` is formed."""
-    return truncated_product(left, right, top, ctx.normal_form)
+    packed mappings, raw or not, in one kernel merge: the pair products on
+    each raw monomial m1 + m2 are summed and spread onto its normal form,
+    and as reduction keeps x-degree, none above ``top`` is formed."""
+    shift = ctx.degree_shift
+    rows = [(m, m >> shift, value) for m, value in right.items()]
+    return sum_of_products(
+        ((m1 + m2, v1, v2) for m1, v1 in left.items()
+         for room in (top - (m1 >> shift),)
+         for m2, d2, v2 in rows if d2 <= room), ctx.normal_form)
+
+
+def reduce_terms(ctx: FlagContext, terms) -> dict:
+    """The canonical terms of a packed mapping to CoeffPoly: each raw
+    monomial's coefficient goes, times each integer of its normal form,
+    onto the form's staircase monomials in one kernel merge."""
+    normal_form = ctx.normal_form
+    return sum_of_products((s, coeff, c) for m, coeff in terms.items()
+                           for s, c in normal_form(m))
 
 
 def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
     """Rewrite a raw polynomial to the canonical staircase form.
 
     Takes only a raw mapping from exponent vectors to coefficients: an
-    element is already canonical, and ``FlagContext.own`` checks one.  Each
-    raw monomial's integer normal form (``normal_form``, kept in the
-    context's table) is read once, and its coefficient goes, times each
-    integer of the form, onto the form's staircase monomials in one merge
-    of the shared kernel ``sum_of_products``.  A mapping names each raw
-    monomial once, so unlike a product it has nothing to sum before the
-    forms are read.  Monomials of degree above d have the empty form: they
-    lie in the ideal.
+    element is already canonical, and ``FlagContext.own`` checks one.  The
+    keys are packed, and checked, by ``FlagContext.pack``; monomials of
+    degree above d are dropped, as they lie in the ideal.
     """
-    normal_form = ctx.normal_form
-    return FlagElem._raw(ctx, sum_of_products(
-        (skey, coeff, c) for key, value in p.items()
+    pack = ctx.pack
+    return ctx.element(reduce_terms(ctx, {
+        m: coeff for key, value in p.items()
         for coeff in (CoeffPoly.coerce(value),)
-        for skey, c in normal_form(key)))
+        for m in (pack(key),) if m is not None}))
 
 
 def point_class(ctx: FlagContext) -> FlagElem:
@@ -379,14 +417,14 @@ def point_class(ctx: FlagContext) -> FlagElem:
 
 
 def _exp_at(ctx: FlagContext, y) -> dict:
-    """The law's exp at the canonical terms y of an element without constant
-    term, by Horner's rule on term maps through degree d: y^k vanishes for
-    k > d, so the rest of the series never counts."""
+    """The law's exp at the packed canonical terms y of an element without
+    constant term, by Horner's rule on packed term maps through degree d:
+    y^k vanishes for k > d, so the rest of the series never counts."""
     acc: dict = {}
     for k in range(ctx.d, 0, -1):
         coeff = ctx.exp.coefficient((k,))
         if coeff:
-            add_term(acc, (0,) * ctx.n, coeff)
+            add_term(acc, 0, coeff)
         # k - 1 more factors y follow, each raising the degree, so the
         # product counts only through degree d - k + 1
         acc = times_terms(ctx, acc, y, ctx.d - k + 1)
@@ -401,13 +439,13 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
     first Chern class is the formal sum over i of [-c_i](x_i), which is
     exp(sum -c_i log(x_i)).  Each log(x_i) is a series in x_i alone whose
     powers are single monomials, so the sum of logs is one reduction of
-    the raw mapping {k e_i: -c_i l_k} over the log's coefficients l_k
-    through degree d; every x_i is nilpotent in the flag ring, so the exp
-    is evaluated there by Horner's rule on term maps (``_exp_at``), whose
-    result is wrapped as an element once, and the law is read only through
-    degree d.  For -e_i, whose line is L_i itself, that is x_i, which is
-    returned without evaluation: the exp at log(x_i) would take 0.1-0.8 s
-    at rank 6 for i <= 4.
+    the packed raw mapping {x_i^k: -c_i l_k} over the log's coefficients
+    l_k through degree d; every x_i is nilpotent in the flag ring, so the
+    exp is evaluated there by Horner's rule on packed term maps
+    (``_exp_at``), whose result is unpacked as an element once, and the law
+    is read only through degree d.  For -e_i, whose line is L_i itself,
+    that is x_i, which is returned without evaluation: the exp at log(x_i)
+    would take 0.1-0.8 s at rank 6 for i <= 4.
     """
     validate_weight(lam, ctx.n)
     cached = ctx._c1_cache.get(lam.coords)
@@ -416,11 +454,10 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
     if sorted(lam.coords) == [-1] + [0] * (ctx.n - 1):
         result = ctx.x_elem(lam.coords.index(-1) + 1)
     else:
-        log_sum = reduce_canonical(ctx, {
-            tuple(k * (j == i) for j in range(ctx.n)): ell * -c
-            for i, c in enumerate(lam.coords) if c
+        log_sum = reduce_terms(ctx, {
+            k * x: ell * -c for x, c in zip(ctx.x_keys, lam.coords) if c
             for k in range(1, ctx.d + 1)
             for ell in (ctx.log.coefficient((k,)),) if ell})
-        result = FlagElem._raw(ctx, _exp_at(ctx, log_sum.terms))
+        result = ctx.element(_exp_at(ctx, log_sum))
     ctx._c1_cache[lam.coords] = result
     return result

@@ -8,8 +8,10 @@ per generator, so multiplying two monomials is one int addition; a guard bit
 at the top of every field catches an exponent that outgrows its field, which
 raises UsageError instead of carrying into the next generator.  Power series
 carry these coefficients and are truncated at a fixed total degree in the
-series variables; every operation is exact below the cap and silently
-discards terms above it.
+series variables, whose exponent vectors stay tuples; every operation is
+exact below the cap and silently discards terms above it.  The flag layer
+packs its x-monomials into ints of its own layout (``flagring.FlagContext``)
+and passes the kernel those ints as keys.
 
 This module is the one arithmetic core.  Products of series and of flag
 elements, composition, inversion, canonical reduction, the classical divided
@@ -427,16 +429,14 @@ def combine_terms(left: Mapping, right: Mapping, sign: int) -> dict:
     return out
 
 
-def truncated_product(left: Mapping, right: Mapping, cap: int,
-                      spread=None) -> dict:
-    """The product of two maps from monomials to CoeffPoly through total
-    degree ``cap``, with one kernel merge per output monomial, spread as
-    ``sum_of_products`` spreads."""
+def truncated_product(left: Mapping, right: Mapping, cap: int) -> dict:
+    """The product of two maps from exponent tuples to CoeffPoly through
+    total degree ``cap``, with one kernel merge per output monomial."""
     rows = [(key, sum(key), value) for key, value in right.items()]
     return sum_of_products(
         ((tuple(map(operator.add, k1, k2)), v1, v2)
          for k1, v1 in left.items() for room in (cap - sum(k1),)
-         for k2, d2, v2 in rows if d2 <= room), spread)
+         for k2, d2, v2 in rows if d2 <= room))
 
 
 class TermMap:
@@ -735,26 +735,6 @@ def _telescope(key: XMonomial, p: int, q: int, steps: int):
         yield tuple(k)
         k[p] -= 1
         k[q] += 1
-
-
-def divided_difference_terms(terms: Mapping, p: int, q: int):
-    """The classical divided difference (f - s_pq f) / (x_p - x_q), as
-    (key, coeff, sign) triples for ``sum_of_products``.
-
-    A monomial x_p^a x_q^b x^r gives x^r (x_p^a x_q^b - x_p^b x_q^a) /
-    (x_p - x_q), a telescoping sum of |a - b| monomials with sign +1 when
-    a > b and -1 when a < b; no exponent goes negative.
-    """
-    for key, coeff in terms.items():
-        a, b = key[p], key[q]
-        if a > b:
-            for k in _telescope(key, p, q, a - b):
-                yield k, coeff, 1
-        elif a < b:
-            swapped = list(key)
-            swapped[p], swapped[q] = b, a
-            for k in _telescope(swapped, p, q, b - a):
-                yield k, coeff, -1
 
 
 def divide_by_linear(num: TruncSeries, p: int, q: int) -> TruncSeries:

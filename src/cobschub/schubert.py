@@ -139,12 +139,12 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
     dimension of Z_word, above which f multiplies Z_word to 0, and a node
     asks for its dual child through degree p and swaps only that part.
 
-    The word and f are checked once, and each state is a plain mapping
-    that only the dual step's merges make canonical: a swapped state stays
-    raw.  That is exact.  The ideal is S_n-stable and homogeneous; the
-    antisymmetrized quotient, the swap, products and cuts by degree all map
-    it into itself; and every read vanishes on it, the constant term as
-    much as the degree-1 read L_j, which kills x_1 + ... + x_n.
+    The word and f are checked once, f is packed once, and each state is
+    a packed mapping made canonical only by the dual step's merges: a
+    swapped state stays raw.  That is exact.  The ideal is S_n-stable and
+    homogeneous; the antisymmetrized quotient, the swap, products and cuts
+    by degree map it into itself; and every read vanishes on it, the
+    constant term as much as the degree-1 read L_j, killing x_1 + ... + x_n.
     """
     word = validate_word(word, ctx.n)
     ctx.own(f)
@@ -164,12 +164,15 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
         record(tuple(range(pos)) + kept_above, dual_read(ctx, letter, state))
         if pos:
             walk(pos - 1, dual_step(ctx, letter, state, pos), kept_above)
-            walk(pos - 1, swap_step(state, letter, pos), (pos,) + kept_above)
+            walk(pos - 1, swap_step(ctx, letter, state, pos),
+                 (pos,) + kept_above)
 
     record(tuple(range(len(word))), f.constant_term())
     if word:
-        walk(len(word) - 1, {key: coeff for key, coeff in f.terms.items()
-                             if sum(key) <= len(word)}, ())
+        limit = len(word) + 1 << ctx.degree_shift
+        walk(len(word) - 1, {m: coeff for m, coeff
+                             in ctx.pack_terms(f.terms).items()
+                             if m < limit}, ())
     return BSExpansion(word, terms)
 
 

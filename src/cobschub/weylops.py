@@ -14,25 +14,21 @@ The element entries are ``divided_diff``, ``divided_diff_dual`` and
 it raises UsageError for a letter outside 1..n-1 and for anything but an
 element of a context with its (n, beta).  The steps (``dual_step``,
 ``swap_step``) and reads (``dual_read``, ``dual_reads_after``) are
-unchecked term-map functions that serve the walk: only merges that spread
-onto normal forms make canonical terms, and a swap leaves them raw.
+unchecked functions of packed mappings (see ``FlagContext``) that serve
+the walk: the swap and the telescoping move whole fields, only merges that
+spread onto normal forms make canonical terms, and a swap leaves them raw.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from cobschub.ringcore import (
-    CoeffPoly,
-    UsageError,
-    divided_difference_terms,
-    sum_of_products,
-)
+from cobschub.ringcore import CoeffPoly, UsageError, sum_of_products
 from cobschub.flagring import (
     FlagContext,
     FlagElem,
     Weight,
-    reduce_canonical,
+    reduce_terms,
     simple_root,
     times_terms,
     validate_weight,
@@ -169,7 +165,7 @@ def beta_sequence(word: Word, n: int) -> list[Weight]:
 
 
 def _op_pack(ctx: FlagContext, i: int) -> dict:
-    """U^-1 of F(x_{i+1}, chi(x_i)) as a plain mapping, kept in
+    """U^-1 of F(x_{i+1}, chi(x_i)) as a packed mapping, kept in
     ``ctx._op_packs``: the context's pack ``unit_inv`` over (y1, y2)
     through degree 2n - 3, each term y1^a y2^b read as x_i^b x_{i+1}^a.
 
@@ -184,32 +180,59 @@ def _op_pack(ctx: FlagContext, i: int) -> dict:
 
     So only the last pack, i = n - 1, reduces ``unit_inv``; its canonical
     form N stays in (x_{n-1}, x_n), and every other pack is N moved to
-    (x_i, x_{i+1}), not reduced.  A permutation s of the variables with
-    s(x_{n-1}) = x_i and s(x_n) = x_{i+1} keeps the ideal and takes the
-    pack read at (x_{n-1}, x_n) to the one read at (x_i, x_{i+1}), so s(N)
-    is congruent to the latter.  It is in general not staircase and need
-    not be: a pack enters only products that spread each raw monomial onto
-    its normal form (``times_terms``) and the read of
-    ``dual_reads_after``, which kills x_1 + ... + x_n.  Callers check i."""
+    (x_i, x_{i+1}) by one shift of the two top fields, not reduced.  A
+    permutation s of the variables with s(x_{n-1}) = x_i and s(x_n) =
+    x_{i+1} keeps the ideal and takes the pack read at (x_{n-1}, x_n) to
+    the one read at (x_i, x_{i+1}), so s(N) is congruent to the latter.
+    It need not be staircase: a pack enters only products that spread
+    each raw monomial onto its normal form (``times_terms``) and the read
+    of ``dual_reads_after``, which kills x_1 + ... + x_n.  Callers check
+    i."""
     pack = ctx._op_packs.get(i)
     if pack is None:
-        head, tail = (0,) * (i - 1), (0,) * (ctx.n - i - 1)
         if i == ctx.n - 1:
-            pack = reduce_canonical(ctx, {
-                head + (b, a): coeff
-                for (a, b), coeff in ctx.unit_inv.terms.items()}).terms
+            x, y = ctx.x_keys[-2:]
+            pack = reduce_terms(ctx, {b * x + a * y: coeff for (a, b), coeff
+                                      in ctx.unit_inv.terms.items()})
         else:
-            pack = {head + key[-2:] + tail: coeff
-                    for key, coeff in _op_pack(ctx, ctx.n - 1).items()}
+            fields = (1 << ctx.degree_shift) - 1
+            shift = ctx.field_bits * (ctx.n - 1 - i)
+            pack = {(m & fields) >> shift | m & ~fields: coeff
+                    for m, coeff in _op_pack(ctx, ctx.n - 1).items()}
         ctx._op_packs[i] = pack
     return pack
 
 
+def _pair_fields(ctx: FlagContext, i: int) -> tuple[int, int, int, int]:
+    # the shifts of x_i's and x_{i+1}'s fields, the field mask, and the move
+    # of one x_i to x_{i+1}
+    low, high = ctx.field_bits * (i - 1), ctx.field_bits * i
+    return low, high, (1 << ctx.field_bits) - 1, (1 << high) - (1 << low)
+
+
+def divided_difference_terms(ctx: FlagContext, i: int, terms):
+    """The classical divided difference (a - sigma_i a) / (x_{i+1} - x_i)
+    of a packed mapping a, as (key, coeff, sign) triples for
+    ``sum_of_products``: a monomial with e x_i's and f x_{i+1}'s gives a
+    telescoping sum of |e - f| monomials, sign +1 when f > e and -1 when
+    f < e, the first the monomial with the larger exponent on x_{i+1}
+    over x_{i+1}, each next one with an x_{i+1} moved back to x_i."""
+    low, high, mask, move = _pair_fields(ctx, i)
+    up = ctx.x_keys[i]
+    for m, coeff in terms.items():
+        gap = (m >> low & mask) - (m >> high & mask)
+        k, sign = (m + gap * move - up, -1) if gap > 0 else (m - up, 1)
+        for _ in range(abs(gap)):
+            yield k, coeff, sign
+            k -= move
+
+
 def _antisymmetrize(ctx: FlagContext, i: int, terms) -> dict:
     """The canonical terms of the classical divided difference
-    (a - sigma_i a) / (x_{i+1} - x_i) of a mapping a, raw or not, in one
-    kernel merge that spreads each raw monomial onto its normal form."""
-    return sum_of_products(divided_difference_terms(terms, i, i - 1),
+    (a - sigma_i a) / (x_{i+1} - x_i) of a packed mapping a, raw or not, in
+    one kernel merge that spreads each raw monomial onto its normal
+    form."""
+    return sum_of_products(divided_difference_terms(ctx, i, terms),
                            ctx.normal_form)
 
 
@@ -220,85 +243,81 @@ def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     with h = a * U^-1 where F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, h
     taken and reduced in the flag ring.
     """
-    return FlagElem._raw(ctx, _antisymmetrize(ctx, i, times_terms(
-        ctx, ctx.own(a, i).terms, _op_pack(ctx, i), ctx.d)))
+    return ctx.element(_antisymmetrize(ctx, i, times_terms(
+        ctx, ctx.pack_terms(ctx.own(a, i).terms), _op_pack(ctx, i), ctx.d)))
 
 
 def dual_step(ctx: FlagContext, i: int, terms, top: int) -> dict:
-    """The canonical terms through x-degree ``top`` of the companion
-    operator (1 / F(x_{i+1}, chi(x_i))) (1 - sigma_i) of a mapping a, raw
-    or not: the antisymmetrized quotient times U^-1 in the flag ring.
-    Reduction keeps x-degree and U^-1 has no negative degrees, so this
-    reads a only through degree top + 1.  In the additive specialization
-    the operator is divided_diff; in general it carries the Chevalley
-    coefficients."""
+    """The canonical packed terms through x-degree ``top`` of the companion
+    operator (1 / F(x_{i+1}, chi(x_i))) (1 - sigma_i) of a packed mapping
+    a, raw or not: the antisymmetrized quotient times U^-1 in the flag
+    ring.  Reduction keeps x-degree and U^-1 has no negative degrees, so
+    this reads a only through degree top + 1.  In the additive
+    specialization the operator is divided_diff; in general it carries the
+    Chevalley coefficients."""
     return times_terms(ctx, _antisymmetrize(ctx, i, terms), _op_pack(ctx, i),
                        top)
 
 
 def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """``dual_step`` of an element through degree d, its whole image."""
-    return FlagElem._raw(ctx, dual_step(ctx, i, ctx.own(a, i).terms, ctx.d))
+    return ctx.element(dual_step(
+        ctx, i, ctx.pack_terms(ctx.own(a, i).terms), ctx.d))
 
 
-def swap_step(terms, i: int, top: int) -> dict:
-    """The part of x-degree at most ``top`` of a mapping with x_i and
-    x_{i+1} exchanged, not reduced: the swap keeps degree and the ideal."""
-    return {key[:i - 1] + (key[i], key[i - 1]) + key[i + 1:]: coeff
-            for key, coeff in terms.items() if sum(key) <= top}
+def swap_step(ctx: FlagContext, i: int, terms, top: int) -> dict:
+    """The part of x-degree at most ``top`` of a packed mapping with x_i
+    and x_{i+1} exchanged, not reduced: the swap keeps degree and the
+    ideal, and it moves the difference of the two fields across."""
+    low, high, mask, move = _pair_fields(ctx, i)
+    limit = top + 1 << ctx.degree_shift
+    return {m + ((m >> low & mask) - (m >> high & mask)) * move: coeff
+            for m, coeff in terms.items() if m < limit}
 
 
 def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """``swap_step`` of an element, renormalized."""
-    return reduce_canonical(ctx, swap_step(ctx.own(a, i).terms, i, ctx.d))
+    return ctx.element(reduce_terms(ctx, swap_step(
+        ctx, i, ctx.pack_terms(ctx.own(a, i).terms), ctx.d)))
 
 
-def _x_key(n: int, k: int) -> tuple[int, ...]:
-    """The exponent vector of x_k at rank n."""
-    return (0,) * (k - 1) + (1,) + (0,) * (n - k)
-
-
-def _linear_read(terms, n: int, k: int, l: int) -> CoeffPoly:
-    """terms[x_l] - terms[x_k], from a mapping of exponent vectors, raw or
-    not: it kills x_1 + ... + x_n, the one relation of degree 1."""
-    zero = CoeffPoly.zero()
-    return terms.get(_x_key(n, l), zero) - terms.get(_x_key(n, k), zero)
+def _linear_read(ctx: FlagContext, terms, k: int, l: int) -> CoeffPoly:
+    """terms[x_l] - terms[x_k], from a packed mapping, raw or not: it kills
+    x_1 + ... + x_n, the one relation of degree 1."""
+    zero, x = CoeffPoly.zero(), ctx.x_keys
+    return terms.get(x[l - 1], zero) - terms.get(x[k - 1], zero)
 
 
 def dual_read(ctx: FlagContext, i: int, terms) -> CoeffPoly:
-    """The constant term of ``dual_step`` of a mapping a, raw or not, read
-    as a[x_{i+1}] - a[x_i].  Reduction keeps x-degree and U^-1 has constant
-    term 1, so this is the constant term of (a - sigma_i a) /
+    """The constant term of ``dual_step`` of a packed mapping a, raw or
+    not, read as a[x_{i+1}] - a[x_i].  Reduction keeps x-degree and U^-1
+    has constant term 1, so this is the constant term of (a - sigma_i a) /
     (x_{i+1} - x_i), whose numerator reaches degree 0 only from its
     degree-1 part (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i)."""
-    return _linear_read(terms, ctx.n, i, i + 1)
+    return _linear_read(ctx, terms, i, i + 1)
 
 
 def dual_reads_after(ctx: FlagContext, i: int, j: int,
                      terms) -> tuple[CoeffPoly, ...]:
-    """The constant terms of ``dual_step`` at i of a mapping a, raw or not,
-    and of ``dual_step`` at j of c for c that image and for c a's
+    """The constant terms of ``dual_step`` at i of a packed mapping a, raw
+    or not, and of ``dual_step`` at j of c for c that image and for c a's
     ``swap_step`` at i, in that order, with no product by U^-1, no swap and
     no reduction.  They read a only through degree 2.
 
     All three are degree-1 reads L_j(c) = c[x_{j+1}] - c[x_j]
     (``dual_read``), the first L_i(a); L_j may read a raw linear form.
-    The swap keeps degree and relabels: L_j(sigma_i a) =
-    a[x_{s(j+1)}] - a[x_{s(j)}] with s the transposition of i and i + 1.
-    The dual operator is q * U^-1 with q the antisymmetrized quotient of a,
-    which lowers degree by exactly 1, and U^-1 has constant term 1, so the
-    degree-1 part of the product is q_1 + q_0 (U^-1)_1: q_0 = L_i(a), and
-    q_1 is the classical divided difference of the degree-2 part of a, read
-    unreduced.
+    The swap relabels: L_j(sigma_i a) = a[x_{s(j+1)}] - a[x_{s(j)}] with s
+    the transposition of i and i + 1.  The dual image is q * U^-1, q the
+    antisymmetrized quotient of a, of degree one less, and U^-1 has
+    constant term 1, so its degree-1 part is q_1 + q_0 (U^-1)_1: q_0 =
+    L_i(a), and q_1 the divided difference of a's degree-2 part, unreduced.
     """
-    n = ctx.n
-    own_read = _linear_read(terms, n, i, i + 1)
-    signs = {_x_key(n, j + 1): 1, _x_key(n, j): -1}
+    own_read = _linear_read(ctx, terms, i, i + 1)
+    signs = {ctx.x_keys[j]: 1, ctx.x_keys[j - 1]: -1}
     removed = sum_of_products(itertools.chain(
         ((0, coeff, sign * signs[key]) for key, coeff, sign
-         in divided_difference_terms(terms, i, i - 1) if key in signs),
-        [(0, own_read, _linear_read(_op_pack(ctx, i), n, j, j + 1))]))
+         in divided_difference_terms(ctx, i, terms) if key in signs),
+        [(0, own_read, _linear_read(ctx, _op_pack(ctx, i), j, j + 1))]))
     swap = {i: i + 1, i + 1: i}
-    kept = _linear_read(terms, n, swap.get(j, j), swap.get(j + 1, j + 1))
+    kept = _linear_read(ctx, terms, swap.get(j, j), swap.get(j + 1, j + 1))
     return own_read, removed.get(0, CoeffPoly.zero()), kept
-

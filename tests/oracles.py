@@ -161,7 +161,7 @@ def heap_reduce(ctx, raw) -> FlagElem:
             continue
         base = list(key)
         base[j - 1] -= j
-        for repl in ctx._rewrite[j]:
+        for repl in rewrite_rule(ctx.n, j):
             new_key = tuple(b + r for b, r in zip(base, repl))
             old = pending.get(new_key)
             if old is None:
@@ -170,6 +170,20 @@ def heap_reduce(ctx, raw) -> FlagElem:
             else:
                 pending[new_key] = old - coeff
     return FlagElem._raw(ctx, done)
+
+
+@functools.lru_cache(maxsize=None)
+def rewrite_rule(n: int, j: int) -> tuple:
+    """The exponent vectors of the monomials of h_j(x_j, .., x_n) other
+    than the eliminated x_j^j, at rank n."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(j - 1, n), j):
+        key = [0] * n
+        for pos in combo:
+            key[pos] += 1
+        if key[j - 1] != j:
+            out.append(tuple(key))
+    return tuple(out)
 
 
 def cascade_normal_form(ctx, key, forms: dict):
@@ -198,7 +212,7 @@ def cascade_normal_form(ctx, key, forms: dict):
         base = list(mono)
         base[j - 1] -= j
         smaller = [tuple(b + r for b, r in zip(base, repl))
-                   for repl in ctx._rewrite[j]]
+                   for repl in rewrite_rule(ctx.n, j)]
         missing = [m for m in smaller if m not in forms]
         if missing:
             stack.extend(missing)
@@ -594,7 +608,7 @@ def full_tree_c1_times_bs(ctx, lam, word) -> dict:
 
     def walk(pos, state, kept_above):
         letter = word[pos]
-        coeff = dual_read(ctx, letter, state.terms)
+        coeff = dual_read(ctx, letter, ctx.pack_terms(state.terms))
         if coeff:
             terms[tuple(range(pos)) + kept_above] = coeff
         if pos:
@@ -626,12 +640,13 @@ def canonical_poly_times_bs(ctx, f, word) -> dict:
     def walk(pos, state, kept_above):
         letter = word[pos]
         if pos == 1:
-            reads = dual_reads_after(ctx, letter, word[0], state.terms)
+            reads = dual_reads_after(ctx, letter, word[0],
+                                     ctx.pack_terms(state.terms))
             for kept, coeff in zip(((0,), (), (1,)), reads):
                 record(kept + kept_above, coeff)
             return
         record(tuple(range(pos)) + kept_above,
-               dual_read(ctx, letter, state.terms))
+               dual_read(ctx, letter, ctx.pack_terms(state.terms)))
         if pos:
             walk(pos - 1, through_degree(
                 divided_diff_dual(ctx, letter, state), pos), kept_above)
@@ -784,6 +799,20 @@ def is_canonical(terms) -> bool:
     """Whether every exponent vector of a mapping is staircase: x_j to at
     most the power j - 1."""
     return all(e <= j for key in terms for j, e in enumerate(key))
+
+
+def unpack(ctx, m: int) -> tuple[int, ...]:
+    """The exponent tuple of a context's packed monomial, read field by
+    field from the layout's width alone."""
+    fields = bin(m)[2:].zfill(ctx.field_bits * (ctx.n + 1))[::-1]
+    return tuple(int(fields[k:k + ctx.field_bits][::-1], 2)
+                 for k in range(0, ctx.field_bits * ctx.n, ctx.field_bits))
+
+
+def unpacked(ctx, terms) -> dict:
+    """A packed mapping of a context, raw or not, keyed by exponent
+    tuples."""
+    return {unpack(ctx, m): value for m, value in terms.items()}
 
 
 def through_degree(elem, top: int):

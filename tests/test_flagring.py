@@ -63,6 +63,16 @@ def test_a_rank_that_is_no_integer_from_2_up_is_a_usage_error(rank):
         FlagContext(rank)
 
 
+@pytest.mark.parametrize("beta", ["1/2", 0.5, True, False, 1j, (1, 2)])
+def test_a_beta_that_is_no_rational_is_a_usage_error(beta):
+    # a string, a float, a bool or a pair is no law, whatever its value;
+    # the context refuses it before the law is built
+    with pytest.raises(UsageError, match="beta must be None, an integer"):
+        FlagContext(3, beta)
+    for good in (None, 0, 2, F(2, 3)):
+        assert FlagContext(2, good).beta == good
+
+
 # ---------------------------------------------------------------------------
 # Canonical reduction
 
@@ -299,8 +309,9 @@ def test_products_match_the_two_pass_route(n, beta):
         a, b = mixed_elem(ctx, rng, size), mixed_elem(ctx, rng, size)
         assert a * b == two_pass_product(a, b)
         for top in range(ctx.d):
-            assert times_terms(ctx, a.terms, b.terms, top) == \
-                two_pass_product(a, b, top).terms, top
+            assert times_terms(ctx, ctx.pack_terms(a.terms),
+                               ctx.pack_terms(b.terms), top) == \
+                ctx.pack_terms(two_pass_product(a, b, top).terms), top
     # raw monomials on x_n^n and above, whose forms are empty
     corner = reduce_canonical(ctx, {(0,) * (n - 1) + (n - 1,): b1 + F(1, 3)})
     a = mixed_elem(ctx, rng, 8)

@@ -1,11 +1,12 @@
 """The flag ring and every layer above it compute with flag elements only:
 none of them imports the series type or series composition, so a change
 that sends the flag ring back through n-variable series fails here.  Only
-``weylops`` imports the classical divided-difference kernel, so a second
-copy of the operators fails here too.  Only ``flagring`` multiplies flag
-elements: the layers above it import no raw ``truncated_product``, so no
-product that reduces in a second pass comes back beside the one that
-reduces inside the kernel.  And no module of the package imports another
+``weylops`` defines or names the classical divided-difference kernel on
+packed monomials, so a second copy of the operators fails here too.  Only
+``flagring`` multiplies flag elements, on packed monomials: no flag layer
+imports the raw ``truncated_product`` of the series, so no product that
+reduces in a second pass comes back beside the one that reduces inside
+the kernel.  And no module of the package imports another
 one's private names: what two modules share is public.  Importing the CLI,
 which every command pays for, loads neither the selftest suite nor the
 stdlib modules only it or a dataclass would need.  In the CLI, command
@@ -30,7 +31,7 @@ FLAG_LAYERS = ("flagring", "weylops", "schubert", "cli")
 SERIES_NAMES = {"TruncSeries", "compose"}
 OPERATOR_KERNEL = "divided_difference_terms"
 RAW_PRODUCT = "truncated_product"
-ABOVE_THE_PRODUCT = ("weylops", "schubert", "cli")
+FLAG_PRODUCT = "times_terms"
 NOT_ON_THE_CLI_PATH = ("cobschub.selftest", "dataclasses", "inspect",
                        "traceback")
 # the functions of the flag layers that raise UsageError themselves: the
@@ -38,7 +39,7 @@ NOT_ON_THE_CLI_PATH = ("cobschub.selftest", "dataclasses", "inspect",
 # inputs that no rule covers
 USAGE_RAISERS = {
     "flagring": {"Weight.__init__", "validate_weight", "validate_word",
-                 "FlagContext.__init__", "FlagContext.normal_form",
+                 "FlagContext.__init__", "FlagContext.pack",
                  "FlagContext.x_elem", "FlagContext.own", "theory_law"},
     "weylops": {"Permutation.__init__", "Permutation.__mul__",
                 "coroot_pairing"},
@@ -78,22 +79,35 @@ def test_flag_layers_import_no_series():
     assert offenders == {name: set() for name in FLAG_LAYERS}
 
 
+def definers(trees, name) -> set[str]:
+    """The modules that define a top-level function or class ``name``."""
+    return {module for module, tree in trees.items()
+            if any(isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                   and node.name == name for node in tree.body)}
+
+
 def test_only_weylops_imports_the_divided_difference_kernel():
     trees = source_trees()
-    assert OPERATOR_KERNEL in ringcore_definitions(trees)
+    assert definers(trees, OPERATOR_KERNEL) == {"weylops"}
+    # the guard sees an import of the name it watches
+    assert references(ast.parse(
+        f"from cobschub.weylops import {OPERATOR_KERNEL}"),
+        {OPERATOR_KERNEL}) == {OPERATOR_KERNEL}
     importers = {name for name, tree in trees.items()
                  if references(tree, {OPERATOR_KERNEL})}
-    assert importers == {"weylops"}
+    assert importers == set()
 
 
 def test_only_flagring_multiplies_flag_elements():
     trees = source_trees()
     assert RAW_PRODUCT in ringcore_definitions(trees)
-    # the guard sees the import it watches
-    assert references(trees["flagring"], {RAW_PRODUCT}) == {RAW_PRODUCT}
+    assert definers(trees, FLAG_PRODUCT) == {"flagring"}
+    # the guard sees the import it watches: the selftest builds raw
+    # representatives with it
+    assert references(trees["selftest"], {RAW_PRODUCT}) == {RAW_PRODUCT}
     offenders = {name: references(trees[name], {RAW_PRODUCT})
-                 for name in ABOVE_THE_PRODUCT}
-    assert offenders == {name: set() for name in ABOVE_THE_PRODUCT}
+                 for name in FLAG_LAYERS}
+    assert offenders == {name: set() for name in FLAG_LAYERS}
 
 
 def private_imports(tree) -> set[str]:

@@ -1,26 +1,145 @@
-"""The context's table of integer normal forms: each form is staircase and
-congruent to its monomial modulo the symmetric ideal, the one-variable peel
-gives the forms of the full h_j cascade and is linear in each variable, the
-table stays small, and reduction through the table agrees with the rewrite
-sweep on CoeffPoly coefficients."""
+"""The context's packed x-monomials and its table of integer normal forms.
 
+Packing round-trips every exponent vector of degree at most d, its bit
+tests for "staircase" and for the first field that is not are their tuple
+definitions, the sum of two packs is the pack of the product while the
+degrees add up to at most d, and the one entry from tuples refuses
+malformed ones, at ranks 2-8 (rank 7 is the first whose fields are 6 bits
+wide).  Each form is staircase and congruent to its monomial modulo the
+symmetric ideal, the one-variable peel gives the forms of the full h_j
+cascade and is linear in each variable, the table stays small, and
+reduction through the table agrees with the rewrite sweep on CoeffPoly
+coefficients."""
+
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cobschub.flagring import FlagContext, reduce_canonical
 from cobschub.ringcore import CoeffPoly, TruncSeries, UsageError
 from cobschub.schubert import bs_class
 from cobschub.weylops import Permutation, _op_pack, reduced_word
 
-from oracles import cascade_normal_form, heap_reduce, in_symmetric_ideal
+from oracles import (
+    cascade_normal_form,
+    heap_reduce,
+    in_symmetric_ideal,
+    unpack,
+)
 
 
 def is_staircase(key) -> bool:
     return all(e <= j for j, e in enumerate(key))
+
+
+def first_climb(key) -> int:
+    """The first j with x_j-exponent at least j, 0 for a staircase key."""
+    return next((j for j, e in enumerate(key, start=1) if e >= j), 0)
+
+
+@functools.lru_cache(maxsize=None)
+def chow_context(n):
+    # the layout and the forms do not depend on the law
+    return FlagContext(n, Fraction(0))
+
+
+def monomials_through(n, degree):
+    for total in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(range(n), total):
+            key = [0] * n
+            for pos in combo:
+                key[pos] += 1
+            yield tuple(key)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_monomial_through_d_round_trips(n):
+    ctx = chow_context(n)
+    one = CoeffPoly.one()
+    packs = set()
+    for key in monomials_through(n, ctx.d):
+        m = ctx.pack(key)
+        assert unpack(ctx, m) == key and m >> ctx.degree_shift == sum(key)
+        assert ctx.element({m: one}).terms == {key: one}
+        assert ctx._climb(m) == first_climb(key), key
+        packs.add(m)
+    assert len(packs) == math.comb(n + ctx.d, n)
+
+
+@st.composite
+def rank_and_two_monomials(draw):
+    """A rank 2-8 and two exponent vectors whose degrees add up to at most
+    d, with the whole degree often on one variable."""
+    n = draw(st.integers(2, 8))
+
+    def monomial(room):
+        key = [0] * n
+        if draw(st.booleans()):
+            key[draw(st.integers(0, n - 1))] = draw(st.integers(0, room))
+        else:
+            for pos in draw(st.lists(st.integers(0, n - 1), max_size=room)):
+                key[pos] += 1
+        return tuple(key)
+
+    a = monomial(n * (n - 1) // 2)
+    return n, a, monomial(n * (n - 1) // 2 - sum(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_and_two_monomials())
+@example((7, (21, 0, 0, 0, 0, 0, 0), (0,) * 7))
+@example((7, (10, 0, 0, 0, 0, 0, 0), (11, 0, 0, 0, 0, 0, 0)))
+@example((8, (0,) * 7 + (13,), (0,) * 7 + (15,)))
+@example((7, (0, 1, 2, 3, 4, 5, 6), (0,) * 7))
+def test_packed_monomials_multiply_by_adding(case):
+    # no field carries into the next, up to an exponent of d in one field
+    n, a, b = case
+    ctx = chow_context(n)
+    total = tuple(map(sum, zip(a, b)))
+    m = ctx.pack(a) + ctx.pack(b)
+    assert m == ctx.pack(total)
+    assert unpack(ctx, m) == total
+    assert m >> ctx.degree_shift == sum(total)
+    assert ctx._climb(m) == first_climb(total)
+    assert (ctx._climb(m) == 0) == is_staircase(total)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("key", [
+    lambda n: (0,) * (n - 1), lambda n: (0,) * (n + 1),
+    lambda n: (-1,) + (1,) * (n - 1), lambda n: (0,) * (n - 1) + (-3,),
+    lambda n: (1.0,) + (0,) * (n - 1), lambda n: ("1",) + (0,) * (n - 1),
+    lambda n: (None,) * n,
+], ids=["short", "long", "negative", "negative-last", "float", "str",
+        "none"])
+def test_malformed_keys_are_refused_at_every_rank(n, key):
+    # a fresh context: the check runs on a miss of the memo of packs, and
+    # (1.0, 0, ..) would hit an equal (1, 0, ..) packed before
+    ctx = FlagContext(n, Fraction(0))
+    key = key(n)
+    with pytest.raises(UsageError, match="malformed exponent vector"):
+        ctx.pack(key)
+    with pytest.raises(UsageError, match="malformed exponent vector"):
+        reduce_canonical(ctx, {key: 1})
+    assert key not in ctx._packed
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_keys_above_degree_d_reduce_to_zero(n):
+    ctx = chow_context(n)
+    for key in ((ctx.d + 1,) + (0,) * (n - 1), (0,) * (n - 1) + (ctx.d + 5,),
+                (ctx.d,) * n):
+        assert ctx.pack(key) is None
+        assert reduce_canonical(ctx, {key: 1}).is_zero()
+    # the same keys beside one of degree d keep only that one
+    top = (0,) * (n - 2) + (n - 2, n - 1) if n > 2 else (0, 1)
+    assert reduce_canonical(ctx, {top: 3, (ctx.d + 1,) + (0,) * (n - 1): 1}
+                            ) == reduce_canonical(ctx, {top: 3})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -34,7 +153,8 @@ def test_normal_forms_are_staircase_and_congruent(n):
     monomials = sorted(m for m in monomials if sum(m) <= ctx.d)
     rewritten = 0
     for mono in monomials:
-        form = ctx.normal_form(mono)
+        form = tuple((unpack(ctx, s), c)
+                     for s, c in ctx.normal_form(ctx.pack(mono)))
         keys = [key for key, _ in form]
         assert len(set(keys)) == len(keys)
         for key, value in form:
@@ -50,16 +170,15 @@ def test_normal_forms_are_staircase_and_congruent(n):
         assert in_symmetric_ideal(difference), mono
     assert rewritten or n == 2
     # monomials above degree d lie in the ideal
-    assert ctx.normal_form((ctx.d + 1,) + (0,) * (n - 1)) == ()
+    assert ctx.pack((ctx.d + 1,) + (0,) * (n - 1)) is None
 
 
-def monomials_through(n, degree):
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n), total):
-            key = [0] * n
-            for pos in combo:
-                key[pos] += 1
-            yield tuple(key)
+def unpacked_form(ctx, mono) -> dict:
+    """The packed form of an exponent vector, keyed by tuples; {} above
+    degree d."""
+    m = ctx.pack(mono)
+    return {} if m is None else {
+        unpack(ctx, s): c for s, c in ctx.normal_form(m)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -67,8 +186,22 @@ def test_peel_matches_the_full_cascade(n):
     ctx = FlagContext(n, Fraction(0))
     cascade = {}
     for mono in monomials_through(n, ctx.d + 1):
-        assert dict(ctx.normal_form(mono)) == dict(
+        assert unpacked_form(ctx, mono) == dict(
             cascade_normal_form(ctx, mono, cascade)), mono
+
+
+@pytest.mark.parametrize("n, seed", [(6, 61), (7, 71)])
+def test_peel_matches_the_full_cascade_on_random_monomials(n, seed):
+    # each monomial on a cold table, so the peel fills it from scratch
+    rng = random.Random(seed)
+    cascade = {}
+    for _ in range(20):
+        key = [0] * n
+        for _ in range(rng.randint(0, n * (n - 1) // 2)):
+            key[rng.randrange(n)] += 1
+        mono = tuple(key)
+        assert unpacked_form(FlagContext(n, Fraction(0)), mono) == dict(
+            cascade_normal_form(chow_context(n), mono, cascade)), mono
 
 
 @st.composite
@@ -91,7 +224,7 @@ def test_forms_are_linear_in_each_variable(case):
     # table per example varies the order in which forms are filled
     n, mono = case
     ctx = FlagContext(n, Fraction(0))
-    form = ctx.normal_form(mono)
+    form = unpacked_form(ctx, mono).items()
     for k in range(n):
         bump = tuple(int(p == k) for p in range(n))
         raised = tuple(map(sum, zip(mono, bump)))
@@ -148,10 +281,11 @@ def test_reduce_canonical_matches_the_rewrite_sweep(n, seed):
                                  (0, 0, -4), (1, 1)])
 def test_malformed_exponent_vectors_are_refused(key):
     # a negative exponent once gave non-canonical terms, and one of degree
-    # above d the empty form; the check runs only on a table miss
+    # above d the empty form; the check runs only on a miss of the memo of
+    # packs
     ctx = FlagContext(3)
     with pytest.raises(UsageError):
-        ctx.normal_form(key)
+        ctx.pack(key)
     with pytest.raises(UsageError):
         reduce_canonical(ctx, {key: 1})
-    assert key not in ctx._normal_forms
+    assert key not in ctx._packed

@@ -13,12 +13,9 @@ from cobschub.ringcore import (
     UsageError,
     compose,
     divide_by_linear,
-    divided_difference_terms,
     series_invert_unit,
     series_reverse,
-    sum_of_products,
 )
-from cobschub.selftest import classical_divided_difference
 
 from oracles import (
     coeff_degrees,
@@ -440,39 +437,6 @@ def test_divide_by_linear_matches_horner_division(terms, extra, pq, cap):
             divide_by_linear(num, *pq)
     else:
         assert divide_by_linear(num, *pq) == expected
-
-
-# ---------------------------------------------------------------------------
-# The classical divided-difference kernel
-
-fraction_terms = st.dictionaries(
-    st.tuples(*(st.integers(0, 4) for _ in range(4))),
-    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)), max_size=8)
-
-
-def kernel_sum(terms, p, q):
-    coeffs = {key: CoeffPoly.rational(value) for key, value in terms.items()}
-    return sum_of_products(divided_difference_terms(coeffs, p, q))
-
-
-@settings(max_examples=200, deadline=None)
-@given(fraction_terms, st.integers(0, 2))
-@example({(0, 3, 1, 0): Fraction(2), (0, 1, 3, 0): Fraction(-1, 2),
-          (1, 2, 2, 0): Fraction(5)}, 1)
-def test_divided_difference_kernel_matches_classical(terms, i):
-    # classical_divided_difference divides by x_{i+2} - x_{i+1}: positions
-    # i + 1 and i
-    expected = {key: CoeffPoly.rational(value) for key, value in
-                classical_divided_difference(terms, i).items()}
-    assert kernel_sum(terms, i + 1, i) == expected
-    assert kernel_sum(terms, i, i + 1) == {
-        key: -value for key, value in expected.items()}
-    # and it is the exact quotient of f - s f by x_{i+2} - x_{i+1}
-    cap = 16
-    vars = ("a", "b", "c", "d")
-    f = TruncSeries(vars, cap, terms)
-    swap = f.swap_vars(i, i + 1)
-    assert divide_by_linear(f - swap, i + 1, i).terms == expected
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,35 @@ def test_chevalley_singleton_is_beta_pairing(ctx3, ctx4):
                     coroot_pairing(lam, betas[j]))
 
 
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("beta", [Fraction(0), Fraction(2, 3)],
+                         ids=["chow", "ktheory-2/3"])
+def test_class_of_w0_is_one_at_ranks_7_and_8(n, beta):
+    # the first classes built on fields 6 bits wide (d = 21 and 28); the
+    # Chow and K-theory classes of w0 are the fundamental class
+    ctx = FlagContext(n, beta)
+    assert bs_class(ctx, reduced_word(Permutation(range(n, 0, -1)))) == \
+        ctx.one()
+
+
+@pytest.mark.parametrize("word", [
+    (1, 2, 1, 3, 2, 1), (6, 5, 4, 3, 2, 1), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)])
+def test_chow_chevalley_rows_are_beta_pairings_at_rank_7(word):
+    # in Chow only single removals survive, each with the pairing of its
+    # root: the check the benchmark makes at rank 4
+    from cobschub.weylops import beta_sequence
+
+    ctx = FlagContext(7, Fraction(0))
+    for i in (1, 2, 3):
+        lam = fundamental_weight(i, 7)
+        expected = Counter()
+        for j, root in enumerate(beta_sequence(word, 7)):
+            expected[word[:j] + word[j + 1:]] += coroot_pairing(lam, root)
+        got = c1_times_bs(ctx, lam, word).by_word()
+        assert got == {kept: CoeffPoly.rational(value)
+                       for kept, value in expected.items() if value}, i
+
+
 def test_c1_times_bs_matches_per_mask_walk():
     # the tree walk, which carries each state only through the degrees its
     # reads reach, against one full operator string per removal set, every

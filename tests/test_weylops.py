@@ -4,9 +4,16 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cobschub import fgl, flagring, ringcore, weylops
-from cobschub.ringcore import CoeffPoly, TruncSeries, UsageError
+from cobschub.ringcore import (
+    CoeffPoly,
+    TruncSeries,
+    UsageError,
+    divide_by_linear,
+    sum_of_products,
+)
 from cobschub.flagring import (
     THEORIES,
     FlagContext,
@@ -28,6 +35,7 @@ from cobschub.weylops import (
     coroot_pairing,
     divided_diff,
     divided_diff_dual,
+    divided_difference_terms,
     dual_read,
     dual_reads_after,
     dual_step,
@@ -55,6 +63,7 @@ from oracles import (
     specialize,
     through_degree,
     two_pass_product,
+    unpacked,
     word_permutation,
 )
 
@@ -224,8 +233,38 @@ def test_op_pack_is_the_relabeled_law_pack(ctx3, ctx4):
     for ctx in (ctx3, ctx4):
         for i in range(1, ctx.n):
             _, ref_unit_inv = reference_op_pack(ctx, i)
-            assert reduce_canonical(ctx, _op_pack(ctx, i)) == reduce_canonical(
+            assert reduce_canonical(
+                ctx, unpacked(ctx, _op_pack(ctx, i))) == reduce_canonical(
                 ctx, ref_unit_inv.terms), (ctx.n, i)
+
+
+# Exponent vectors of degree at most d = 6 at rank 4, so that they pack
+fraction_terms = st.dictionaries(
+    st.tuples(*(st.integers(0, 4) for _ in range(4))).filter(
+        lambda key: sum(key) <= 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_terms, st.integers(0, 2))
+@example({(0, 3, 1, 0): F(2), (0, 1, 3, 0): F(-1, 2),
+          (1, 2, 2, 0): F(5)}, 1)
+@example({(0, 0, 0, 6): F(1), (6, 0, 0, 0): F(3), (0, 0, 6, 0): F(-1)}, 2)
+def test_divided_difference_kernel_matches_classical(terms, i):
+    # the packed kernel at letter i + 1 divides by x_{i+2} - x_{i+1}, as
+    # classical_divided_difference at 0-based i does; it moves fields of
+    # exponents up to d and does not reduce
+    ctx = FlagContext(4, F(0))
+    expected = {key: CoeffPoly.rational(value) for key, value in
+                classical_divided_difference(terms, i).items()}
+    coeffs = {key: CoeffPoly.rational(value) for key, value in terms.items()}
+    got = sum_of_products(divided_difference_terms(
+        ctx, i + 1, ctx.pack_terms(coeffs)))
+    assert unpacked(ctx, got) == expected
+    # and it is the exact quotient of f - s f by x_{i+2} - x_{i+1}
+    f = TruncSeries(("a", "b", "c", "d"), 16, terms)
+    swap = f.swap_vars(i, i + 1)
+    assert divide_by_linear(f - swap, i + 1, i).terms == expected
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +283,10 @@ def test_pair_monomials_above_2n_minus_3_reduce_to_zero(n):
         for a in range(top + 2):
             key = [0] * n
             key[i - 1], key[i] = a, top + 1 - a
-            assert ctx.normal_form(tuple(key)) == (), (n, key)
-    corner = (0,) * (n - 2) + (n - 2, n - 1)
+            # above degree d a monomial has no pack: it lies in the ideal
+            m = ctx.pack(tuple(key))
+            assert m is None or ctx.normal_form(m) == (), (n, key)
+    corner = ctx.pack((0,) * (n - 2) + (n - 2, n - 1))
     assert ctx.normal_form(corner) == ((corner, 1),)
 
 
@@ -257,7 +298,8 @@ def test_op_pack_is_the_full_degree_pack(n, law):
     # same pair and reduced
     ctx = FlagContext(n, *law)
     for i in range(1, n):
-        assert reduce_canonical(ctx, _op_pack(ctx, i)) == full_degree_op_pack(
+        assert reduce_canonical(
+            ctx, unpacked(ctx, _op_pack(ctx, i))) == full_degree_op_pack(
             ctx, i), i
 
 
@@ -272,43 +314,46 @@ def test_moved_packs_and_dual_products_match_the_direct_routes(n, law):
     ctx = FlagContext(n, *law)
     rng = random.Random(f"dual-{n}-{law}")
     last = _op_pack(ctx, n - 1)
-    assert last == direct_op_pack(ctx, n - 1).terms
+    assert last == ctx.pack_terms(direct_op_pack(ctx, n - 1).terms)
     for i in range(1, n):
-        pack = _op_pack(ctx, i)
-        assert type(pack) is dict and list(pack.values()) == list(
-            last.values()), i
+        pack = unpacked(ctx, _op_pack(ctx, i))
+        assert list(pack.values()) == list(last.values()), i
         assert all(sum(key) == sum(key[i - 1:i + 1]) for key in pack), i
         assert reduce_canonical(ctx, pack) == direct_op_pack(ctx, i), i
     for i in range(1, n):
         a = random_flag_elem(ctx, rng, max_terms=6)
-        quotient = FlagElem._raw(ctx, _antisymmetrize(ctx, i, a.terms))
+        packed = ctx.pack_terms(a.terms)
+        quotient = ctx.element(_antisymmetrize(ctx, i, packed))
         for top in range(ctx.d + 1):
-            assert dual_step(ctx, i, a.terms, top) == two_pass_product(
-                quotient, direct_op_pack(ctx, i), top).terms, (i, top)
+            assert dual_step(ctx, i, packed, top) == ctx.pack_terms(
+                two_pass_product(quotient, direct_op_pack(ctx, i),
+                                 top).terms), (i, top)
         # a class times a pack: long b-coefficients on many raw monomials
         z = bs_class(ctx, tuple(range(1, n))[:i])
-        assert times_terms(ctx, z.terms, _op_pack(ctx, i), ctx.d) == \
-            two_pass_product(z, direct_op_pack(ctx, i)).terms, i
+        assert times_terms(ctx, ctx.pack_terms(z.terms), _op_pack(ctx, i),
+                           ctx.d) == ctx.pack_terms(two_pass_product(
+                               z, direct_op_pack(ctx, i)).terms), i
 
 
 def test_cold_class_of_w0_reduces_once_per_pack(monkeypatch):
     # products reduce inside the kernel and every pack but the last is
-    # moved from it unreduced, so a cold class calls reduce_canonical once,
-    # for the last pack: it made 9 calls at rank 4 when each of its 6
+    # moved from it unreduced, so a cold class reduces a mapping once
+    # (``reduce_terms``, which ``reduce_canonical`` calls too), for the
+    # last pack: it made 9 reductions at rank 4 when each of its 6
     # products reduced in a second pass, and one per pack (3 at rank 4, 4
     # at rank 5) while the moved packs were reduced.  Products with raw
     # packs meet more raw monomials, 125 normal forms at rank 4 and 1242 at
     # rank 5 (81 and 562 with canonical packs), far below the 3021 forms of
     # the full h_j cascade at rank 5
     calls = []
-    reduce = flagring.reduce_canonical
+    reduce = flagring.reduce_terms
 
     def spy(ctx, p):
         calls.append(ctx.n)
         return reduce(ctx, p)
 
     for module in (flagring, weylops):
-        monkeypatch.setattr(module, "reduce_canonical", spy)
+        monkeypatch.setattr(module, "reduce_terms", spy)
     for n, reductions, forms in ((4, 1, 125), (5, 1, 1242)):
         ctx = FlagContext(n)
         calls.clear()
@@ -319,7 +364,8 @@ def test_cold_class_of_w0_reduces_once_per_pack(monkeypatch):
 
 def test_chevalley_walks_reduce_only_mappings(monkeypatch):
     # operators check their input with FlagContext.own, not by passing it
-    # through reduce_canonical, and the walk leaves its swapped states raw,
+    # through a reduction (``reduce_terms``, which ``reduce_canonical``
+    # calls too), and the walk leaves its swapped states raw,
     # so the 45 walks of the chev_r4 set (omega_1..omega_3 on the
     # lexicographically smallest reduced words of length at most 3 at rank
     # 4, with packs and Chern classes built first) make no reduction, where
@@ -327,14 +373,14 @@ def test_chevalley_walks_reduce_only_mappings(monkeypatch):
     # more; a cold class of w0 makes 1, for its last pack, where reduced
     # moved packs made 3
     inputs = []
-    reduce = flagring.reduce_canonical
+    reduce = flagring.reduce_terms
 
     def spy(ctx, p):
         inputs.append(p)
         return reduce(ctx, p)
 
     for module in (flagring, weylops, schubert):
-        monkeypatch.setattr(module, "reduce_canonical", spy, raising=False)
+        monkeypatch.setattr(module, "reduce_terms", spy, raising=False)
     n = 4
     ctx = FlagContext(n)
     for i in range(1, n):
@@ -522,10 +568,10 @@ def test_operators_match_series_route_on_engine_inputs(monkeypatch):
     def recording(op, oracle):
         def wrapper(ctx, i, a, *top):
             result = op(ctx, i, a, *top)
-            # a mapping is carried to the series route as its terms
+            # a packed mapping is carried to the series route as its terms
             calls.append((oracle, ctx, i) + tuple(
-                FlagElem._raw(ctx, x) if type(x) is dict else x
-                for x in (a, top, result)))
+                FlagElem._raw(ctx, unpacked(ctx, x)) if type(x) is dict
+                else x for x in (a, top, result)))
             return result
         return wrapper
 
@@ -573,8 +619,9 @@ def test_bounded_dual_is_the_image_through_top(n, theory):
             full = series_divided_diff_dual(ctx, i, a)
             assert divided_diff_dual(ctx, i, a) == full
             for top in range(ctx.d + 1):
-                assert dual_step(ctx, i, a.terms, top) == through_degree(
-                    full, top).terms, (i, a, top)
+                assert dual_step(ctx, i, ctx.pack_terms(a.terms), top) == \
+                    ctx.pack_terms(through_degree(full, top).terms), (
+                        i, a, top)
 
 
 def test_dual_constant_term_is_the_degree_one_read(ctx3, ctx4):
@@ -592,7 +639,7 @@ def test_dual_constant_term_is_the_degree_one_read(ctx3, ctx4):
             for i in range(1, ctx.n):
                 read = (a.coefficient(basis_weight(i + 1, ctx.n).coords)
                         - a.coefficient(basis_weight(i, ctx.n).coords))
-                assert dual_read(ctx, i, a.terms) == read
+                assert dual_read(ctx, i, ctx.pack_terms(a.terms)) == read
                 assert divided_diff_dual(ctx, i, a).constant_term() == read
                 nonzero += bool(read)
     assert nonzero
@@ -615,16 +662,17 @@ def test_dual_constant_terms_after_are_the_two_step_reads(n, law):
     states.append(states[-1] * states[-2])  # degree 2 in Chow too
     nonzero = [0, 0, 0]
     for a in states:
+        packed = ctx.pack_terms(a.terms)
         for i in range(1, n):
             for j in range(1, n):
                 expected = (
-                    dual_read(ctx, i, a.terms),
-                    dual_read(ctx, j, dual_step(ctx, i, a.terms, 1)),
-                    dual_read(ctx, j, sigma_op(
-                        ctx, i, through_degree(a, 1)).terms))
-                assert dual_reads_after(ctx, i, j, a.terms) == expected
-                assert dual_reads_after(
-                    ctx, i, j, through_degree(a, 2).terms) == expected
+                    dual_read(ctx, i, packed),
+                    dual_read(ctx, j, dual_step(ctx, i, packed, 1)),
+                    dual_read(ctx, j, ctx.pack_terms(sigma_op(
+                        ctx, i, through_degree(a, 1)).terms)))
+                assert dual_reads_after(ctx, i, j, packed) == expected
+                assert dual_reads_after(ctx, i, j, ctx.pack_terms(
+                    through_degree(a, 2).terms)) == expected
                 nonzero = [k + bool(read)
                            for k, read in zip(nonzero, expected)]
     # at rank 2 in Chow nothing has degree 2 (d = 1) and U^-1 = 1, so the
