@@ -113,8 +113,8 @@ def coeff_to_json(c: CoeffPoly) -> list:
 
 def elem_terms_to_json(elem) -> list:
     """Terms of a flag element or a series, sorted by exponent vector."""
-    return [{"x": list(key), "coeff": coeff_to_json(elem.terms[key])}
-            for key in sorted(elem.terms)]
+    return [{"x": list(key), "coeff": coeff_to_json(value)}
+            for key, value in sorted(elem.exponents().items())]
 
 
 def _word_label(word) -> str:

@@ -149,23 +149,21 @@ class FlagContext:
     log and exp are built at ``work_cap`` = max(d, 2n - 2), the least cap
     that serves both readers, and F, chi and q are never built.
 
-    Inside the engine an x-monomial of degree at most d is one int: the
-    exponent of x_k in the field of ``field_bits`` = d.bit_length() + 1
+    An x-monomial of degree at most d is one int, the key of element terms:
+    the exponent of x_k in the field of ``field_bits`` = d.bit_length() + 1
     bits at bit field_bits * (k - 1), and the degree above the n fields,
     at bit ``degree_shift``.  No exponent reaches a field's top bit, so
     while degrees add up to at most d a product is the sum of the ints,
-    with no carry.  ``x_keys`` holds x_1..x_n.  Elements keep exponent
-    tuples: the element entries pack terms once (``pack_terms``, through
-    ``pack``, the one check of a tuple) and unpack once (``element``).
+    with no carry.  ``x_keys`` holds x_1..x_n.  ``pack`` packs and checks
+    a raw exponent tuple, and ``unpack`` serves ``FlagElem.exponents``.
 
     Caches, filled on first use and kept for the context's life, keyed by
     packed ints where they hold monomials: the normal forms that reductions
     meet and those they rest on (``_normal_forms``), the operators' packed
-    U^-1 (``_op_packs``, by i, see ``weylops._op_pack``), the packs of
-    tuples and the tuples of staircase packs (``_packed``, ``_unpacked``),
-    first Chern classes of weights (``_c1_cache``) and Bott-Samelson
-    classes (``_bs_cache``).  Chevalley expansions are mutable and are
-    built afresh on every call.
+    U^-1 (``_op_packs``, by i, see ``weylops._op_pack``), first Chern
+    classes of weights (``_c1_cache``) and Bott-Samelson classes
+    (``_bs_cache``).  Chevalley expansions are mutable and are built afresh
+    on every call.
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
@@ -192,8 +190,6 @@ class FlagContext:
         self.unit_inv = unit_inverse(self.log, self.exp, 2 * n - 3)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
         self._normal_forms: dict[int, NormalForm] = {}
-        self._packed: dict[tuple[int, ...], int] = {}
-        self._unpacked: dict[int, tuple[int, ...]] = {}
         self._op_packs: dict[int, dict] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
@@ -207,30 +203,17 @@ class FlagContext:
     def pack(self, key) -> int | None:
         """x^key packed, None above degree d (where it lies in the ideal);
         UsageError unless ``key`` is n nonnegative integers."""
-        m = self._packed.get(key)
-        if m is None:
-            if len(key) != self.n or not all(
-                    isinstance(e, int) and e >= 0 for e in key):
-                raise UsageError(f"malformed exponent vector {key!r}")
-            if sum(key) > self.d:
-                return None
-            m = self._packed[key] = sum(map(operator.mul, key, self.x_keys))
-        return m
+        if len(key) != self.n or not all(
+                isinstance(e, int) and e >= 0 for e in key):
+            raise UsageError(f"malformed exponent vector {key!r}")
+        if sum(key) > self.d:
+            return None
+        return sum(map(operator.mul, key, self.x_keys))
 
-    def pack_terms(self, terms) -> dict:
-        """An element's terms keyed by their packs; a key the memo misses,
-        or 0's, goes to ``pack``."""
-        get, pack = self._packed.get, self.pack
-        return {get(key) or pack(key): value for key, value in terms.items()}
-
-    def element(self, terms: dict) -> "FlagElem":
-        """The element of canonical packed terms, keyed by tuples."""
-        keys, width = self._unpacked, self.field_bits
-        for m in terms.keys() - keys.keys():
-            keys[m] = tuple(m >> width * k & (1 << width) - 1
-                            for k in range(self.n))
-        return FlagElem._raw(self, {keys[m]: value
-                                    for m, value in terms.items()})
+    def unpack(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple of the packed monomial m."""
+        width = self.field_bits
+        return tuple(m >> width * k & (1 << width) - 1 for k in range(self.n))
 
     def _climb(self, m: int) -> int:
         # the first j with x_j-exponent at least j in m, 0 if m is staircase
@@ -288,7 +271,7 @@ class FlagContext:
         return form
 
     def one(self) -> "FlagElem":
-        return FlagElem._raw(self, {(0,) * self.n: CoeffPoly.one()})
+        return FlagElem._raw(self, {0: CoeffPoly.one()})
 
     def zero(self) -> "FlagElem":
         return FlagElem._raw(self, {})
@@ -297,8 +280,8 @@ class FlagContext:
         """The class x_i = c_1(L_i) in canonical form."""
         if not 1 <= i <= self.n:
             raise UsageError(f"variable index {i} out of range")
-        key = tuple(int(k == i) for k in range(1, self.n + 1))
-        return reduce_canonical(self, {key: CoeffPoly.one()})
+        return FlagElem._raw(self, reduce_terms(
+            self, {self.x_keys[i - 1]: CoeffPoly.one()}))
 
     def own(self, a, *letters) -> "FlagElem":
         """``a`` itself if it is an element of a context with this (n, beta)
@@ -329,8 +312,9 @@ def theory_law(theory: str, beta: Fraction) -> tuple:
 class FlagElem(TermMap):
     """An element of the flag ring in canonical normal form.
 
-    Immutable; the exponent vectors all satisfy the staircase bound and stay
-    within total degree d, and no zero coefficients are stored.  Elements
+    Immutable; ``terms`` is keyed by the context's packed monomials, which
+    all satisfy the staircase bound and stay within total degree d, and no
+    zero coefficients are stored; ``exponents()`` unpacks them.  Elements
     mix only within contexts of the same (n, beta): sums, differences and
     products, ``times_terms`` through d, check the other with ``own``.
     ``reduce_canonical`` builds elements from raw polynomials.  The constant
@@ -361,14 +345,20 @@ class FlagElem(TermMap):
     def vars(self) -> tuple[str, ...]:
         return self.ctx.vars
 
+    def exponents(self) -> dict:
+        unpack = self.ctx.unpack
+        return {unpack(m): value for m, value in self.terms.items()}
+
+    def constant_term(self) -> CoeffPoly:
+        return self.terms.get(0, CoeffPoly.zero())
+
     def __mul__(self, other) -> "FlagElem":
         if not isinstance(other, FlagElem):
             return self._scale(other)
         self._check(other)
-        ctx = self.ctx
         # monomials above degree d lie in the ideal
-        return ctx.element(times_terms(ctx, ctx.pack_terms(self.terms),
-                                       ctx.pack_terms(other.terms), ctx.d))
+        return self._like(times_terms(self.ctx, self.terms, other.terms,
+                                      self.ctx.d))
 
     __rmul__ = __mul__
 
@@ -398,22 +388,21 @@ def reduce_terms(ctx: FlagContext, terms) -> dict:
 def reduce_canonical(ctx: FlagContext, p) -> FlagElem:
     """Rewrite a raw polynomial to the canonical staircase form.
 
-    Takes only a raw mapping from exponent vectors to coefficients: an
-    element is already canonical, and ``FlagContext.own`` checks one.  The
-    keys are packed, and checked, by ``FlagContext.pack``; monomials of
-    degree above d are dropped, as they lie in the ideal.
+    Takes only a raw mapping from exponent tuples to coefficients, such as
+    an element's ``exponents()``: an element is already canonical, and
+    ``FlagContext.own`` checks one.  Each key is packed, and checked, by
+    ``FlagContext.pack``; monomials of degree above d are dropped, as they
+    lie in the ideal.
     """
-    pack = ctx.pack
-    return ctx.element(reduce_terms(ctx, {
+    return FlagElem._raw(ctx, reduce_terms(ctx, {
         m: coeff for key, value in p.items()
         for coeff in (CoeffPoly.coerce(value),)
-        for m in (pack(key),) if m is not None}))
+        for m in (ctx.pack(key),) if m is not None}))
 
 
 def point_class(ctx: FlagContext) -> FlagElem:
     """The class of a point, the monomial x_n^(n-1) x_(n-1)^(n-2) ... x_2."""
-    key = tuple(range(ctx.n))
-    return FlagElem._raw(ctx, {key: CoeffPoly.one()})
+    return FlagElem._raw(ctx, {ctx.pack(range(ctx.n)): CoeffPoly.one()})
 
 
 def _exp_at(ctx: FlagContext, y) -> dict:
@@ -442,10 +431,10 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
     the packed raw mapping {x_i^k: -c_i l_k} over the log's coefficients
     l_k through degree d; every x_i is nilpotent in the flag ring, so the
     exp is evaluated there by Horner's rule on packed term maps
-    (``_exp_at``), whose result is unpacked as an element once, and the law
-    is read only through degree d.  For -e_i, whose line is L_i itself,
-    that is x_i, which is returned without evaluation: the exp at log(x_i)
-    would take 0.1-0.8 s at rank 6 for i <= 4.
+    (``_exp_at``), whose result is the element's terms, and the law is read
+    only through degree d.  For -e_i, whose line is L_i itself, that is
+    x_i, which is returned without evaluation: the exp at log(x_i) would
+    take 0.1-0.8 s at rank 6 for i <= 4.
     """
     validate_weight(lam, ctx.n)
     cached = ctx._c1_cache.get(lam.coords)
@@ -458,6 +447,6 @@ def c1_weight(ctx: FlagContext, lam: Weight) -> FlagElem:
             k * x: ell * -c for x, c in zip(ctx.x_keys, lam.coords) if c
             for k in range(1, ctx.d + 1)
             for ell in (ctx.log.coefficient((k,)),) if ell})
-        result = ctx.element(_exp_at(ctx, log_sum))
+        result = FlagElem._raw(ctx, _exp_at(ctx, log_sum))
     ctx._c1_cache[lam.coords] = result
     return result

@@ -9,9 +9,9 @@ at the top of every field catches an exponent that outgrows its field, which
 raises UsageError instead of carrying into the next generator.  Power series
 carry these coefficients and are truncated at a fixed total degree in the
 series variables, whose exponent vectors stay tuples; every operation is
-exact below the cap and silently discards terms above it.  The flag layer
-packs its x-monomials into ints of its own layout (``flagring.FlagContext``)
-and passes the kernel those ints as keys.
+exact below the cap and silently discards terms above it.  Flag elements
+key their terms by ints of the flag layer's own layout
+(``flagring.FlagContext``), which the kernel takes as they are.
 
 This module is the one arithmetic core.  Products of series and of flag
 elements, composition, inversion, canonical reduction, the classical divided
@@ -442,19 +442,24 @@ def truncated_product(left: Mapping, right: Mapping, cap: int) -> dict:
 class TermMap:
     """The module operations that series and flag elements share.
 
-    ``terms`` maps exponent vectors to nonzero CoeffPoly coefficients and
-    ``vars`` names the variables.  A subclass supplies ``_like(terms)``, a
-    new element of its own kind (same variables and cap, or same context)
-    over the given terms, and ``_kind()``, what two elements must share to
-    mix: equality and hashing include it, and ``_check``, the hook of every
-    sum, difference and product of two elements, raises UsageError when the
-    kinds differ unless a subclass overrides it with a rule of its own.
+    ``terms`` maps monomials to nonzero CoeffPoly coefficients, exponent
+    tuples for a series and packed ints for a flag element; ``exponents()``
+    is the one view keyed by tuples, and ``vars`` names the variables.  A
+    subclass supplies ``_like(terms)``, a new element of its own kind (same
+    variables and cap, or same context) over the given terms, and
+    ``_kind()``, what two elements must share to mix: equality and hashing
+    include it, and ``_check``, the hook of every sum, difference and
+    product of two elements, raises UsageError when the kinds differ unless
+    a subclass overrides it with a rule of its own.
     """
 
     __slots__ = ()
 
+    def exponents(self) -> dict:
+        return self.terms
+
     def coefficient(self, key) -> CoeffPoly:
-        return self.terms.get(tuple(key), CoeffPoly.zero())
+        return self.exponents().get(tuple(key), CoeffPoly.zero())
 
     def constant_term(self) -> CoeffPoly:
         """The coefficient of the monomial 1."""
@@ -508,10 +513,11 @@ class TermMap:
     def __str__(self) -> str:
         """Terms by degree, as (coeff)*monomial; the CLI's text output."""
         parts = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
+        terms = self.exponents()
+        for key in sorted(terms, key=lambda k: (sum(k), k)):
             mono = "*".join(f"{v}^{e}" if e > 1 else v
                             for v, e in zip(self.vars, key) if e)
-            coeff = self.terms[key]
+            coeff = terms[key]
             parts.append(f"({coeff})*{mono}" if mono else f"({coeff})")
         return " + ".join(parts) if parts else "0"
 

@@ -139,12 +139,13 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
     dimension of Z_word, above which f multiplies Z_word to 0, and a node
     asks for its dual child through degree p and swaps only that part.
 
-    The word and f are checked once, f is packed once, and each state is
-    a packed mapping made canonical only by the dual step's merges: a
-    swapped state stays raw.  That is exact.  The ideal is S_n-stable and
-    homogeneous; the antisymmetrized quotient, the swap, products and cuts
-    by degree map it into itself; and every read vanishes on it, the
-    constant term as much as the degree-1 read L_j, killing x_1 + ... + x_n.
+    The word and f are checked once, the root state is f's packed terms
+    through len(word), and each state is a packed mapping made canonical
+    only by the dual step's merges: a swapped state stays raw.  That is
+    exact.  The ideal is S_n-stable and homogeneous; the antisymmetrized
+    quotient, the swap, products and cuts by degree map it into itself;
+    and every read vanishes on it, the constant term as much as the
+    degree-1 read L_j, killing x_1 + ... + x_n.
     """
     word = validate_word(word, ctx.n)
     ctx.own(f)
@@ -170,8 +171,7 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
     record(tuple(range(len(word))), f.constant_term())
     if word:
         limit = len(word) + 1 << ctx.degree_shift
-        walk(len(word) - 1, {m: coeff for m, coeff
-                             in ctx.pack_terms(f.terms).items()
+        walk(len(word) - 1, {m: coeff for m, coeff in f.terms.items()
                              if m < limit}, ())
     return BSExpansion(word, terms)
 
@@ -212,10 +212,10 @@ def product_bs(ctx: FlagContext, left, right) -> BSExpansion:
 # Basis expansion
 
 
-def _leading_monomial(elem: FlagElem) -> tuple[int, ...]:
+def _leading_monomial(terms) -> tuple[int, ...]:
     """The lexicographically largest monomial (x_1 heaviest) of the lowest
-    x-degree part of a nonzero element."""
-    return max(elem.terms, key=lambda key: (-sum(key), key))
+    x-degree part of nonzero terms keyed by exponent tuples."""
+    return max(terms, key=lambda key: (-sum(key), key))
 
 
 def _basis_permutation(lead: tuple[int, ...]) -> Permutation:
@@ -246,16 +246,18 @@ def expand_in_bs_basis(ctx: FlagContext, a: FlagElem) -> dict[Permutation, Coeff
     """
     out: dict[Permutation, CoeffPoly] = {}
     residual = ctx.own(a)
-    while not residual.is_zero():
-        lead = _leading_monomial(residual)
+    terms = residual.exponents()
+    while terms:
+        lead = _leading_monomial(terms)
         w = _basis_permutation(lead)
         cls = bs_class(ctx, reduced_word(w))
         if cls.coefficient(lead) != 1:
             raise InternalError(f"basis class of {w} has coefficient "
                                 f"{cls.coefficient(lead)} at {lead}, not 1")
-        coeff = out[w] = residual.terms[lead]
+        coeff = out[w] = terms[lead]
         residual = residual - coeff * cls
-        if lead in residual.terms:
+        terms = residual.exponents()
+        if lead in terms:
             raise InternalError(
                 f"subtracting the class of {w} left its leading monomial")
     return out

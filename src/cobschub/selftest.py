@@ -203,10 +203,10 @@ def _check_reduction_properties(ctx):
     rng = random.Random(101)
     for _ in range(5):
         a = _random_elem(ctx, rng)
-        assert reduce_canonical(ctx, dict(a.terms)) == a
+        assert reduce_canonical(ctx, a.exponents()) == a
         es = _elementary(ctx, rng.randint(1, ctx.n))
         assert reduce_canonical(
-            ctx, truncated_product(es, a.terms, ctx.d)).is_zero()
+            ctx, truncated_product(es, a.exponents(), ctx.d)).is_zero()
 
 
 def _check_weyl_lemma(ctx):
@@ -247,7 +247,7 @@ def _check_representative_independence(ctx):
         q = _random_elem(ctx, rng)
         es = _elementary(ctx, rng.randint(1, ctx.n))
         shifted = reduce_canonical(ctx, combine_terms(
-            p.terms, truncated_product(es, q.terms, ctx.d), 1))
+            p.exponents(), truncated_product(es, q.exponents(), ctx.d), 1))
         for i in range(1, ctx.n):
             assert divided_diff(ctx, i, shifted) == divided_diff(ctx, i, p)
 

@@ -12,11 +12,12 @@ constant term 1) read at the pair through degree 2n - 3 (``_op_pack``).
 The element entries are ``divided_diff``, ``divided_diff_dual`` and
 ``sigma_op``; each takes its element through one ``FlagContext.own``, so
 it raises UsageError for a letter outside 1..n-1 and for anything but an
-element of a context with its (n, beta).  The steps (``dual_step``,
+element of a context with its (n, beta), and passes its packed terms (see
+``FlagContext``) to the steps as they are.  The steps (``dual_step``,
 ``swap_step``) and reads (``dual_read``, ``dual_reads_after``) are
-unchecked functions of packed mappings (see ``FlagContext``) that serve
-the walk: the swap and the telescoping move whole fields, only merges that
-spread onto normal forms make canonical terms, and a swap leaves them raw.
+unchecked functions of packed mappings that also serve the walk: the swap
+and the telescoping move whole fields, only merges that spread onto
+normal forms make canonical terms, and a swap leaves them raw.
 """
 
 from __future__ import annotations
@@ -243,8 +244,8 @@ def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     with h = a * U^-1 where F(x_{i+1}, chi(x_i)) = (x_{i+1} - x_i) * U, h
     taken and reduced in the flag ring.
     """
-    return ctx.element(_antisymmetrize(ctx, i, times_terms(
-        ctx, ctx.pack_terms(ctx.own(a, i).terms), _op_pack(ctx, i), ctx.d)))
+    return FlagElem._raw(ctx, _antisymmetrize(ctx, i, times_terms(
+        ctx, ctx.own(a, i).terms, _op_pack(ctx, i), ctx.d)))
 
 
 def dual_step(ctx: FlagContext, i: int, terms, top: int) -> dict:
@@ -261,8 +262,7 @@ def dual_step(ctx: FlagContext, i: int, terms, top: int) -> dict:
 
 def divided_diff_dual(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """``dual_step`` of an element through degree d, its whole image."""
-    return ctx.element(dual_step(
-        ctx, i, ctx.pack_terms(ctx.own(a, i).terms), ctx.d))
+    return FlagElem._raw(ctx, dual_step(ctx, i, ctx.own(a, i).terms, ctx.d))
 
 
 def swap_step(ctx: FlagContext, i: int, terms, top: int) -> dict:
@@ -277,8 +277,8 @@ def swap_step(ctx: FlagContext, i: int, terms, top: int) -> dict:
 
 def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
     """``swap_step`` of an element, renormalized."""
-    return ctx.element(reduce_terms(ctx, swap_step(
-        ctx, i, ctx.pack_terms(ctx.own(a, i).terms), ctx.d)))
+    return FlagElem._raw(ctx, reduce_terms(ctx, swap_step(
+        ctx, i, ctx.own(a, i).terms, ctx.d)))
 
 
 def _linear_read(ctx: FlagContext, terms, k: int, l: int) -> CoeffPoly:

@@ -169,7 +169,7 @@ def heap_reduce(ctx, raw) -> FlagElem:
                 heapq.heappush(heap, tuple(-e for e in new_key))
             else:
                 pending[new_key] = old - coeff
-    return FlagElem._raw(ctx, done)
+    return FlagElem._raw(ctx, packed(ctx, done))
 
 
 @functools.lru_cache(maxsize=None)
@@ -362,8 +362,8 @@ def pairwise_flag_mul(a: FlagElem, b: FlagElem) -> FlagElem:
     """a * b in the flag ring: one CoeffPoly product per pair of terms up to
     degree d, summed as they come, then one canonical reduction."""
     raw: dict = {}
-    for k1, v1 in a.terms.items():
-        for k2, v2 in b.terms.items():
+    for k1, v1 in a.exponents().items():
+        for k2, v2 in b.exponents().items():
             if sum(k1) + sum(k2) <= a.ctx.d:
                 add_term(raw, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
     return reduce_canonical(a.ctx, raw)
@@ -375,7 +375,7 @@ def two_pass_product(a: FlagElem, b: FlagElem, top=None) -> FlagElem:
     per raw monomial, then one canonical reduction of it."""
     ctx = a.ctx
     return reduce_canonical(ctx, truncated_product(
-        a.terms, b.terms, ctx.d if top is None else top))
+        a.exponents(), b.exponents(), ctx.d if top is None else top))
 
 
 def termwise_compose(outer: TruncSeries, args) -> TruncSeries:
@@ -495,7 +495,7 @@ def var_series(ctx, i: int) -> TruncSeries:
 def as_series(a) -> TruncSeries:
     """The canonical representative of a flag element as a series over its
     context's variables at the working cap."""
-    return TruncSeries._raw(a.ctx.vars, a.ctx.work_cap, dict(a.terms))
+    return TruncSeries._raw(a.ctx.vars, a.ctx.work_cap, a.exponents())
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +608,7 @@ def full_tree_c1_times_bs(ctx, lam, word) -> dict:
 
     def walk(pos, state, kept_above):
         letter = word[pos]
-        coeff = dual_read(ctx, letter, ctx.pack_terms(state.terms))
+        coeff = dual_read(ctx, letter, state.terms)
         if coeff:
             terms[tuple(range(pos)) + kept_above] = coeff
         if pos:
@@ -640,13 +640,12 @@ def canonical_poly_times_bs(ctx, f, word) -> dict:
     def walk(pos, state, kept_above):
         letter = word[pos]
         if pos == 1:
-            reads = dual_reads_after(ctx, letter, word[0],
-                                     ctx.pack_terms(state.terms))
+            reads = dual_reads_after(ctx, letter, word[0], state.terms)
             for kept, coeff in zip(((0,), (), (1,)), reads):
                 record(kept + kept_above, coeff)
             return
         record(tuple(range(pos)) + kept_above,
-               dual_read(ctx, letter, ctx.pack_terms(state.terms)))
+               dual_read(ctx, letter, state.terms))
         if pos:
             walk(pos - 1, through_degree(
                 divided_diff_dual(ctx, letter, state), pos), kept_above)
@@ -670,8 +669,9 @@ def iterated_poly_times_bs(ctx, f, word) -> dict:
     replaced by one walk started at f."""
     word = validate_word(word, ctx.n)
     acc = {}
-    for exponents in sorted(f.terms):
-        running = {tuple(range(len(word))): f.terms[exponents]}
+    terms = f.exponents()
+    for exponents in sorted(terms):
+        running = {tuple(range(len(word))): terms[exponents]}
         for i, e in enumerate(exponents, start=1):
             lam = -basis_weight(i, ctx.n)
             for _ in range(e):
@@ -697,24 +697,25 @@ def table_expand_in_bs_basis(ctx, a) -> dict:
     classes share it.  This is the route that reading the permutation off
     the monomial replaced; it builds every class before the first peel.
     """
-    def leading(elem):
-        return max(elem.terms, key=lambda key: (-sum(key), key))
+    def leading(terms):
+        return max(terms, key=lambda key: (-sum(key), key))
 
     table = {}
     for w in all_permutations(ctx.n):
         cls = bs_class(ctx, reduced_word(w))
-        lead = leading(cls)
-        assert cls.terms[lead] == 1, w
+        lead = leading(cls.exponents())
+        assert cls.exponents()[lead] == 1, w
         assert lead not in table, (table[lead][0], w)
         table[lead] = (w, cls)
     out = {}
     residual = a
     while not residual.is_zero():
-        lead = leading(residual)
+        terms = residual.exponents()
+        lead = leading(terms)
         w, cls = table[lead]
-        coeff = out[w] = residual.terms[lead]
+        coeff = out[w] = terms[lead]
         residual = residual - coeff * cls
-        assert lead not in residual.terms, w
+        assert lead not in residual.exponents(), w
     return out
 
 
@@ -791,7 +792,7 @@ def support_indices(coeff) -> set[int]:
 def total_degrees(elem) -> set[int]:
     """x-degree plus coefficient degree over the stored terms of a series or
     a flag element."""
-    return {sum(key) + b for key, coeff in elem.terms.items()
+    return {sum(key) + b for key, coeff in elem.exponents().items()
             for b in coeff_degrees(coeff)}
 
 
@@ -815,11 +816,21 @@ def unpacked(ctx, terms) -> dict:
     return {unpack(ctx, m): value for m, value in terms.items()}
 
 
+def packed(ctx, terms) -> dict:
+    """A mapping keyed by exponent tuples of degree at most d, keyed by
+    the context's packed monomials laid out from the width alone: each
+    exponent in its field, the degree above the n fields."""
+    width = ctx.field_bits
+    return {sum(e << width * k for k, e in enumerate(key))
+            + (sum(key) << width * ctx.n): value
+            for key, value in terms.items()}
+
+
 def through_degree(elem, top: int):
     """The terms of a flag element of x-degree at most ``top``."""
-    return FlagElem._raw(elem.ctx, {key: coeff
-                                    for key, coeff in elem.terms.items()
-                                    if sum(key) <= top})
+    ctx = elem.ctx
+    return FlagElem._raw(ctx, {m: coeff for m, coeff in elem.terms.items()
+                               if sum(unpack(ctx, m)) <= top})
 
 
 def chow_elem(elem):

@@ -220,13 +220,12 @@ def test_guard_sees_flag_products_on_monomials_with_empty_forms():
                                (0, 0, 0, 2): CoeffPoly.b(3, 15)})
     b = reduce_canonical(ctx, {(0, 0, 0, 1): -half,
                                (0, 0, 0, 2): CoeffPoly.b(3, 17)})
-    a_terms, b_terms = ctx.pack_terms(a.terms), ctx.pack_terms(b.terms)
     # through degree 4 the only overflow is the one that cancels
     for overflowing in (lambda: a * b,
-                        lambda: times_terms(ctx, a_terms, b_terms, 4)):
+                        lambda: times_terms(ctx, a.terms, b.terms, 4)):
         with pytest.raises(UsageError, match="field limit"):
             overflowing()
-    assert times_terms(ctx, a_terms, b_terms, 3) == {
+    assert times_terms(ctx, a.terms, b.terms, 3) == {
         ctx.pack((0, 0, 0, 3)): -CoeffPoly.b(3, 31)}
 
 

@@ -6,8 +6,11 @@ packed monomials, so a second copy of the operators fails here too.  Only
 ``flagring`` multiplies flag elements, on packed monomials: no flag layer
 imports the raw ``truncated_product`` of the series, so no product that
 reduces in a second pass comes back beside the one that reduces inside
-the kernel.  And no module of the package imports another
-one's private names: what two modules share is public.  Importing the CLI,
+the kernel.  Only ``flagring`` converts between exponent tuples and
+packed monomials (``FlagContext.pack`` and ``unpack``), so the operators
+and the walk take an element's terms as they are.  And no module of the
+package imports another one's private names: what two modules share is
+public.  Importing the CLI,
 which every command pays for, loads neither the selftest suite nor the
 stdlib modules only it or a dataclass would need.  In the CLI, command
 output reaches stdout only through ``_respond`` and ``_emit_json``, the one
@@ -32,6 +35,7 @@ SERIES_NAMES = {"TruncSeries", "compose"}
 OPERATOR_KERNEL = "divided_difference_terms"
 RAW_PRODUCT = "truncated_product"
 FLAG_PRODUCT = "times_terms"
+LAYOUT_CONVERTERS = {"pack", "unpack"}
 NOT_ON_THE_CLI_PATH = ("cobschub.selftest", "dataclasses", "inspect",
                        "traceback")
 # the functions of the flag layers that raise UsageError themselves: the
@@ -108,6 +112,23 @@ def test_only_flagring_multiplies_flag_elements():
     offenders = {name: references(trees[name], {RAW_PRODUCT})
                  for name in FLAG_LAYERS}
     assert offenders == {name: set() for name in FLAG_LAYERS}
+
+
+def converters(tree) -> set[str]:
+    """The layout converters a module reads off an object (``ctx.pack``)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in LAYOUT_CONVERTERS}
+
+
+def test_only_flagring_converts_between_tuples_and_packs():
+    trees = source_trees()
+    # the guard sees the reads it watches, and flagring makes both
+    assert converters(ast.parse("ctx.pack(key)\nf = ctx.unpack")) == \
+        LAYOUT_CONVERTERS
+    assert converters(trees["flagring"]) == LAYOUT_CONVERTERS
+    assert {name for name, tree in trees.items()
+            if converters(tree)} == {"flagring"}
 
 
 def private_imports(tree) -> set[str]:

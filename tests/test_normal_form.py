@@ -9,7 +9,9 @@ wide).  Each form is staircase and congruent to its monomial modulo the
 symmetric ideal, the one-variable peel gives the forms of the full h_j
 cascade and is linear in each variable, the table stays small, and
 reduction through the table agrees with the rewrite sweep on CoeffPoly
-coefficients."""
+coefficients.  Every entry that returns an element keys its terms by
+staircase packs of degree at most d, and the tuple view of an element
+reduces back to it."""
 
 import functools
 import itertools
@@ -20,15 +22,34 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cobschub.flagring import FlagContext, reduce_canonical
+from cobschub.flagring import (
+    THEORIES,
+    FlagContext,
+    FlagElem,
+    Weight,
+    basis_weight,
+    c1_weight,
+    point_class,
+    reduce_canonical,
+    rho_weight,
+    theory_law,
+)
 from cobschub.ringcore import CoeffPoly, TruncSeries, UsageError
 from cobschub.schubert import bs_class
-from cobschub.weylops import Permutation, _op_pack, reduced_word
+from cobschub.weylops import (
+    Permutation,
+    _op_pack,
+    divided_diff,
+    divided_diff_dual,
+    reduced_word,
+    sigma_op,
+)
 
 from oracles import (
     cascade_normal_form,
     heap_reduce,
     in_symmetric_ideal,
+    random_flag_elem,
     unpack,
 )
 
@@ -65,7 +86,8 @@ def test_every_monomial_through_d_round_trips(n):
     for key in monomials_through(n, ctx.d):
         m = ctx.pack(key)
         assert unpack(ctx, m) == key and m >> ctx.degree_shift == sum(key)
-        assert ctx.element({m: one}).terms == {key: one}
+        assert ctx.unpack(m) == key
+        assert FlagElem._raw(ctx, {m: one}).exponents() == {key: one}
         assert ctx._climb(m) == first_climb(key), key
         packs.add(m)
     assert len(packs) == math.comb(n + ctx.d, n)
@@ -118,15 +140,15 @@ def test_packed_monomials_multiply_by_adding(case):
 ], ids=["short", "long", "negative", "negative-last", "float", "str",
         "none"])
 def test_malformed_keys_are_refused_at_every_rank(n, key):
-    # a fresh context: the check runs on a miss of the memo of packs, and
-    # (1.0, 0, ..) would hit an equal (1, 0, ..) packed before
-    ctx = FlagContext(n, Fraction(0))
+    # one warm context per rank, which has just reduced x_1: (1.0, 0, ..)
+    # equals (1, 0, ..) and hashes alike, and is still refused
+    ctx = chow_context(n)
+    assert reduce_canonical(ctx, {(1,) + (0,) * (n - 1): 1}) == ctx.x_elem(1)
     key = key(n)
     with pytest.raises(UsageError, match="malformed exponent vector"):
         ctx.pack(key)
     with pytest.raises(UsageError, match="malformed exponent vector"):
         reduce_canonical(ctx, {key: 1})
-    assert key not in ctx._packed
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -281,11 +303,51 @@ def test_reduce_canonical_matches_the_rewrite_sweep(n, seed):
                                  (0, 0, -4), (1, 1)])
 def test_malformed_exponent_vectors_are_refused(key):
     # a negative exponent once gave non-canonical terms, and one of degree
-    # above d the empty form; the check runs only on a miss of the memo of
-    # packs
+    # above d the empty form
     ctx = FlagContext(3)
     with pytest.raises(UsageError):
         ctx.pack(key)
     with pytest.raises(UsageError):
         reduce_canonical(ctx, {key: 1})
-    assert key not in ctx._packed
+
+
+def assert_packed_canonical(elem):
+    # int keys, each a staircase monomial of degree at most d, read from
+    # the fields alone
+    ctx = elem.ctx
+    for m in elem.terms:
+        assert type(m) is int, m
+        key = unpack(ctx, m)
+        assert ctx._climb(m) == 0 and is_staircase(key), key
+        assert m >> ctx.degree_shift == sum(key) <= ctx.d, key
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_entry_returns_packed_canonical_terms(n, theory):
+    ctx = FlagContext(n, *theory_law(theory, Fraction(2, 3)))
+    rng = random.Random(f"contract-{n}-{theory}")
+    w0 = reduced_word(Permutation(range(n, 0, -1)))
+    a, b = random_flag_elem(ctx, rng), random_flag_elem(ctx, rng)
+    c1 = c1_weight(ctx, rho_weight(n))
+    raw = {tuple(rng.randint(0, n) for _ in range(n)): rng.randint(-3, 3)
+           for _ in range(8)}
+    results = [ctx.one(), ctx.zero(), point_class(ctx), reduce_canonical(
+        ctx, raw), a + b, a - b, -a, Fraction(-3, 2) * a, a * 2, a * b,
+        c1 * a, bs_class(ctx, w0), bs_class(ctx, w0[:n]), c1, c1_weight(
+            ctx, Weight(tuple(rng.randint(-2, 2) for _ in range(n))))]
+    for i in range(1, n + 1):
+        # -e_i takes the shortcut to x_i
+        results += [ctx.x_elem(i), c1_weight(ctx, -basis_weight(i, n))]
+    for i in range(1, n):
+        for f in (a, c1):
+            results += [divided_diff(ctx, i, f), divided_diff_dual(ctx, i, f),
+                        sigma_op(ctx, i, f)]
+    # the checks meet terms of every degree through d
+    assert {m >> ctx.degree_shift for f in results
+            for m in f.terms} == set(range(ctx.d + 1))
+    for elem in results:
+        assert_packed_canonical(elem)
+    # the tuple view reduces back to the element
+    for elem in results + [random_flag_elem(ctx, rng) for _ in range(5)]:
+        assert reduce_canonical(ctx, elem.exponents()) == elem
