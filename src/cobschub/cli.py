@@ -9,7 +9,8 @@ it exits 3) and returns the cached context of the theory, the engine checks
 letter ranges and weight lengths, and ``_respond`` prints the result in the
 ``--format`` asked for, building only that one.  JSON output is
 deterministic: terms are sorted, rationals are emitted as decimal num/den
-strings so arbitrary precision survives serialization.  selftest runs the
+strings in lowest terms, read from the packed numerators with no Fraction,
+so arbitrary precision survives serialization.  selftest runs the
 checks its table admits at the rank and then prints one PASS/FAIL line per
 check, or one object listing the checks.
 
@@ -49,6 +50,8 @@ from cobschub.schubert import (
 
 MAX_RANK = 6
 MAX_FGL_DEGREE = 16
+# one encoder for every request, where json.dumps builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 # the options that take a value; one that starts with "-" and a digit or a
@@ -106,9 +109,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def coeff_to_json(c: CoeffPoly) -> list:
-    return [{"b": [[i, e] for i, e in key], "num": str(value.numerator),
-             "den": str(value.denominator)}
-            for key, value in sorted(c.terms.items())]
+    """Sorted terms, num/den in lowest terms from ``CoeffPoly.ratios``."""
+    return [{"b": [[i, e] for i, e in key], "num": str(num), "den": str(den)}
+            for key, num, den in c.ratios()]
 
 
 def elem_terms_to_json(elem) -> list:
@@ -133,7 +136,7 @@ def series_to_json(series) -> dict:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(_ENCODER.encode(payload))
 
 
 def _respond(ns, payload, lines) -> None:

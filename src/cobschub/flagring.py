@@ -160,10 +160,11 @@ class FlagContext:
     Caches, filled on first use and kept for the context's life, keyed by
     packed ints where they hold monomials: the normal forms that reductions
     meet and those they rest on (``_normal_forms``), the operators' packed
-    U^-1 (``_op_packs``, by i, see ``weylops._op_pack``), first Chern
-    classes of weights (``_c1_cache``) and Bott-Samelson classes
-    (``_bs_cache``).  Chevalley expansions are mutable and are built afresh
-    on every call.
+    U^-1 (``_op_packs``, by i, see ``weylops._op_pack``), the read tables
+    of the walk's position-1 nodes (``_read_tables``, by (i, j), see
+    ``weylops._read_table``), first Chern classes of weights
+    (``_c1_cache``) and Bott-Samelson classes (``_bs_cache``).  Chevalley
+    expansions are mutable and are built afresh on every call.
     """
 
     def __init__(self, n: int, beta: Fraction | None = None):
@@ -191,6 +192,7 @@ class FlagContext:
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
         self._normal_forms: dict[int, NormalForm] = {}
         self._op_packs: dict[int, dict] = {}
+        self._read_tables: dict[tuple[int, int], list] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
         self._bs_cache: dict[tuple[int, ...], "FlagElem"] = {}
 
@@ -297,16 +299,17 @@ class FlagContext:
 
 
 THEORIES = ("cobordism", "chow", "ktheory")
+_FIXED_LAWS = {"cobordism": (), "chow": (Fraction(0),)}  # free of beta
 
 
 def theory_law(theory: str, beta: Fraction) -> tuple:
     """The law arguments after n of ``FlagContext(n, *law)`` for a theory:
     none for cobordism, whose context is ``FlagContext(n)`` over the
     universal law, beta 0 for chow and ``beta`` for ktheory."""
-    laws = dict(zip(THEORIES, ((), (Fraction(0),), (beta,))))
-    if theory not in laws:
+    law = (beta,) if theory == "ktheory" else _FIXED_LAWS.get(theory)
+    if law is None:
         raise UsageError(f"unknown theory {theory!r}")
-    return laws[theory]
+    return law
 
 
 class FlagElem(TermMap):

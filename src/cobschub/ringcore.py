@@ -13,9 +13,10 @@ exact below the cap and silently discards terms above it.  Flag elements
 key their terms by ints of the flag layer's own layout
 (``flagring.FlagContext``), which the kernel takes as they are.
 
-This module is the one arithmetic core.  Products of series and of flag
-elements, composition, inversion, canonical reduction, the classical divided
-difference and exact division by x_p - x_q share one multiply-accumulate
+This module is the one arithmetic core.  Products of coefficients (by a
+scalar too), of series and of flag elements, composition, inversion,
+canonical reduction, the classical divided difference and exact division by
+x_p - x_q share one multiply-accumulate
 kernel, ``sum_of_products``, which takes only its (key, p, q) terms: each
 output coefficient is one integer merge over the lcm of the denominators of
 the pairs on its key, and the field guard is checked before sums that cancel
@@ -183,9 +184,14 @@ class CoeffPoly:
     @property
     def terms(self) -> dict[BMonomial, Fraction]:
         """A new dict from each b-monomial to its Fraction coefficient."""
-        den = self.den
-        return {_unpack(key): Fraction(value, den)
+        return {_unpack(key): Fraction(value, self.den)
                 for key, value in self.num.items()}
+
+    def ratios(self) -> list[tuple[BMonomial, int, int]]:
+        """``terms`` as sorted (key, num, den) in lowest terms, no Fraction."""
+        return sorted((_unpack(key), value // g, self.den // g)
+                      for key, value in self.num.items()
+                      for g in (math.gcd(value, self.den),))
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -206,23 +212,19 @@ class CoeffPoly:
         return self.constant()
 
     def _combine(self, other, sign: int) -> "CoeffPoly":
-        # self + sign * other in one merge; on mixed denominators the right
-        # side is scaled term by term inside the loop
+        # self + sign * other in one merge over the lcm of the denominators:
+        # the left side is copied, scaled if its denominator grows, and the
+        # right side is scaled term by term inside the loop
         other = CoeffPoly.coerce(other)
         if not other.num:
             return self
         if not self.num:
             return other if sign > 0 else -other
-        den = self.den
-        if den == other.den:
-            out = dict(self.num)
-            scale = sign
-        else:
-            den = math.lcm(den, other.den)
-            s1 = den // self.den
-            out = ({key: value * s1 for key, value in self.num.items()}
-                   if s1 != 1 else dict(self.num))
-            scale = sign * (den // other.den)
+        den = math.lcm(self.den, other.den)
+        s1 = den // self.den
+        out = ({key: value * s1 for key, value in self.num.items()}
+               if s1 != 1 else dict(self.num))
+        scale = sign * (den // other.den)
         for key, value in other.num.items():
             new = out.get(key, 0) + value * scale
             if new:
@@ -246,17 +248,10 @@ class CoeffPoly:
         return CoeffPoly.coerce(other)._combine(self, -1)
 
     def __mul__(self, other) -> "CoeffPoly":
-        if not isinstance(other, CoeffPoly):
-            if isinstance(other, (int, Fraction)):
-                value = _as_fraction(other)
-                if not value:
-                    return CoeffPoly.zero()
-                scale = value.numerator
-                return CoeffPoly._raw(
-                    {k: v * scale for k, v in self.num.items()},
-                    self.den * value.denominator)
+        if not isinstance(other, (CoeffPoly, int, Fraction)):
             return NotImplemented
-        return sum_of_products(((0, self, other),)).get(0) or CoeffPoly.zero()
+        product = sum_of_products(((0, self, CoeffPoly.coerce(other)),))
+        return product.get(0) or CoeffPoly.zero()
 
     __rmul__ = __mul__
 
@@ -279,11 +274,11 @@ class CoeffPoly:
 
     def __str__(self) -> str:
         out = ""
-        for key, value in sorted(self.terms.items()):
-            mono = "*".join(f"b{i}" if e == 1 else f"b{i}^{e}"
-                            for i, e in key)
-            text = (str(value) if not mono else mono if value == 1
-                    else f"-{mono}" if value == -1 else f"{value}*{mono}")
+        for key, num, den in self.ratios():
+            value = f"{num}/{den}" if den > 1 else str(num)
+            mono = "*".join(f"b{i}" if e == 1 else f"b{i}^{e}" for i, e in key)
+            text = (value if not mono else mono if value == "1"
+                    else f"-{mono}" if value == "-1" else f"{value}*{mono}")
             if out:
                 text = f" - {text[1:]}" if text[0] == "-" else f" + {text}"
             out += text

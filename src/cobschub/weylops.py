@@ -17,7 +17,8 @@ element of a context with its (n, beta), and passes its packed terms (see
 ``swap_step``) and reads (``dual_read``, ``dual_reads_after``) are
 unchecked functions of packed mappings that also serve the walk: the swap
 and the telescoping move whole fields, only merges that spread onto
-normal forms make canonical terms, and a swap leaves them raw.
+normal forms make canonical terms, and a swap leaves them raw; the reads
+at a position-1 node merge over a per-context table (``_read_table``).
 """
 
 from __future__ import annotations
@@ -281,20 +282,37 @@ def sigma_op(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:
         ctx, i, ctx.own(a, i).terms, ctx.d)))
 
 
-def _linear_read(ctx: FlagContext, terms, k: int, l: int) -> CoeffPoly:
-    """terms[x_l] - terms[x_k], from a packed mapping, raw or not: it kills
-    x_1 + ... + x_n, the one relation of degree 1."""
-    zero, x = CoeffPoly.zero(), ctx.x_keys
-    return terms.get(x[l - 1], zero) - terms.get(x[k - 1], zero)
-
-
 def dual_read(ctx: FlagContext, i: int, terms) -> CoeffPoly:
     """The constant term of ``dual_step`` of a packed mapping a, raw or
-    not, read as a[x_{i+1}] - a[x_i].  Reduction keeps x-degree and U^-1
-    has constant term 1, so this is the constant term of (a - sigma_i a) /
-    (x_{i+1} - x_i), whose numerator reaches degree 0 only from its
-    degree-1 part (a[x_{i+1}] - a[x_i]) (x_{i+1} - x_i)."""
-    return _linear_read(ctx, terms, i, i + 1)
+    not, read as L_i(a) = a[x_{i+1}] - a[x_i], which kills x_1 + ... + x_n.
+    Reduction keeps x-degree and U^-1 has constant term 1, so this is the
+    constant term of (a - sigma_i a) / (x_{i+1} - x_i), whose numerator
+    reaches degree 0 only from its degree-1 part L_i(a) (x_{i+1} - x_i)."""
+    zero, x = CoeffPoly.zero(), ctx.x_keys
+    return terms.get(x[i], zero) - terms.get(x[i - 1], zero)
+
+
+def _read_table(ctx: FlagContext, i: int, j: int) -> list:
+    """The (read, packed monomial, weight) triples of ``dual_reads_after``
+    at (i, j), kept in ``ctx._read_tables``: read 0 weighs x_i, x_{i+1} by
+    L_i, read 2 by L_j after the swap, and read 1 by -+L_j(U^-1) and each
+    degree-2 monomial, raw or not, by L_j of its divided difference."""
+    table = ctx._read_tables.get((i, j))
+    if table is None:
+        x, swap = ctx.x_keys, {i: i + 1, i + 1: i}
+        tilt = dual_read(ctx, j, _op_pack(ctx, i))
+        weights = {(0, x[i]): 1, (0, x[i - 1]): -1, (1, x[i]): tilt,
+                   (1, x[i - 1]): -tilt, (2, x[swap.get(j + 1, j + 1) - 1]): 1,
+                   (2, x[swap.get(j, j) - 1]): -1}
+        signs = {x[j]: 1, x[j - 1]: -1}
+        squares = itertools.combinations_with_replacement(x, 2)
+        for key, m, sign in divided_difference_terms(
+                ctx, i, {a + b: a + b for a, b in squares}):
+            if key in signs:
+                weights[1, m] = weights.get((1, m), 0) + sign * signs[key]
+        table = ctx._read_tables[i, j] = [
+            (read, m, w) for (read, m), w in weights.items() if w]
+    return table
 
 
 def dual_reads_after(ctx: FlagContext, i: int, j: int,
@@ -302,7 +320,7 @@ def dual_reads_after(ctx: FlagContext, i: int, j: int,
     """The constant terms of ``dual_step`` at i of a packed mapping a, raw
     or not, and of ``dual_step`` at j of c for c that image and for c a's
     ``swap_step`` at i, in that order, with no product by U^-1, no swap and
-    no reduction.  They read a only through degree 2.
+    no reduction: one merge over ``_read_table`` that reads a to degree 2.
 
     All three are degree-1 reads L_j(c) = c[x_{j+1}] - c[x_j]
     (``dual_read``), the first L_i(a); L_j may read a raw linear form.
@@ -312,12 +330,8 @@ def dual_reads_after(ctx: FlagContext, i: int, j: int,
     constant term 1, so its degree-1 part is q_1 + q_0 (U^-1)_1: q_0 =
     L_i(a), and q_1 the divided difference of a's degree-2 part, unreduced.
     """
-    own_read = _linear_read(ctx, terms, i, i + 1)
-    signs = {ctx.x_keys[j]: 1, ctx.x_keys[j - 1]: -1}
-    removed = sum_of_products(itertools.chain(
-        ((0, coeff, sign * signs[key]) for key, coeff, sign
-         in divided_difference_terms(ctx, i, terms) if key in signs),
-        [(0, own_read, _linear_read(ctx, _op_pack(ctx, i), j, j + 1))]))
-    swap = {i: i + 1, i + 1: i}
-    kept = _linear_read(ctx, terms, swap.get(j, j), swap.get(j + 1, j + 1))
-    return own_read, removed.get(0, CoeffPoly.zero()), kept
+    get, zero = terms.get, CoeffPoly.zero()
+    reads = sum_of_products((read, coeff, weight) for read, m, weight
+                            in _read_table(ctx, i, j)
+                            for coeff in (get(m),) if coeff is not None)
+    return tuple(reads.get(read, zero) for read in range(3))

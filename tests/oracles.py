@@ -14,7 +14,7 @@ canonical reduction, a table of all n! basis classes by leading monomial
 for the basis expansion, the Bernstein-Gelfand-Gelfand criterion (every
 classical divided difference of top length vanishes) for ideal membership,
 Fraction Gauss-Jordan for matrix inverses, one Fraction per term for
-b-polynomial arithmetic, Horner division by a general linear form for the
+b-polynomial arithmetic and for a coefficient's JSON and text, Horner division by a general linear form for the
 exact divisions of the operators, the full h_j cascade for the integer
 normal forms, the full-cap composition of F(y1, chi(y2)) for the law's
 operator pack, the two-pass product (the raw truncated product, then one
@@ -125,6 +125,27 @@ class FractionPoly:
                 value *= Fraction(assignment[i]) ** e
             total += value
         return total
+
+
+def fraction_coeff_to_json(c) -> list:
+    """``cli.coeff_to_json`` through one Fraction per b-term: the sorted
+    ``terms`` view, each Fraction's numerator and denominator."""
+    return [{"b": [[i, e] for i, e in key], "num": str(value.numerator),
+             "den": str(value.denominator)}
+            for key, value in sorted(c.terms.items())]
+
+
+def fraction_coeff_str(c) -> str:
+    """``str`` of a CoeffPoly through one Fraction per b-term."""
+    out = ""
+    for key, value in sorted(c.terms.items()):
+        mono = "*".join(f"b{i}" if e == 1 else f"b{i}^{e}" for i, e in key)
+        text = (str(value) if not mono else mono if value == 1
+                else f"-{mono}" if value == -1 else f"{value}*{mono}")
+        if out:
+            text = f" - {text[1:]}" if text[0] == "-" else f" + {text}"
+        out += text
+    return out or "0"
 
 
 def heap_reduce(ctx, raw) -> FlagElem:

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cobschub.flagring import FlagContext, reduce_canonical, times_terms
 from cobschub.ringcore import (
@@ -27,6 +27,7 @@ from oracles import (
     FractionPoly,
     coeff_degrees,
     denominator_lcm,
+    fraction_coeff_str,
     law_of,
     pairwise_flag_mul,
     pairwise_series_mul,
@@ -252,6 +253,24 @@ def test_terms_keys_are_sorted_tuples():
     assert coeff_degrees(p) == {-13, 0, -24}
     assert support_indices(p) == {1, 2, 5, 16}
     assert str(p) == "2/3 + b1^3*b5^2 - b2^4*b16"
+
+
+@SETTINGS
+@given(term_maps)
+@example({})
+@example({(): Fraction(-3, 4)})
+@example({((1, MAX_EXPONENT),): Fraction(5, 6), ((2, 1),): Fraction(-1, 4),
+          ((16, 2),): Fraction(0), (): Fraction(7, 2)})
+def test_ratios_are_the_fraction_view_in_lowest_terms(terms):
+    # mixed denominators, negative numerators, zeros, pure rationals and
+    # exponents up to the field limit; str reads the same view
+    c = CoeffPoly(terms)
+    ratios = c.ratios()
+    assert ratios == sorted((key, value.numerator, value.denominator)
+                            for key, value in c.terms.items())
+    assert all(type(num) is int and type(den) is int and den > 0
+               for _, num, den in ratios)
+    assert str(c) == fraction_coeff_str(c)
 
 
 def test_engine_coefficients_are_canonical():

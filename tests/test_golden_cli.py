@@ -17,7 +17,10 @@ import contextlib
 import hashlib
 import io
 
+from cobschub import cli
 from cobschub.cli import main
+
+from oracles import fraction_coeff_to_json
 
 THEORIES = (("--theory", "cobordism"), ("--theory", "chow"),
             ("--theory", "ktheory", "--beta", "2/3"))
@@ -75,3 +78,18 @@ def test_cli_output_bytes_unchanged():
 
 def test_selftest_output_bytes_unchanged():
     assert cli_digest(SELFTEST_COMMANDS) == SELFTEST_SHA256
+
+
+def test_json_coefficients_match_the_fraction_route(monkeypatch):
+    # the golden JSON outputs, their coefficients read once from the packed
+    # numerators and once through one Fraction per term, byte for byte
+    packed = cli_digest(formats=("json",))
+    calls = []
+
+    def fraction_route(c):
+        calls.append(c)
+        return fraction_coeff_to_json(c)
+
+    monkeypatch.setattr(cli, "coeff_to_json", fraction_route)
+    assert cli_digest(formats=("json",)) == packed
+    assert any(len(c.num) > 1 and c.den > 1 for c in calls)

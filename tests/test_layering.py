@@ -10,8 +10,10 @@ the kernel.  Only ``flagring`` converts between exponent tuples and
 packed monomials (``FlagContext.pack`` and ``unpack``), so the operators
 and the walk take an element's terms as they are.  And no module of the
 package imports another one's private names: what two modules share is
-public.  Importing the CLI,
-which every command pays for, loads neither the selftest suite nor the
+public.  The CLI serializes coefficients from ``CoeffPoly.ratios``, the
+packed numerators in lowest terms, and reads no ``terms`` view, whose
+Fractions it would pay for on every term.  Importing the CLI, which every
+command pays for, loads neither the selftest suite nor the
 stdlib modules only it or a dataclass would need.  In the CLI, command
 output reaches stdout only through ``_respond`` and ``_emit_json``, the one
 place a per-request hook has to reach; ``main``'s error lines go to
@@ -163,6 +165,20 @@ def test_src_modules_import_no_private_names():
                                     "fgl._helper"}
     offenders = {name: private_imports(tree) for name, tree in trees.items()}
     assert offenders == {name: set() for name in trees}
+
+
+def terms_reads(tree) -> set[str]:
+    """The code of each read of a ``terms`` attribute (``c.terms``)."""
+    return {ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "terms"}
+
+
+def test_cli_serializes_coefficients_from_the_packed_view():
+    # the guard sees the read of the Fraction route it replaced
+    assert terms_reads(ast.parse("sorted(c.terms.items())")) == {"c.terms"}
+    cli = source_trees()["cli"]
+    assert terms_reads(cli) == set()
+    assert private_imports(cli) == set()
 
 
 def stdout_writers(tree) -> set[str]:

@@ -41,6 +41,7 @@ from cobschub.weylops import (
     dual_step,
     reduced_word,
     sigma_op,
+    swap_step,
     weyl_act,
     _antisymmetrize,
     _op_pack,
@@ -676,6 +677,74 @@ def test_dual_constant_terms_after_are_the_two_step_reads(n, law):
     # removed child reads 0
     assert nonzero[0] and nonzero[2] and (
         nonzero[1] or (n, law) == (2, (F(0),)))
+
+
+def random_coeff(rng) -> CoeffPoly:
+    """A small coefficient with a b-term and mixed denominators."""
+    return CoeffPoly({(): F(rng.randint(-4, 4), rng.randint(1, 5)),
+                      ((rng.randint(1, 3), 1),): F(rng.randint(-3, 3),
+                                                   rng.randint(1, 6))})
+
+
+@pytest.mark.parametrize("law", [(), (F(0),), (F(2, 3),)], ids=THEORIES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_read_tables_match_the_two_step_reads_on_raw_states(n, law):
+    # the per-context tables of dual_reads_after on the raw mappings a walk
+    # and the operators meet: swap_step outputs, sums holding non-staircase
+    # degree-2 monomials (x_1^2, x_1 x_2, x_2^2 and the pair (i, i + 1)'s),
+    # and the moved packs, against the node's read and the dual step and
+    # the swap applied and then read, for every pair (i, j)
+    rng = random.Random(f"tables-{n}-{law}")
+    ctx = FlagContext(n, *law)
+    x = ctx.x_keys
+    elems = [random_flag_elem(ctx, rng, max_terms=6) for _ in range(2)]
+    elems.append(ctx.x_elem(1) * ctx.x_elem(n) * random_coeff(rng)
+                 + ctx.x_elem(2) * random_coeff(rng))
+    states = [swap_step(ctx, k, a.terms, ctx.d)
+              for a in elems for k in range(1, n)]
+    squares = ([(x[0], x[0]), (x[0], x[1]), (x[1], x[1])]
+               + list(zip(x, x[1:]))) if ctx.d >= 2 else []
+    for a in elems:
+        raw = dict(a.terms)
+        for u, v in squares:
+            raw[u + v] = random_coeff(rng)
+        states.append(raw)
+    states += [_op_pack(ctx, k) for k in range(1, n)]
+    assert any(not is_canonical(unpacked(ctx, t)) for t in states)
+    nonzero = [0, 0, 0]
+    for terms in states:
+        for i in range(1, n):
+            for j in range(1, n):
+                expected = (
+                    dual_read(ctx, i, terms),
+                    dual_read(ctx, j, dual_step(ctx, i, terms, 1)),
+                    dual_read(ctx, j, swap_step(ctx, i, terms, 1)))
+                assert dual_reads_after(ctx, i, j, terms) == expected, (i, j)
+                nonzero = [k + bool(read)
+                           for k, read in zip(nonzero, expected)]
+    assert nonzero[0] and nonzero[2] and (nonzero[1] or n == 2)
+
+
+def test_read_tables_are_per_context_and_lazy():
+    # a fresh context holds no read table; the 45 Chevalley queries of the
+    # chev_r4 set (omega_1..omega_3 times the lexicographically smallest
+    # reduced words of length at most 3 at rank 4) build at most one per
+    # pair (i, j); a second context of the same (n, beta) builds its own
+    n = 4
+    pairs = {(i, j) for i in range(1, n) for j in range(1, n)}
+    words = [word for word in map(reduced_word, all_permutations(n))
+             if len(word) <= 3]
+    contexts = [FlagContext(n), FlagContext(n)]
+    for ctx in contexts:
+        assert ctx._read_tables == {}
+        for i in range(1, n):
+            for word in words:
+                c1_times_bs(ctx, fundamental_weight(i, n), word)
+        assert 0 < len(ctx._read_tables) <= (n - 1) ** 2
+        assert set(ctx._read_tables) <= pairs
+    first, second = (ctx._read_tables for ctx in contexts)
+    assert first.keys() == second.keys()
+    assert all(first[key] is not second[key] for key in first)
 
 
 def test_divided_diff_golden_rank3(ctx3):
