@@ -74,11 +74,15 @@ def log_and_exp(D: int, beta: Fraction | None = None):
 
 
 def _exp_of_logs(log, exp, vars, cap, sign):
-    """exp(log a + sign * log b) over the two variables (a, b) named by
-    ``vars``, at ``cap``: F(a, b) for sign 1 and F(a, chi(b)) for sign -1."""
-    log, exp = (TruncSeries(s.vars, cap, s.terms) for s in (log, exp))
-    a, b = (TruncSeries.variable(vars, cap, name) for name in vars)
-    return compose(exp, [compose(log, [a]) + compose(log, [b]) * sign])
+    """exp(log a + sign * log b), the sum written term by term, over the two
+    variables (a, b) named by ``vars``, at ``cap``: F(a, b) for sign 1 and
+    F(a, chi(b)) for sign -1."""
+    logs = {}
+    for (k,), l_k in log.terms.items():
+        logs[k, 0] = l_k
+        logs[0, k] = l_k if sign > 0 else -l_k
+    exp = TruncSeries(exp.vars, cap, exp.terms)
+    return compose(exp, [TruncSeries(vars, cap, logs)])
 
 
 def unit_inverse(log, exp, top: int) -> TruncSeries:
@@ -113,8 +117,7 @@ def build_universal_fgl(D: int, beta: Fraction | None = None) -> FGLData:
     log, exp = log_and_exp(D, beta)
     pair = ("u", "v")
     F = _exp_of_logs(log, exp, pair, D, 1)
-    u1 = TruncSeries.variable(("u",), D, "u")
-    chi = compose(exp, [-compose(log, [u1])])
+    chi = compose(exp, [TruncSeries(("u",), D, (-log).terms)])
 
     # u + v - F = u*v*q, so q_{i-1,j-1} = -a_ij
     u, v = (TruncSeries.variable(pair, D, name) for name in pair)

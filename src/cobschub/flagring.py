@@ -62,21 +62,9 @@ class Weight:
     def n(self) -> int:
         return len(self.coords)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(map(operator.add, self.coords,
-                          validate_weight(other, self.n).coords))
-
     def __sub__(self, other: "Weight") -> "Weight":
         return Weight(map(operator.sub, self.coords,
                           validate_weight(other, self.n).coords))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def __mul__(self, k: int) -> "Weight":
-        return Weight(tuple(k * a for a in self.coords))
-
-    __rmul__ = __mul__
 
     def __str__(self):
         return "(" + ",".join(map(str, self.coords)) + ")"

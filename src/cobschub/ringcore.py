@@ -24,7 +24,10 @@ are dropped.  Its spread stage adds each raw sum onto the keys of an
 integer normal form once the guard has seen it, so flag products reduce in
 the same pass.  Series and flag elements share one implementation of their
 module operations (``TermMap``), maps to coefficients share one add-or-drop
-merge (``add_term``), and powers one square-and-multiply.
+merge (``add_term``).  A coefficient has one representation, the packed
+fraction-free one: it is built from ``CoeffPoly.zero``, ``one``,
+``rational`` and ``b`` by arithmetic, and read through ``ratios``,
+``constant`` and its operators.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ class InternalError(CobschubError):
     """An internal consistency check failed."""
 
 
-# A monomial in the generators b_i, as ``terms`` shows it: a sorted tuple of
-# (index, exponent) pairs with index >= 1 and exponent >= 1; () is the
-# constant monomial.  The constructor takes the pairs in any order.
+# A monomial in the generators b_i, as ``ratios`` shows it: a sorted tuple
+# of (index, exponent) pairs with index >= 1 and exponent >= 1; () is the
+# constant monomial.
 BMonomial = tuple[tuple[int, int], ...]
 
 # Inside CoeffPoly the exponent of b_i is the field of FIELD_BITS bits that
@@ -75,28 +78,6 @@ MAX_INDEX = 64
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 _GUARD = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(MAX_INDEX))
 _OVERFLOW = f"a b-exponent exceeds {MAX_EXPONENT}, the packed field limit"
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise UsageError(f"expected an integer or Fraction, got {value!r}")
-
-
-def _pack(key: BMonomial) -> int:
-    packed = 0
-    for i, e in key:
-        # an index may occur once: b1 * b1^2 is written b1^3
-        if i < 1 or e < 1 or packed >> (FIELD_BITS * (i - 1)) & _FIELD_MASK:
-            raise UsageError(f"malformed b-monomial {key!r}")
-        if i > MAX_INDEX or e > MAX_EXPONENT:
-            raise UsageError(
-                f"b-monomial {key!r} is outside the packed range: index at "
-                f"most {MAX_INDEX}, exponent at most {MAX_EXPONENT}")
-        packed |= e << (FIELD_BITS * (i - 1))
-    return packed
 
 
 def _unpack(packed: int) -> BMonomial:
@@ -121,25 +102,13 @@ class CoeffPoly:
     for i up to MAX_INDEX; exponents go up to MAX_EXPONENT, and a product
     that leaves that range raises UsageError, never a different monomial.
     The form is canonical, so equality and hashing are structural and
-    ``den`` is the lcm of the denominators; ``terms`` is the Fraction view,
-    keyed by the sorted (index, exponent) tuples of ``BMonomial``.
+    ``den`` is the lcm of the denominators.  It is built from ``zero``,
+    ``one``, ``rational`` and ``b`` by arithmetic and read by ``ratios``
+    (keyed by ``BMonomial``), ``constant`` and its operators; there is no
+    Fraction view.
     """
 
     __slots__ = ("num", "den", "_hash")
-
-    def __init__(self, terms: Mapping[BMonomial, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
-        for key, value in (terms or {}).items():
-            # the pairs may come in any order, so two spellings of one
-            # monomial (b2*b1 and b1*b2) pack alike and add up
-            packed = _pack(key)
-            clean[packed] = clean.get(packed, 0) + _as_fraction(value)
-        clean = {key: value for key, value in clean.items() if value}
-        den = math.lcm(*(value.denominator for value in clean.values()))
-        self.num = {key: value.numerator * (den // value.denominator)
-                    for key, value in clean.items()}
-        self.den = den
-        self._hash = None
 
     @classmethod
     def _raw(cls, num: dict[int, int], den: int) -> "CoeffPoly":
@@ -166,14 +135,23 @@ class CoeffPoly:
 
     @classmethod
     def rational(cls, value) -> "CoeffPoly":
-        value = _as_fraction(value)
+        # an int has a numerator and a denominator of 1 too
+        if not isinstance(value, (int, Fraction)):
+            raise UsageError(f"expected an integer or Fraction, got {value!r}")
         return cls._raw({0: value.numerator} if value else {},
                         value.denominator)
 
     @classmethod
     def b(cls, index: int, exponent: int = 1) -> "CoeffPoly":
         """The generator b_index (optionally raised to a power)."""
-        return cls._raw({_pack(((index, exponent),)): 1}, 1)
+        if index < 1 or exponent < 1:
+            raise UsageError(f"malformed b-monomial {((index, exponent),)!r}")
+        if index > MAX_INDEX or exponent > MAX_EXPONENT:
+            raise UsageError(
+                f"b-monomial {((index, exponent),)!r} is outside the packed "
+                f"range: index at most {MAX_INDEX}, exponent at most "
+                f"{MAX_EXPONENT}")
+        return cls._raw({exponent << (FIELD_BITS * (index - 1)): 1}, 1)
 
     @classmethod
     def coerce(cls, value) -> "CoeffPoly":
@@ -181,14 +159,8 @@ class CoeffPoly:
             return value
         return cls.rational(value)
 
-    @property
-    def terms(self) -> dict[BMonomial, Fraction]:
-        """A new dict from each b-monomial to its Fraction coefficient."""
-        return {_unpack(key): Fraction(value, self.den)
-                for key, value in self.num.items()}
-
     def ratios(self) -> list[tuple[BMonomial, int, int]]:
-        """``terms`` as sorted (key, num, den) in lowest terms, no Fraction."""
+        """The terms as sorted (b-monomial, num, den) in lowest terms."""
         return sorted((_unpack(key), value // g, self.den // g)
                       for key, value in self.num.items()
                       for g in (math.gcd(value, self.den),))
@@ -205,11 +177,6 @@ class CoeffPoly:
     def constant(self) -> Fraction:
         """The b-free part."""
         return Fraction(self.num.get(0, 0), self.den)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise UsageError(f"{self} is not a rational constant")
-        return self.constant()
 
     def _combine(self, other, sign: int) -> "CoeffPoly":
         # self + sign * other in one merge over the lcm of the denominators:
@@ -244,9 +211,6 @@ class CoeffPoly:
     def __sub__(self, other) -> "CoeffPoly":
         return self._combine(other, -1)
 
-    def __rsub__(self, other) -> "CoeffPoly":
-        return CoeffPoly.coerce(other)._combine(self, -1)
-
     def __mul__(self, other) -> "CoeffPoly":
         if not isinstance(other, (CoeffPoly, int, Fraction)):
             return NotImplemented
@@ -256,7 +220,16 @@ class CoeffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CoeffPoly":
-        return _power(self, exponent, CoeffPoly.one())
+        if not isinstance(exponent, int) or exponent < 0:
+            raise UsageError("powers must be non-negative integers")
+        result, base = CoeffPoly.one(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:  # square only when needed, so none leaves the range
+                base = base * base
+        return result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CoeffPoly):
@@ -384,21 +357,6 @@ def sum_of_products(terms, spread=None) -> dict:
 
 
 XMonomial = tuple[int, ...]
-
-
-def _power(base, exponent: int, one):
-    """base ** exponent by square-and-multiply from ``one``; the powers of
-    CoeffPoly and of TruncSeries."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise UsageError("powers must be non-negative integers")
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:  # square only when needed, so no square leaves the range
-            base = base * base
-    return result
 
 
 def add_term(out: dict, key, value: CoeffPoly, sign: int = 1) -> None:
@@ -604,9 +562,6 @@ class TruncSeries(TermMap):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "TruncSeries":
-        return _power(self, exponent, TruncSeries.one(self.vars, self.cap))
-
     def swap_vars(self, i: int, j: int) -> "TruncSeries":
         """Exchange the variables at positions i and j.
 
@@ -637,7 +592,7 @@ def series_invert_unit(s: TruncSeries) -> TruncSeries:
         raise NotAUnitError(f"constant term {c0} is not a nonzero rational")
     # r_m = -(1/c0) * sum_{j >= 1} s_j r_{m-j}: scale s once, then one kernel
     # merge per degree m
-    scale = -1 / c0.as_fraction()
+    scale = -1 / c0.constant()
     higher: dict[int, list] = {}
     for key, value in s.terms.items():
         d = sum(key)

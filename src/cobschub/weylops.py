@@ -66,13 +66,6 @@ class Permutation:
     def __call__(self, k: int) -> int:
         return self.images[k - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (w * v)(k) = w(v(k))."""
-        if self.n != other.n:
-            raise UsageError("permutation ranks differ")
-        return Permutation(tuple(self.images[other.images[k] - 1]
-                                 for k in range(self.n)))
-
     def inverse(self) -> "Permutation":
         out = [0] * self.n
         for k, image in enumerate(self.images, start=1):

@@ -45,11 +45,15 @@ from fractions import Fraction
 from cobschub.fgl import PAIR_VARS, FGLData, build_universal_fgl
 from cobschub.flagring import (
     FlagElem,
+    Weight,
     basis_weight,
     c1_weight,
     reduce_canonical,
 )
 from cobschub.ringcore import (
+    FIELD_BITS,
+    MAX_EXPONENT,
+    MAX_INDEX,
     CoeffPoly,
     DivisibilityError,
     TruncSeries,
@@ -79,7 +83,7 @@ class FractionPoly:
 
     This is the per-term arithmetic that ``CoeffPoly`` replaced by integer
     numerators over a shared denominator; powers are repeated products, not
-    squarings.  ``terms`` has the shape of ``CoeffPoly.terms``.
+    squarings.  ``terms`` has the shape of ``fraction_terms``.
     """
 
     def __init__(self, terms):
@@ -127,18 +131,46 @@ class FractionPoly:
         return total
 
 
+def coeff_from_fractions(terms) -> CoeffPoly:
+    """The CoeffPoly of a map from b-monomials, (index, exponent) pairs
+    with one pair per index, to ints or Fractions; two spellings of one
+    monomial add up.  Packed here, with none of the engine's arithmetic, so
+    the kernel's tests take inputs that do not rest on it."""
+    sums: dict = {}
+    for key, value in terms.items():
+        assert len({i for i, _ in key}) == len(key), key
+        assert all(1 <= i <= MAX_INDEX and 1 <= e <= MAX_EXPONENT
+                   for i, e in key), key
+        packed = sum(e << (FIELD_BITS * (i - 1)) for i, e in key)
+        sums[packed] = sums.get(packed, 0) + Fraction(value)
+    sums = {key: value for key, value in sums.items() if value}
+    den = math.lcm(*(value.denominator for value in sums.values()))
+    return CoeffPoly._raw({key: int(value * den)
+                           for key, value in sums.items()}, den)
+
+
+def fraction_terms(c) -> dict:
+    """The Fraction view of a CoeffPoly: each b-monomial, as the sorted
+    (index, exponent) pairs of ``ratios``, to its coefficient.  Unpacked
+    here from ``c.num`` over ``c.den``, so it checks ``ratios``."""
+    mask = (1 << FIELD_BITS) - 1
+    return {tuple((i, e) for i in range(1, MAX_INDEX + 1)
+                  for e in (packed >> (FIELD_BITS * (i - 1)) & mask,) if e):
+            Fraction(value, c.den) for packed, value in c.num.items()}
+
+
 def fraction_coeff_to_json(c) -> list:
     """``cli.coeff_to_json`` through one Fraction per b-term: the sorted
-    ``terms`` view, each Fraction's numerator and denominator."""
+    ``fraction_terms``, each Fraction's numerator and denominator."""
     return [{"b": [[i, e] for i, e in key], "num": str(value.numerator),
              "den": str(value.denominator)}
-            for key, value in sorted(c.terms.items())]
+            for key, value in sorted(fraction_terms(c).items())]
 
 
 def fraction_coeff_str(c) -> str:
     """``str`` of a CoeffPoly through one Fraction per b-term."""
     out = ""
-    for key, value in sorted(c.terms.items()):
+    for key, value in sorted(fraction_terms(c).items()):
         mono = "*".join(f"b{i}" if e == 1 else f"b{i}^{e}" for i, e in key)
         text = (str(value) if not mono else mono if value == 1
                 else f"-{mono}" if value == -1 else f"{value}*{mono}")
@@ -315,7 +347,8 @@ def full_degree_pair_pack(d: int, beta):
 
 def geometric_inverse(s: TruncSeries) -> TruncSeries:
     """1/s via the geometric series sum((1 - s/c0)^k) / c0."""
-    c0 = s.constant_term().as_fraction()
+    assert s.constant_term().is_rational()
+    c0 = s.constant_term().constant()
     scaled = s * CoeffPoly.rational(Fraction(1) / c0)
     r = TruncSeries.one(s.vars, s.cap) - scaled
     total = TruncSeries.zero(s.vars, s.cap)
@@ -360,8 +393,8 @@ def pairwise_sum_of_products(terms) -> dict:
     vanishes are left out."""
     out: dict = {}
     for key, p, q in terms:
-        right = q if isinstance(q, int) else FractionPoly(q.terms)
-        product = FractionPoly(p.terms) * right
+        right = q if isinstance(q, int) else FractionPoly(fraction_terms(q))
+        product = FractionPoly(fraction_terms(p)) * right
         out[key] = out[key] + product if key in out else product
     return {key: value.terms for key, value in out.items() if value.terms}
 
@@ -431,7 +464,7 @@ def _linear_form_parts(factor: TruncSeries):
             raise UsageError("linear factor must be homogeneous of degree 1")
         if not value.is_rational():
             raise UsageError("linear factor must have rational coefficients")
-        coeffs[key.index(1)] = value.as_fraction()
+        coeffs[key.index(1)] = value.constant()
     pivot = min(coeffs)
     c_p = coeffs[pivot]
     rest = [(pos, -value / c_p) for pos, value in sorted(coeffs.items())
@@ -491,7 +524,7 @@ def specialize(x, assignment):
     beta**i."""
     if isinstance(x, CoeffPoly):
         total = Fraction(0)
-        for key, value in x.terms.items():
+        for key, value in fraction_terms(x).items():
             for i, e in key:
                 if i not in assignment:
                     raise UsageError(f"no assignment for generator b{i}")
@@ -694,7 +727,7 @@ def iterated_poly_times_bs(ctx, f, word) -> dict:
     for exponents in sorted(terms):
         running = {tuple(range(len(word))): terms[exponents]}
         for i, e in enumerate(exponents, start=1):
-            lam = -basis_weight(i, ctx.n)
+            lam = Weight(-c for c in basis_weight(i, ctx.n).coords)
             for _ in range(e):
                 stepped = {}
                 for kept, value in running.items():
@@ -744,11 +777,17 @@ def table_expand_in_bs_basis(ctx, a) -> dict:
 # Words and gradings
 
 
+def perm_product(w: Permutation, v: Permutation) -> Permutation:
+    """The composition w v, read off the images: (w v)(k) = w(v(k))."""
+    assert w.n == v.n
+    return Permutation(w(v(k)) for k in range(1, w.n + 1))
+
+
 def word_permutation(word, n: int) -> Permutation:
     """The product s_{a_1} s_{a_2} ... s_{a_l} of the word's reflections."""
     perm = Permutation(range(1, n + 1))
     for i in validate_word(word, n):
-        perm = perm * Permutation.simple(i, n)
+        perm = perm_product(perm, Permutation.simple(i, n))
     return perm
 
 
@@ -772,7 +811,7 @@ def all_reduced_words(w: Permutation) -> list:
         return [()]
     words = []
     for i in range(1, w.n):
-        rest = Permutation.simple(i, w.n) * w
+        rest = perm_product(Permutation.simple(i, w.n), w)
         if rest.inversions() < w.inversions():
             words.extend((i,) + word for word in all_reduced_words(rest))
     return words
@@ -802,12 +841,12 @@ def bmonomial_degree(key) -> int:
 
 def coeff_degrees(coeff) -> set[int]:
     """Set of graded degrees of the b-monomials of a CoeffPoly (all <= 0)."""
-    return {bmonomial_degree(key) for key in coeff.terms}
+    return {bmonomial_degree(key) for key, _, _ in coeff.ratios()}
 
 
 def support_indices(coeff) -> set[int]:
     """The indices i of the generators b_i that occur in a CoeffPoly."""
-    return {i for key in coeff.terms for i, _ in key}
+    return {i for key, _, _ in coeff.ratios() for i, _ in key}
 
 
 def total_degrees(elem) -> set[int]:
@@ -887,7 +926,7 @@ class LazardLattice:
             if i >= 1 and j >= 1:
                 self.gens_by_deg.setdefault(i + j - 1, set()).add(c)
         self.gens_by_deg = {
-            k: sorted(v, key=lambda c: sorted(c.terms.items()))
+            k: sorted(v, key=lambda c: sorted(fraction_terms(c).items()))
             for k, v in self.gens_by_deg.items()}
         self._monomials: dict = {}
 
@@ -932,7 +971,7 @@ class LazardLattice:
         from sympy.matrices.normalforms import hermite_normal_form
 
         by_deg: dict = {}
-        for key, val in coeff.terms.items():
+        for key, val in fraction_terms(coeff).items():
             by_deg.setdefault(-bmonomial_degree(key), {})[key] = val
         for k, piece in by_deg.items():
             if k == 0:
@@ -944,7 +983,7 @@ class LazardLattice:
             cols = []
             for g in self.monomial_generators(k):
                 col = [Fraction(0)] * len(basis)
-                for bk, v in g.terms.items():
+                for bk, v in fraction_terms(g).items():
                     col[idx[bk]] = v
                 cols.append(col)
             target = [Fraction(0)] * len(basis)
@@ -975,7 +1014,7 @@ def random_flag_elem(ctx, rng, max_terms=4, max_index=3):
             coeff_terms[((idx, rng.randint(1, 2)),)] = Fraction(
                 rng.randint(-3, 3))
         coeff_terms[()] = Fraction(rng.randint(-3, 3))
-        coeff = CoeffPoly(coeff_terms)
+        coeff = coeff_from_fractions(coeff_terms)
         if coeff:
             terms[key] = coeff
     return reduce_canonical(ctx, terms)
@@ -988,7 +1027,7 @@ def flag_poly_in_ideal(ctx, terms: dict) -> bool:
     pieces: dict = {}
     for key, coeff in terms.items():
         deg = sum(key)
-        for bkey, value in coeff.terms.items():
+        for bkey, value in fraction_terms(coeff).items():
             pieces.setdefault((deg, bkey), {})[key] = value
     return all(in_symmetric_ideal(piece) for piece in pieces.values())
 

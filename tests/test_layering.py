@@ -11,8 +11,8 @@ packed monomials (``FlagContext.pack`` and ``unpack``), so the operators
 and the walk take an element's terms as they are.  And no module of the
 package imports another one's private names: what two modules share is
 public.  The CLI serializes coefficients from ``CoeffPoly.ratios``, the
-packed numerators in lowest terms, and reads no ``terms`` view, whose
-Fractions it would pay for on every term.  Importing the CLI, which every
+packed numerators in lowest terms, and reads no ``terms`` attribute: an
+element's rows come from its tuple view.  Importing the CLI, which every
 command pays for, loads neither the selftest suite nor the
 stdlib modules only it or a dataclass would need.  In the CLI, command
 output reaches stdout only through ``_respond`` and ``_emit_json``, the one
@@ -21,9 +21,17 @@ stderr.  Letters, weight lengths and element ownership are each checked by
 one function of ``flagring``, so only the functions pinned here raise
 UsageError themselves in the engine's flag layers.  Every function, class
 and method the package defines has a caller outside the tests: a module of
-the package or a benchmark script names it, or the tracer patches it."""
+the package or a benchmark script names it, or the tracer patches it.
+That check matches names, so it cannot see a dunder or a method that
+shares its name with a live one (``__mul__``, ``terms``); so the CLI's own
+traffic, every command in every theory at ranks 2 and 3 and its refusals,
+runs under a profile hook in a fresh interpreter, and every function and
+method of the package, dunders and nested functions included, must be
+entered.  Only ``__repr__``, ``__eq__``, ``__hash__`` and the assignment
+guard of ``Weight`` are exempt."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -47,8 +55,7 @@ USAGE_RAISERS = {
     "flagring": {"Weight.__init__", "validate_weight", "validate_word",
                  "FlagContext.__init__", "FlagContext.pack",
                  "FlagContext.x_elem", "FlagContext.own", "theory_law"},
-    "weylops": {"Permutation.__init__", "Permutation.__mul__",
-                "coroot_pairing"},
+    "weylops": {"Permutation.__init__", "coroot_pairing"},
     "schubert": {"chevalley_coeff"},
 }
 
@@ -319,3 +326,130 @@ def test_every_definition_has_a_caller_outside_the_tests():
     readers = [ast.parse(path.read_text(), str(path))
                for path in sorted(PERFBENCH.glob("*.py"))]
     assert uncalled(source_trees(), readers) == set()
+
+
+# the definitions the CLI traffic need not enter: the dunders the engine
+# defines for debugging and for use as dict keys, and the assignment guard
+# of an immutable Weight (``__delattr__`` is the same function)
+NOT_TRAFFIC = {"__repr__", "__eq__", "__hash__", "Weight.__setattr__"}
+
+# a fresh interpreter runs the prelude, which imports ``main``, and ``main``
+# on each command line under a profile hook, then prints the exit codes and
+# the (file, first line) of every function whose code was entered
+TRAFFIC_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+seen = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(hook)
+{prelude}
+codes = []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+sys.setprofile(None)
+print(json.dumps([codes, sorted(seen)]))
+"""
+
+
+def function_lines(path) -> dict:
+    """(file, first line) -> qualified name for every function and method
+    a module defines, nested ones and dunders included; the first line of a
+    decorated function is its first decorator's, as its code object says."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno
+                                             for d in child.decorator_list])
+                found[str(Path(path).resolve()), line] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(Path(path).read_text(), str(path)), "")
+    return found
+
+
+def unentered(paths, prelude, argvs):
+    """The exit codes of ``main`` on each of ``argvs`` in a fresh
+    interpreter, and the names of the functions of ``paths`` that it did
+    not enter, beyond NOT_TRAFFIC."""
+    code = TRAFFIC_CHILD.format(src=str(SRC.parent), prelude=prelude,
+                                argvs=argvs)
+    codes, seen = json.loads(subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True).stdout)
+    seen = {(str(Path(name).resolve()), line) for name, line in seen}
+    names = {key: name for path in paths
+             for key, name in function_lines(path).items()}
+    return codes, {f"{Path(path).stem}.{name}"
+                   for (path, line), name in names.items()
+                   if (path, line) not in seen
+                   and not {name, name.rpartition(".")[2]} & NOT_TRAFFIC}
+
+
+def cli_traffic() -> list:
+    """Every command in every theory (K-theory at beta = -1/2) at ranks 2
+    and 3, in both formats, and the ``fgl`` dump; then refusals with exit
+    2 (a letter out of range, a weight of the wrong length) and 3 (rank 9,
+    degree 40)."""
+    words = {2: ("1", "1", "1,0"), 3: ("1,2,1", "2,1", "2,1,0")}
+    argvs = []
+    for theory in (["cobordism"], ["chow"], ["ktheory", "--beta", "-1/2"]):
+        for fmt in ("text", "json"):
+            common = ["--theory", *theory, "--format", fmt]
+            argvs.append(["fgl", "--max-degree", "4"] + common)
+            for n, (word, right, weight) in words.items():
+                rank = ["--n", str(n)] + common
+                argvs += [
+                    ["bsclass", "--word", word] + rank,
+                    ["product", "--left", word, "--right", right,
+                     "--verify"] + rank,
+                    ["chevalley", "--word", word, "--weight", weight] + rank,
+                    ["expand", "--word", word] + rank,
+                    ["pieri", "--word", word, "--weight", weight] + rank,
+                    ["selftest"] + rank,
+                ]
+    return argvs + [["bsclass", "--n", "3", "--word", "1,5"],
+                    ["chevalley", "--n", "3", "--word", "1", "--weight",
+                     "1,0"],
+                    ["bsclass", "--n", "9", "--word", "1"],
+                    ["fgl", "--max-degree", "40"]]
+
+
+def test_every_definition_runs_under_the_cli_traffic(tmp_path):
+    # the guard sees a method no traffic calls, a dunder that only an
+    # operator would enter, a nested function and a decorated one, and lets
+    # the exempt dunders through
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import functools\n"
+        "class A:\n"
+        "    def __sub__(self, other):\n        return self\n"
+        "    def __add__(self, other):\n        return self\n"
+        "    def __repr__(self):\n        return 'A'\n"
+        "    def stale(self):\n        pass\n"
+        "@functools.lru_cache\n"
+        "def cached():\n"
+        "    def inner():\n        pass\n"
+        "    return 0\n"
+        "def main(argv):\n    A() - A()\n    return cached()\n")
+    codes, missed = unentered(
+        [sample], f"sys.path.insert(0, {str(tmp_path)!r})\n"
+        "from sample import main", [[]])
+    assert (codes, missed) == ([0], {"sample.A.__add__", "sample.A.stale",
+                                     "sample.cached.inner"})
+    argvs = cli_traffic()
+    codes, missed = unentered(sorted(SRC.glob("*.py")),
+                              "from cobschub.cli import main", argvs)
+    assert codes == [0] * (len(argvs) - 4) + [2, 2, 3, 3]
+    assert missed == set()

@@ -13,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 from cobschub.flagring import FlagContext, reduce_canonical
 from cobschub.ringcore import CoeffPoly, TruncSeries
 
+from oracles import coeff_from_fractions
+
 CTX = FlagContext(3)
 VARS, CAP = ("u", "v"), 4
 
 coeffs = st.dictionaries(
     st.sampled_from([(), ((1, 1),), ((2, 1),), ((1, 2),)]),
     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
-    min_size=1, max_size=2).map(CoeffPoly)
+    min_size=1, max_size=2).map(coeff_from_fractions)
 exponents = st.integers(0, 2)
 KINDS = {
     "series": (

@@ -19,6 +19,7 @@ from cobschub.ringcore import (
 
 from oracles import (
     coeff_degrees,
+    coeff_from_fractions,
     geometric_inverse,
     horner_divide,
     lagrange_reverse,
@@ -45,7 +46,7 @@ def random_coeff(rng, max_index=3, max_terms=3):
         for i, e in key:
             merged[i] = merged.get(i, 0) + e
         terms[tuple(sorted(merged.items()))] = F(rng.randint(-4, 4), rng.randint(1, 3))
-    return CoeffPoly(terms)
+    return coeff_from_fractions(terms)
 
 
 def random_series(rng, vars, cap, max_terms=6):
@@ -65,7 +66,7 @@ def random_series(rng, vars, cap, max_terms=6):
 
 def test_coeffpoly_basic_arithmetic():
     p = b1 * b1 - b2
-    assert p == CoeffPoly({((1, 2),): 1, ((2, 1),): -1})
+    assert p == coeff_from_fractions({((1, 2),): 1, ((2, 1),): -1})
     assert p + b2 == b1**2
     assert (b1 + 1) * (b1 - 1) == b1**2 - 1
     assert -(b1 - b2) == b2 - b1
@@ -86,7 +87,8 @@ def test_coeffpoly_hash_and_eq():
     assert hash(b1 * b2) == hash(b2 * b1)
     assert b1 * b2 == b2 * b1
     assert b1 != b2
-    assert {b1**2 - b2: "a"}[CoeffPoly({((1, 2),): 1, ((2, 1),): -1})] == "a"
+    assert {b1**2 - b2: "a"}[
+        coeff_from_fractions({((1, 2),): 1, ((2, 1),): -1})] == "a"
 
 
 def test_coeff_specialize_examples():
@@ -122,7 +124,7 @@ def test_b_generator_refuses_what_the_packing_cannot_hold(args, message):
 def test_series_arith_examples():
     u = u_series(3)
     assert u * u == TruncSeries(("u",), 3, {(2,): 1})
-    s = u + b1 * u**2
+    s = u + b1 * u * u
     assert s - u == TruncSeries(("u",), 3, {(2,): b1})
     uv = TruncSeries.variable(("u", "v"), 1, "u") + TruncSeries.variable(
         ("u", "v"), 1, "v")
@@ -172,8 +174,8 @@ def test_series_subtraction_is_addition_of_the_negative():
 
 def test_truncation_contract():
     u = u_series(2)
-    assert (u**2 * u).is_zero()
-    assert u**3 == TruncSeries.zero(("u",), 2)
+    assert (u * u * u).is_zero()
+    assert u * (u * u) == TruncSeries.zero(("u",), 2)
 
 
 def test_ring_axioms_on_random_samples():
@@ -251,8 +253,8 @@ def test_reverse_identity():
 
 def test_reverse_golden_degree2():
     t = TruncSeries.variable(("t",), 2, "t")
-    s = t + (b1 * F(1, 2)) * t**2
-    expected = t - (b1 * F(1, 2)) * t**2
+    s = t + (b1 * F(1, 2)) * t * t
+    expected = t - (b1 * F(1, 2)) * t * t
     r = series_reverse(s)
     assert r == expected
     assert compose(s, [r]) == t
@@ -260,10 +262,11 @@ def test_reverse_golden_degree2():
 
 def test_reverse_golden_degree3():
     t = TruncSeries.variable(("t",), 3, "t")
-    s = t + (b1 * F(1, 2)) * t**2 + (b2 * F(1, 3)) * t**3
+    t2 = t * t
+    s = t + (b1 * F(1, 2)) * t2 + (b2 * F(1, 3)) * t2 * t
     r = series_reverse(s)
-    expected = (t - (b1 * F(1, 2)) * t**2
-                + (b1**2 * F(1, 2) - b2 * F(1, 3)) * t**3)
+    expected = (t - (b1 * F(1, 2)) * t2
+                + (b1**2 * F(1, 2) - b2 * F(1, 3)) * t2 * t)
     assert r == expected
     assert compose(s, [r]) == t
 
@@ -378,7 +381,7 @@ nonzero_rationals = st.builds(
 small_coeffs = st.dictionaries(
     st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2).map(
         lambda d: tuple(sorted(d.items()))),
-    nonzero_rationals, min_size=1, max_size=3).map(CoeffPoly)
+    nonzero_rationals, min_size=1, max_size=3).map(coeff_from_fractions)
 exponents = st.tuples(*(st.integers(0, 3) for _ in DIV_VARS))
 series_terms = st.dictionaries(exponents, small_coeffs, max_size=6)
 # two distinct positions (p, q) of the form x_p - x_q

@@ -14,7 +14,6 @@ from cobschub.flagring import (
     THEORIES,
     FlagContext,
     Weight,
-    basis_weight,
     c1_weight,
     fundamental_weight,
     point_class,
@@ -54,6 +53,7 @@ from oracles import (
     is_reduced,
     iterated_poly_times_bs,
     law_of,
+    perm_product,
     random_flag_elem,
     table_expand_in_bs_basis,
     total_degrees,
@@ -370,7 +370,7 @@ def test_poly_times_bs_constant(ctx3):
 def test_poly_times_bs_single_chern_factor_matches(ctx3):
     # the walk started at a first Chern class against the full tree walk,
     # which applies every operator down to position 0
-    for lam in (fundamental_weight(1, 3), -basis_weight(2, 3),
+    for lam in (fundamental_weight(1, 3), Weight((0, -1, 0)),
                 simple_root(1, 3), rho_weight(3)):
         for word in [(2, 1), (1, 2), (1, 2, 1)]:
             viapoly = poly_times_bs(ctx3, c1_weight(ctx3, lam), word)
@@ -590,7 +590,7 @@ def test_basis_leading_monomials_are_distinct_with_coefficient_one(n):
     leads = set()
     for w in all_permutations(n):
         cls = bs_class(ctx, reduced_word(w))
-        lead = tuple(reversed(lehmer_code(w * w0)))
+        lead = tuple(reversed(lehmer_code(perm_product(w, w0))))
         terms = cls.exponents()
         assert terms[lead] == 1, w
         assert max(terms, key=lambda key: (-sum(key), key)) == lead, w
@@ -760,7 +760,7 @@ def test_pieri_exponents_generic():
     gamma2 = simple_root(2, 3)
     assert got == [
         ((2, 1), coroot_pairing(lam, gamma2)),
-        ((1, 1), coroot_pairing(lam, gamma1 + gamma2)),
+        ((1, 1), coroot_pairing(lam, Weight((1, 0, -1)))),
         ((1, 2), coroot_pairing(lam, gamma1)),
     ]
 
@@ -779,10 +779,9 @@ def test_pieri_exponents_fundamental():
     lambda lam: pieri_exponents(3, (), lam),
     lambda lam: weyl_act(Permutation.simple(1, 3), lam),
     lambda lam: coroot_pairing(lam, simple_root(1, 3)),
-    lambda lam: rho_weight(3) + lam,
     lambda lam: rho_weight(3) - lam,
 ], ids=["c1_weight", "c1_times_bs", "pieri_exponents", "weyl_act",
-        "coroot_pairing", "add", "sub"])
+        "coroot_pairing", "sub"])
 def test_weights_of_another_length_are_refused(apply):
     # one rule with one message, also where no operator runs (the empty
     # word) and where zip would have cut the longer weight short

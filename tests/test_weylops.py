@@ -53,11 +53,13 @@ from cobschub.selftest import classical_divided_difference
 
 from oracles import (
     as_series,
+    coeff_from_fractions,
     direct_op_pack,
     full_degree_op_pack,
     is_canonical,
     is_reduced,
     packed,
+    perm_product,
     random_flag_elem,
     reference_op_pack,
     series_divided_diff,
@@ -99,13 +101,13 @@ def test_weyl_act_examples():
     assert weyl_act(e, Weight((2, -1, 3))) == Weight((2, -1, 3))
     s2 = Permutation.simple(2, 3)
     gamma1 = simple_root(1, 3)
-    assert weyl_act(s1 * s2, gamma1) == simple_root(2, 3)
+    assert weyl_act(perm_product(s1, s2), gamma1) == simple_root(2, 3)
     assert weyl_act(s2, gamma1) == Weight((1, 0, -1))
 
 
 def test_permutation_algebra():
     w = Permutation((3, 1, 2))
-    assert w * w.inverse() == Permutation(range(1, 4))
+    assert perm_product(w, w.inverse()) == Permutation(range(1, 4))
     assert w.inversions() == 2
     assert Permutation((2, 1, 3)).inversions() == 1
     with pytest.raises(UsageError):
@@ -147,17 +149,17 @@ def test_coroot_pairing_defining_identity():
         trans = list(range(1, 5))
         trans[i - 1], trans[j - 1] = trans[j - 1], trans[i - 1]
         s_alpha = Permutation(trans)
-        assert weyl_act(s_alpha, lam) == lam - coroot_pairing(lam, alpha) * alpha
+        k = coroot_pairing(lam, alpha)
+        assert weyl_act(s_alpha, lam) == Weight(
+            c - k * a for c, a in zip(lam.coords, alpha.coords))
 
 
 def test_beta_sequence_examples():
     got = beta_sequence((1, 2, 1), 3)
-    assert got == [simple_root(2, 3),
-                   simple_root(1, 3) + simple_root(2, 3),
-                   simple_root(1, 3)]
+    # e_1 - e_3 is the sum of the two simple roots
+    assert got == [simple_root(2, 3), Weight((1, 0, -1)), simple_root(1, 3)]
     assert beta_sequence((2,), 3) == [simple_root(2, 3)]
-    assert beta_sequence((1, 2), 3) == [
-        simple_root(1, 3) + simple_root(2, 3), simple_root(2, 3)]
+    assert beta_sequence((1, 2), 3) == [Weight((1, 0, -1)), simple_root(2, 3)]
 
 
 def test_is_reduced():
@@ -449,7 +451,7 @@ def test_operators_reject_an_element_of_another_context(ctx3, ctx4, apply):
     # a raw mapping is no element, even with canonical terms
     chow = FlagContext(3, F(0))
     a = bs_class(ctx3, (1, 2))
-    assert any(any(coeff.terms) for coeff in a.terms.values())
+    assert any(not coeff.is_rational() for coeff in a.terms.values())
     for ctx, elem in ((chow, a), (ctx3, chow.x_elem(1)),
                       (ctx3, ctx4.x_elem(1)), (ctx3, dict(a.terms))):
         with pytest.raises(UsageError):
@@ -681,9 +683,9 @@ def test_dual_constant_terms_after_are_the_two_step_reads(n, law):
 
 def random_coeff(rng) -> CoeffPoly:
     """A small coefficient with a b-term and mixed denominators."""
-    return CoeffPoly({(): F(rng.randint(-4, 4), rng.randint(1, 5)),
-                      ((rng.randint(1, 3), 1),): F(rng.randint(-3, 3),
-                                                   rng.randint(1, 6))})
+    return coeff_from_fractions({
+        (): F(rng.randint(-4, 4), rng.randint(1, 5)),
+        ((rng.randint(1, 3), 1),): F(rng.randint(-3, 3), rng.randint(1, 6))})
 
 
 @pytest.mark.parametrize("law", [(), (F(0),), (F(2, 3),)], ids=THEORIES)
@@ -805,7 +807,9 @@ def test_divided_diff_chow_matches_classical(ctx3):
         a = specialize(random_flag_elem(ctx3, rng), chow)
         for i in (1, 2):
             ours = specialize(divided_diff(ctx3, i, a), chow)
-            plain = {k: v.as_fraction() for k, v in a.exponents().items()}
+            terms = a.exponents()
+            assert all(v.is_rational() for v in terms.values())
+            plain = {k: v.constant() for k, v in terms.items()}
             oracle = classical_divided_difference(plain, i - 1)
             oracle_elem = reduce_canonical(
                 ctx3, {k: CoeffPoly.rational(v) for k, v in oracle.items()})
