@@ -10,7 +10,11 @@ letter ranges and weight lengths, and ``_respond`` prints the result in the
 ``--format`` asked for, building only that one.  JSON output is
 deterministic: terms are sorted, rationals are emitted as decimal num/den
 strings in lowest terms, read from the packed numerators with no Fraction,
-so arbitrary precision survives serialization.  selftest runs the
+so arbitrary precision survives serialization.  One encoder writes every
+object: a payload is a fresh tree that its command builds, so it holds no
+cycle and the encoder runs no cycle check, and the engine's tuples (words,
+weights, exponent vectors, b-monomials) go in as they are, since the
+encoder writes a tuple as the array a list would give.  selftest runs the
 checks its table admits at the rank and then prints one PASS/FAIL line per
 check, or one object listing the checks.
 
@@ -50,8 +54,11 @@ from cobschub.schubert import (
 
 MAX_RANK = 6
 MAX_FGL_DEGREE = 16
-# one encoder for every request, where json.dumps builds one per call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# one encoder for every request, where json.dumps builds one per call; each
+# payload is a new tree with no cycle, so there is none to check for, and a
+# tuple in it is written as an array
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
 
 
 # the options that take a value; one that starts with "-" and a digit or a
@@ -110,13 +117,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def coeff_to_json(c: CoeffPoly) -> list:
     """Sorted terms, num/den in lowest terms from ``CoeffPoly.ratios``."""
-    return [{"b": [[i, e] for i, e in key], "num": str(num), "den": str(den)}
+    return [{"b": key, "num": str(num), "den": str(den)}
             for key, num, den in c.ratios()]
 
 
 def elem_terms_to_json(elem) -> list:
     """Terms of a flag element or a series, sorted by exponent vector."""
-    return [{"x": list(key), "coeff": coeff_to_json(value)}
+    return [{"x": key, "coeff": coeff_to_json(value)}
             for key, value in sorted(elem.exponents().items())]
 
 
@@ -131,7 +138,7 @@ def expansion_to_rows(expansion) -> list:
 
 
 def series_to_json(series) -> dict:
-    return {"vars": list(series.vars), "degree_cap": series.cap,
+    return {"vars": series.vars, "degree_cap": series.cap,
             "terms": elem_terms_to_json(series)}
 
 
@@ -151,7 +158,7 @@ def _respond(ns, payload, lines) -> None:
 
 
 def _rows_to_json(rows) -> list:
-    return [{"subword": list(w), "coeff": coeff_to_json(c)} for w, c in rows]
+    return [{"subword": w, "coeff": coeff_to_json(c)} for w, c in rows]
 
 
 def _row_lines(rows) -> list[str]:
@@ -166,8 +173,7 @@ def _row_lines(rows) -> list[str]:
 def cmd_bsclass(ns) -> int:
     ctx = _request_context(ns)
     cls = bs_class(ctx, ns.word)
-    _respond(ns, lambda: {"n": ctx.n, "word": list(ns.word),
-                          "theory": ns.theory,
+    _respond(ns, lambda: {"n": ctx.n, "word": ns.word, "theory": ns.theory,
                           "terms": elem_terms_to_json(cls)},
              lambda: [f"Z_[{_word_label(ns.word)}] = {cls}"])
     return 0
@@ -181,8 +187,8 @@ def cmd_product(ns) -> int:
         checked["verified"] = expansion.evaluate(ctx) == bs_class(
             ctx, ns.left) * bs_class(ctx, ns.right)
     rows = expansion_to_rows(expansion)
-    _respond(ns, lambda: {"n": ctx.n, "left": list(ns.left),
-                          "right": list(ns.right), "theory": ns.theory,
+    _respond(ns, lambda: {"n": ctx.n, "left": ns.left,
+                          "right": ns.right, "theory": ns.theory,
                           "terms": _rows_to_json(rows), **checked},
              lambda: _row_lines(rows) + [
                  f"verify: {'ok' if ok else 'MISMATCH'}"
@@ -193,8 +199,8 @@ def cmd_product(ns) -> int:
 def cmd_chevalley(ns) -> int:
     ctx = _request_context(ns)
     rows = expansion_to_rows(c1_times_bs(ctx, Weight(ns.weight), ns.word))
-    _respond(ns, lambda: {"n": ctx.n, "word": list(ns.word),
-                          "weight": list(ns.weight), "theory": ns.theory,
+    _respond(ns, lambda: {"n": ctx.n, "word": ns.word,
+                          "weight": ns.weight, "theory": ns.theory,
                           "terms": _rows_to_json(rows)},
              lambda: _row_lines(rows))
     return 0
@@ -219,10 +225,8 @@ def cmd_expand(ns) -> int:
     expansion = expand_in_bs_basis(ctx, bs_class(ctx, ns.word))
     rows = [(w, reduced_word(w), expansion[w]) for w in
             sorted(expansion, key=lambda p: (p.inversions(), p.images))]
-    _respond(ns, lambda: {"n": ctx.n, "word": list(ns.word),
-                          "theory": ns.theory,
-                          "classes": [{"perm": list(w.images),
-                                       "word": list(word),
+    _respond(ns, lambda: {"n": ctx.n, "word": ns.word, "theory": ns.theory,
+                          "classes": [{"perm": w.images, "word": word,
                                        "coeff": coeff_to_json(c)}
                                       for w, word, c in rows]},
              lambda: [f"Z_[{_word_label(word)}] (perm {list(w.images)}): {c}"
@@ -233,9 +237,8 @@ def cmd_expand(ns) -> int:
 def cmd_pieri(ns) -> int:
     n = _check_rank(ns.n)
     rows = pieri_exponents(n, ns.word, Weight(ns.weight))
-    _respond(ns, lambda: {"n": n, "word": list(ns.word),
-                          "weight": list(ns.weight),
-                          "rows": [{"position": j, "subword": list(sub),
+    _respond(ns, lambda: {"n": n, "word": ns.word, "weight": ns.weight,
+                          "rows": [{"position": j, "subword": sub,
                                     "exponent": exponent}
                                    for j, (sub, exponent)
                                    in enumerate(rows, start=1)]},

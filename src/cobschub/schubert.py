@@ -139,36 +139,50 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
     dimension of Z_word, above which f multiplies Z_word to 0, and a node
     asks for its dual child through degree p and swaps only that part.
 
-    The word and f are checked once, the root state is f's packed terms
-    through len(word), and each state is a packed mapping made canonical
-    only by the dual step's merges: a swapped state stays raw.  That is
-    exact.  The ideal is S_n-stable and homogeneous; the antisymmetrized
-    quotient, the swap, products and cuts by degree map it into itself;
-    and every read vanishes on it, the constant term as much as the
-    degree-1 read L_j, killing x_1 + ... + x_n.
+    The word and f are checked once (``c1_times_bs`` and ``product_bs``
+    check their own arguments and walk from an element of the context, so
+    they go to ``_subword_walk`` directly), the root state is f's packed
+    terms through len(word), and each state is a packed mapping made
+    canonical only by the dual step's merges: a swapped state stays raw.
+    That is exact.  The ideal is S_n-stable and homogeneous; the
+    antisymmetrized quotient, the swap, products and cuts by degree map it
+    into itself; and every read vanishes on it, the constant term as much
+    as the degree-1 read L_j, killing x_1 + ... + x_n.
     """
     word = validate_word(word, ctx.n)
-    ctx.own(f)
-    terms: dict[tuple[int, ...], CoeffPoly] = {}
+    return _subword_walk(ctx, ctx.own(f), word)
 
-    def record(kept: tuple[int, ...], coeff: CoeffPoly):
-        if coeff:
-            terms[kept] = coeff
+
+def _subword_walk(ctx: FlagContext, f: FlagElem, word: Word) -> BSExpansion:
+    # the walk of poly_times_bs on a checked word and an element of ctx; a
+    # read is stored only when nonzero, and the kept prefix (0, .., p - 1) of
+    # a read at position p, or of the whole word, comes from one list
+    terms: dict[tuple[int, ...], CoeffPoly] = {}
+    prefixes = [tuple(range(p)) for p in range(len(word) + 1)]
 
     def walk(pos: int, state: dict, kept_above: tuple[int, ...]):
         letter = word[pos]
         if pos == 1:
-            reads = dual_reads_after(ctx, letter, word[0], state)
-            for kept, coeff in zip(((0,), (), (1,)), reads):
-                record(kept + kept_above, coeff)
+            keep0, keep_none, keep1 = dual_reads_after(ctx, letter, word[0],
+                                                       state)
+            if keep0:
+                terms[(0,) + kept_above] = keep0
+            if keep_none:
+                terms[kept_above] = keep_none
+            if keep1:
+                terms[(1,) + kept_above] = keep1
             return
-        record(tuple(range(pos)) + kept_above, dual_read(ctx, letter, state))
+        coeff = dual_read(ctx, letter, state)
+        if coeff:
+            terms[prefixes[pos] + kept_above] = coeff
         if pos:
             walk(pos - 1, dual_step(ctx, letter, state, pos), kept_above)
             walk(pos - 1, swap_step(ctx, letter, state, pos),
                  (pos,) + kept_above)
 
-    record(tuple(range(len(word))), f.constant_term())
+    constant = f.constant_term()
+    if constant:
+        terms[prefixes[-1]] = constant
     if word:
         limit = len(word) + 1 << ctx.degree_shift
         walk(len(word) - 1, {m: coeff for m, coeff in f.terms.items()
@@ -185,7 +199,7 @@ def c1_times_bs(ctx: FlagContext, lam: Weight, word) -> BSExpansion:
     validate_weight(lam, ctx.n)  # the empty word never reaches c1_weight
     if not word:
         return BSExpansion(word)
-    return poly_times_bs(ctx, c1_weight(ctx, lam), word)
+    return _subword_walk(ctx, c1_weight(ctx, lam), word)
 
 
 def product_bs(ctx: FlagContext, left, right) -> BSExpansion:
@@ -205,7 +219,7 @@ def product_bs(ctx: FlagContext, left, right) -> BSExpansion:
     right = validate_word(right, ctx.n)
     if len(left) + len(right) < ctx.d:
         return BSExpansion(right)
-    return poly_times_bs(ctx, bs_class(ctx, left), right)
+    return _subword_walk(ctx, bs_class(ctx, left), right)
 
 
 # ---------------------------------------------------------------------------

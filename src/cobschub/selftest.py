@@ -67,6 +67,7 @@ from cobschub.schubert import (
     c1_times_bs,
     chevalley_coeff,
     expand_in_bs_basis,
+    poly_times_bs,
     product_bs,
 )
 
@@ -227,9 +228,13 @@ def _check_operator_properties(ctx):
     for i in range(1, ctx.n):
         assert divided_diff(ctx, i, ctx.one()).constant_term() == p1
     rng = random.Random(103)
+    word = tuple(min(k, ctx.n - 1) for k in (1, 2, 1))
     for _ in range(3):
         a = _random_elem(ctx, rng)
         g = _random_elem(ctx, rng)
+        # the twisted Leibniz rule, unfolded along a word, for any element
+        assert poly_times_bs(ctx, a, word).evaluate(ctx) == a * bs_class(
+            ctx, word)
         for i in range(1, ctx.n):
             image = divided_diff(ctx, i, a)
             assert sigma_op(ctx, i, image) == image

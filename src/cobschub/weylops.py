@@ -39,6 +39,10 @@ from cobschub.flagring import (
 
 Word = tuple[int, ...]
 
+# the value of a read that finds nothing, one for every call: a CoeffPoly is
+# immutable, so callers may keep it
+_ZERO = CoeffPoly.zero()
+
 
 class Permutation:
     """A permutation of {1..n} in one-line notation (images of 1..n)."""
@@ -280,9 +284,10 @@ def dual_read(ctx: FlagContext, i: int, terms) -> CoeffPoly:
     not, read as L_i(a) = a[x_{i+1}] - a[x_i], which kills x_1 + ... + x_n.
     Reduction keeps x-degree and U^-1 has constant term 1, so this is the
     constant term of (a - sigma_i a) / (x_{i+1} - x_i), whose numerator
-    reaches degree 0 only from its degree-1 part L_i(a) (x_{i+1} - x_i)."""
-    zero, x = CoeffPoly.zero(), ctx.x_keys
-    return terms.get(x[i], zero) - terms.get(x[i - 1], zero)
+    reaches degree 0 only from its degree-1 part L_i(a) (x_{i+1} - x_i).
+    A read of nothing is the module's one shared zero, not a new one."""
+    x = ctx.x_keys
+    return terms.get(x[i], _ZERO) - terms.get(x[i - 1], _ZERO)
 
 
 def _read_table(ctx: FlagContext, i: int, j: int) -> list:
@@ -322,9 +327,10 @@ def dual_reads_after(ctx: FlagContext, i: int, j: int,
     antisymmetrized quotient of a, of degree one less, and U^-1 has
     constant term 1, so its degree-1 part is q_1 + q_0 (U^-1)_1: q_0 =
     L_i(a), and q_1 the divided difference of a's degree-2 part, unreduced.
+    A read that finds nothing is the module's one shared zero.
     """
-    get, zero = terms.get, CoeffPoly.zero()
+    get = terms.get
     reads = sum_of_products((read, coeff, weight) for read, m, weight
                             in _read_table(ctx, i, j)
                             for coeff in (get(m),) if coeff is not None)
-    return tuple(reads.get(read, zero) for read in range(3))
+    return reads.get(0, _ZERO), reads.get(1, _ZERO), reads.get(2, _ZERO)

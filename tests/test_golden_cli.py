@@ -5,6 +5,10 @@ covers each command line, its exit code and its standard output.  A change
 that only restructures the engine must leave the digest as it is; a change
 that means to alter the output updates ``GOLDEN_SHA256`` and says why.
 
+Each JSON line is also checked against its canonical form, keys sorted
+and no spaces, with every coefficient's num and den decimal strings in
+lowest terms: a digest only shows that the bytes changed.
+
 ``SELFTEST_SHA256`` pins ``selftest`` at ranks 2-4 in every theory, so a
 check that is renamed, dropped or reordered shows even though the CLI tests
 derive the expected names from the table itself.  It was recorded while the
@@ -16,6 +20,9 @@ operators.
 import contextlib
 import hashlib
 import io
+import json
+import math
+import re
 
 from cobschub import cli
 from cobschub.cli import main
@@ -93,3 +100,40 @@ def test_json_coefficients_match_the_fraction_route(monkeypatch):
     monkeypatch.setattr(cli, "coeff_to_json", fraction_route)
     assert cli_digest(formats=("json",)) == packed
     assert any(len(c.num) > 1 and c.den > 1 for c in calls)
+
+
+def coefficient_terms(value) -> list:
+    """Every object with a num and a den in a parsed payload."""
+    if isinstance(value, list):
+        return [term for item in value for term in coefficient_terms(item)]
+    if isinstance(value, dict):
+        own = [value] if {"num", "den"} <= value.keys() else []
+        return own + [term for item in value.values()
+                      for term in coefficient_terms(item)]
+    return []
+
+
+def test_json_output_is_canonical():
+    # every JSON command line of the digest prints one line in its own
+    # canonical form, and every num and den in it is a decimal string, the
+    # pair in lowest terms with a positive den
+    terms = []
+    for cmd in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(list(cmd) + ["--format", "json"])
+        text = out.getvalue()
+        parsed = json.loads(text)
+        assert text == json.dumps(parsed, sort_keys=True,
+                                  separators=(",", ":")) + "\n", cmd
+        for term in coefficient_terms(parsed):
+            num, den = term["num"], term["den"]
+            assert isinstance(num, str) and re.fullmatch(
+                r"-?[1-9][0-9]*", num), (cmd, term)
+            assert isinstance(den, str) and re.fullmatch(
+                r"[1-9][0-9]*", den), (cmd, term)
+            assert math.gcd(int(num), int(den)) == 1, (cmd, term)
+            terms.append(term)
+    # the check sees negative numerators and denominators above 1
+    assert any(t["num"].startswith("-") for t in terms)
+    assert any(t["den"] != "1" for t in terms)

@@ -17,11 +17,14 @@ command pays for, loads neither the selftest suite nor the
 stdlib modules only it or a dataclass would need.  In the CLI, command
 output reaches stdout only through ``_respond`` and ``_emit_json``, the one
 place a per-request hook has to reach; ``main``'s error lines go to
-stderr.  Letters, weight lengths and element ownership are each checked by
-one function of ``flagring``, so only the functions pinned here raise
-UsageError themselves in the engine's flag layers.  Every function, class
-and method the package defines has a caller outside the tests: a module of
-the package or a benchmark script names it, or the tracer patches it.
+stderr.  JSON is built only by the CLI's one ``_ENCODER``: no module
+calls ``json.dumps``, builds a second encoder or reads a private part of
+the json package.  Letters, weight lengths and element ownership are
+each checked by one function of ``flagring``, so only the functions
+pinned here raise UsageError themselves in the engine's flag layers.
+Every function, class and method the package defines has a caller
+outside the tests: a module of the package or a benchmark script names
+it, or the tracer patches it.
 That check matches names, so it cannot see a dunder or a method that
 shares its name with a live one (``__mul__``, ``terms``); so the CLI's own
 traffic, every command in every theory at ranks 2 and 3 and its refusals,
@@ -186,6 +189,54 @@ def test_cli_serializes_coefficients_from_the_packed_view():
     cli = source_trees()["cli"]
     assert terms_reads(cli) == set()
     assert private_imports(cli) == set()
+
+
+def json_uses(tree) -> list[str]:
+    """Each use of the json package in a module, once per use: the code of
+    every attribute chain read off a name it is imported as (``json.dumps``,
+    ``json.encoder.c_make_encoder``), and each submodule imported and each
+    name imported from it or from one of its submodules."""
+    aliases = set()
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "json":
+                    aliases.add((alias.asname or alias.name).split(".")[0])
+                    if alias.name != "json":
+                        uses.append(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module or "").split(".")[0] == "json":
+            uses += [f"{node.module}.{alias.name}" for alias in node.names]
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in aliases:
+            # the whole attribute chain read off the name
+            while isinstance(parents.get(node), ast.Attribute):
+                node = parents[node]
+            uses.append(ast.unparse(node))
+    return sorted(uses)
+
+
+def test_src_builds_json_only_through_the_cli_encoder():
+    # the guard sees a call of json.dumps, a second encoder and a private
+    # encoder of the json package, however it is imported
+    sample = ast.parse("import json\nimport json as j\n"
+                       "from json.encoder import c_make_encoder\n"
+                       "E = json.JSONEncoder()\nF = j.JSONEncoder()\n"
+                       "json.dumps({})\njson.encoder.c_make_encoder\n")
+    assert json_uses(sample) == [
+        "j.JSONEncoder", "json.JSONEncoder", "json.dumps",
+        "json.encoder.c_make_encoder", "json.encoder.c_make_encoder"]
+    trees = source_trees()
+    assert {name: json_uses(tree) for name, tree in trees.items()} == {
+        name: ["json.JSONEncoder"] if name == "cli" else []
+        for name in trees}
+    encoders = [ast.unparse(node.targets[0]) for node in trees["cli"].body
+                if isinstance(node, ast.Assign)
+                and "JSONEncoder" in ast.unparse(node.value)]
+    assert encoders == ["_ENCODER"]
 
 
 def stdout_writers(tree) -> set[str]:

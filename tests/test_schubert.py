@@ -41,7 +41,7 @@ from cobschub.schubert import (
     product_bs,
 )
 
-from cobschub import schubert
+from cobschub import schubert, weylops
 from oracles import (
     all_reduced_words,
     canonical_poly_times_bs,
@@ -443,6 +443,33 @@ def test_walk_on_raw_states_matches_the_canonical_walk(n, law):
             assert product_bs(ctx, left, right).terms == got, (left, right)
             products.add(bool(got))
     assert products == {False, True}
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_walks_store_no_zero_and_leave_the_shared_zero_as_it_was(n, theory):
+    # a walk stores a read only when it is nonzero, and a read of nothing is
+    # the one shared zero of weylops, which no walk may edit: Chevalley
+    # walks of the determinant weight (c1 = 0) and of random weights, and
+    # products on both sides of the zero-by-degree bound, on random words of
+    # every length up to d + 1 (7 at rank 5); K-theory at beta = 2/3
+    ctx = FlagContext(n, *theory_law(theory, Fraction(2, 3)))
+    assert weylops.dual_read(ctx, 1, {}) is weylops._ZERO
+    rng = random.Random(f"no-zero-{n}-{theory}")
+    words = [tuple(rng.randint(1, n - 1) for _ in range(k))
+             for k in range(min(ctx.d + 1, 7) + 1)]
+    w0 = reduced_word(Permutation(range(n, 0, -1)))
+    expansions = []
+    for word in words:
+        for lam in (Weight((1,) * n),
+                    Weight(tuple(rng.randint(-2, 3) for _ in range(n)))):
+            expansions.append(c1_times_bs(ctx, lam, word))
+        for k in (ctx.d - len(word), ctx.d - len(word) + 1):
+            expansions.append(product_bs(ctx, w0[:max(k, 0)], word))
+    assert any(e.terms for e in expansions)
+    for e in expansions:
+        assert all(e.terms.values()), e
+    assert weylops._ZERO.num == {} and weylops._ZERO.den == 1
 
 
 def test_product_operator_count(monkeypatch):
