@@ -109,6 +109,75 @@ def rho_weight(n: int) -> Weight:
     return Weight(tuple(range(n - 1, -1, -1)))
 
 
+class NormalFormTable(dict):
+    """The canonical forms of packed monomials of degree at most d as
+    (staircase int, int) pairs, keyed by the monomial and filled on the
+    first lookup of each: ``table[m]`` is one subscript on a hit.
+
+    The rewrite rules have integer coefficients and no b-terms, so the
+    form does not depend on the law.  A staircase monomial is its own
+    form.  Any other monomial has a first j with x_j-exponent at least
+    j, which one add and one mask find (``FlagContext._climb``).  Two more
+    add-and-mask tests give the empty form at once to monomials that lie
+    in the ideal:
+
+    - some exponent is at least n: Prod_j (x_k - x_j) = 0 gives
+      x_k^n = Sum_{i>=1} (-1)^(i+1) e_i x_k^(n-i), which lies in the ideal;
+    - every exponent is at least 1: the monomial is divisible by
+      e_n = x_1 ... x_n.
+
+    Otherwise one of two rules gives the form:
+
+    - if mono / x_j is staircase, x_j^j is rewritten by the rule of
+      h_j(x_j, .., x_n), which gives monomials of the same degree, each
+      lexicographically below mono (x_1 heaviest); the form is minus the
+      sum of theirs;
+    - otherwise one x_j is peeled: the form is the sum of c times the
+      form of x_j * s over the terms (s, c) of the form of mono / x_j.
+      That is exact because taking forms is linear modulo the ideal.
+
+    Forms only hold monomials lexicographically at most their own, and
+    mono / x_j is not staircase, so each s lies strictly below mono / x_j
+    and each x_j * s strictly below mono.  Every form so rests on forms
+    of lower degree or of smaller monomials of its degree, and the
+    recursion through them ends.  Each form is built once, after the forms
+    it rests on, and an empty form is stored too.  The chains stay short:
+    a cold class of w0 at rank 6 goes 7 misses deep, and the deepest cold
+    monomial there, x_1^5 x_2^5 x_3^5, 16.
+    """
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: "FlagContext"):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, m: int) -> NormalForm:
+        ctx = self.ctx
+        j = ctx._climb(m)
+        guard = ctx._guard
+        if not j:
+            form = ((m, 1),)
+        elif m + ctx._power_bias & guard or \
+                m + ctx._unit_bias & guard == guard:
+            form = ()
+        else:
+            total: dict[int, int] = {}
+            x_j = ctx.x_keys[j - 1]
+            if not ctx._climb(m - x_j):
+                base = m - j * x_j
+                for repl in ctx._rewrite[j]:
+                    for s, value in self[base + repl]:
+                        total[s] = total.get(s, 0) - value
+            else:
+                for s, c in self[m - x_j]:
+                    for f, value in self[s + x_j]:
+                        total[f] = total.get(f, 0) + c * value
+            form = tuple((s, value) for s, value in total.items() if value)
+        self[m] = form
+        return form
+
+
 class FlagContext:
     """Everything attached to a fixed rank n and a formal group law: the
     parts of the law that the engine reads, the rewrite system, the packed
@@ -147,9 +216,12 @@ class FlagContext:
 
     Caches, filled on first use and kept for the context's life, keyed by
     packed ints where they hold monomials: the normal forms that reductions
-    meet and those they rest on (``_normal_forms``), the operators' packed
-    U^-1 (``_op_packs``, by i, see ``weylops._op_pack``), the read tables
-    of the walk's position-1 nodes (``_read_tables``, by (i, j), see
+    meet and those they rest on (``_normal_forms``, a ``NormalFormTable``
+    that builds each form on its first lookup; reductions and the operators
+    hand the table itself to the kernel as its spread, so a hit is one
+    subscript and no Python call), the operators' packed U^-1
+    (``_op_packs``, by i, see ``weylops._op_pack``), the read tables of the
+    walk's position-1 nodes (``_read_tables``, by (i, j), see
     ``weylops._read_table``), first Chern classes of weights
     (``_c1_cache``) and Bott-Samelson classes (``_bs_cache``).  Chevalley
     expansions are mutable and are built afresh on every call.
@@ -171,14 +243,17 @@ class FlagContext:
         self.field_bits = width = self.d.bit_length() + 1
         self.degree_shift = width * n
         self.x_keys = tuple(1 << width * k | 1 << width * n for k in range(n))
-        # the bias sets field k's top bit iff x_{k+1}'s exponent is > k
+        # the biases set field k's top bit iff x_{k+1}'s exponent is > k
+        # (_bias), >= n (_power_bias) and >= 1 (_unit_bias)
         top = 1 << width - 1
         self._guard = sum(top << width * k for k in range(n))
         self._bias = sum(top - k - 1 << width * k for k in range(n))
+        self._power_bias = sum(top - n << width * k for k in range(n))
+        self._unit_bias = self._guard - sum(1 << width * k for k in range(n))
         self.log, self.exp = log_and_exp(self.work_cap, beta)
         self.unit_inv = unit_inverse(self.log, self.exp, 2 * n - 3)
         self._rewrite = {j: self._rewrite_rule(j) for j in range(1, n + 1)}
-        self._normal_forms: dict[int, NormalForm] = {}
+        self._normal_forms = NormalFormTable(self)
         self._op_packs: dict[int, dict] = {}
         self._read_tables: dict[tuple[int, int], list] = {}
         self._c1_cache: dict[tuple[int, ...], "FlagElem"] = {}
@@ -209,56 +284,6 @@ class FlagContext:
         # the first j with x_j-exponent at least j in m, 0 if m is staircase
         hit = m + self._bias & self._guard
         return (hit & -hit).bit_length() // self.field_bits
-
-    def normal_form(self, m: int) -> NormalForm:
-        """The canonical form of the packed monomial m of degree at most d
-        as (staircase int, int) pairs.
-
-        The rewrite rules have integer coefficients and no b-terms, so the
-        form does not depend on the law.  A staircase monomial is its own
-        form.  Any other monomial has a first j with x_j-exponent at least
-        j, which one add and one mask find (``_climb``), and one of two
-        rules gives its form:
-
-        - if mono / x_j is staircase, x_j^j is rewritten by the rule of
-          h_j(x_j, .., x_n), which gives monomials of the same degree, each
-          lexicographically below mono (x_1 heaviest); the form is minus
-          the sum of theirs;
-        - otherwise one x_j is peeled: the form is the sum of c times the
-          form of x_j * s over the terms (s, c) of the form of mono / x_j.
-          That is exact because taking forms is linear modulo the ideal.
-
-        Forms only hold monomials lexicographically at most their own, and
-        mono / x_j is not staircase, so each s lies strictly below mono / x_j
-        and each x_j * s strictly below mono.  Every form so rests on forms
-        of lower degree or of smaller monomials of its degree, and the
-        recursion through them ends.  It is memoized in the table: each form
-        is built once, after the forms it rests on, and a form that is
-        legitimately (), such as that of x_n^n, is a hit too.  The chains
-        stay short: a cold class of w0 at rank 6 goes 14 calls deep, and a
-        cold x_1^15 there 17.
-        """
-        form = self._normal_forms.get(m)
-        if form is not None:
-            return form
-        j = self._climb(m)
-        if not j:
-            form = self._normal_forms[m] = ((m, 1),)
-            return form
-        total: dict[int, int] = {}
-        x_j = self.x_keys[j - 1]
-        if not self._climb(m - x_j):
-            base = m - j * x_j
-            for repl in self._rewrite[j]:
-                for s, value in self.normal_form(base + repl):
-                    total[s] = total.get(s, 0) - value
-        else:
-            for s, c in self.normal_form(m - x_j):
-                for f, value in self.normal_form(s + x_j):
-                    total[f] = total.get(f, 0) + c * value
-        form = self._normal_forms[m] = tuple(
-            (s, value) for s, value in total.items() if value)
-        return form
 
     def one(self) -> "FlagElem":
         return FlagElem._raw(self, {0: CoeffPoly.one()})
@@ -364,16 +389,16 @@ def times_terms(ctx: FlagContext, left, right, top: int) -> dict:
     return sum_of_products(
         ((m1 + m2, v1, v2) for m1, v1 in left.items()
          for room in (top - (m1 >> shift),)
-         for m2, d2, v2 in rows if d2 <= room), ctx.normal_form)
+         for m2, d2, v2 in rows if d2 <= room), ctx._normal_forms)
 
 
 def reduce_terms(ctx: FlagContext, terms) -> dict:
     """The canonical terms of a packed mapping to CoeffPoly: each raw
     monomial's coefficient goes, times each integer of its normal form,
     onto the form's staircase monomials in one kernel merge."""
-    normal_form = ctx.normal_form
+    table = ctx._normal_forms
     return sum_of_products((s, coeff, c) for m, coeff in terms.items()
-                           for s, c in normal_form(m))
+                           for s, c in table[m])
 
 
 def reduce_canonical(ctx: FlagContext, p) -> FlagElem:

@@ -36,6 +36,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
 
@@ -301,13 +302,13 @@ def sum_of_products(terms, spread=None) -> dict:
     touched before zero sums are dropped, so a product that leaves its
     field raises UsageError even when it cancels.
 
-    ``spread``, if given, maps each key to (skey, int c) pairs: each key's
-    sum, once all its pairs are in, is added c times into each skey's, and
-    the result is keyed by the skeys.  The flag ring spreads products onto
-    normal forms and so reduces each raw monomial once.  The guard runs
-    once, on each key's sum before any spread: a spread only multiplies by
-    integers and adds no monomial, and the guard sees a key whose spread is
-    empty too.
+    ``spread``, if given, is a mapping from each key to (skey, int c)
+    pairs: each key's sum, once all its pairs are in, is added c times into
+    each skey's, and the result is keyed by the skeys.  The flag ring hands
+    it its table of normal forms, and so reduces each raw monomial once.
+    The guard runs once per call, on the OR of every monomial of every
+    key's sum before any spread: a spread only multiplies by integers and
+    adds no monomial, and the guard sees a key whose spread is empty too.
     """
     sums: dict = {}
     dens: dict = {}
@@ -322,16 +323,17 @@ def sum_of_products(terms, spread=None) -> dict:
             if den % pq_den:
                 den = _grow(acc, dens, key, pq_den)
         _multiply_into(acc, p.num, q, den // pq_den)
-    for acc in sums.values():
-        # in-range fields add without a carry, so a monomial that left the
-        # range is a distinct int with its guard bit set
-        if any(map(_GUARD.__and__, acc)):
-            raise UsageError(_OVERFLOW)
+    # in-range fields add without a carry, so a monomial that left the range
+    # is a distinct int with its guard bit set, and a bit is set in the OR
+    # of every monomial iff it is set in one of them
+    if functools.reduce(operator.or_, chain.from_iterable(sums.values()),
+                        0) & _GUARD:
+        raise UsageError(_OVERFLOW)
     if spread is not None:
         raw, raw_dens, sums, dens = sums, dens, {}, {}
         for key, acc in raw.items():
             den, free = raw_dens[key], True
-            for skey, c in spread(key):
+            for skey, c in spread[key]:
                 target = sums.get(skey)
                 if target is None:
                     if c == 1 and free:
@@ -344,12 +346,15 @@ def sum_of_products(terms, spread=None) -> dict:
                 elif dens[skey] % den:
                     _grow(target, dens, skey, den)
                 _multiply_into(target, acc, c, dens[skey] // den)
+    out = {}
     for key, acc in sums.items():
+        # drop each sum as it is read, so no two copies of it are alive
+        sums[key] = None
         if not all(acc.values()):
             acc = {m: v for m, v in acc.items() if v}
-        # replace each sum as it is done, so no two copies of it are alive
-        sums[key] = CoeffPoly._raw(acc, dens[key]) if acc else None
-    return {key: value for key, value in sums.items() if value is not None}
+        if acc:
+            out[key] = CoeffPoly._raw(acc, dens[key])
+    return out
 
 
 # ---------------------------------------------------------------------------

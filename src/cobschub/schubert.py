@@ -103,8 +103,10 @@ def bs_class(ctx: FlagContext, word) -> FlagElem:
 def chevalley_coeff(ctx: FlagContext, word, positions, lam: Weight) -> CoeffPoly:
     """Coefficient of Z_(word minus positions) in c1(L(lam)) * Z_word.
 
-    Read from a new expansion of ``c1_times_bs``, so every call costs the
-    whole walk.  The empty removal set contributes zero.
+    Read from a new walk of ``c1_times_bs``, so every call costs the whole
+    walk; the word is checked here once, and the walk starts at
+    ``c1_weight``, which checks the weight.  The empty removal set
+    contributes zero.
     """
     word = validate_word(word, ctx.n)
     positions = tuple(sorted(set(positions)))
@@ -113,7 +115,8 @@ def chevalley_coeff(ctx: FlagContext, word, positions, lam: Weight) -> CoeffPoly
     if not positions:
         return CoeffPoly.zero()
     kept = tuple(p for p in range(len(word)) if p not in positions)
-    return c1_times_bs(ctx, lam, word).terms.get(kept, CoeffPoly.zero())
+    return _subword_walk(ctx, c1_weight(ctx, lam), word).terms.get(
+        kept, CoeffPoly.zero())
 
 
 def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
@@ -139,15 +142,15 @@ def poly_times_bs(ctx: FlagContext, f: FlagElem, word) -> BSExpansion:
     dimension of Z_word, above which f multiplies Z_word to 0, and a node
     asks for its dual child through degree p and swaps only that part.
 
-    The word and f are checked once (``c1_times_bs`` and ``product_bs``
-    check their own arguments and walk from an element of the context, so
-    they go to ``_subword_walk`` directly), the root state is f's packed
-    terms through len(word), and each state is a packed mapping made
-    canonical only by the dual step's merges: a swapped state stays raw.
-    That is exact.  The ideal is S_n-stable and homogeneous; the
-    antisymmetrized quotient, the swap, products and cuts by degree map it
-    into itself; and every read vanishes on it, the constant term as much
-    as the degree-1 read L_j, killing x_1 + ... + x_n.
+    The word and f are checked once (``c1_times_bs``, ``chevalley_coeff``
+    and ``product_bs`` check their own arguments and walk from an element
+    of the context, so they go to ``_subword_walk`` directly), the root
+    state is f's packed terms through len(word), and each state is a packed
+    mapping made canonical only by the dual step's merges: a swapped state
+    stays raw.  That is exact.  The ideal is S_n-stable and homogeneous;
+    the antisymmetrized quotient, the swap, products and cuts by degree map
+    it into itself; and every read vanishes on it, the constant term as
+    much as the degree-1 read L_j, killing x_1 + ... + x_n.
     """
     word = validate_word(word, ctx.n)
     return _subword_walk(ctx, ctx.own(f), word)

@@ -232,7 +232,7 @@ def _antisymmetrize(ctx: FlagContext, i: int, terms) -> dict:
     one kernel merge that spreads each raw monomial onto its normal
     form."""
     return sum_of_products(divided_difference_terms(ctx, i, terms),
-                           ctx.normal_form)
+                           ctx._normal_forms)
 
 
 def divided_diff(ctx: FlagContext, i: int, a: FlagElem) -> FlagElem:

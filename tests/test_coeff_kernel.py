@@ -201,7 +201,7 @@ def test_guard_sees_flag_products_on_monomials_with_empty_forms():
     # x_4^5, whose form is empty too; every other product fits.  A guard
     # that saw only what was spread would let both through.
     ctx = FlagContext(4)
-    assert ctx.normal_form(ctx.pack((0, 0, 0, 4))) == ()
+    assert ctx._normal_forms[ctx.pack((0, 0, 0, 4))] == ()
     half = CoeffPoly.b(3, 16)
     a = reduce_canonical(ctx, {(0, 0, 0, 3): half,
                                (0, 0, 0, 2): CoeffPoly.b(3, 15)})
@@ -357,12 +357,63 @@ def test_spread_matches_spreading_each_pair(seed):
     # each key's sum goes into every skey of its spread once all its pairs
     # are in; spreading every pair on its own gives the same sums
     terms, _ = mixed_denominator_terms(random.Random(400 + seed))
-    got = sum_of_products(iter(terms), SPREADS.__getitem__)
+    got = sum_of_products(iter(terms), SPREADS)
     assert {key: fraction_terms(value) for key, value in got.items()} == (
         pairwise_sum_of_products((skey, p, c * q) for key, p, q in terms
                                  for skey, c in SPREADS[key]))
     for value in got.values():
         assert_canonical(value)
+
+
+def test_keys_whose_pairs_all_have_zero_coefficients_are_left_out():
+    # a zero CoeffPoly on either side and an int q of 0 make no entry, with
+    # and without a spread, and a key's empty sum moved onto an skey first
+    # does not keep a zero there
+    p = coeff_from_fractions({((1, 1),): Fraction(1, 2), (): Fraction(3)})
+    zero = CoeffPoly.zero()
+    terms = [("zero q", p, zero), ("zero q", p, 0), ("int 0", p, 0),
+             ("zero p", zero, p), ("kept", p, 3)]
+    assert sum_of_products(iter(terms)) == {"kept": p * 3}
+    spread = {"zero q": (("s", 1),), "int 0": (("s", 2), ("t", 1)),
+              "zero p": (("t", 1),), "kept": (("u", -1), ("s", 1))}
+    got = sum_of_products(iter(terms), spread)
+    assert got == {"u": p * -3, "s": p * 3}
+    alone = sum_of_products(iter(terms[:4]), spread)
+    assert alone == {}
+
+
+def test_guard_sees_an_overflow_on_the_last_of_many_clean_keys():
+    # the guard runs once per merge; an overflow confined to the last key's
+    # sum, after many keys that fit, still raises, with a spread too, and
+    # the clean keys alone merge
+    top = CoeffPoly.b(3, MAX_EXPONENT)
+    clean = [(key, CoeffPoly.b(1 + key % 5), CoeffPoly.b(2, 1 + key % 7))
+             for key in range(60)]
+    spread = {key: ((("s", key % 4), 1), (key, 2)) for key in range(61)}
+    for terms in (clean + [(60, top, CoeffPoly.b(3))],
+                  clean + [(60, top, CoeffPoly.b(3)),
+                           (60, -top, CoeffPoly.b(3))]):
+        for args in ((), (spread,)):
+            with pytest.raises(UsageError, match="field limit"):
+                sum_of_products(iter(terms), *args)
+    assert len(sum_of_products(iter(clean))) == 60
+    assert len(sum_of_products(iter(clean), spread)) == 64
+
+
+def test_guard_sees_flag_products_on_monomials_divisible_by_e_n():
+    # x_1 x_2 x_3 x_4 = e_4 lies in the ideal at rank 4, so the table gives
+    # it the empty form at once; b3^16 * b3^16 leaves the field on it, and
+    # every other product of the merge fits
+    ctx = FlagContext(4)
+    half = CoeffPoly.b(3, 16)
+    low = {ctx.pack((1, 1, 0, 0)): half,
+           ctx.pack((0, 1, 0, 0)): CoeffPoly.b(3)}
+    high = {ctx.pack((0, 0, 1, 1)): half}
+    with pytest.raises(UsageError, match="field limit"):
+        times_terms(ctx, low, high, 4)
+    assert ctx._normal_forms[ctx.pack((1, 1, 1, 1))] == ()
+    assert times_terms(ctx, low, high, 3) == times_terms(
+        ctx, {ctx.pack((0, 1, 0, 0)): CoeffPoly.b(3)}, high, 3)
 
 
 @pytest.mark.parametrize("n", [3, 4])

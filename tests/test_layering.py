@@ -6,9 +6,12 @@ packed monomials, so a second copy of the operators fails here too.  Only
 ``flagring`` multiplies flag elements, on packed monomials: no flag layer
 imports the raw ``truncated_product`` of the series, so no product that
 reduces in a second pass comes back beside the one that reduces inside
-the kernel.  Only ``flagring`` converts between exponent tuples and
-packed monomials (``FlagContext.pack`` and ``unpack``), so the operators
-and the walk take an element's terms as they are.  And no module of the
+the kernel.  The flag layers hand the context's table of normal forms
+itself to the kernel as its spread, so a hit is one subscript: no function
+of the package wraps the lookup in a Python call.  Only ``flagring``
+converts between exponent tuples and packed monomials
+(``FlagContext.pack`` and ``unpack``), so the operators and the walk take
+an element's terms as they are.  And no module of the
 package imports another one's private names: what two modules share is
 public.  The CLI serializes coefficients from ``CoeffPoly.ratios``, the
 packed numerators in lowest terms, and reads no ``terms`` attribute: an
@@ -49,6 +52,9 @@ OPERATOR_KERNEL = "divided_difference_terms"
 RAW_PRODUCT = "truncated_product"
 FLAG_PRODUCT = "times_terms"
 LAYOUT_CONVERTERS = {"pack", "unpack"}
+# the flag layers' spread: the context's self-filling table of normal forms
+TABLE = "ctx._normal_forms"
+NORMAL_FORM = "normal_form"
 NOT_ON_THE_CLI_PATH = ("cobschub.selftest", "dataclasses", "inspect",
                        "traceback")
 # the functions of the flag layers that raise UsageError themselves: the
@@ -124,6 +130,40 @@ def test_only_flagring_multiplies_flag_elements():
     offenders = {name: references(trees[name], {RAW_PRODUCT})
                  for name in FLAG_LAYERS}
     assert offenders == {name: set() for name in FLAG_LAYERS}
+
+
+def spreads(tree) -> list[str]:
+    """The code of the spread argument of each ``sum_of_products`` call of
+    a module, by position or keyword, "" for a call without one, and each
+    definition named ``normal_form``, function or method, as
+    "def normal_form"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", None) == "sum_of_products":
+            spread = node.args[1:] + [kw.value for kw in node.keywords]
+            found.append(ast.unparse(spread[0]) if spread else "")
+        elif isinstance(node, ast.FunctionDef) and \
+                node.name == NORMAL_FORM:
+            found.append(f"def {NORMAL_FORM}")
+    return sorted(found)
+
+
+def test_flag_layers_spread_onto_the_table_itself():
+    # the guard sees a spread by position or keyword, a call without one
+    # and a method that wraps the lookup in a Python call
+    sample = ast.parse("sum_of_products(t, ctx.normal_form)\n"
+                       "sum_of_products(t, spread=ctx.forms.get)\n"
+                       "sum_of_products(t)\n"
+                       "class C:\n    def normal_form(self, m):\n"
+                       "        return self._normal_forms[m]\n")
+    assert spreads(sample) == ["", "ctx.forms.get", "ctx.normal_form",
+                               "def normal_form"]
+    trees = source_trees()
+    found = {name: [code for code in spreads(tree) if code]
+             for name, tree in trees.items()}
+    assert found == {name: {"flagring": [TABLE], "weylops": [TABLE]}.get(
+        name, []) for name in trees}
 
 
 def converters(tree) -> set[str]:

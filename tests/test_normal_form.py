@@ -176,7 +176,7 @@ def test_normal_forms_are_staircase_and_congruent(n):
     rewritten = 0
     for mono in monomials:
         form = tuple((unpack(ctx, s), c)
-                     for s, c in ctx.normal_form(ctx.pack(mono)))
+                     for s, c in ctx._normal_forms[ctx.pack(mono)])
         keys = [key for key, _ in form]
         assert len(set(keys)) == len(keys)
         for key, value in form:
@@ -200,7 +200,7 @@ def unpacked_form(ctx, mono) -> dict:
     degree d."""
     m = ctx.pack(mono)
     return {} if m is None else {
-        unpack(ctx, s): c for s, c in ctx.normal_form(m)}
+        unpack(ctx, s): c for s, c in ctx._normal_forms[m]}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -210,6 +210,34 @@ def test_peel_matches_the_full_cascade(n):
     for mono in monomials_through(n, ctx.d + 1):
         assert unpacked_form(ctx, mono) == dict(
             cascade_normal_form(ctx, mono, cascade)), mono
+
+
+@pytest.mark.parametrize("n, empty_forms", [(2, 0), (3, 4), (4, 85),
+                                             (5, 1707)])
+def test_ideal_monomials_have_empty_forms(n, empty_forms):
+    # the table's two add-and-mask tests read "some exponent is at least n"
+    # and "every exponent is at least 1", and each monomial either decides
+    # has an empty form by the full cascade and in the table.  The empty
+    # forms through degree d are exactly the monomials whose decreasingly
+    # sorted exponents have alpha_(s) >= n - s + 1 for some s; that is
+    # measured here, not proven, and s = 1 and s = n are the two tests
+    ctx = FlagContext(n, Fraction(0))
+    guard = ctx._guard
+    cascade = {}
+    empty = 0
+    for mono in monomials_through(n, ctx.d):
+        m = ctx.pack(mono)
+        decided = bool(m + ctx._power_bias & guard) or (
+            m + ctx._unit_bias & guard == guard)
+        assert decided == (max(mono) >= n or min(mono) >= 1), mono
+        form = cascade_normal_form(ctx, mono, cascade)
+        if decided:
+            assert form == () and ctx._normal_forms[m] == (), mono
+        assert (form == ()) == any(
+            e >= n - s for s, e in enumerate(sorted(mono, reverse=True))
+        ), mono
+        empty += form == ()
+    assert empty == empty_forms
 
 
 @pytest.mark.parametrize("n, seed", [(6, 61), (7, 71)])

@@ -287,6 +287,25 @@ def test_c1_times_bs_operator_count(monkeypatch):
         assert counts["swap_step"] == expected, word
 
 
+def test_chevalley_coeff_checks_its_word_once(monkeypatch, ctx3):
+    # one check of the word and one walk per call, and every bad argument
+    # is still refused: a letter, a position and a weight
+    counts = Counter()
+    monkeypatch.setattr(schubert, "validate_word", counting(
+        counts, "validate_word", schubert.validate_word))
+    rho, word = rho_weight(3), (1, 2, 1)
+    expected = c1_times_bs(ctx3, rho, word).terms[(1, 2)]
+    counts.clear()
+    assert chevalley_coeff(ctx3, word, (0,), rho) == expected
+    assert counts["validate_word"] == 1
+    for bad in (lambda: chevalley_coeff(ctx3, (1, 3), (0,), rho),
+                lambda: chevalley_coeff(ctx3, (1, 3), (), rho),
+                lambda: chevalley_coeff(ctx3, word, (3,), rho),
+                lambda: chevalley_coeff(ctx3, word, (0,), Weight((1, 0)))):
+        with pytest.raises(UsageError):
+            bad()
+
+
 def test_returned_expansions_are_the_callers_own(ctx3):
     # an expansion is mutable, so no call hands out one that a later call
     # returns or reads again
